@@ -25,11 +25,12 @@ import numpy as np
 from .bubbles import extract_bubbles, track_sequence
 from .grid import (
     CellSet,
-    FaceId,
     GridFunction,
     GridGeometry,
     energy,
+    face_pairs,
     kyfan_distance,
+    pad_axis,
     require_same_geometry,
 )
 from .partition import (
@@ -58,33 +59,18 @@ def grid_iso_constant(side: int = 4) -> float:
     masks = ((bits[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
     masks = masks.reshape(-1, side, side)
     vol = masks.sum(axis=(1, 2))
-    perim = (masks[:, :-1, :] ^ masks[:, 1:, :]).sum(axis=(1, 2))
-    perim += (masks[:, :, :-1] ^ masks[:, :, 1:]).sum(axis=(1, 2))
-    perim += masks[:, 0, :].sum(axis=1) + masks[:, -1, :].sum(axis=1)
-    perim += masks[:, :, 0].sum(axis=1) + masks[:, :, -1].sum(axis=1)
+    perim = sum(np.logical_xor(*face_pairs(pad_axis(masks, axis), axis)).sum(axis=(1, 2))
+                for axis in (1, 2))
     return float(np.max(vol / perim.astype(float) ** 2))
 
 
-def _boundary_face_keys(S: CellSet) -> set[tuple]:
-    """Hashable keys for the ambient boundary faces of a cell set."""
-    keys: set[tuple] = set()
-    for f in S.boundary_interior_faces():
-        keys.add(("i", f.axis, f.cell))
-    m = S.mask
-    for axis in range(S.geom.dim):
-        for idx in np.argwhere(np.take(m, [0], axis=axis)):
-            cell = list(idx)
-            cell[axis] = 0
-            keys.add(("b", axis, 0, tuple(int(x) for x in cell)))
-        for idx in np.argwhere(np.take(m, [-1], axis=axis)):
-            cell = list(idx)
-            cell[axis] = S.geom.shape[axis] - 1
-            keys.add(("b", axis, 1, tuple(int(x) for x in cell)))
-    return keys
+def _boundary_faces(S: CellSet) -> list[np.ndarray]:
+    """Per-axis masks of the ambient boundary faces of a cell set, box faces included."""
+    return [S.boundary_faces(axis) for axis in range(S.geom.dim)]
 
 
-def _jump_face_keys(u: GridFunction) -> set[tuple]:
-    return {("i", f.axis, f.cell) for f in u.jump_faces()}
+def _face_count(masks) -> int:
+    return sum(int(np.count_nonzero(m)) for m in masks)
 
 
 # -- vanishing certificate ----------------------------------------------------
@@ -214,21 +200,19 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float,
     gap_perims = tuple(G.perimeter() for G in gap_sets)
     gamma = float(sum(gap_perims))
 
-    jump_keys = _jump_face_keys(u)
-    region_keys = _boundary_face_keys(region)
+    # every face mask below spans the box faces too (n + 1 faces along its axis)
+    jump = [pad_axis(u.jump_mask(axis), axis) for axis in range(2)]
     area = u.geom.face_area
-    D = len(jump_keys | region_keys) * area
+    D = _face_count(j | r for j, r in zip(jump, _boundary_faces(region))) * area
     region_perim = region.perimeter()
 
-    gap_keys = [_boundary_face_keys(G) for G in gap_sets]
+    gap_faces = [_boundary_faces(G) for G in gap_sets]
     chain_rhs = 0.0
     for i, S in enumerate(slab_sets):
-        keys = _boundary_face_keys(S)
-        if i - 1 >= 0 and i - 1 < len(gap_keys):
-            keys -= gap_keys[i - 1]
-        if i < len(gap_keys):
-            keys -= gap_keys[i]
-        chain_rhs += 0.5 * len(keys) * area
+        faces = _boundary_faces(S)
+        for gap in gap_faces[max(i - 1, 0):i + 1]:  # the gaps on either side of slab i
+            faces = [f & ~g for f, g in zip(faces, gap)]
+        chain_rhs += 0.5 * _face_count(faces) * area
     c_iso = grid_iso_constant()
     slab_correction = max(0.0, max(m / alpha_eff - v for v in slab_vols))
     bound = 4.0 * c_iso * (D + gamma) ** 2 / alpha_eff + alpha_eff * slab_correction
@@ -254,32 +238,25 @@ def slice_line(u: GridFunction, axis: int, index: int) -> GridFunction:
     if not (0 <= index < u.geom.shape[other]):
         raise ValueError(f"slice index {index} out of range")
     geom = GridGeometry((u.geom.origin[axis],), u.geom.spacing, (u.geom.shape[axis],))
-    values = u.values.take(index, axis=other)
-    cracks = []
-    for f in u.cracks:
-        if f.axis == axis and f.cell[other] == index:
-            cracks.append(FaceId(0, (f.cell[axis],)))
-    return GridFunction(geom, values, cracks)
+    return GridFunction.from_masks(geom, u.values.take(index, axis=other),
+                                   [u.crack_mask(axis).take(index, axis=other)])
 
 
 def jump_count_1d(u: GridFunction) -> int:
     """Number of genuine jumps (crack faces with differing traces) in 1D."""
     if u.geom.dim != 1:
         raise ValueError("expected a 1D function")
-    return len(u.jump_faces())
+    return int(np.count_nonzero(u.jump_mask(0)))
 
 
 def directional_jump_measure(u: GridFunction, axis: int,
                              box: CellSet | None = None) -> float:
     """Measure of jump faces with normal along ``axis`` (optionally within a box)."""
-    d = u.face_delta(axis)
-    sel = u.crack_mask(axis) & (d != 0)
+    sel = u.jump_mask(axis)
     if box is not None:
         require_same_geometry(u.geom, box.geom)
-        n = u.geom.shape[axis]
-        inside = box.mask.take(range(0, n - 1), axis=axis) \
-            & box.mask.take(range(1, n), axis=axis)
-        sel = sel & inside
+        lo, hi = face_pairs(box.mask, axis)
+        sel = sel & lo & hi
     return int(np.count_nonzero(sel)) * u.geom.face_area
 
 
@@ -319,8 +296,10 @@ class SliceLscReport:
 
 
 def _slice_jump_positions(u: GridFunction, axis: int, index: int) -> list[float]:
+    """Coordinates of the jump faces met on one slice (1D functions are their own slice)."""
     line = slice_line(u, axis, index) if u.geom.dim == 2 else u
-    return [line.geom.face_coordinate(f)[0] for f in line.jump_faces()]
+    g = line.geom
+    return (g.origin[0] + (np.flatnonzero(line.jump_mask(0)) + 1) * g.spacing).tolist()
 
 
 def lsc_report(seq: Sequence[GridFunction], limit: GridFunction,
@@ -352,24 +331,21 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction,
     h = geom.spacing
     for axis in axes:
         rows = range(geom.shape[1 - axis]) if geom.dim == 2 else [0]
-        lim_counts.append(tuple(
-            len(_slice_jump_positions(limit, axis, row)) for row in rows))
-        seq_counts.append(tuple(
-            tuple(len(_slice_jump_positions(g, axis, row)) for row in rows)
-            for g in seq))
+        lim_pos = [_slice_jump_positions(limit, axis, row) for row in rows]
+        seq_pos = [[_slice_jump_positions(g, axis, row) for row in rows] for g in seq]
+        lim_counts.append(tuple(len(p) for p in lim_pos))
+        seq_counts.append(tuple(tuple(len(p) for p in per_g) for per_g in seq_pos))
         required = 0.0
         missing = False
-        for row in rows:
-            lim_pos = _slice_jump_positions(limit, axis, row)
-            if not lim_pos:
+        for r, lim_row in enumerate(lim_pos):
+            if not lim_row:
                 continue
-            for g in seq:
-                seq_pos = _slice_jump_positions(g, axis, row)
-                if not seq_pos:
+            for per_g in seq_pos:
+                if not per_g[r]:
                     missing = True
                     continue
-                for x in lim_pos:
-                    required = max(required, min(abs(x - y) for y in seq_pos))
+                for x in lim_row:
+                    required = max(required, min(abs(x - y) for y in per_g[r]))
         if missing:
             etas.append(None)
             limited.append(False)
@@ -411,8 +387,7 @@ def gradient_pairings(u: GridFunction) -> dict[str, float]:
         d = u.face_delta(axis)
         keep = ~u.crack_mask(axis)
         for name, mask in fields.items():
-            n = u.geom.shape[axis]
-            lower = mask.take(range(0, n - 1), axis=axis)
+            lower = face_pairs(mask, axis)[0]
             val = float(np.sum((d[keep & lower] / h)) * u.geom.cell_volume)
             out[f"axis{axis}:{name}"] = val
     return out

@@ -1,16 +1,18 @@
 """Command-line surface: fixtures, pipelines, reports, plots.
 
 Exit codes: 0 on success with all asserted invariants passing, 1 on I/O or
-parse errors, 2 on invariant violations (a machine-readable violation
-report is still emitted).  JSON output uses sorted keys and Python's
-shortest round-trip float formatting, so identical inputs and flags produce
-byte-identical reports.
+parse errors (bad files and bad command-line parameters alike), 2 on
+invariant violations (a machine-readable violation report is still
+emitted).  JSON output uses sorted keys and Python's shortest round-trip
+float formatting, so identical inputs and flags produce byte-identical
+reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -49,6 +51,26 @@ EXIT_VIOLATION = 2
 
 class InputError(Exception):
     """I/O or parse failure (exit code 1)."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors exit 1, as parse errors, keeping
+    exit code 2 for invariant violations."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
+def _real_in(low: float, high: float = math.inf):
+    """Float argument type accepting only the open interval (low, high)."""
+    def parse(text: str) -> float:
+        x = float(text)
+        if not low < x < high:
+            raise argparse.ArgumentTypeError(f"must lie in ({low}, {high}), got {text}")
+        return x
+    parse.__name__ = "float"  # argparse names the type in "invalid float value"
+    return parse
 
 
 def _load_doc(path: str) -> dict:
@@ -136,19 +158,19 @@ def _labels_svg(part, cell: int = 8) -> str:
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "window" in names:
-        p.add_argument("--window", type=float, default=1.0,
+        p.add_argument("--window", type=_real_in(0), default=1.0,
                        help="trace window half-width (default 1.0)")
     if "eps" in names:
-        p.add_argument("--eps", type=float, default=0.1,
+        p.add_argument("--eps", type=_real_in(0, 1), default=0.1,
                        help="relative concentration tolerance in (0,1) (default 0.1)")
     if "p" in names:
-        p.add_argument("--p", type=float, default=2.0,
+        p.add_argument("--p", type=_real_in(1), default=2.0,
                        help="bulk integrability exponent, > 1 (default 2.0)")
     if "ref" in names:
-        p.add_argument("--ref-radius", type=float, default=1.0,
+        p.add_argument("--ref-radius", type=_real_in(0), default=1.0,
                        help="window radius for concentration search (default 1.0)")
     if "gap" in names:
-        p.add_argument("--gap-delta", type=float, default=2.0,
+        p.add_argument("--gap-delta", type=_real_in(0), default=2.0,
                        help="annulus growth step (default 2.0)")
     if "out" in names:
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -157,7 +179,7 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="crackgrid",
         description="Crack-aware grid functions: energies, concentration "
                     "profiles, bubble decompositions, partitions and "
@@ -209,9 +231,11 @@ def build_parser() -> argparse.ArgumentParser:
                                           "vanishing region")
     va.add_argument("input", nargs="?", default="-")
     va.add_argument("--region", required=True, help="cell-set mask file")
-    va.add_argument("--radius", type=float, default=1.0,
+    va.add_argument("--radius", type=_real_in(0), default=1.0,
                     help="window radius in the hypothesis (default 1.0)")
-    _add_common(va, "window", "eps", "out")
+    va.add_argument("--eps", type=_real_in(0), default=0.1,
+                    help="largest window mass of the hypothesis, > 0 (default 0.1)")
+    _add_common(va, "window", "out")
 
     sl = sub.add_parser("slice-lsc", help="directional jump LSC report for a "
                                           "manifest of functions")
@@ -271,10 +295,13 @@ def _pipeline(args, u: GridFunction, omega: CellSet | None):
 
 
 def _cmd_fixture(args) -> int:
-    if args.name == "staircase":
-        u = fixture_staircase(int(args.n), cells_per_step=args.cells_per_step)
-    else:
-        u = fixture_runaway(args.n, resolution=args.resolution)
+    try:
+        if args.name == "staircase":
+            u = fixture_staircase(int(args.n), cells_per_step=args.cells_per_step)
+        else:
+            u = fixture_runaway(args.n, resolution=args.resolution)
+    except ValueError as exc:  # the fixtures reject only out-of-range parameters
+        raise InputError(f"bad fixture parameters: {exc}") from exc
     _emit_json(grid_function_to_dict(u), args.out)
     return EXIT_OK
 

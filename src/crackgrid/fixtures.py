@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import FaceId, GridFunction, GridGeometry
+from .grid import GridFunction, GridGeometry
 
 
 def fixture_runaway(n: float, resolution: int = 16) -> GridFunction:
@@ -21,8 +21,9 @@ def fixture_runaway(n: float, resolution: int = 16) -> GridFunction:
     geom = GridGeometry(origin=(-1.0, 0.0), spacing=h, shape=(nx, ny))
     values = np.zeros((nx, ny))
     values[nx // 2 :, :] = float(n)
-    cracks = [FaceId(0, (nx // 2 - 1, j)) for j in range(ny)]
-    return GridFunction(geom, values, cracks)
+    masks = [np.zeros(geom.face_shape(k), dtype=bool) for k in range(2)]
+    masks[0][nx // 2 - 1, :] = True
+    return GridFunction.from_masks(geom, values, masks)
 
 
 def fixture_staircase(n: int, cells_per_step: int = 1) -> GridFunction:
@@ -50,11 +51,8 @@ def fixture_staircase(n: int, cells_per_step: int = 1) -> GridFunction:
         stair = iy // c + 1
         values[strip, iy] = float(stair)
     values[m + c :, :] = float(n + 1)
-    cracks = []
-    for iy in range(ny):
-        cracks.append(FaceId(0, (m - 1, iy)))  # x = 0
-        cracks.append(FaceId(0, (m + c - 1, iy)))  # x = 1/n
-    for k in range(1, n):
-        for ix in range(m, m + c):
-            cracks.append(FaceId(1, (ix, k * c - 1)))  # between stairs k and k+1
-    return GridFunction(geom, values, cracks)
+    masks = [np.zeros(geom.face_shape(k), dtype=bool) for k in range(2)]
+    masks[0][m - 1, :] = True  # x = 0
+    masks[0][m + c - 1, :] = True  # x = 1/n
+    masks[1][strip, c - 1 : (n - 1) * c : c] = True  # between stairs k and k+1
+    return GridFunction.from_masks(geom, values, masks)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -70,21 +71,11 @@ class GridGeometry:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
-    def interior_face_count(self, axis: int) -> int:
-        n = (self.shape[axis] - 1) * (self.num_cells // self.shape[axis])
-        return n
-
-    def face_coordinate(self, face: FaceId) -> tuple[float, ...]:
-        """Physical center of a face (used for slice jump locations)."""
-        coords = []
-        for k in range(self.dim):
-            if k == face.axis:
-                coords.append(self.origin[k] + (face.cell[k] + 1) * self.spacing)
-            else:
-                coords.append(self.origin[k] + (face.cell[k] + 0.5) * self.spacing)
-        return tuple(coords)
+    def face_shape(self, axis: int) -> tuple[int, ...]:
+        """Shape of the array over the interior faces normal to ``axis``."""
+        return tuple(n - (k == axis) for k, n in enumerate(self.shape))
 
 
 @dataclass(frozen=True)
@@ -101,19 +92,64 @@ class FaceId:
         return tuple(c + (1 if k == self.axis else 0) for k, c in enumerate(self.cell))
 
 
-def _validate_interior_face(geom: GridGeometry, face: FaceId) -> None:
-    if not (0 <= face.axis < geom.dim):
-        raise ValueError(f"face axis {face.axis} out of range for dim {geom.dim}")
-    if len(face.cell) != geom.dim:
-        raise ValueError(f"face cell index {face.cell} has wrong length")
-    for k, i in enumerate(face.cell):
-        hi = geom.shape[k] - 2 if k == face.axis else geom.shape[k] - 1
-        if not (0 <= i <= hi):
-            raise ValueError(f"face {face} is not an interior face of shape {geom.shape}")
+def face_pairs(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a cell array on the lower and the upper cell of every
+    interior face normal to ``axis``."""
+    lower = [slice(None)] * arr.ndim
+    upper = list(lower)
+    lower[axis] = slice(None, -1)
+    upper[axis] = slice(1, None)
+    return arr[tuple(lower)], arr[tuple(upper)]
+
+
+def pad_axis(arr: np.ndarray, axis: int) -> np.ndarray:
+    """Copy of ``arr`` with one layer of zeros (False) added at both ends of
+    ``axis``: padding a cell mask adds the outside beyond the box, padding
+    an interior-face mask adds the two box faces."""
+    zeros = np.zeros(arr.shape[:axis] + (1,) + arr.shape[axis + 1:], dtype=arr.dtype)
+    return np.concatenate([zeros, arr, zeros], axis=axis)
+
+
+def crack_masks_from_rows(geom: GridGeometry, rows) -> tuple[np.ndarray, ...]:
+    """Per-axis crack masks from ``[axis, i]`` (1D) or ``[axis, i, j]`` (2D)
+    rows, each naming an interior face by its lower cell.
+
+    Rows that are not integer rows of that length, name an axis or a face
+    outside the grid's interior, or repeat a face raise ValueError.
+    """
+    masks = tuple(np.zeros(geom.face_shape(k), dtype=bool) for k in range(geom.dim))
+    rows = list(rows)
+    if rows:
+        try:
+            arr = np.array(rows)
+        except OverflowError as exc:
+            raise ValueError(f"crack entry out of range: {exc}") from exc
+        if arr.dtype.kind != "i" or arr.shape != (len(rows), geom.dim + 1):
+            raise ValueError(f"crack entries must be rows of {geom.dim + 1} integers "
+                             f"[axis, cell index per axis]")
+        axis, cells = arr[:, 0], arr[:, 1:]
+        if np.any((axis < 0) | (axis >= geom.dim)):
+            raise ValueError(f"crack axis out of range for dim {geom.dim}")
+        # along its own axis the lower cell of an interior face stops one short
+        top = np.array(geom.shape) - 1 - (axis[:, None] == np.arange(geom.dim))
+        outside = np.any((cells < 0) | (cells > top), axis=1)
+        if np.any(outside):
+            raise ValueError(f"crack {arr[np.argmax(outside)].tolist()} is not an "
+                             f"interior face of shape {geom.shape}")
+        for k, mask in enumerate(masks):
+            mask[tuple(cells[axis == k].T)] = True
+        if sum(int(np.count_nonzero(m)) for m in masks) != len(rows):
+            raise ValueError("duplicate crack entries")
+    return masks
 
 
 class GridFunction:
-    """Scalar function on a grid plus an explicit set of interior crack faces."""
+    """Scalar function on a grid plus per-axis masks of its interior crack faces.
+
+    The masks are the stored form of the cracks (see :meth:`crack_mask`);
+    the constructor also accepts the cracks as ``FaceId`` objects, and
+    :attr:`cracks` derives them back.
+    """
 
     def __init__(self, geom: GridGeometry, values, cracks: Iterable[FaceId] = ()):
         self.geom = geom
@@ -125,54 +161,54 @@ class GridFunction:
             raise ValueError("all values must be finite")
         arr.flags.writeable = False
         self.values = arr
-        crack_list = list(cracks)
-        crack_set = frozenset(crack_list)
-        if len(crack_set) != len(crack_list):
-            raise ValueError("duplicate crack faces")
-        for f in crack_set:
-            _validate_interior_face(geom, f)
-        self.cracks = crack_set
-        self._crack_masks: dict[int, np.ndarray] | None = None
+        self._set_masks(crack_masks_from_rows(geom, ([f.axis, *f.cell] for f in cracks)))
+
+    @classmethod
+    def from_masks(cls, geom: GridGeometry, values, masks) -> GridFunction:
+        """Function whose cracks are given as one boolean mask per axis over
+        the interior faces.  The masks are made read-only and kept, not copied."""
+        u = cls(geom, values)
+        u._set_masks(masks)
+        return u
+
+    def _set_masks(self, masks) -> None:
+        masks = tuple(np.asarray(m, dtype=bool) for m in masks)
+        if [m.shape for m in masks] != [self.geom.face_shape(k) for k in range(self.geom.dim)]:
+            raise ValueError("crack masks must cover the interior faces of every axis")
+        for m in masks:
+            m.flags.writeable = False
+        self._masks = masks
+
+    @cached_property
+    def cracks(self) -> frozenset[FaceId]:
+        """The crack faces as ``FaceId`` objects, derived from the masks once."""
+        return frozenset(FaceId(axis, idx) for axis, mask in enumerate(self._masks)
+                         for idx in np.argwhere(mask).tolist())
 
     def crack_mask(self, axis: int) -> np.ndarray:
-        """Boolean array over interior faces of ``axis`` (True where cracked)."""
-        if self._crack_masks is None:
-            masks = {}
-            for k in range(self.geom.dim):
-                shp = list(self.geom.shape)
-                shp[k] -= 1
-                masks[k] = np.zeros(shp, dtype=bool)
-            for f in self.cracks:
-                masks[f.axis][f.cell] = True
-            self._crack_masks = masks
-        return self._crack_masks[axis]
+        """Read-only boolean array over interior faces of ``axis`` (True where cracked)."""
+        return self._masks[axis]
 
     def face_delta(self, axis: int) -> np.ndarray:
         """Value difference (upper minus lower) across interior faces of ``axis``."""
         return np.diff(self.values, axis=axis)
 
-    def jump_faces(self) -> frozenset[FaceId]:
-        """Crack faces with differing traces: the discrete jump set J_u."""
-        out = []
-        for f in self.cracks:
-            if self.values[f.cell] != self.values[f.upper_cell()]:
-                out.append(f)
-        return frozenset(out)
+    def jump_mask(self, axis: int) -> np.ndarray:
+        """Crack faces of ``axis`` whose two traces differ: the discrete jump set J_u."""
+        return self.crack_mask(axis) & (self.face_delta(axis) != 0)
 
     def jump_measure(self) -> float:
-        count = 0
-        for k in range(self.geom.dim):
-            d = self.face_delta(k)
-            count += int(np.count_nonzero(self.crack_mask(k) & (d != 0)))
+        count = sum(int(np.count_nonzero(self.jump_mask(k))) for k in range(self.geom.dim))
         return count * self.geom.face_area
 
     def with_values(self, values) -> GridFunction:
-        return GridFunction(self.geom, values, self.cracks)
+        return GridFunction.from_masks(self.geom, values, self._masks)
 
     def subtract(self, other: GridFunction) -> GridFunction:
         """Pointwise u - other; cracks are the union of both crack sets."""
         require_same_geometry(self.geom, other.geom)
-        return GridFunction(self.geom, self.values - other.values, self.cracks | other.cracks)
+        masks = [a | b for a, b in zip(self._masks, other._masks)]
+        return GridFunction.from_masks(self.geom, self.values - other.values, masks)
 
     def add_on(self, mask: np.ndarray, c: float) -> GridFunction:
         """Add the constant c on the masked cells (a piecewise-constant translation)."""
@@ -198,34 +234,26 @@ class CellSet:
 
     def perimeter(self) -> float:
         """Ambient perimeter: faces separating inside from outside or from beyond the box."""
-        return self._boundary_face_count(include_box=True) * self.geom.face_area
+        count = sum(int(np.count_nonzero(self.boundary_faces(k))) for k in range(self.geom.dim))
+        return count * self.geom.face_area
 
     def relative_perimeter(self) -> float:
         """Perimeter relative to the box: interior separating faces only."""
-        return self._boundary_face_count(include_box=False) * self.geom.face_area
+        count = sum(int(np.count_nonzero(self.interior_boundary(k)))
+                    for k in range(self.geom.dim))
+        return count * self.geom.face_area
 
-    def _boundary_face_count(self, include_box: bool) -> int:
-        m = self.mask
-        count = 0
-        for k in range(self.geom.dim):
-            lower = np.take(m, range(0, self.geom.shape[k] - 1), axis=k)
-            upper = np.take(m, range(1, self.geom.shape[k]), axis=k)
-            count += int(np.count_nonzero(lower ^ upper))
-            if include_box:
-                count += int(np.count_nonzero(np.take(m, [0], axis=k)))
-                count += int(np.count_nonzero(np.take(m, [self.geom.shape[k] - 1], axis=k)))
-        return count
+    def interior_boundary(self, axis: int) -> np.ndarray:
+        """Mask over the interior faces of ``axis`` separating the set from its complement."""
+        lower, upper = face_pairs(self.mask, axis)
+        return lower ^ upper
 
-    def boundary_interior_faces(self) -> frozenset[FaceId]:
-        """Interior faces of the grid lying on the reduced boundary of the set."""
-        out = []
-        m = self.mask
-        for k in range(self.geom.dim):
-            lower = np.take(m, range(0, self.geom.shape[k] - 1), axis=k)
-            upper = np.take(m, range(1, self.geom.shape[k]), axis=k)
-            for idx in np.argwhere(lower ^ upper):
-                out.append(FaceId(k, tuple(int(i) for i in idx)))
-        return frozenset(out)
+    def boundary_faces(self, axis: int) -> np.ndarray:
+        """Mask over all faces of ``axis``, box faces included, separating the
+        set from its complement or from beyond the box: entry i lies between
+        cells i-1 and i, so entries 0 and n are the two box faces."""
+        lower, upper = face_pairs(pad_axis(self.mask, axis), axis)
+        return lower ^ upper
 
     def complement(self) -> CellSet:
         return CellSet(self.geom, ~self.mask)
@@ -264,15 +292,11 @@ def energy(u: GridFunction, p: float = 2.0) -> EnergyReport:
         raise ValueError(f"p must exceed 1, got {p}")
     h = u.geom.spacing
     bulk = 0.0
-    jump_count = 0
     for k in range(u.geom.dim):
-        d = u.face_delta(k)
-        cracked = u.crack_mask(k)
-        grad = d[~cracked] / h
+        grad = u.face_delta(k)[~u.crack_mask(k)] / h
         if grad.size:
             bulk += float(np.sum(np.abs(grad) ** p)) * u.geom.cell_volume
-        jump_count += int(np.count_nonzero(cracked & (d != 0)))
-    return EnergyReport(bulk=bulk, jump=jump_count * u.geom.face_area, p=float(p))
+    return EnergyReport(bulk=bulk, jump=u.jump_measure(), p=float(p))
 
 
 def level_set(u: GridFunction, t: float) -> CellSet:
@@ -289,14 +313,8 @@ def boundary_outside_jump(S: CellSet, u: GridFunction) -> float:
     so are crack faces with differing traces.
     """
     require_same_geometry(S.geom, u.geom)
-    count = 0
-    m = S.mask
-    for k in range(u.geom.dim):
-        lower = np.take(m, range(0, u.geom.shape[k] - 1), axis=k)
-        upper = np.take(m, range(1, u.geom.shape[k]), axis=k)
-        sep = lower ^ upper
-        jump = u.crack_mask(k) & (u.face_delta(k) != 0)
-        count += int(np.count_nonzero(sep & ~jump))
+    count = sum(int(np.count_nonzero(S.interior_boundary(k) & ~u.jump_mask(k)))
+                for k in range(u.geom.dim))
     return count * u.geom.face_area
 
 
@@ -332,7 +350,9 @@ def kyfan_distance(u: GridFunction, v: GridFunction) -> float:
 
 
 def grid_function_to_dict(u: GridFunction) -> dict:
-    cracks = sorted([f.axis, *f.cell] for f in u.cracks)
+    # axis by axis in C order: the rows come out sorted
+    cracks = [[axis, *idx] for axis in range(u.geom.dim)
+              for idx in np.argwhere(u.crack_mask(axis)).tolist()]
     return {
         "version": FORMAT_VERSION,
         "dim": u.geom.dim,
@@ -355,11 +375,8 @@ def _geometry_from_header(doc: dict) -> GridGeometry:
 
 def grid_function_from_dict(doc: dict) -> GridFunction:
     geom = _geometry_from_header(doc)
-    raw = doc.get("cracks", [])
-    cracks = [FaceId(int(entry[0]), tuple(int(i) for i in entry[1:])) for entry in raw]
-    if len(set(cracks)) != len(cracks):
-        raise ValueError("duplicate crack entries")
-    return GridFunction(geom, doc["values"], cracks)
+    masks = crack_masks_from_rows(geom, doc.get("cracks", []))
+    return GridFunction.from_masks(geom, doc["values"], masks)
 
 
 def cell_set_to_dict(S: CellSet) -> dict:
@@ -385,8 +402,3 @@ def write_json(obj: dict, path) -> None:
     text = json.dumps(obj, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text + "\n")
-
-
-def read_json(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

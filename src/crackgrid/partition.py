@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .bubbles import Bubble, BubbleDecomposition
-from .grid import CellSet, FaceId, GridFunction, require_same_geometry
+from .grid import CellSet, GridFunction, boundary_outside_jump, face_pairs, require_same_geometry
 from .profile import ConcentrationProfile
 
 KIND_MAIN = 0
@@ -204,7 +204,7 @@ class DomainPartition:
                     break
         self.stats = self._compute_stats(u)
         self.outside_jump = self._partition_outside_jump(u)
-        self.gap_boundary = self._gap_boundary(u)
+        self.gap_boundary = self._gap_boundary()
 
     # -- labeling helpers -------------------------------------------------
 
@@ -216,19 +216,14 @@ class DomainPartition:
             np.stack([self.label_kind.ravel(), self.label_index.ravel()], axis=1), axis=0)
         return [(int(k), int(i)) for k, i in pairs]
 
-    def cell_set(self, kind: int, index: int) -> CellSet:
-        return CellSet(self.geom, self.mask(kind, index))
-
     def rest_mask(self) -> np.ndarray:
         """Gap and vanishing cells together (the non-main aggregate)."""
         return self.label_kind != KIND_MAIN
 
     def _compute_stats(self, u: GridFunction) -> dict[str, SetStats]:
-        from .grid import boundary_outside_jump
-
         out = {}
         for kind, index in self.labels_present():
-            S = self.cell_set(kind, index)
+            S = CellSet(self.geom, self.mask(kind, index))
             out[f"{_KIND_NAMES[kind]}:{index}"] = SetStats(
                 volume=S.volume(),
                 perimeter=S.perimeter(),
@@ -236,38 +231,33 @@ class DomainPartition:
             )
         return out
 
-    def _iter_label_faces(self, u: GridFunction):
-        """Interior faces with distinct labels on the two sides, as masks."""
-        for axis in range(self.geom.dim):
-            n = self.geom.shape[axis]
-            k_lo = self.label_kind.take(range(0, n - 1), axis=axis)
-            k_hi = self.label_kind.take(range(1, n), axis=axis)
-            i_lo = self.label_index.take(range(0, n - 1), axis=axis)
-            i_hi = self.label_index.take(range(1, n), axis=axis)
-            differ = (k_lo != k_hi) | (i_lo != i_hi)
-            jump = u.crack_mask(axis) & (u.face_delta(axis) != 0)
-            yield axis, differ, jump, k_lo, k_hi
+    def label_boundary(self, axis: int) -> np.ndarray:
+        """Mask over the interior faces of ``axis`` with distinct labels on the two sides."""
+        k_lo, k_hi = face_pairs(self.label_kind, axis)
+        i_lo, i_hi = face_pairs(self.label_index, axis)
+        return (k_lo != k_hi) | (i_lo != i_hi)
+
+    def _touching(self, kinds, axis: int) -> np.ndarray:
+        """Label-boundary faces of ``axis`` with a cell of one of ``kinds`` on either side."""
+        lo, hi = face_pairs(np.isin(self.label_kind, kinds), axis)
+        return self.label_boundary(axis) & (lo | hi)
 
     def _partition_outside_jump(self, u: GridFunction) -> float:
         """Measure of main/vanishing piece boundaries not on the jump set."""
-        count = 0
-        involved = (KIND_MAIN, KIND_VANISHING)
-        for _, differ, jump, k_lo, k_hi in self._iter_label_faces(u):
-            touches = np.isin(k_lo, involved) | np.isin(k_hi, involved)
-            count += int(np.count_nonzero(differ & touches & ~jump))
+        count = sum(int(np.count_nonzero(self._touching((KIND_MAIN, KIND_VANISHING), axis)
+                                         & ~u.jump_mask(axis)))
+                    for axis in range(self.geom.dim))
         return count * self.geom.face_area
 
-    def _gap_boundary(self, u: GridFunction) -> float:
+    def _gap_boundary(self) -> float:
         """Ambient measure of the union of all gap-set boundaries."""
         gaps = (KIND_GAP_PLUS, KIND_GAP_MINUS)
         is_gap = np.isin(self.label_kind, gaps)
         count = 0
-        for axis, differ, _, k_lo, k_hi in self._iter_label_faces(u):
-            touches = np.isin(k_lo, gaps) | np.isin(k_hi, gaps)
-            count += int(np.count_nonzero(differ & touches))
         for axis in range(self.geom.dim):
-            count += int(np.count_nonzero(is_gap.take([0], axis=axis)))
-            count += int(np.count_nonzero(is_gap.take([-1], axis=axis)))
+            count += int(np.count_nonzero(self._touching(gaps, axis)))
+            count += int(np.count_nonzero(is_gap.take(0, axis=axis)))
+            count += int(np.count_nonzero(is_gap.take(-1, axis=axis)))
         return count * self.geom.face_area
 
     def volume_by_kind(self, kind: int) -> float:
@@ -319,26 +309,6 @@ def build_partition(u: GridFunction, bubbles, radii: Sequence[RadiusChoice],
     return DomainPartition(u, pieces, window, omega)
 
 
-def _new_cracks(u: GridFunction, part: DomainPartition) -> frozenset[FaceId]:
-    cracks = set(u.cracks)
-    for axis in range(u.geom.dim):
-        n = u.geom.shape[axis]
-        k_lo = part.label_kind.take(range(0, n - 1), axis=axis)
-        k_hi = part.label_kind.take(range(1, n), axis=axis)
-        i_lo = part.label_index.take(range(0, n - 1), axis=axis)
-        i_hi = part.label_index.take(range(1, n), axis=axis)
-        differ = (k_lo != k_hi) | (i_lo != i_hi)
-        for idx in np.argwhere(differ):
-            cracks.add(FaceId(axis, tuple(int(x) for x in idx)))
-    return frozenset(cracks)
-
-
-def _piece_id_arrays(part: DomainPartition) -> np.ndarray:
-    """Main pieces keep their index; all gap/vanishing cells share id -1."""
-    ids = np.where(part.label_kind == KIND_MAIN, part.label_index.astype(np.int64), -1)
-    return ids
-
-
 def renormalize(u: GridFunction, part: DomainPartition,
                 datum: GridFunction | None = None) -> GridFunction:
     """Subtract each piece's center on its main piece; datum value elsewhere.
@@ -357,7 +327,8 @@ def renormalize(u: GridFunction, part: DomainPartition,
         m = part.mask(KIND_MAIN, j)
         a = 0.0 if part.datum_piece == j else p.center
         values[m] = v.values[m] - a
-    return GridFunction(v.geom, values, _new_cracks(v, part))
+    cracks = [v.crack_mask(axis) | part.label_boundary(axis) for axis in range(v.geom.dim)]
+    return GridFunction.from_masks(v.geom, values, cracks)
 
 
 _DYADIC_CANDIDATES: list[float] = [0.0, 1.0]
@@ -378,27 +349,18 @@ def perturbed_translation(u: GridFunction, part: DomainPartition,
     pieces (jumps interior to the aggregate are overwritten by the constant
     datum value, so they heal).
     """
-    v = u.subtract(datum) if datum is not None else u
-    require_same_geometry(v.geom, part.geom)
-    base = np.zeros(v.geom.shape)
-    for j, p in enumerate(part.pieces):
-        m = part.mask(KIND_MAIN, j)
-        a = 0.0 if part.datum_piece == j else p.center
-        base[m] = v.values[m] - a
-    ids = _piece_id_arrays(part)
+    w = renormalize(u, part, datum=datum)
+    # main pieces keep their index; all gap/vanishing cells share id -1
+    ids = np.where(part.label_kind == KIND_MAIN, part.label_index.astype(np.int64), -1)
     piece_order = [-1] + list(range(len(part.pieces)))  # aggregate first, then by band
     # collect cross-piece faces once: (id_lo, id_hi, base_lo, base_hi)
     cross: list[tuple[int, int, float, float]] = []
-    for axis in range(v.geom.dim):
-        n = v.geom.shape[axis]
-        id_lo = ids.take(range(0, n - 1), axis=axis)
-        id_hi = ids.take(range(1, n), axis=axis)
-        b_lo = base.take(range(0, n - 1), axis=axis)
-        b_hi = base.take(range(1, n), axis=axis)
+    for axis in range(w.geom.dim):
+        id_lo, id_hi = face_pairs(ids, axis)
+        b_lo, b_hi = face_pairs(w.values, axis)
         sel = id_lo != id_hi
-        for a_, b_, x, y in zip(id_lo[sel].ravel(), id_hi[sel].ravel(),
-                                b_lo[sel].ravel(), b_hi[sel].ravel()):
-            cross.append((int(a_), int(b_), float(x), float(y)))
+        cross.extend(zip(id_lo[sel].tolist(), id_hi[sel].tolist(),
+                         b_lo[sel].tolist(), b_hi[sel].tolist()))
     alphas: dict[int, float] = {}
     for pid in piece_order:
         forbidden = set(alphas.values())
@@ -415,8 +377,7 @@ def perturbed_translation(u: GridFunction, part: DomainPartition,
             raise RuntimeError("exhausted dyadic offsets; too many conflicting faces")
     # ids == -1 (the aggregate) indexes the last lookup slot
     lookup = np.array([alphas[j] for j in range(len(part.pieces))] + [alphas[-1]])
-    values = base + lookup[ids]
-    return GridFunction(v.geom, values, _new_cracks(v, part))
+    return w.with_values(w.values + lookup[ids])
 
 
 def vanishing_region(u: GridFunction, bubbles, radius: float,

@@ -27,7 +27,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import CellSet, GridFunction, require_same_geometry
+from .grid import CellSet, GridFunction, face_pairs, require_same_geometry
 
 
 @dataclass(frozen=True)
@@ -168,6 +168,35 @@ class ConcentrationProfile:
         return ConcentrationProfile(bp, pv, self.window)._canonical()
 
 
+def _profile_faces(u: GridFunction, domain: CellSet | None):
+    """Per axis, the faces the profile is built from: the two values across
+    every gradient face, and the traces carried by jump faces (both sides,
+    first the lower ones, then the upper ones), domain edges and box faces
+    (the inside value)."""
+    if domain is not None:
+        require_same_geometry(u.geom, domain.geom)
+        inside = domain.mask
+    else:
+        inside = np.ones(u.geom.shape, dtype=bool)
+    out = []
+    for axis in range(u.geom.dim):
+        v_lo, v_hi = face_pairs(u.values, axis)
+        in_lo, in_hi = face_pairs(inside, axis)
+        both = in_lo & in_hi
+        grad = both & ~u.crack_mask(axis) & (v_lo != v_hi)
+        jump = both & u.jump_mask(axis)
+        traces = [
+            v_lo[jump],
+            v_hi[jump],
+            v_lo[in_lo & ~in_hi],  # domain edge, trace from below
+            v_hi[in_hi & ~in_lo],  # domain edge, trace from above
+            u.values.take(0, axis=axis)[inside.take(0, axis=axis)],  # grid box faces
+            u.values.take(-1, axis=axis)[inside.take(-1, axis=axis)],
+        ]
+        out.append((v_lo[grad], v_hi[grad], traces))
+    return out
+
+
 def concentration_profile(u: GridFunction, domain: CellSet | None = None,
                           window: float = 1.0) -> ConcentrationProfile:
     """Exact concentration profile of u, optionally restricted to a domain.
@@ -179,84 +208,30 @@ def concentration_profile(u: GridFunction, domain: CellSet | None = None,
     """
     if not window > 0:
         raise ValueError("window must be positive")
-    if domain is not None:
-        require_same_geometry(u.geom, domain.geom)
-        inside = domain.mask
-    else:
-        inside = np.ones(u.geom.shape, dtype=bool)
     area = u.geom.face_area
+    faces = _profile_faces(u, domain)
     intervals: list[tuple[float, float, float]] = []
-    traces: list[np.ndarray] = []
-    for axis in range(u.geom.dim):
-        n = u.geom.shape[axis]
-        v_lo = u.values.take(range(0, n - 1), axis=axis)
-        v_hi = u.values.take(range(1, n), axis=axis)
-        in_lo = inside.take(range(0, n - 1), axis=axis)
-        in_hi = inside.take(range(1, n), axis=axis)
-        crack = u.crack_mask(axis)
-        both = in_lo & in_hi
-        grad = both & ~crack & (v_lo != v_hi)
-        if np.any(grad):
-            lo = np.minimum(v_lo[grad], v_hi[grad])
-            hi = np.maximum(v_lo[grad], v_hi[grad])
-            intervals.extend((float(a), float(b), area) for a, b in zip(lo, hi))
-        active = both & crack & (v_lo != v_hi)
-        traces.append(v_lo[active])
-        traces.append(v_hi[active])
-        traces.append(v_lo[in_lo & ~in_hi])  # domain edge, trace from below
-        traces.append(v_hi[in_hi & ~in_lo])  # domain edge, trace from above
-        first = inside.take([0], axis=axis)
-        last = inside.take([n - 1], axis=axis)
-        traces.append(u.values.take([0], axis=axis)[first])  # grid box faces
-        traces.append(u.values.take([n - 1], axis=axis)[last])
-    for tr in traces:
-        intervals.extend((float(t - window), float(t + window), area) for t in tr.ravel())
+    for v_lo, v_hi, _ in faces:
+        lo = np.minimum(v_lo, v_hi).tolist()
+        hi = np.maximum(v_lo, v_hi).tolist()
+        intervals.extend((a, b, area) for a, b in zip(lo, hi))
+    for _, _, traces in faces:
+        for tr in traces:
+            intervals.extend((t - window, t + window, area) for t in tr.tolist())
     return ConcentrationProfile.from_intervals(intervals, window)
 
 
 def trace_side_count(u: GridFunction, domain: CellSet | None = None) -> int:
     """Number of trace windows the profile carries (cracks count per side)."""
-    if domain is not None:
-        require_same_geometry(u.geom, domain.geom)
-        inside = domain.mask
-    else:
-        inside = np.ones(u.geom.shape, dtype=bool)
-    count = 0
-    for axis in range(u.geom.dim):
-        n = u.geom.shape[axis]
-        v_lo = u.values.take(range(0, n - 1), axis=axis)
-        v_hi = u.values.take(range(1, n), axis=axis)
-        in_lo = inside.take(range(0, n - 1), axis=axis)
-        in_hi = inside.take(range(1, n), axis=axis)
-        crack = u.crack_mask(axis)
-        count += 2 * int(np.count_nonzero(in_lo & in_hi & crack & (v_lo != v_hi)))
-        count += int(np.count_nonzero(in_lo ^ in_hi))
-        count += int(np.count_nonzero(inside.take([0], axis=axis)))
-        count += int(np.count_nonzero(inside.take([n - 1], axis=axis)))
-    return count
+    return sum(tr.size for _, _, traces in _profile_faces(u, domain) for tr in traces)
 
 
 def jump_boundary_measure(u: GridFunction, domain: CellSet | None = None) -> float:
     """Measure of the jump set together with the (domain or box) boundary,
     each face counted once."""
-    if domain is not None:
-        require_same_geometry(u.geom, domain.geom)
-        inside = domain.mask
-    else:
-        inside = np.ones(u.geom.shape, dtype=bool)
-    count = 0
-    for axis in range(u.geom.dim):
-        n = u.geom.shape[axis]
-        v_lo = u.values.take(range(0, n - 1), axis=axis)
-        v_hi = u.values.take(range(1, n), axis=axis)
-        in_lo = inside.take(range(0, n - 1), axis=axis)
-        in_hi = inside.take(range(1, n), axis=axis)
-        crack = u.crack_mask(axis)
-        jump_inside = in_lo & in_hi & crack & (v_lo != v_hi)
-        edge = in_lo ^ in_hi
-        count += int(np.count_nonzero(jump_inside | edge))
-        count += int(np.count_nonzero(inside.take([0], axis=axis)))
-        count += int(np.count_nonzero(inside.take([n - 1], axis=axis)))
+    # the first trace list holds one entry per jump face, the others one per
+    # boundary face; dropping it counts each face once
+    count = sum(tr.size for _, _, traces in _profile_faces(u, domain) for tr in traces[1:])
     return count * u.geom.face_area
 
 

@@ -1,0 +1,91 @@
+"""Face-by-face reference implementations for oracle tests.
+
+Each function walks ``FaceId`` objects or single cells in plain Python loops,
+so it shares no code with the mask arithmetic of the package; the tests
+require the package to agree with it exactly.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from crackgrid.grid import CellSet, FaceId, GridFunction, GridGeometry
+
+
+def face_ids(masks) -> frozenset[FaceId]:
+    """The True entries of per-axis interior-face masks as ``FaceId`` objects."""
+    return frozenset(FaceId(axis, tuple(int(i) for i in idx))
+                     for axis, mask in enumerate(masks) for idx in np.argwhere(mask))
+
+
+def jump_faces(u: GridFunction) -> frozenset[FaceId]:
+    """Crack faces whose two adjacent values differ."""
+    return frozenset(f for f in u.cracks if u.values[f.cell] != u.values[f.upper_cell()])
+
+
+def crack_rows(u: GridFunction) -> list[list[int]]:
+    """The ``cracks`` field of the file format: sorted ``[axis, *cell]`` rows."""
+    return sorted([f.axis, *f.cell] for f in u.cracks)
+
+
+def slice_line(u: GridFunction, axis: int, index: int) -> GridFunction:
+    """1D section of a 2D function, its cracks found by scanning every crack."""
+    other = 1 - axis
+    geom = GridGeometry((u.geom.origin[axis],), u.geom.spacing, (u.geom.shape[axis],))
+    cracks = [FaceId(0, (f.cell[axis],)) for f in u.cracks
+              if f.axis == axis and f.cell[other] == index]
+    return GridFunction(geom, u.values.take(index, axis=other), cracks)
+
+
+def new_cracks(u: GridFunction, part) -> frozenset[FaceId]:
+    """Cracks of u united with every interior face between distinct partition labels."""
+    cracks = set(u.cracks)
+    for axis in range(u.geom.dim):
+        for idx in np.ndindex(*u.geom.face_shape(axis)):
+            up = FaceId(axis, idx).upper_cell()
+            if (part.label_kind[idx], part.label_index[idx]) != \
+                    (part.label_kind[up], part.label_index[up]):
+                cracks.add(FaceId(axis, idx))
+    return frozenset(cracks)
+
+
+def boundary_face_keys(S: CellSet) -> set[tuple]:
+    """Hashable keys for the ambient boundary faces of a cell set, box faces included."""
+    keys: set[tuple] = set()
+    for cell in np.ndindex(*S.geom.shape):
+        if not S.mask[cell]:
+            continue
+        for axis in range(S.geom.dim):
+            for step in (-1, 1):
+                nb = list(cell)
+                nb[axis] += step
+                lower = cell if step == 1 else tuple(nb)
+                if not 0 <= nb[axis] < S.geom.shape[axis]:
+                    keys.add(("b", axis, step, cell))
+                elif not S.mask[tuple(nb)]:
+                    keys.add(("i", axis, lower))
+    return keys
+
+
+def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: float):
+    """(boundary_measure, chain_rhs) of a vanishing certificate with the given cuts."""
+    area = u.geom.face_area
+    jump = {("i", f.axis, f.cell) for f in jump_faces(u)}
+    measure = len(jump | boundary_face_keys(region)) * area
+    edges = [-math.inf, *cuts, math.inf]
+    gaps = [boundary_face_keys(CellSet(u.geom, region.mask & (u.values > t - radius)
+                                       & (u.values < t + radius))) for t in cuts]
+    chain_rhs = 0.0
+    for i in range(len(cuts) + 1):
+        lo = edges[i] + radius if math.isfinite(edges[i]) else -math.inf
+        hi = edges[i + 1] - radius if math.isfinite(edges[i + 1]) else math.inf
+        keys = boundary_face_keys(CellSet(u.geom, region.mask & (u.values >= lo)
+                                          & (u.values < hi)))
+        if i >= 1:
+            keys -= gaps[i - 1]
+        if i < len(gaps):
+            keys -= gaps[i]
+        chain_rhs += 0.5 * len(keys) * area
+    return measure, chain_rhs

@@ -3,7 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _fixtures import random_fixture
+from _fixtures import jumpy_fixture, random_fixture, random_mask
+from _oracles import certificate_face_measures
+from _oracles import slice_line as oracle_slice_line
 from crackgrid.analysis import (
     compactness_report,
     directional_jump_measure,
@@ -17,7 +19,7 @@ from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import CellSet, FaceId, GridFunction, GridGeometry, energy
 from crackgrid.partition import vanishing_region
-from crackgrid.profile import concentration_profile
+from crackgrid.profile import concentration_profile, levy_concentration
 
 
 class TestIsoConstant:
@@ -66,6 +68,28 @@ class TestVanishingCertificate:
         u = GridFunction(geom, np.zeros(8))
         with pytest.raises(ValueError, match="2D"):
             vanishing_certificate(u, CellSet(geom, np.ones(8, dtype=bool)), eps=0.5)
+
+    def test_face_measures_match_key_set_oracle(self):
+        rng = np.random.default_rng(31)
+        cut = 0
+        for k in range(10):
+            if k % 2:
+                u = random_fixture(rng, dim=2, max_2d=10)
+            else:
+                # many well separated levels, so the range gets cut into slabs;
+                # merging neighbouring levels heals some of the cracks
+                u = jumpy_fixture(rng, shape=(12, 12), spacing=1 / 16, levels=400)
+                u = u.with_values(np.floor(u.values / 8) * 40)
+            region = random_mask(rng, u.geom, p=0.7)
+            score = levy_concentration(concentration_profile(u, region, 0.25), 1.0)[0]
+            cert = vanishing_certificate(u, region, eps=max(score, 1e-12), radius=1.0,
+                                         window=0.25)
+            measure, chain_rhs = certificate_face_measures(
+                u, region, cert.cut_points, cert.radius)
+            assert cert.boundary_measure == measure
+            assert cert.chain_rhs == chain_rhs
+            cut += cert.alpha > 1
+        assert cut >= 4
 
     def make_many_jumps_fixture(self, m: int):
         """Every cell holds its own far-separated value, every face cracked.
@@ -148,8 +172,13 @@ class TestSlicing:
             u = random_fixture(rng, dim=2, max_2d=12)
             h = u.geom.spacing
             for axis in range(2):
-                counted = sum(jump_count_1d(slice_line(u, axis, row))
-                              for row in range(u.geom.shape[1 - axis]))
+                counted = 0
+                for row in range(u.geom.shape[1 - axis]):
+                    line, ref = slice_line(u, axis, row), oracle_slice_line(u, axis, row)
+                    assert line.geom == ref.geom
+                    assert np.array_equal(line.values, ref.values)
+                    assert np.array_equal(line.crack_mask(0), ref.crack_mask(0))
+                    counted += jump_count_1d(line)
                 assert counted * h == pytest.approx(
                     directional_jump_measure(u, axis), abs=1e-15)
 

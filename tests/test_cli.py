@@ -90,6 +90,48 @@ def test_duplicate_cracks_exit_1(tmp_path: Path):
     assert res.returncode == 1
 
 
+ONE_D = {"version": 1, "dim": 1, "origin": [0.0], "spacing": 1.0, "shape": [8],
+         "values": [float(i) for i in range(8)]}
+
+
+@pytest.mark.parametrize("dim,cracks", [
+    (2, [[0, -1, 0]]),  # negative index
+    (2, [[0, 1]]),  # entry one index short
+    (1, [[0, 1, 2], [0, 3, 4]]),  # 2D entries in a 1D file (six numbers, three pairs)
+    (2, [[2, 0, 0]]),  # axis out of range
+    (2, [[0, 2**63, 0]]),  # beyond int64
+    (2, [[0, 1.5, 0]]),  # not an integer
+    (2, [[0, 3, 0]]),  # box face, not an interior face
+    (2, [[1, 0, 0], [1, 0, 0]]),  # duplicate
+], ids=["negative", "short", "1d-rechunk", "axis", "int64", "float", "box-face", "duplicate"])
+def test_malformed_crack_entries_exit_1(dim, cracks):
+    from crackgrid.fixtures import fixture_staircase
+    from crackgrid.grid import grid_function_from_dict, grid_function_to_dict
+
+    doc = dict(ONE_D) if dim == 1 else grid_function_to_dict(fixture_staircase(2))
+    doc["cracks"] = cracks
+    with pytest.raises(ValueError):
+        grid_function_from_dict(doc)
+    res = run_cli("energy", "-", stdin=json.dumps(doc))
+    assert res.returncode == 1
+    assert "error: bad grid function" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "-", "--eps", "1.5"],
+    ["energy", "-", "--p", "0.5"],
+    ["partition", "-", "--window", "-1"],
+    ["fixture", "staircase", "--n", "1"],
+    ["vanishing", "-", "--region", "r.json", "--eps", "0"],
+])
+def test_parameter_errors_exit_1(argv):
+    res = run_cli(*argv, stdin="")
+    assert res.returncode == 1
+    assert "error:" in res.stderr
+    assert "invariant violation" not in res.stderr
+
+
 def test_partition_and_renormalize(tmp_path: Path):
     fx = run_cli("fixture", "runaway", "--n", "50")
     svg_path = tmp_path / "labels.svg"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from _fixtures import all_interior_faces, random_fixture, random_mask
+from _oracles import boundary_face_keys, crack_rows, face_ids, jump_faces
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import (
     CellSet,
@@ -138,11 +139,8 @@ class TestBoundaryOutsideJump:
             [f for f in all_interior_faces(geom) if rng.random() < 0.3],
         )
         S = random_mask(rng, geom)
-        jump_faces = u.jump_faces()
-        count = 0
-        for f in S.boundary_interior_faces():
-            if f not in jump_faces:
-                count += 1
+        jump = {("i", f.axis, f.cell) for f in jump_faces(u)}
+        count = sum(1 for key in boundary_face_keys(S) if key[0] == "i" and key not in jump)
         assert boundary_outside_jump(S, u) == count * geom.face_area
 
     def test_geometry_mismatch(self):
@@ -259,6 +257,22 @@ class TestSerialization:
         assert T.geom == S.geom
         assert np.array_equal(T.mask, S.mask)
 
+    def test_masks_match_face_set_oracles(self):
+        rng = np.random.default_rng(23)
+        for _ in range(12):
+            u = random_fixture(rng, max_1d=64, max_2d=12)
+            masks = [u.crack_mask(k) for k in range(u.geom.dim)]
+            assert u.cracks == face_ids(masks)
+            assert face_ids(u.jump_mask(k) for k in range(u.geom.dim)) == jump_faces(u)
+            doc = grid_function_to_dict(u)
+            assert doc["cracks"] == crack_rows(u)
+            v = grid_function_from_dict(doc)
+            w = u.with_values(u.values + 1.0)
+            for k, mask in enumerate(masks):
+                assert not mask.flags.writeable
+                assert np.array_equal(v.crack_mask(k), mask)
+                assert w.crack_mask(k) is mask  # shared, not copied
+
     def test_duplicate_cracks_rejected(self):
         doc = grid_function_to_dict(fixture_staircase(2))
         doc["cracks"].append(doc["cracks"][0])
@@ -282,6 +296,12 @@ class TestValidation:
         geom = GridGeometry((0.0,), 1.0, (3,))
         with pytest.raises(ValueError):
             GridFunction(geom, [0.0, 1.0, 2.0], [FaceId(0, (2,))])
+
+    def test_cell_count_does_not_overflow(self):
+        geom = GridGeometry((0.0, 0.0), 1.0, (2**32, 2**32))
+        assert geom.num_cells == 2**64
+        with pytest.raises(ValueError, match=f"expected {2**64} values"):
+            GridFunction(geom, [0.0])
 
     def test_dim_checked(self):
         with pytest.raises(ValueError):

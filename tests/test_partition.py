@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _fixtures import jumpy_fixture
+from _fixtures import jumpy_fixture, random_fixture
+from _oracles import jump_faces, new_cracks
 from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import (
@@ -220,6 +221,22 @@ class TestRenormalize:
             w = renormalize(u, part)
             assert w.jump_measure() <= u.jump_measure() + part.outside_jump + 1e-12
 
+    def test_new_cracks_match_face_set_oracle(self):
+        # smooth random data: partition boundaries cross uncracked faces
+        rng = np.random.default_rng(41)
+        added = 0
+        for _ in range(10):
+            u = random_fixture(rng, max_1d=64, max_2d=12)
+            f = concentration_profile(u)
+            dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
+            radii = select_radii(f, dec, 1.0, 1.0) if dec.bubbles else []
+            part = build_partition(u, dec, radii, window=1.0)
+            w = renormalize(u, part)
+            assert w.cracks == new_cracks(u, part)
+            assert perturbed_translation(u, part).cracks == w.cracks
+            added += len(w.cracks) - len(u.cracks)
+        assert added > 0
+
     def test_bulk_preserved_on_main_zeroed_elsewhere(self):
         rng = np.random.default_rng(4)
         u = jumpy_fixture(rng, shape=(10, 10), spacing=0.5)
@@ -316,7 +333,7 @@ class TestPerturbedTranslation:
 
             ids = np.where(part.label_kind == KIND_MAIN, part.label_index, -1)
             union = set()
-            for f_ in u.jump_faces():
+            for f_ in jump_faces(u):
                 a, b = ids[f_.cell], ids[f_.upper_cell()]
                 if a == b and a != -1:
                     union.add(f_)
@@ -328,7 +345,7 @@ class TestPerturbedTranslation:
                     union.add(FaceId(axis, tuple(int(x) for x in idx)))
             assert w.jump_measure() == pytest.approx(
                 len(union) * u.geom.face_area, abs=1e-12)
-            assert w.jump_faces() == frozenset(union)
+            assert jump_faces(w) == frozenset(union)
 
     def test_staircase_stays_below_energy(self):
         for n in (8, 16):
