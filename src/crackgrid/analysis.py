@@ -39,7 +39,7 @@ from .partition import (
     select_radii,
     vanishing_region,
 )
-from .profile import concentration_profile, levy_concentration
+from .profile import ConcentrationProfile, concentration_profile, levy_concentration
 
 
 # -- grid isoperimetric constant ---------------------------------------------
@@ -417,9 +417,8 @@ class SequenceReport:
         }
 
 
-def _pipeline_one(v: GridFunction, u: GridFunction, datum, omega, eps, window,
-                  ref_radius, gap_delta, violations, tag):
-    prof = concentration_profile(v, domain=omega, window=window)
+def _pipeline_one(v: GridFunction, u: GridFunction, prof: ConcentrationProfile, datum, omega,
+                  eps, window, ref_radius, gap_delta, violations, tag):
     dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
     for msg in dec.validate():
         violations.append(f"{tag}: decomposition: {msg}")
@@ -505,14 +504,16 @@ def compactness_report(functions: Sequence[GridFunction],
 
     violations: list[str] = []
     reduced = [u.subtract(datum) if datum is not None else u for u in functions]
+    # the profile does not depend on eps: build it once per function
+    profiles = [concentration_profile(v, domain=omega, window=window) for v in reduced]
     per_eps: dict[str, dict] = {}
     rest_masks: dict[float, list[np.ndarray]] = {}
     for eps in eps_ladder:
         entries, decs, parts, renorms = [], [], [], []
-        for i, (u, v) in enumerate(zip(functions, reduced)):
+        for i, (u, v, prof) in enumerate(zip(functions, reduced, profiles)):
             tag = f"eps={eps} n_index={i}"
             entry, dec, part, w = _pipeline_one(
-                v, u, datum, omega, eps, window, ref_radius, gap_delta, violations, tag)
+                v, u, prof, datum, omega, eps, window, ref_radius, gap_delta, violations, tag)
             entries.append(entry)
             decs.append(dec)
             parts.append(part)

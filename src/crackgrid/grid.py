@@ -375,8 +375,12 @@ def _geometry_from_header(doc: dict) -> GridGeometry:
 
 def grid_function_from_dict(doc: dict) -> GridFunction:
     geom = _geometry_from_header(doc)
+    values = np.asarray(doc["values"], dtype=float)
+    # before the masks, which take the header's shape on trust
+    if values.size != geom.num_cells:
+        raise ValueError(f"expected {geom.num_cells} values, got {values.size}")
     masks = crack_masks_from_rows(geom, doc.get("cracks", []))
-    return GridFunction.from_masks(geom, doc["values"], masks)
+    return GridFunction.from_masks(geom, values, masks)
 
 
 def cell_set_to_dict(S: CellSet) -> dict:

@@ -62,25 +62,31 @@ class RadiusChoice:
 
 
 def _objective_pieces(f: ConcentrationProfile, offsets: Sequence[tuple[float, float]],
-                      lo: float, hi: float) -> list[tuple[float, float, float]]:
+                      lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
     """Piecewise-constant objective r -> sum_k sign_k-shifted profile values.
 
     ``offsets`` holds (scale, shift) pairs meaning the term f(scale*r + shift)
-    with scale in {+1,-1}.  Returns (left, right, value) pieces on [lo, hi).
+    with scale in {+1,-1}.  Returns the sorted cut points on [lo, hi] and the
+    objective value on each piece between consecutive cuts.
     """
-    cuts = {lo, hi}
+    cuts = [np.array([lo, hi])]
     for scale, shift in offsets:
-        for b in f.breakpoints:
-            r = (b - shift) / scale
-            if lo < r < hi:
-                cuts.add(float(r))
-    points = sorted(cuts)
-    pieces = []
-    for a, b in zip(points, points[1:]):
-        mid = 0.5 * (a + b)
-        val = sum(f.value_at(scale * mid + shift) for scale, shift in offsets)
-        pieces.append((a, b, val))
-    return pieces
+        r = (f.breakpoints - shift) / scale
+        cuts.append(r[(lo < r) & (r < hi)])
+    points = np.unique(np.concatenate(cuts))
+    mid = 0.5 * (points[:-1] + points[1:])
+    values = np.zeros(mid.size)
+    for scale, shift in offsets:
+        values += f.plateau_values[np.searchsorted(f.breakpoints, scale * mid + shift,
+                                                   side="right")]
+    return points, values
+
+
+def _best_radius(f: ConcentrationProfile, offsets, lo: float, hi: float) -> tuple[float, float]:
+    """Midpoint of the leftmost minimizing plateau (for determinism) and the minimum."""
+    points, values = _objective_pieces(f, offsets, lo, hi)
+    k = int(np.argmin(values))  # first occurrence
+    return float(0.5 * (points[k] + points[k + 1])), float(values[k])
 
 
 def _interval_average(f: ConcentrationProfile, offsets, lo: float, hi: float) -> float:
@@ -113,33 +119,25 @@ def select_radii(f: ConcentrationProfile, bubbles, base_radius: float,
     blist = _bubble_list(bubbles)
     lo, hi = base_radius, base_radius + width
 
-    def best(offsets) -> tuple[float, float]:
-        pieces = _objective_pieces(f, offsets, lo, hi)
-        vmin = min(v for _, _, v in pieces)
-        for a, b, v in pieces:  # leftmost minimizing plateau, for determinism
-            if v == vmin:
-                return 0.5 * (a + b), vmin
-        raise AssertionError("unreachable")
-
     out = []
     if equal_radii and blist:
         offsets = []
         for b in blist:
             offsets += [(1.0, b.center), (1.0, b.center + w),
                         (-1.0, b.center), (-1.0, b.center - w)]
-        r, val = best(offsets)
+        r, val = _best_radius(f, offsets, lo, hi)
         avg = _interval_average(f, offsets, lo, hi)
         return [RadiusChoice(b.center, r, r, val, avg) for b in blist]
     for b in blist:
         plus = [(1.0, b.center), (1.0, b.center + w)]
         minus = [(-1.0, b.center), (-1.0, b.center - w)]
         if per_side:
-            rp, vp = best(plus)
-            rm, vm = best(minus)
+            rp, vp = _best_radius(f, plus, lo, hi)
+            rm, vm = _best_radius(f, minus, lo, hi)
             avg = _interval_average(f, plus + minus, lo, hi)
             out.append(RadiusChoice(b.center, rm, rp, vp + vm, avg))
         else:
-            r, val = best(plus + minus)
+            r, val = _best_radius(f, plus + minus, lo, hi)
             avg = _interval_average(f, plus + minus, lo, hi)
             out.append(RadiusChoice(b.center, r, r, val, avg))
     return out

@@ -23,6 +23,7 @@ Trace counting rules (per face):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -62,18 +63,23 @@ class ConcentrationProfile:
         return cls(np.empty(0), np.zeros(1), window)
 
     @classmethod
-    def from_intervals(cls, intervals: Iterable[tuple[float, float, float]],
+    def from_intervals(cls, intervals: np.ndarray | Iterable[tuple[float, float, float]],
                        window: float = 1.0) -> "ConcentrationProfile":
-        """Sum of ``weight * indicator((lo, hi))`` terms, merged exactly."""
-        items = [(float(a), float(b), float(w)) for a, b, w in intervals
-                 if b > a and w != 0.0]
-        if not items:
+        """Sum of ``weight * indicator((lo, hi))`` terms, merged exactly.
+
+        ``intervals`` is an ``(n, 3)`` array of ``(lo, hi, weight)`` rows or an
+        iterable of such tuples; rows with ``hi <= lo`` or zero weight add nothing.
+        """
+        if not isinstance(intervals, np.ndarray):
+            intervals = list(intervals)
+        rows = np.asarray(intervals, dtype=float).reshape(-1, 3)
+        rows = rows[(rows[:, 1] > rows[:, 0]) & (rows[:, 2] != 0.0)]
+        if not rows.size:
             return cls.empty(window)
-        ends = np.array([[a, b] for a, b, _ in items])
+        ends, weights = rows[:, :2], rows[:, 2]
         bp = np.unique(ends.ravel())
         lo_idx = np.searchsorted(bp, ends[:, 0])
         hi_idx = np.searchsorted(bp, ends[:, 1])
-        weights = np.array([w for _, _, w in items])
         delta = np.zeros(bp.size + 2)
         np.add.at(delta, lo_idx + 1, weights)
         np.add.at(delta, hi_idx + 1, -weights)
@@ -119,12 +125,13 @@ class ConcentrationProfile:
         k = int(np.searchsorted(self.breakpoints, t, side="right"))
         return float(self.plateau_values[k])
 
+    @cached_property
     def _cumulative(self) -> np.ndarray:
-        lengths = np.diff(self.breakpoints) if self.breakpoints.size else np.empty(0)
-        segs = self.plateau_values[1:-1] * lengths if lengths.size else np.empty(0)
+        """Read-only mass below each breakpoint, computed once per profile."""
         out = np.zeros(self.breakpoints.size)
-        if segs.size:
-            np.cumsum(segs, out=out[1:])
+        if self.breakpoints.size > 1:
+            np.cumsum(self.plateau_values[1:-1] * np.diff(self.breakpoints), out=out[1:])
+        out.flags.writeable = False
         return out
 
     def mass_below(self, t) -> np.ndarray | float:
@@ -133,7 +140,7 @@ class ConcentrationProfile:
         if self.breakpoints.size == 0:
             res = np.zeros_like(t_arr)
             return res if np.ndim(t) else float(res[0])
-        cum = self._cumulative()
+        cum = self._cumulative
         k = np.searchsorted(self.breakpoints, t_arr, side="right")
         res = np.empty_like(t_arr)
         below = k == 0
@@ -208,16 +215,13 @@ def concentration_profile(u: GridFunction, domain: CellSet | None = None,
     """
     if not window > 0:
         raise ValueError("window must be positive")
-    area = u.geom.face_area
     faces = _profile_faces(u, domain)
-    intervals: list[tuple[float, float, float]] = []
-    for v_lo, v_hi, _ in faces:
-        lo = np.minimum(v_lo, v_hi).tolist()
-        hi = np.maximum(v_lo, v_hi).tolist()
-        intervals.extend((a, b, area) for a, b in zip(lo, hi))
-    for _, _, traces in faces:
-        for tr in traces:
-            intervals.extend((t - window, t + window, area) for t in tr.tolist())
+    grad = [np.stack([np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi)], axis=1)
+            for v_lo, v_hi, _ in faces]
+    windows = [np.stack([tr - window, tr + window], axis=1)
+               for _, _, traces in faces for tr in traces]
+    ends = np.concatenate(grad + windows)
+    intervals = np.column_stack([ends, np.full(len(ends), u.geom.face_area)])
     return ConcentrationProfile.from_intervals(intervals, window)
 
 

@@ -1,8 +1,10 @@
-"""Face-by-face reference implementations for oracle tests.
+"""Face-by-face and breakpoint-by-breakpoint reference implementations for
+oracle tests.
 
-Each function walks ``FaceId`` objects or single cells in plain Python loops,
-so it shares no code with the mask arithmetic of the package; the tests
-require the package to agree with it exactly.
+Each function walks ``FaceId`` objects, single cells, breakpoints or
+intervals in plain Python loops, so it shares no code with the array
+arithmetic of the package it checks; the tests require the package to agree
+with it exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import numpy as np
 
 from crackgrid.grid import CellSet, FaceId, GridFunction, GridGeometry
+from crackgrid.profile import ConcentrationProfile, _profile_faces
 
 
 def face_ids(masks) -> frozenset[FaceId]:
@@ -89,3 +92,63 @@ def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: fl
             keys -= gaps[i]
         chain_rhs += 0.5 * len(keys) * area
     return measure, chain_rhs
+
+
+def concentration_profile(u: GridFunction, domain: CellSet | None = None,
+                          window: float = 1.0) -> ConcentrationProfile:
+    """The profile built from a Python list of ``(lo, hi, area)`` tuples, one
+    per gradient face and per trace, in the package's order."""
+    area = u.geom.face_area
+    faces = _profile_faces(u, domain)
+    intervals: list[tuple[float, float, float]] = []
+    for v_lo, v_hi, _ in faces:
+        lo = np.minimum(v_lo, v_hi).tolist()
+        hi = np.maximum(v_lo, v_hi).tolist()
+        intervals.extend((a, b, area) for a, b in zip(lo, hi))
+    for _, _, traces in faces:
+        for tr in traces:
+            intervals.extend((t - window, t + window, area) for t in tr.tolist())
+    return ConcentrationProfile.from_intervals(intervals, window)
+
+
+def mass_below(f: ConcentrationProfile, t: float) -> float:
+    """Integral of the profile over (-inf, t) from a cumulative sum taken afresh."""
+    bp, pv = f.breakpoints, f.plateau_values
+    cum = np.zeros(bp.size)
+    if bp.size > 1:
+        np.cumsum(pv[1:-1] * np.diff(bp), out=cum[1:])
+    k = int(np.searchsorted(bp, t, side="right"))
+    if k == 0:
+        return 0.0
+    if k == bp.size:
+        return float(cum[-1])
+    return float(cum[k - 1] + pv[k] * (t - bp[k - 1]))
+
+
+def objective_pieces(f: ConcentrationProfile, offsets, lo: float,
+                     hi: float) -> list[tuple[float, float, float]]:
+    """(left, right, value) pieces on [lo, hi) of r -> sum of f(scale*r + shift)
+    over the (scale, shift) offsets, one breakpoint and one piece at a time."""
+    cuts = {lo, hi}
+    for scale, shift in offsets:
+        for b in f.breakpoints:
+            r = (b - shift) / scale
+            if lo < r < hi:
+                cuts.add(float(r))
+    points = sorted(cuts)
+    pieces = []
+    for a, b in zip(points, points[1:]):
+        mid = 0.5 * (a + b)
+        val = sum(f.value_at(scale * mid + shift) for scale, shift in offsets)
+        pieces.append((a, b, val))
+    return pieces
+
+
+def best_radius(f: ConcentrationProfile, offsets, lo: float, hi: float) -> tuple[float, float]:
+    """Midpoint of the leftmost minimizing piece and the minimum."""
+    pieces = objective_pieces(f, offsets, lo, hi)
+    vmin = min(v for _, _, v in pieces)
+    for a, b, v in pieces:
+        if v == vmin:
+            return 0.5 * (a + b), vmin
+    raise AssertionError("unreachable")

@@ -92,23 +92,29 @@ def test_duplicate_cracks_exit_1(tmp_path: Path):
 
 ONE_D = {"version": 1, "dim": 1, "origin": [0.0], "spacing": 1.0, "shape": [8],
          "values": [float(i) for i in range(8)]}
+# a header shape whose face masks could never be allocated, with one value
+OVERSIZED = {"version": 1, "dim": 2, "origin": [0.0, 0.0], "spacing": 1.0,
+             "shape": [2**31, 2**31], "values": [0.0]}
 
 
-@pytest.mark.parametrize("dim,cracks", [
-    (2, [[0, -1, 0]]),  # negative index
-    (2, [[0, 1]]),  # entry one index short
-    (1, [[0, 1, 2], [0, 3, 4]]),  # 2D entries in a 1D file (six numbers, three pairs)
-    (2, [[2, 0, 0]]),  # axis out of range
-    (2, [[0, 2**63, 0]]),  # beyond int64
-    (2, [[0, 1.5, 0]]),  # not an integer
-    (2, [[0, 3, 0]]),  # box face, not an interior face
-    (2, [[1, 0, 0], [1, 0, 0]]),  # duplicate
-], ids=["negative", "short", "1d-rechunk", "axis", "int64", "float", "box-face", "duplicate"])
-def test_malformed_crack_entries_exit_1(dim, cracks):
+@pytest.mark.parametrize("base,cracks", [
+    ("2d", [[0, -1, 0]]),  # negative index
+    ("2d", [[0, 1]]),  # entry one index short
+    ("1d", [[0, 1, 2], [0, 3, 4]]),  # 2D entries in a 1D file (six numbers, three pairs)
+    ("2d", [[2, 0, 0]]),  # axis out of range
+    ("2d", [[0, 2**63, 0]]),  # beyond int64
+    ("2d", [[0, 1.5, 0]]),  # not an integer
+    ("2d", [[0, 3, 0]]),  # box face, not an interior face
+    ("2d", [[1, 0, 0], [1, 0, 0]]),  # duplicate
+    ("oversized", []),  # shape disagrees with values; rejected before the masks
+], ids=["negative", "short", "1d-rechunk", "axis", "int64", "float", "box-face", "duplicate",
+        "oversized-shape"])
+def test_malformed_crack_entries_exit_1(base, cracks):
     from crackgrid.fixtures import fixture_staircase
     from crackgrid.grid import grid_function_from_dict, grid_function_to_dict
 
-    doc = dict(ONE_D) if dim == 1 else grid_function_to_dict(fixture_staircase(2))
+    doc = {"1d": ONE_D, "oversized": OVERSIZED}.get(base)
+    doc = dict(doc) if doc else grid_function_to_dict(fixture_staircase(2))
     doc["cracks"] = cracks
     with pytest.raises(ValueError):
         grid_function_from_dict(doc)

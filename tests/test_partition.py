@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from _fixtures import jumpy_fixture, random_fixture
-from _oracles import jump_faces, new_cracks
+from _oracles import best_radius, jump_faces, new_cracks, objective_pieces
+from crackgrid import partition
 from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import (
@@ -94,6 +95,60 @@ class TestSelectRadii:
             best = min(objective(r) for r in scan)
             assert c.achieved <= best + 1e-12
             assert objective(c.r_plus) == pytest.approx(c.achieved, abs=1e-12)
+
+
+class TestSelectRadiiOracle:
+    """The array objective against the breakpoint-by-breakpoint loop, in all
+    three modes, with every ``RadiusChoice`` field compared exactly."""
+
+    MODES = [{}, {"per_side": True}, {"equal_radii": True}]
+
+    def assert_matches_loop(self, monkeypatch, f, bubbles, base_radius, width, window):
+        for mode in self.MODES:
+            fast = select_radii(f, bubbles, base_radius, width, window=window, **mode)
+            with monkeypatch.context() as m:
+                m.setattr(partition, "_best_radius", best_radius)
+                slow = select_radii(f, bubbles, base_radius, width, window=window, **mode)
+            assert fast == slow
+            assert all(type(x) is float for c in fast for x in c.as_dict().values())
+
+    def test_dyadic_profiles_with_ties_and_edge_breakpoints(self, monkeypatch):
+        rng = np.random.default_rng(404)
+        ties = edges = 0
+        for _ in range(40):
+            n = int(rng.integers(1, 12))
+            lo = rng.integers(-24, 24, n) / 4
+            rows = np.column_stack([lo, lo + rng.integers(1, 16, n) / 4,
+                                    rng.integers(1, 4, n) / 2])
+            f = ConcentrationProfile.from_intervals(rows)
+            centers = rng.integers(-12, 12, int(rng.integers(1, 4))) / 4
+            bubbles = [PartitionPiece(float(c), 1.0, 1.0) for c in centers]
+            base, width = float(rng.choice([0.5, 1.0])), float(rng.choice([0.5, 1.0, 2.0]))
+            w = float(rng.choice([0.5, 1.0]))
+            self.assert_matches_loop(monkeypatch, f, bubbles, base, width, w)
+            for c in centers:
+                offsets = [(1.0, c), (1.0, c + w), (-1.0, c), (-1.0, c - w)]
+                values = [v for _, _, v in objective_pieces(f, offsets, base, base + width)]
+                ties += values.count(min(values)) > 1
+                r = np.concatenate([f.breakpoints - c, c - f.breakpoints])
+                edges += bool(np.isin([base, base + width], r).any())
+        # the cases exercise the leftmost-plateau rule and cuts falling on lo/hi
+        assert ties and edges
+
+    def test_empty_profile(self, monkeypatch):
+        bubbles = [PartitionPiece(0.0, 1.0, 1.0), PartitionPiece(5.0, 1.0, 1.0)]
+        self.assert_matches_loop(monkeypatch, ConcentrationProfile.empty(), bubbles,
+                                 1.0, 1.0, 1.0)
+
+    def test_fixture_profiles(self, monkeypatch):
+        rng = np.random.default_rng(405)
+        for k in range(8):
+            u = jumpy_fixture(rng, shape=(10, 12)) if k % 2 else \
+                random_fixture(rng, max_1d=200, max_2d=16)
+            f = concentration_profile(u, window=0.5)
+            dec = extract_bubbles(f, eps=0.02, gap_delta=0.5, ref_radius=0.25)
+            assert dec.bubbles
+            self.assert_matches_loop(monkeypatch, f, dec, 0.25, 0.5, 0.5)
 
 
 class TestBuildPartition:

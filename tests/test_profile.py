@@ -3,7 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _fixtures import random_fixture, random_mask
+import _oracles
+from _fixtures import jumpy_fixture, random_fixture, random_mask
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import CellSet, FaceId, GridFunction, GridGeometry
 from crackgrid.profile import (
@@ -121,6 +122,32 @@ class TestProfileConstruction:
         u = fixture_runaway(1.0, resolution=8)
         with pytest.raises(ValueError):
             concentration_profile(u, window=0.0)
+
+    @pytest.mark.parametrize("spacing", [0.1, 1 / 3, 0.25, 0.7])
+    def test_matches_tuple_list_oracle(self, spacing):
+        rng = np.random.default_rng(int(spacing * 1000))
+        for k in range(6):
+            v = jumpy_fixture(rng, shape=(11, 9)) if k % 3 == 0 else \
+                random_fixture(rng, max_1d=160, max_2d=20)
+            geom = GridGeometry(v.geom.origin, spacing, v.geom.shape)
+            u = GridFunction.from_masks(geom, v.values,
+                                        [v.crack_mask(a) for a in range(geom.dim)])
+            w = [1.0, 1 / 3, 0.1][k % 3]
+            for dom in (None, random_mask(rng, geom)):
+                f = concentration_profile(u, domain=dom, window=w)
+                g = _oracles.concentration_profile(u, domain=dom, window=w)
+                assert np.array_equal(f.breakpoints, g.breakpoints)
+                assert np.array_equal(f.plateau_values, g.plateau_values)
+
+    def test_from_intervals_takes_rows_or_tuples(self):
+        rows = [(0.0, 1.0, 0.1), (0.5, 2.0, 1 / 3), (2.0, 2.0, 5.0), (1.0, 3.0, 0.0)]
+        f = ConcentrationProfile.from_intervals(np.array(rows))
+        for g in (ConcentrationProfile.from_intervals(rows),
+                  ConcentrationProfile.from_intervals(iter(rows))):
+            assert np.array_equal(f.breakpoints, g.breakpoints)
+            assert np.array_equal(f.plateau_values, g.plateau_values)
+        assert np.array_equal(f.breakpoints, [0.0, 0.5, 1.0, 2.0])
+        assert ConcentrationProfile.from_intervals(np.empty((0, 3))).breakpoints.size == 0
 
 
 class TestProfileQueries:
@@ -278,6 +305,33 @@ class TestProfileInvariants:
 
 
 class TestSurgery:
+    def test_mass_below_reads_no_stale_cache(self):
+        rng = np.random.default_rng(97)
+        v = random_fixture(rng, dim=2, max_2d=12)
+        geom = GridGeometry(v.geom.origin, 0.1, v.geom.shape)
+        f = concentration_profile(
+            GridFunction.from_masks(geom, v.values, [v.crack_mask(a) for a in range(2)]),
+            window=1 / 3)
+        bp, pv = f.breakpoints, f.plateau_values
+        assert bp.size >= 4
+
+        def check(g):
+            ts = np.concatenate([g.breakpoints, rng.uniform(bp[0] - 1, bp[-1] + 1, 64)])
+            assert np.array_equal(g.mass_below(ts), [_oracles.mass_below(g, t) for t in ts])
+
+        check(f)
+        assert not f._cumulative.flags.writeable
+        check(f.zero_on(float(bp[1]), float(bp[-2])))
+        check(f.zero_on(0.5 * float(bp[0] + bp[1]), 0.5 * float(bp[-2] + bp[-1])))
+        check(f.shifted(0.3))
+        # split plateau 2 in two: the canonical form drops the extra breakpoint
+        split = ConcentrationProfile(np.insert(bp, 2, 0.5 * (bp[1] + bp[2])),
+                                     np.insert(pv, 2, pv[2]), f.window)
+        check(split)
+        merged = split._canonical()
+        assert merged is not split
+        check(merged)
+
     def test_zero_on(self):
         f = ConcentrationProfile.from_intervals([(0.0, 10.0, 2.0)])
         g = f.zero_on(3.0, 4.0)
