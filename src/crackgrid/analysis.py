@@ -295,11 +295,11 @@ class SliceLscReport:
         }
 
 
-def _slice_jump_positions(u: GridFunction, axis: int, index: int) -> list[float]:
-    """Coordinates of the jump faces met on one slice (1D functions are their own slice)."""
-    line = slice_line(u, axis, index) if u.geom.dim == 2 else u
-    g = line.geom
-    return (g.origin[0] + (np.flatnonzero(line.jump_mask(0)) + 1) * g.spacing).tolist()
+def _row_jumps(u: GridFunction, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Jump faces of ``axis`` as row-major (row, face index) pairs, a row per 1D slice."""
+    n = u.geom.shape[axis]
+    rows = np.moveaxis(u.jump_mask(axis), axis, -1).reshape(u.geom.num_cells // n, n - 1)
+    return np.nonzero(rows)
 
 
 def lsc_report(seq: Sequence[GridFunction], limit: GridFunction,
@@ -330,22 +330,30 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction,
     seq_counts: list[tuple[tuple[int, ...], ...]] = []
     h = geom.spacing
     for axis in axes:
-        rows = range(geom.shape[1 - axis]) if geom.dim == 2 else [0]
-        lim_pos = [_slice_jump_positions(limit, axis, row) for row in rows]
-        seq_pos = [[_slice_jump_positions(g, axis, row) for row in rows] for g in seq]
-        lim_counts.append(tuple(len(p) for p in lim_pos))
-        seq_counts.append(tuple(tuple(len(p) for p in per_g) for per_g in seq_pos))
+        n = geom.shape[axis]
+        n_rows = geom.num_cells // n
+        origin = geom.origin[axis]
+        lim_row, lim_index = _row_jumps(limit, axis)
+        x = origin + (lim_index + 1) * h
+        lim_counts.append(tuple(np.bincount(lim_row, minlength=n_rows).tolist()))
+        per_g = []
         required = 0.0
         missing = False
-        for r, lim_row in enumerate(lim_pos):
-            if not lim_row:
-                continue
-            for per_g in seq_pos:
-                if not per_g[r]:
-                    missing = True
-                    continue
-                for x in lim_row:
-                    required = max(required, min(abs(x - y) for y in per_g[r]))
+        for g in seq:
+            row, index = _row_jumps(g, axis)
+            counts = np.bincount(row, minlength=n_rows)
+            per_g.append(tuple(counts.tolist()))
+            covered = counts[lim_row] > 0
+            missing |= not covered.all()
+            # positions grow with the index: a row's nearest jump is next to x's sort slot
+            y = origin + (index + 1) * h
+            j = np.searchsorted(row * n + index, (lim_row * n + lim_index)[covered])
+            r, xc = lim_row[covered], x[covered]
+            near = np.full(xc.size, np.inf)
+            for side in (np.maximum(j - 1, 0), np.minimum(j, row.size - 1)):
+                near = np.minimum(near, np.where(row[side] == r, np.abs(xc - y[side]), np.inf))
+            required = max(required, float(np.max(near, initial=0.0)))
+        seq_counts.append(tuple(per_g))
         if missing:
             etas.append(None)
             limited.append(False)
@@ -417,8 +425,8 @@ class SequenceReport:
         }
 
 
-def _pipeline_one(v: GridFunction, u: GridFunction, prof: ConcentrationProfile, datum, omega,
-                  eps, window, ref_radius, gap_delta, violations, tag):
+def _pipeline_one(v: GridFunction, u: GridFunction, prof: ConcentrationProfile, bulk_v, jump_v,
+                  datum, omega, eps, window, ref_radius, gap_delta, violations, tag):
     dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
     for msg in dec.validate():
         violations.append(f"{tag}: decomposition: {msg}")
@@ -437,7 +445,6 @@ def _pipeline_one(v: GridFunction, u: GridFunction, prof: ConcentrationProfile, 
             violations.append(f"{tag}: vanishing certificate failed")
     sup_norm = float(np.max(np.abs(w.values)))
     max_radius = max((max(c.r_minus, c.r_plus) for c in radii), default=0.0)
-    jump_v = v.jump_measure()
     jump_w = w.jump_measure()
     outside = part.outside_jump
     if sup_norm > max_radius + window + 1e-12:
@@ -458,7 +465,7 @@ def _pipeline_one(v: GridFunction, u: GridFunction, prof: ConcentrationProfile, 
         "max_radius": max_radius,
         "jump_original": jump_v,
         "jump_renormalized": jump_w,
-        "bulk_original": energy(v, 2.0).bulk,
+        "bulk_original": bulk_v,
         "pairings": gradient_pairings(w),
     }
     return entry, dec, part, w
@@ -504,8 +511,11 @@ def compactness_report(functions: Sequence[GridFunction],
 
     violations: list[str] = []
     reduced = [u.subtract(datum) if datum is not None else u for u in functions]
-    # the profile does not depend on eps: build it once per function
+    # profiles, energies and jump measures do not depend on eps: take them once
     profiles = [concentration_profile(v, domain=omega, window=window) for v in reduced]
+    bulk_norms = [energy(v, p).bulk for v in reduced]
+    bulk_2 = [energy(v, 2.0).bulk for v in reduced]
+    jumps = [v.jump_measure() for v in reduced]
     per_eps: dict[str, dict] = {}
     rest_masks: dict[float, list[np.ndarray]] = {}
     for eps in eps_ladder:
@@ -513,7 +523,8 @@ def compactness_report(functions: Sequence[GridFunction],
         for i, (u, v, prof) in enumerate(zip(functions, reduced, profiles)):
             tag = f"eps={eps} n_index={i}"
             entry, dec, part, w = _pipeline_one(
-                v, u, prof, datum, omega, eps, window, ref_radius, gap_delta, violations, tag)
+                v, u, prof, bulk_2[i], jumps[i], datum, omega, eps, window, ref_radius,
+                gap_delta, violations, tag)
             entries.append(entry)
             decs.append(dec)
             parts.append(part)
@@ -522,7 +533,6 @@ def compactness_report(functions: Sequence[GridFunction],
         lim = limit if limit is not None else renorms[-1]
         consecutive = [kyfan_distance(a, b) for a, b in zip(renorms, renorms[1:])]
         to_limit = [kyfan_distance(w, lim) for w in renorms]
-        bulk_norms = [energy(v, p).bulk for v in reduced]
         lim_pairings = gradient_pairings(lim)
         pairing_report = {}
         for key in lim_pairings:

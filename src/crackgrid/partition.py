@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .bubbles import Bubble, BubbleDecomposition
-from .grid import CellSet, GridFunction, boundary_outside_jump, face_pairs, require_same_geometry
+from .grid import CellSet, GridFunction, face_pairs, require_same_geometry
 from .profile import ConcentrationProfile
 
 KIND_MAIN = 0
@@ -35,6 +35,15 @@ _KIND_NAMES = {
     KIND_GAP_MINUS: "gap-",
     KIND_VANISHING: "vanishing",
 }
+
+# A label code counts the band edges at or below a cell value: code // 4 is
+# the index, code % 4 the kind (vanishing, lower gap, main, upper gap).
+_KIND_OF_REM = np.array([KIND_VANISHING, KIND_GAP_MINUS, KIND_MAIN, KIND_GAP_PLUS], np.uint8)
+_REM_OF_KIND = np.argsort(_KIND_OF_REM)
+
+
+def _label_name(code: int) -> str:
+    return f"{_KIND_NAMES[int(_KIND_OF_REM[code % 4])]}:{code // 4}"
 
 
 def _bubble_list(bubbles) -> list[Bubble]:
@@ -182,16 +191,7 @@ class DomainPartition:
         if any(b < a for a, b in zip(edges, edges[1:])):
             raise ValueError("bubble bands overlap; partition rejected")
         self._edges = np.asarray(edges)
-        k = np.searchsorted(self._edges, u.values.ravel(), side="right")
-        kind = np.empty(k.size, dtype=np.uint8)
-        index = (k // 4).astype(np.int32)
-        rem = k % 4
-        kind[rem == 0] = KIND_VANISHING
-        kind[rem == 1] = KIND_GAP_MINUS
-        kind[rem == 2] = KIND_MAIN
-        kind[rem == 3] = KIND_GAP_PLUS
-        self.label_kind = kind.reshape(u.geom.shape)
-        self.label_index = index.reshape(u.geom.shape)
+        self._codes = np.searchsorted(self._edges, u.values, side="right")
         self.datum_piece: int | None = None
         if omega is not None and not omega.mask.all():
             require_same_geometry(u.geom, omega.geom)
@@ -206,34 +206,52 @@ class DomainPartition:
 
     # -- labeling helpers -------------------------------------------------
 
+    @property
+    def label_kind(self) -> np.ndarray:
+        return _KIND_OF_REM[self._codes % 4]
+
+    @property
+    def label_index(self) -> np.ndarray:
+        return (self._codes // 4).astype(np.int32)
+
     def mask(self, kind: int, index: int) -> np.ndarray:
-        return (self.label_kind == kind) & (self.label_index == index)
+        return self._codes == 4 * index + _REM_OF_KIND[kind]
+
+    def _present_codes(self) -> np.ndarray:
+        """Codes of the labels with at least one cell, ordered by (kind, index)."""
+        codes = np.flatnonzero(np.bincount(self._codes.ravel()))
+        return codes[np.lexsort((codes // 4, _KIND_OF_REM[codes % 4]))]
 
     def labels_present(self) -> list[tuple[int, int]]:
-        pairs = np.unique(
-            np.stack([self.label_kind.ravel(), self.label_index.ravel()], axis=1), axis=0)
-        return [(int(k), int(i)) for k, i in pairs]
+        return [(int(_KIND_OF_REM[c % 4]), int(c // 4)) for c in self._present_codes()]
 
     def rest_mask(self) -> np.ndarray:
         """Gap and vanishing cells together (the non-main aggregate)."""
         return self.label_kind != KIND_MAIN
 
     def _compute_stats(self, u: GridFunction) -> dict[str, SetStats]:
-        out = {}
-        for kind, index in self.labels_present():
-            S = CellSet(self.geom, self.mask(kind, index))
-            out[f"{_KIND_NAMES[kind]}:{index}"] = SetStats(
-                volume=S.volume(),
-                perimeter=S.perimeter(),
-                outside_jump=boundary_outside_jump(S, u),
-            )
-        return out
+        """Per-label volume, ambient perimeter and box-relative outside-jump, by bincounts."""
+        k = self._codes
+        sides, free_sides = [], []  # one code per label-boundary face side
+        for axis in range(self.geom.dim):
+            lo, hi = face_pairs(k, axis)
+            cut = lo != hi
+            free = cut & ~u.jump_mask(axis)
+            sides += [lo[cut], hi[cut], k.take([0, -1], axis=axis).ravel()]  # box faces too
+            free_sides += [lo[free], hi[free]]
+        cells, perimeter, outside = (
+            np.bincount(np.concatenate(c), minlength=self._edges.size + 1).tolist()
+            for c in ([k.ravel()], sides, free_sides))
+        return {_label_name(c): SetStats(
+                    volume=cells[c] * self.geom.cell_volume,
+                    perimeter=perimeter[c] * self.geom.face_area,
+                    outside_jump=outside[c] * self.geom.face_area)
+                for c in self._present_codes().tolist()}
 
     def label_boundary(self, axis: int) -> np.ndarray:
         """Mask over the interior faces of ``axis`` with distinct labels on the two sides."""
-        k_lo, k_hi = face_pairs(self.label_kind, axis)
-        i_lo, i_hi = face_pairs(self.label_index, axis)
-        return (k_lo != k_hi) | (i_lo != i_hi)
+        lo, hi = face_pairs(self._codes, axis)
+        return lo != hi
 
     def _touching(self, kinds, axis: int) -> np.ndarray:
         """Label-boundary faces of ``axis`` with a cell of one of ``kinds`` on either side."""
@@ -254,18 +272,15 @@ class DomainPartition:
         count = 0
         for axis in range(self.geom.dim):
             count += int(np.count_nonzero(self._touching(gaps, axis)))
-            count += int(np.count_nonzero(is_gap.take(0, axis=axis)))
-            count += int(np.count_nonzero(is_gap.take(-1, axis=axis)))
+            count += int(np.count_nonzero(is_gap.take([0, -1], axis=axis)))  # box faces
         return count * self.geom.face_area
 
     def volume_by_kind(self, kind: int) -> float:
         return int(np.count_nonzero(self.label_kind == kind)) * self.geom.cell_volume
 
     def label_names(self) -> np.ndarray:
-        names = np.empty(self.geom.shape, dtype=object)
-        for kind, index in self.labels_present():
-            names[self.mask(kind, index)] = f"{_KIND_NAMES[kind]}:{index}"
-        return names
+        names = np.array([_label_name(c) for c in range(self._edges.size + 1)], object)
+        return names[self._codes]
 
     def to_csv(self) -> str:
         """Label raster, one row per leading index, cells comma-separated."""

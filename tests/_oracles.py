@@ -152,3 +152,118 @@ def best_radius(f: ConcentrationProfile, offsets, lo: float, hi: float) -> tuple
         if v == vmin:
             return 0.5 * (a + b), vmin
     raise AssertionError("unreachable")
+
+
+def labels_present(part) -> list[tuple[int, int]]:
+    """(kind, index) pairs that occur, sorted, from the unique rows of the two label arrays."""
+    pairs = np.unique(np.stack([part.label_kind.ravel(), part.label_index.ravel()], axis=1),
+                      axis=0)
+    return [(int(k), int(i)) for k, i in pairs]
+
+
+def label_mask(part, kind: int, index: int) -> np.ndarray:
+    return (part.label_kind == kind) & (part.label_index == index)
+
+
+def partition_stats(part, u: GridFunction) -> dict:
+    """Per-label volume, perimeter and outside-jump from one ``CellSet`` per label."""
+    from crackgrid.grid import boundary_outside_jump
+    from crackgrid.partition import _KIND_NAMES, SetStats
+
+    out = {}
+    for kind, index in labels_present(part):
+        S = CellSet(part.geom, label_mask(part, kind, index))
+        out[f"{_KIND_NAMES[kind]}:{index}"] = SetStats(
+            volume=S.volume(), perimeter=S.perimeter(),
+            outside_jump=boundary_outside_jump(S, u))
+    return out
+
+
+def label_boundary(part, axis: int) -> np.ndarray:
+    """Interior faces of ``axis`` whose two cells differ in kind or in index."""
+    n = part.geom.shape[axis]
+    kind, index = part.label_kind, part.label_index
+    return ((kind.take(range(n - 1), axis=axis) != kind.take(range(1, n), axis=axis))
+            | (index.take(range(n - 1), axis=axis) != index.take(range(1, n), axis=axis)))
+
+
+def label_arrays(u: GridFunction, part) -> tuple[np.ndarray, np.ndarray]:
+    """Kind and index of every cell, placing its value among the band edges one cell at a time."""
+    from crackgrid.partition import KIND_GAP_MINUS, KIND_GAP_PLUS, KIND_MAIN, KIND_VANISHING
+
+    edges = []
+    for p in part.pieces:
+        blo, bhi = p.band
+        edges += [blo - part.window, blo, bhi, bhi + part.window]
+    kind = np.empty(u.geom.shape, dtype=np.uint8)
+    index = np.empty(u.geom.shape, dtype=np.int32)
+    for cell in np.ndindex(*u.geom.shape):
+        k = sum(1 for e in edges if e <= u.values[cell])
+        kind[cell] = (KIND_VANISHING, KIND_GAP_MINUS, KIND_MAIN, KIND_GAP_PLUS)[k % 4]
+        index[cell] = k // 4
+    return kind, index
+
+
+def partition_csv(part) -> str:
+    """Label raster written one label mask at a time."""
+    from crackgrid.partition import _KIND_NAMES
+
+    names = np.empty(part.geom.shape, dtype=object)
+    for kind, index in labels_present(part):
+        names[label_mask(part, kind, index)] = f"{_KIND_NAMES[kind]}:{index}"
+    if part.geom.dim == 1:
+        return ",".join(names.tolist()) + "\n"
+    return "\n".join(",".join(row) for row in names.tolist()) + "\n"
+
+
+def lsc_report(seq, limit: GridFunction, box: CellSet | None = None):
+    """Slicing LSC report from one ``slice_line`` per (function, row) and a
+    pairwise search over the limit and sequence jumps of every row."""
+    from crackgrid.analysis import SliceLscReport, directional_jump_measure, slice_line
+
+    def positions(u, axis, row):
+        line = slice_line(u, axis, row) if u.geom.dim == 2 else u
+        g = line.geom
+        return (g.origin[0] + (np.flatnonzero(line.jump_mask(0)) + 1) * g.spacing).tolist()
+
+    geom = limit.geom
+    axes = tuple(range(geom.dim))
+    lim_dir = tuple(directional_jump_measure(limit, k, box) for k in axes)
+    seq_dir = tuple(tuple(directional_jump_measure(g, k, box) for g in seq) for k in axes)
+    margins = tuple(min(s) - l for s, l in zip(seq_dir, lim_dir))
+    total_margin = min(sum(col) for col in zip(*seq_dir)) - sum(lim_dir)
+    etas, limited, ok, lim_counts, seq_counts = [], [], [], [], []
+    h = geom.spacing
+    for axis in axes:
+        rows = range(geom.shape[1 - axis]) if geom.dim == 2 else [0]
+        lim_pos = [positions(limit, axis, row) for row in rows]
+        seq_pos = [[positions(g, axis, row) for row in rows] for g in seq]
+        lim_counts.append(tuple(len(p) for p in lim_pos))
+        seq_counts.append(tuple(tuple(len(p) for p in per_g) for per_g in seq_pos))
+        required = 0.0
+        missing = False
+        for r, lim_row in enumerate(lim_pos):
+            if not lim_row:
+                continue
+            for per_g in seq_pos:
+                if not per_g[r]:
+                    missing = True
+                    continue
+                for x in lim_row:
+                    required = max(required, min(abs(x - y) for y in per_g[r]))
+        if missing:
+            etas.append(None)
+            limited.append(False)
+            ok.append(False)
+            continue
+        eta = 2 * h
+        while eta < required:
+            eta *= 2
+        etas.append(eta)
+        limited.append(required <= 2 * h)
+        ok.append(True)
+    return SliceLscReport(
+        axes=axes, limit_directional=lim_dir, seq_directional=seq_dir,
+        margins=margins, total_margin=total_margin,
+        limit_slice_counts=tuple(lim_counts), seq_slice_counts=tuple(seq_counts),
+        eta=tuple(etas), eta_resolution_limited=tuple(limited), eta_ok=tuple(ok))

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
 from _fixtures import jumpy_fixture, random_fixture, random_mask
 from _oracles import certificate_face_measures
+from _oracles import lsc_report as oracle_lsc_report
 from _oracles import slice_line as oracle_slice_line
+from crackgrid import analysis
 from crackgrid.analysis import (
     compactness_report,
     directional_jump_measure,
@@ -259,6 +263,89 @@ class TestLscReport:
         assert rep.limit_directional == (0.0, 0.0)
 
 
+def _random_on(rng, geom: GridGeometry, crack_p: float) -> GridFunction:
+    """Quarter-valued function on ``geom`` with each interior face cracked with
+    probability ``crack_p``."""
+    values = np.round(rng.normal(0.0, 2.0, size=geom.shape) * 4) / 4
+    masks = [rng.random(geom.face_shape(axis)) < crack_p for axis in range(geom.dim)]
+    return GridFunction.from_masks(geom, values, masks)
+
+
+class TestLscOracle:
+    """The whole-array report against one slice per (function, row) and a
+    pairwise search over the jumps of every row."""
+
+    @staticmethod
+    def assert_matches(seq, limit, box=None):
+        fast = lsc_report(seq, limit, box=box).as_dict()
+        slow = oracle_lsc_report(seq, limit, box=box).as_dict()
+        assert fast == slow
+        # the serialized report, types included, is the same too
+        assert json.dumps(fast, sort_keys=True) == json.dumps(slow, sort_keys=True)
+        return fast
+
+    @pytest.mark.parametrize("spacing", [0.1, 1 / 3, 0.25, 0.7])
+    def test_random_sequences(self, spacing):
+        rng = np.random.default_rng(407)
+        missing = found = 0
+        for _ in range(30):
+            dim = int(rng.integers(1, 3))
+            shape = tuple(int(rng.integers(1, 13)) for _ in range(dim)) if dim == 2 \
+                else (int(rng.integers(2, 60)),)
+            origin = tuple(float(rng.uniform(-3.0, 3.0)) for _ in range(dim))
+            geom = GridGeometry(origin, spacing, shape)
+            seq = [_random_on(rng, geom, float(rng.choice([0.0, 0.05, 0.3, 0.7])))
+                   for _ in range(int(rng.integers(1, 4)))]
+            limit = _random_on(rng, geom, float(rng.choice([0.0, 0.1, 0.4])))
+            box = random_mask(rng, geom, 0.7) if rng.random() < 0.3 else None
+            rep = self.assert_matches(seq, limit, box)
+            missing += None in rep["eta"]
+            found += any(e is not None and e > 2 * spacing for e in rep["eta"])
+        # both the missing-row rule and a grown locality radius occur
+        assert missing and found
+
+    def test_fixture_sequences(self):
+        rng = np.random.default_rng(408)
+        for _ in range(6):
+            seq = [jumpy_fixture(rng, shape=(12, 10), spacing=0.1) for _ in range(3)]
+            self.assert_matches(seq, seq[-1])
+            self.assert_matches(seq[:2], seq[-1], box=random_mask(rng, seq[0].geom))
+
+    def test_limit_without_jumps(self):
+        rng = np.random.default_rng(409)
+        geom = GridGeometry((0.3, -1.7), 1 / 3, (7, 9))
+        seq = [_random_on(rng, geom, 0.3) for _ in range(2)]
+        flat = GridFunction(geom, np.zeros(geom.shape))
+        rep = self.assert_matches(seq, flat)
+        assert rep["eta"] == [2 / 3, 2 / 3]
+        assert rep["limit_slice_counts"] == [[0] * 9, [0] * 7]
+
+    def test_empty_sequence_row(self):
+        # the limit jumps on every row, the sequence function on all rows but one
+        geom = GridGeometry((0.5,), 0.1, (10,))
+        rows = GridGeometry((0.5, 0.25), 0.1, (10, 4))
+        values = np.tile(np.arange(10.0), (4, 1)).T
+        cracks = np.ones(rows.face_shape(0), dtype=bool)
+        limit = GridFunction.from_masks(rows, values, [cracks, np.zeros(rows.face_shape(1))])
+        holed = cracks.copy()
+        holed[:, 2] = False
+        seq = [GridFunction.from_masks(rows, values, [holed, np.zeros(rows.face_shape(1))])]
+        rep = self.assert_matches(seq, limit)
+        assert rep["eta"][0] is None and rep["seq_slice_counts"][0][0][2] == 0
+        line = GridFunction(geom, np.arange(10.0), [FaceId(0, (4,))])
+        rep = self.assert_matches([GridFunction(geom, np.arange(10.0))], line)
+        assert rep["eta"] == [None]
+
+    def test_equidistant_neighbours(self):
+        # the limit jump at face 5 has sequence jumps exactly 0.75 away on both sides
+        geom = GridGeometry((-0.5,), 0.25, (12,))
+        values = np.arange(12.0)
+        limit = GridFunction(geom, values, [FaceId(0, (5,))])
+        seq = [GridFunction(geom, values, [FaceId(0, (2,)), FaceId(0, (8,))])]
+        rep = self.assert_matches(seq, limit)
+        assert rep["eta"] == [1.0]
+
+
 class TestCompactnessReport:
     def test_runaway_manifest(self):
         seq = [fixture_runaway(n) for n in (10.0, 100.0, 1000.0)]
@@ -322,6 +409,19 @@ class TestCompactnessReport:
         block = rep.per_eps["0.1"]
         assert block["conclusion1_measure_convergence"]["consecutive_kyfan"] == [0.0]
         assert block["conclusion4_partition_trends"]["vanishing_volume_series"] == [0.0, 0.0]
+
+    def test_eps_independent_energies_computed_once(self, monkeypatch):
+        calls = []
+
+        def counted(u, p=2.0):
+            calls.append(p)
+            return energy(u, p)
+
+        monkeypatch.setattr(analysis, "energy", counted)
+        seq = [fixture_staircase(n, cells_per_step=16 // n) for n in (4, 8, 16)]
+        compactness_report(seq, p=3.0, eps_ladder=[0.2, 0.1, 0.05])
+        # one bulk energy per function for the p-norm series and one for p = 2
+        assert sorted(calls) == [2.0] * 3 + [3.0] * 3
 
     def test_geometry_mismatch_rejected(self):
         a = fixture_runaway(1.0, resolution=8)

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from _fixtures import jumpy_fixture, random_fixture
-from _oracles import best_radius, jump_faces, new_cracks, objective_pieces
+from _oracles import (
+    best_radius,
+    jump_faces,
+    label_arrays,
+    label_boundary,
+    labels_present,
+    new_cracks,
+    objective_pieces,
+    partition_csv,
+    partition_stats,
+)
 from crackgrid import partition
 from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
@@ -149,6 +159,45 @@ class TestSelectRadiiOracle:
             dec = extract_bubbles(f, eps=0.02, gap_delta=0.5, ref_radius=0.25)
             assert dec.bubbles
             self.assert_matches_loop(monkeypatch, f, dec, 0.25, 0.5, 0.5)
+
+
+class TestPartitionStatsOracle:
+    """Label codes, per-label statistics, label boundaries and the label raster
+    against one cell, one ``CellSet`` and one label mask at a time."""
+
+    @staticmethod
+    def random_partition(rng) -> tuple[GridFunction, DomainPartition]:
+        u = random_fixture(rng, max_1d=160, max_2d=20)
+        w = float(rng.choice([0.25, 0.5, 1.0, 0.1, 1 / 3]))
+        # sequential bands: touching (gap 0) or apart, some beyond the value range
+        t = float(rng.choice([np.floor(u.values.min()), rng.uniform(-8.0, 4.0)]))
+        pieces = []
+        for _ in range(int(rng.integers(0, 4))):
+            r_minus, r_plus = (float(rng.choice([0.25, 0.5, 1.0, 0.3])) for _ in range(2))
+            t += float(rng.choice([0.0, 0.25, 1.0, rng.uniform(0.0, 3.0)])) + w
+            center = t + r_minus
+            pieces.append(PartitionPiece(center, r_minus, r_plus))
+            t = center + r_plus + w
+        return u, DomainPartition(u, pieces, window=w)
+
+    def test_random_partitions_match(self):
+        rng = np.random.default_rng(406)
+        absent = empty = 0
+        for _ in range(80):
+            u, part = self.random_partition(rng)
+            kind, index = label_arrays(u, part)
+            assert part.label_kind.dtype == kind.dtype and np.array_equal(part.label_kind, kind)
+            assert part.label_index.dtype == index.dtype \
+                and np.array_equal(part.label_index, index)
+            assert part.labels_present() == labels_present(part)
+            assert list(part.stats.items()) == list(partition_stats(part, u).items())
+            for axis in range(u.geom.dim):
+                assert np.array_equal(part.label_boundary(axis), label_boundary(part, axis))
+            assert part.to_csv() == partition_csv(part)
+            absent += len(part.labels_present()) < 4 * len(part.pieces) + 1
+            empty += not part.pieces
+        # the cases include labels with no cell and partitions with no piece
+        assert absent and empty
 
 
 class TestBuildPartition:
