@@ -200,29 +200,99 @@ def _grow_window(f: ConcentrationProfile, center: float, ref_radius: float,
     return r, r + gap_delta, True
 
 
-def _constrained_levy(f: ConcentrationProfile, radius: float,
-                      keep_out: Sequence[tuple[float, float]]) -> tuple[float, float]:
-    """Levy maximization over centers outside the keep-out intervals.
+class _LevyScan:
+    """Levy maximization at one radius over centers outside the keep-out
+    intervals, kept current while windows of the profile are zeroed.
 
     Window mass is piecewise linear in the center, so the maximum over the
     allowed closed set sits at a breakpoint +- radius or on a keep-out edge.
+    The breakpoint candidates are scanned once: each stores its query points
+    ``c + r`` and ``c - r``, their right-``searchsorted`` slots ``k`` and
+    plateau terms, and its mass is ``(cum0[k+] + term+) - (cum0[k-] + term-)``,
+    which is ``mass_below(c + r) - mass_below(c - r)`` bit for bit.
+
+    Zeroing (a, b) on a canonical profile removes breakpoints only inside
+    [a, b] and may add a and b, so every candidate it adds or removes, and
+    the keep-out (lo, hi), lies in the zone [min(lo, a - r), max(hi, b + r)]
+    (rounding is monotone).  The scanned candidates in the zone are dropped;
+    the current candidates inside all zones form the small ``near`` set,
+    scored directly.  Elsewhere a zeroing shifts the slots above b and
+    changes the plateau terms only of the slots in [i0, i1] it touches.
     """
-    if f.breakpoints.size == 0:
-        return 0.0, 0.0
-    cand = [f.breakpoints - radius, f.breakpoints + radius]
-    for lo, hi in keep_out:
-        cand.append(np.array([lo, hi]))
-    centers = np.unique(np.concatenate(cand))
-    if keep_out:
-        ok = np.ones(centers.size, dtype=bool)
-        for lo, hi in keep_out:
-            ok &= ~((centers > lo) & (centers < hi))
-        centers = centers[ok]
-    if centers.size == 0:
-        return 0.0, 0.0
-    masses = f.mass_below(centers + radius) - f.mass_below(centers - radius)
-    k = int(np.argmax(masses))
-    return float(masses[k]), float(centers[k])
+
+    def __init__(self, f: ConcentrationProfile, radius: float):
+        self.f = f
+        self.radius = radius
+        self.edges: list[float] = []  # keep-out (lo, hi) pairs, flattened
+        self.zones: list[tuple[float, float]] = []
+        self.near = np.empty(0)
+        self._rescan = f._canonical() is not f
+        self._scan()
+
+    def _scan(self) -> None:
+        bp, r = self.f.breakpoints, self.radius
+        c = np.unique(np.concatenate([bp - r, bp + r]))
+        for z_lo, z_hi in self.zones:
+            c = c[(c < z_lo) | (c > z_hi)]
+        self.centers = c
+        self.q = np.stack([c + r, c - r])
+        self.k = bp.searchsorted(self.q, side="right")
+        self.term = self.f._plateau_term(self.k, self.q) if bp.size else np.zeros_like(self.q)
+
+    def best(self) -> tuple[float, float]:
+        """Largest allowed window mass and its smallest maximizing center."""
+        f, r, near = self.f, self.radius, self.near
+        if f.breakpoints.size == 0:
+            return 0.0, 0.0
+        below = f._cum0[self.k] + self.term
+        best = []  # the first maximum of each candidate set
+        for centers, masses in ((self.centers, below[0] - below[1]),
+                                (near, f.mass_below(near + r) - f.mass_below(near - r))):
+            if centers.size:
+                j = int(np.argmax(masses))
+                best.append((float(masses[j]), float(centers[j])))
+        return max(best, key=lambda mc: (mc[0], -mc[1]), default=(0.0, 0.0))
+
+    def remove(self, a: float, b: float, lo: float, hi: float) -> None:
+        """Zero the profile on (a, b) and keep centers out of (lo, hi)."""
+        old, r = self.f, self.radius
+        self.f = new = old.zero_on(a, b)
+        self.edges += [lo, hi]
+        z_lo, z_hi = min(lo, a - r), max(hi, b + r)
+        self.zones.append((z_lo, z_hi))
+        if self._rescan or new.breakpoints.size == 0:
+            self._rescan = False
+            self._scan()
+        else:
+            gone = np.s_[self.centers.searchsorted(z_lo, side="left"):
+                         self.centers.searchsorted(z_hi, side="right")]
+            self.centers, self.q, self.k, self.term = (
+                np.delete(x, gone, axis=-1) for x in (self.centers, self.q, self.k, self.term))
+            bp = old.breakpoints
+            i0 = int(bp.searchsorted(a, side="left"))
+            i1 = int(bp.searchsorted(b, side="right"))
+            shift = new.breakpoints.size - bp.size
+            for k, q, term in zip(self.k, self.q, self.term):
+                j0 = int(k.searchsorted(i0, side="left"))
+                j1 = int(k.searchsorted(i1, side="right"))
+                k[j1:] += shift
+                k[j0:j1] = new.breakpoints.searchsorted(q[j0:j1], side="right")
+                term[j0:j1] = new._plateau_term(k[j0:j1], q[j0:j1])
+        self._regenerate_near()
+
+    def _regenerate_near(self) -> None:
+        """The current candidates inside the zones: breakpoints +- r and keep-out edges."""
+        bp, r = self.f.breakpoints, self.radius
+        z_lo, z_hi = np.array(self.zones).T
+        edges = np.array(self.edges)
+        parts = [edges]
+        for vals in (bp - r, bp + r):
+            starts = vals.searchsorted(z_lo, side="left").tolist()
+            stops = vals.searchsorted(z_hi, side="right").tolist()
+            parts += [vals[i:j] for i, j in zip(starts, stops)]
+        near = np.unique(np.concatenate(parts))
+        lo, hi = edges[0::2], edges[1::2]
+        self.near = near[~np.any((near[:, None] > lo) & (near[:, None] < hi), axis=1)]
 
 
 def classify(f: ConcentrationProfile, eps: float, ref_radius: float,
@@ -274,13 +344,9 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
     incomplete = False
     if scale > 0:
         threshold = eps * scale
+        scan = _LevyScan(f, ref_radius)
         while True:
-            keep_out = [
-                (b.center - (b.inner_radius + ref_radius + gap_delta),
-                 b.center + (b.inner_radius + ref_radius + gap_delta))
-                for b, _, _ in found
-            ]
-            mass, center = _constrained_levy(current, ref_radius, keep_out)
+            mass, center = scan.best()
             if mass <= threshold:
                 break
             if len(found) >= max_bubbles:
@@ -298,7 +364,9 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
             removed = window_mass(current, center, outer)
             found.append((Bubble(center, inner, outer, captured),
                           removed - captured, was_capped))
-            current = current.zero_on(center - outer, center + outer)
+            reach = inner + ref_radius + gap_delta
+            scan.remove(center - outer, center + outer, center - reach, center + reach)
+            current = scan.f
     order = sorted(range(len(found)), key=lambda i: (-found[i][0].mass, found[i][0].center))
     score = levy_concentration(current, ref_radius)[0]
     return BubbleDecomposition(

@@ -16,6 +16,7 @@ perturbed variant additionally offsets each piece by a distinct constant in
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -206,13 +207,17 @@ class DomainPartition:
 
     # -- labeling helpers -------------------------------------------------
 
-    @property
+    @cached_property
     def label_kind(self) -> np.ndarray:
-        return _KIND_OF_REM[self._codes % 4]
+        kind = _KIND_OF_REM[self._codes % 4]
+        kind.flags.writeable = False
+        return kind
 
-    @property
+    @cached_property
     def label_index(self) -> np.ndarray:
-        return (self._codes // 4).astype(np.int32)
+        index = (self._codes // 4).astype(np.int32)
+        index.flags.writeable = False
+        return index
 
     def mask(self, kind: int, index: int) -> np.ndarray:
         return self._codes == 4 * index + _REM_OF_KIND[kind]

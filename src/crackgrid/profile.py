@@ -126,31 +126,35 @@ class ConcentrationProfile:
         return float(self.plateau_values[k])
 
     @cached_property
-    def _cumulative(self) -> np.ndarray:
-        """Read-only mass below each breakpoint, computed once per profile."""
-        out = np.zeros(self.breakpoints.size)
+    def _cum0(self) -> np.ndarray:
+        """Read-only mass below ``breakpoints[k-1]`` at k >= 1, and 0.0 at k = 0."""
+        out = np.zeros(self.breakpoints.size + 1)
         if self.breakpoints.size > 1:
-            np.cumsum(self.plateau_values[1:-1] * np.diff(self.breakpoints), out=out[1:])
+            np.cumsum(self.plateau_values[1:-1] * np.diff(self.breakpoints), out=out[2:])
         out.flags.writeable = False
         return out
 
+    def _plateau_term(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
+        """Mass on plateau ``k`` below ``t`` (its right-``searchsorted`` slot).
+        ``t`` is clipped into the breakpoint range, so that the zero end
+        plateaus give 0.0 and not ``0 * inf``; inner terms are unchanged."""
+        bp = self.breakpoints
+        return self.plateau_values[k] * (np.fmin(np.fmax(t, bp[0]), bp[-1]) - bp[k - 1])
+
     def mass_below(self, t) -> np.ndarray | float:
         """Exact integral of the profile over (-inf, t)."""
-        t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-        if self.breakpoints.size == 0:
-            res = np.zeros_like(t_arr)
-            return res if np.ndim(t) else float(res[0])
-        cum = self._cumulative
-        k = np.searchsorted(self.breakpoints, t_arr, side="right")
-        res = np.empty_like(t_arr)
-        below = k == 0
-        above = k == self.breakpoints.size
-        mid = ~below & ~above
-        res[below] = 0.0
-        res[above] = cum[-1]
-        km = k[mid]
-        res[mid] = cum[km - 1] + self.plateau_values[km] * (t_arr[mid] - self.breakpoints[km - 1])
-        return res if np.ndim(t) else float(res[0])
+        bp = self.breakpoints
+        if np.ndim(t) == 0:
+            t = float(t)
+            k = int(bp.searchsorted(t, side="right"))
+            if k == 0 or k == bp.size:
+                return float(self._cum0[k])
+            return float(self._cum0[k]) + float(self.plateau_values[k]) * (t - float(bp[k - 1]))
+        t_arr = np.asarray(t, dtype=float)
+        if bp.size == 0:
+            return np.zeros_like(t_arr)
+        k = bp.searchsorted(t_arr, side="right")
+        return self._cum0[k] + self._plateau_term(k, t_arr)
 
     def integrate(self, a: float, b: float) -> float:
         if not b > a:
@@ -163,16 +167,21 @@ class ConcentrationProfile:
         return ConcentrationProfile(self.breakpoints + c, self.plateau_values, self.window)
 
     def zero_on(self, a: float, b: float) -> "ConcentrationProfile":
-        """Profile with values replaced by zero on the open interval (a, b)."""
+        """Canonical profile with values replaced by zero on the open interval
+        (a, b): the breakpoints in [a, b] are cut out, and a (b) is kept where
+        the plateau left of a (right of b) is not zero."""
         if not b > a or self.breakpoints.size == 0:
             return self
-        bp = np.unique(np.concatenate([self.breakpoints, [a, b]]))
-        # plateau value on (bp[i-1], bp[i]) equals the old value just right of bp[i-1]
-        slots = np.searchsorted(self.breakpoints, bp[:-1], side="right")
-        pv = np.concatenate([[0.0], self.plateau_values[slots], [0.0]])
-        inside = (bp[:-1] >= a) & (bp[1:] <= b)
-        pv[1:-1][inside] = 0.0
-        return ConcentrationProfile(bp, pv, self.window)._canonical()
+        f = self._canonical()
+        bp, pv = f.breakpoints, f.plateau_values
+        i0 = int(bp.searchsorted(a, side="left"))
+        i1 = int(bp.searchsorted(b, side="right"))
+        keep_a, keep_b = bool(pv[i0] != 0.0), bool(pv[i1] != 0.0)
+        kept = [x for x, keep in ((a, keep_a), (b, keep_b)) if keep]
+        new_bp = np.concatenate([bp[:i0], kept, bp[i1:]])
+        new_pv = np.concatenate([pv[:i0 + 1], [0.0] * (keep_a and keep_b),
+                                 pv[i1 + (not kept):]])
+        return ConcentrationProfile(new_bp, new_pv, self.window)
 
 
 def _profile_faces(u: GridFunction, domain: CellSet | None):

@@ -125,6 +125,165 @@ def mass_below(f: ConcentrationProfile, t: float) -> float:
     return float(cum[k - 1] + pv[k] * (t - bp[k - 1]))
 
 
+def masked_mass_below(f: ConcentrationProfile, t):
+    """Integral of the profile over (-inf, t) at every point of ``t``, the
+    below / inside / above slot cases assigned through three boolean masks
+    over a cumulative sum taken afresh; a scalar ``t`` gives a float."""
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    bp, pv = f.breakpoints, f.plateau_values
+    if bp.size == 0:
+        res = np.zeros_like(t_arr)
+        return res if np.ndim(t) else float(res[0])
+    cum = np.zeros(bp.size)
+    if bp.size > 1:
+        np.cumsum(pv[1:-1] * np.diff(bp), out=cum[1:])
+    k = np.searchsorted(bp, t_arr, side="right")
+    res = np.empty_like(t_arr)
+    below = k == 0
+    above = k == bp.size
+    mid = ~below & ~above
+    res[below] = 0.0
+    res[above] = cum[-1]
+    km = k[mid]
+    res[mid] = cum[km - 1] + pv[km] * (t_arr[mid] - bp[km - 1])
+    return res if np.ndim(t) else float(res[0])
+
+
+def zero_on(f: ConcentrationProfile, a: float, b: float) -> ConcentrationProfile:
+    """``f`` zeroed on (a, b): a and b merged into the breakpoints with
+    ``np.unique``, every plateau inside (a, b) set to zero, then equal
+    neighbouring plateaus merged by ``_canonical``."""
+    if not b > a or f.breakpoints.size == 0:
+        return f
+    bp = np.unique(np.concatenate([f.breakpoints, [a, b]]))
+    # plateau value on (bp[i-1], bp[i]) equals the old value just right of bp[i-1]
+    slots = np.searchsorted(f.breakpoints, bp[:-1], side="right")
+    pv = np.concatenate([[0.0], f.plateau_values[slots], [0.0]])
+    inside = (bp[:-1] >= a) & (bp[1:] <= b)
+    pv[1:-1][inside] = 0.0
+    return ConcentrationProfile(bp, pv, f.window)._canonical()
+
+
+def window_masses(f: ConcentrationProfile, centers: np.ndarray, radius: float) -> np.ndarray:
+    return masked_mass_below(f, centers + radius) - masked_mass_below(f, centers - radius)
+
+
+def levy_concentration(f: ConcentrationProfile, radius: float) -> tuple[float, float]:
+    """Largest window mass over the sorted candidates ``breakpoints +- radius``."""
+    if f.breakpoints.size == 0:
+        return 0.0, 0.0
+    centers = np.unique(np.concatenate([f.breakpoints - radius, f.breakpoints + radius]))
+    masses = window_masses(f, centers, radius)
+    k = int(np.argmax(masses))
+    return float(masses[k]), float(centers[k])
+
+
+def constrained_levy(f: ConcentrationProfile, radius: float, keep_out, events=None):
+    """Largest window mass over centers outside the open keep-out intervals,
+    every candidate (breakpoints +- radius and keep-out edges) built and
+    scored afresh; ``events`` counts maxima attained more than once."""
+    if f.breakpoints.size == 0:
+        return 0.0, 0.0
+    cand = [f.breakpoints - radius, f.breakpoints + radius]
+    for lo, hi in keep_out:
+        cand.append(np.array([lo, hi]))
+    centers = np.unique(np.concatenate(cand))
+    if keep_out:
+        ok = np.ones(centers.size, dtype=bool)
+        for lo, hi in keep_out:
+            ok &= ~((centers > lo) & (centers < hi))
+        centers = centers[ok]
+    if centers.size == 0:
+        return 0.0, 0.0
+    masses = window_masses(f, centers, radius)
+    k = int(np.argmax(masses))
+    if events is not None and np.count_nonzero(masses == masses[k]) > 1:
+        events["tied maximum"] += 1
+    return float(masses[k]), float(centers[k])
+
+
+class _MaskedIntegrals:
+    """A profile seen only through ``masked_mass_below``, for ``bubbles._grow_window``."""
+
+    def __init__(self, f: ConcentrationProfile):
+        self.f = f
+
+    def integrate(self, a: float, b: float) -> float:
+        if not b > a:
+            return 0.0
+        return float(masked_mass_below(self.f, b) - masked_mass_below(self.f, a))
+
+
+def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
+                    ref_radius: float, max_bubbles: int = 64,
+                    mass_scale: float | None = None, events=None):
+    """The greedy decomposition rebuilding and rescoring every candidate after
+    each bubble, through ``constrained_levy``, ``zero_on`` and
+    ``masked_mass_below``.  ``events`` (a ``collections.Counter``) counts the
+    cases the fast path has to get right."""
+    from collections import Counter
+
+    from crackgrid.bubbles import Bubble, BubbleDecomposition, ExtractionParams, _grow_window
+
+    events = Counter() if events is None else events
+    params = ExtractionParams(eps, gap_delta, ref_radius)
+    total = f.total_mass()
+    scale = total if mass_scale is None else float(mass_scale)
+    if f._canonical() is not f:
+        events["non-canonical input"] += 1
+    current = f
+    found = []
+    incomplete = False
+    if scale > 0:
+        threshold = eps * scale
+        while True:
+            keep_out = [
+                (b.center - (b.inner_radius + ref_radius + gap_delta),
+                 b.center + (b.inner_radius + ref_radius + gap_delta))
+                for b, _, _ in found
+            ]
+            bp = current.breakpoints
+            kinks = set((bp - ref_radius).tolist()) | set((bp + ref_radius).tolist())
+            if any(e in kinks for pair in keep_out for e in pair):
+                events["keep-out edge on a breakpoint +- r"] += 1
+            mass, center = constrained_levy(current, ref_radius, keep_out, events)
+            if mass <= threshold:
+                break
+            if len(found) >= max_bubbles:
+                incomplete = True
+                events["max_bubbles reached"] += 1
+                break
+            cap = math.inf
+            zones = []
+            for b, _, _ in found:
+                cap = min(cap, abs(center - b.center) - b.inner_radius - gap_delta)
+                zones.append((b.center - b.outer_radius, b.center + b.outer_radius))
+            view = _MaskedIntegrals(current)
+            inner, outer, was_capped = _grow_window(
+                view, center, ref_radius, gap_delta, threshold, radius_cap=cap, zones=zones)
+            captured = view.integrate(center - inner, center + inner)
+            removed = view.integrate(center - outer, center + outer)
+            found.append((Bubble(center, inner, outer, captured), removed - captured, was_capped))
+            a, b = center - outer, center + outer
+            if a in bp or b in bp:
+                events["cut on a breakpoint"] += 1
+            if a < bp[0] or b > bp[-1]:
+                events["cut outside the support"] += 1
+            current = zero_on(current, a, b)
+    order = sorted(range(len(found)), key=lambda i: (-found[i][0].mass, found[i][0].center))
+    return BubbleDecomposition(
+        bubbles=tuple(found[i][0] for i in order),
+        remainder=current,
+        vanishing_score=levy_concentration(current, ref_radius)[0],
+        params=params,
+        mass_scale=scale,
+        total_mass=total,
+        leakages=tuple(found[i][1] for i in order),
+        capped=tuple(found[i][2] for i in order),
+        incomplete=incomplete,
+    )
+
+
 def objective_pieces(f: ConcentrationProfile, offsets, lo: float,
                      hi: float) -> list[tuple[float, float, float]]:
     """(left, right, value) pieces on [lo, hi) of r -> sum of f(scale*r + shift)

@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import json
+from collections import Counter
+
 import numpy as np
 import pytest
+
+import _oracles
+from _fixtures import random_profile
 
 from crackgrid.bubbles import (
     classify,
@@ -156,6 +162,46 @@ class TestExtract:
             dec = extract_bubbles(f, eps=0.05, gap_delta=2.0, ref_radius=1.0)
             ms = [b.mass for b in dec.bubbles]
             assert ms == sorted(ms, reverse=True)
+
+
+class TestExtractOracle:
+    """The one-scan extraction against the greedy loop that rebuilds and
+    rescores every candidate after each bubble."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert json.dumps(got.as_dict()) == json.dumps(want.as_dict())
+        assert got.remainder.breakpoints.tobytes() == want.remainder.breakpoints.tobytes()
+        assert got.remainder.plateau_values.tobytes() == want.remainder.plateau_values.tobytes()
+
+    def test_random_decompositions_match(self):
+        rng = np.random.default_rng(2024)
+        events = Counter()
+        for _ in range(300):
+            f = random_profile(rng)
+            eps = float(rng.choice([0.01, 0.02, 0.05, 0.1]))
+            gap = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
+            radius = float(rng.choice([0.25, 0.5, 1.0, 1 / 3]))
+            max_bubbles = 64 if rng.random() < 0.8 else int(rng.integers(1, 4))
+            scale = None
+            if rng.random() < 0.2:
+                scale = f.total_mass() * float(rng.choice([0.5, 2.0]))
+                events["mass_scale set"] += 1
+            want = _oracles.extract_bubbles(f, eps, gap, radius, max_bubbles, scale, events)
+            self.assert_same(extract_bubbles(f, eps, gap, radius, max_bubbles, scale), want)
+            events["remainder emptied"] += want.remainder.breakpoints.size == 0
+        assert set(events) == {
+            "non-canonical input", "tied maximum", "keep-out edge on a breakpoint +- r",
+            "cut on a breakpoint", "cut outside the support", "max_bubbles reached",
+            "mass_scale set", "remainder emptied"}, events
+
+    def test_fixture_decompositions_match(self):
+        for f in (concentration_profile(fixture_staircase(64)),
+                  concentration_profile(fixture_runaway(50.0)),
+                  ConcentrationProfile.from_intervals([(0.0, 2.0, 1.0)]),
+                  ConcentrationProfile.empty()):
+            self.assert_same(extract_bubbles(f, 0.05, 2.0, 1.0),
+                             _oracles.extract_bubbles(f, 0.05, 2.0, 1.0))
 
 
 class TestTracks:

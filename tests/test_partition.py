@@ -199,6 +199,15 @@ class TestPartitionStatsOracle:
         # the cases include labels with no cell and partitions with no piece
         assert absent and empty
 
+    def test_label_arrays_are_computed_once_and_read_only(self):
+        u, part = self.random_partition(np.random.default_rng(7))
+        for name, dtype in (("label_kind", np.uint8), ("label_index", np.int32)):
+            arr = getattr(part, name)
+            assert arr is getattr(part, name)
+            assert arr.dtype == dtype and arr.shape == u.geom.shape
+            with pytest.raises(ValueError):
+                arr[...] = 0
+
 
 class TestBuildPartition:
     def test_runaway_two_main_pieces(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from _fixtures import jumpy_fixture, random_fixture, random_mask
+from _fixtures import jumpy_fixture, random_fixture, random_mask, random_profile
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import CellSet, FaceId, GridFunction, GridGeometry
 from crackgrid.profile import (
@@ -320,7 +320,7 @@ class TestSurgery:
             assert np.array_equal(g.mass_below(ts), [_oracles.mass_below(g, t) for t in ts])
 
         check(f)
-        assert not f._cumulative.flags.writeable
+        assert not f._cum0.flags.writeable
         check(f.zero_on(float(bp[1]), float(bp[-2])))
         check(f.zero_on(0.5 * float(bp[0] + bp[1]), 0.5 * float(bp[-2] + bp[-1])))
         check(f.shifted(0.3))
@@ -331,6 +331,62 @@ class TestSurgery:
         merged = split._canonical()
         assert merged is not split
         check(merged)
+
+    def test_mass_below_paths_match_masked_oracle(self):
+        rng = np.random.default_rng(29)
+        for _ in range(200):
+            f = random_profile(rng)
+            bp = f.breakpoints
+            ts = np.concatenate([bp, bp - 0.5, rng.uniform(bp[0] - 1, bp[-1] + 1, 16)])
+            want = _oracles.masked_mass_below(f, ts)
+            assert f.mass_below(ts).tobytes() == want.tobytes()
+            assert np.array([f.mass_below(float(t)) for t in ts]).tobytes() == want.tobytes()
+            assert np.array([f.mass_below(np.float64(t)) for t in ts]).tobytes() == want.tobytes()
+
+    def test_mass_below_at_infinity(self):
+        rng = np.random.default_rng(31)
+        inf = np.inf
+        for f in [ConcentrationProfile.empty()] + [random_profile(rng) for _ in range(40)]:
+            bp = f.breakpoints
+            pts = [-inf, inf] + ([float(bp[0]), float(bp[-1]), float(bp.mean())] if bp.size else [])
+            mixed = np.array(pts)
+            want = _oracles.masked_mass_below(f, mixed)
+            for got in (f.mass_below(mixed), f.mass_below(mixed.tolist()),
+                        f.mass_below(mixed.reshape(1, -1))[0],
+                        np.array([f.mass_below(t) for t in pts]),
+                        np.array([f.mass_below(np.array(t)) for t in pts])):
+                assert not np.isnan(got).any()
+                assert got.tobytes() == want.tobytes()
+            assert f.mass_below(-inf) == 0.0
+            assert isinstance(f.mass_below(np.array(inf)), float)
+            total = f.integrate(-inf, inf)
+            assert not np.isnan(total)
+            assert total == (_oracles.masked_mass_below(f, inf)
+                             - _oracles.masked_mass_below(f, -inf))
+
+    def test_zero_on_matches_unique_and_canonical_oracle(self):
+        rng = np.random.default_rng(37)
+        seen = dict.fromkeys(["non-canonical", "a on a breakpoint", "b on a breakpoint",
+                              "a below the support", "b above the support", "emptied"], 0)
+        for _ in range(400):
+            f = random_profile(rng)
+            bp = f.breakpoints
+            ends = [float(rng.choice(bp)), float(rng.uniform(bp[0] - 1, bp[-1] + 1)),
+                    float(bp[0]) - 0.5, float(bp[-1]) + 0.25]
+            a, b = sorted(float(x) for x in rng.choice(ends, 2))
+            got, want = f.zero_on(a, b), _oracles.zero_on(f, a, b)
+            assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+            assert got.plateau_values.tobytes() == want.plateau_values.tobytes()
+            assert got.window == want.window
+            if b > a:
+                assert got._canonical() is got
+            seen["non-canonical"] += f._canonical() is not f
+            seen["a on a breakpoint"] += a in bp
+            seen["b on a breakpoint"] += b in bp
+            seen["a below the support"] += a < bp[0]
+            seen["b above the support"] += b > bp[-1]
+            seen["emptied"] += got.breakpoints.size == 0
+        assert all(seen.values()), seen
 
     def test_zero_on(self):
         f = ConcentrationProfile.from_intervals([(0.0, 10.0, 2.0)])
