@@ -128,13 +128,14 @@ class VanishingCertificate:
         }
 
 
-def vanishing_certificate(u: GridFunction, region: CellSet, eps: float,
+def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
                           radius: float = 1.0, window: float = 1.0) -> VanishingCertificate:
     """Certify that a weakly vanishing region has small volume (2D).
 
     Requires the region-restricted profile to satisfy the weak vanishing
     hypothesis (no window of the given radius holds more than eps mass);
-    violating inputs raise with the offending window center.  The range is
+    violating inputs raise with the offending window center.  ``eps=None``
+    certifies at the region's own Lévy score, ``max(score, 1e-12)``.  The range is
     cut at alpha = ceil(1/eps) volume quantiles (capped at the number of
     distinct values, left-continuous), gap bands of half-width `radius`
     shield the cuts, and the volume bound chains the grid isoperimetric
@@ -149,10 +150,13 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float,
     if u.geom.dim != 2:
         raise ValueError("vanishing certificates need a 2D grid (the volume "
                          "exponent degenerates in 1D)")
-    if not eps > 0:
+    if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
     m = region.volume()
     prof = concentration_profile(u, domain=region, window=window)
+    score, center = levy_concentration(prof, radius)
+    if eps is None:
+        eps = max(score, 1e-12)
     if m == 0.0:
         return VanishingCertificate(
             alpha=1, cut_points=(), slab_volumes=(0.0,), gap_volumes=(),
@@ -160,7 +164,6 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float,
             radius=radius, boundary_measure=0.0, region_perimeter=0.0,
             iso_constant=grid_iso_constant(), slab_correction=0.0,
             chain_lhs=0.0, chain_rhs=0.0, trivial=True)
-    score, center = levy_concentration(prof, radius)
     if score > eps + 1e-12:
         raise ValueError(
             f"region profile is not weakly vanishing at eps={eps}: the window "
@@ -180,8 +183,7 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float,
             k = min(k, order.size - 1)
             # smallest value with at least the target volume strictly below it
             j = int(np.searchsorted(order, order[k], side="right"))
-            cuts.append(float(order[min(j, order.size - 1)]) if j < order.size
-                        else float(order[-1]))
+            cuts.append(float(order[min(j, order.size - 1)]))
         cuts = sorted(set(cuts))
     alpha_eff = len(cuts) + 1
 
@@ -320,8 +322,7 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction,
     lim_dir = tuple(directional_jump_measure(limit, k, box) for k in axes)
     seq_dir = tuple(tuple(directional_jump_measure(g, k, box) for g in seq) for k in axes)
     margins = tuple(min(s) - l for s, l in zip(seq_dir, lim_dir))
-    total_margin = min(sum(col) for col in zip(*seq_dir)) - sum(lim_dir) \
-        if geom.dim > 0 else 0.0
+    total_margin = min(sum(col) for col in zip(*seq_dir)) - sum(lim_dir)
 
     etas: list[float | None] = []
     limited: list[bool] = []
@@ -425,22 +426,27 @@ class SequenceReport:
         }
 
 
-def _pipeline_one(v: GridFunction, u: GridFunction, prof: ConcentrationProfile, bulk_v, jump_v,
-                  datum, omega, eps, window, ref_radius, gap_delta, violations, tag):
+def bubble_partition(v: GridFunction, prof: ConcentrationProfile, eps: float, window: float,
+                     ref_radius: float, gap_delta: float, omega: CellSet | None = None):
+    """Bubbles of ``v``'s profile, their radii and the partition they induce:
+    ``(decomposition, radii, partition)``."""
     dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
+    radii = select_radii(prof, dec, base_radius=ref_radius, width=window, window=window)
+    part = build_partition(v, dec, radii, window=window, omega=omega)
+    return dec, radii, part
+
+
+def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v, jump_v,
+                  omega, eps, window, ref_radius, gap_delta, violations, tag):
+    dec, radii, part = bubble_partition(v, prof, eps, window, ref_radius, gap_delta, omega)
     for msg in dec.validate():
         violations.append(f"{tag}: decomposition: {msg}")
-    radii = select_radii(prof, dec, base_radius=ref_radius, width=window, window=window) \
-        if dec.bubbles else []
-    part = build_partition(v, dec, radii, window=window, omega=omega)
-    w = renormalize(u, part, datum=datum)
+    w = renormalize(v, part)
     region = vanishing_region(v, dec, radius=ref_radius, omega=omega)
     cert = None
     if v.geom.dim == 2:
-        region_prof = concentration_profile(v, domain=region, window=window)
-        score = levy_concentration(region_prof, ref_radius)[0]
-        cert = vanishing_certificate(v, region, eps=max(score, 1e-12),
-                                     radius=ref_radius, window=window)
+        # certified at the region's own Lévy score
+        cert = vanishing_certificate(v, region, eps=None, radius=ref_radius, window=window)
         if not cert.certified:
             violations.append(f"{tag}: vanishing certificate failed")
     sup_norm = float(np.max(np.abs(w.values)))
@@ -520,11 +526,11 @@ def compactness_report(functions: Sequence[GridFunction],
     rest_masks: dict[float, list[np.ndarray]] = {}
     for eps in eps_ladder:
         entries, decs, parts, renorms = [], [], [], []
-        for i, (u, v, prof) in enumerate(zip(functions, reduced, profiles)):
+        for i, (v, prof) in enumerate(zip(reduced, profiles)):
             tag = f"eps={eps} n_index={i}"
             entry, dec, part, w = _pipeline_one(
-                v, u, prof, bulk_2[i], jumps[i], datum, omega, eps, window, ref_radius,
-                gap_delta, violations, tag)
+                v, prof, bulk_2[i], jumps[i], omega, eps, window, ref_radius, gap_delta,
+                violations, tag)
             entries.append(entry)
             decs.append(dec)
             parts.append(part)

@@ -18,12 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import compactness_report, lsc_report, vanishing_certificate
+from .analysis import bubble_partition, compactness_report, lsc_report, vanishing_certificate
 from .bubbles import extract_bubbles
 from .fixtures import fixture_runaway, fixture_staircase
 from .grid import (
-    CellSet,
-    GridFunction,
     cell_set_from_dict,
     energy,
     grid_function_from_dict,
@@ -33,10 +31,10 @@ from .partition import (
     KIND_GAP_MINUS,
     KIND_GAP_PLUS,
     KIND_MAIN,
-    build_partition,
+    build_partition,  # not called here: perfbench/spans.py rebinds the name in this module
     perturbed_translation,
     renormalize,
-    select_radii,
+    select_radii,  # likewise
 )
 from .profile import (
     concentration_profile,
@@ -83,18 +81,13 @@ def _load_doc(path: str) -> dict:
         raise InputError(f"cannot read {path}: {exc}") from exc
 
 
-def _load_function(path: str) -> GridFunction:
+def _load(path: str, what: str = "grid function"):
+    """The grid function, or with ``what="cell set"`` the cell set, in a JSON file."""
+    read = cell_set_from_dict if what == "cell set" else grid_function_from_dict
     try:
-        return grid_function_from_dict(_load_doc(path))
+        return read(_load_doc(path))
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad grid function {path}: {exc}") from exc
-
-
-def _load_cell_set(path: str) -> CellSet:
-    try:
-        return cell_set_from_dict(_load_doc(path))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad cell set {path}: {exc}") from exc
+        raise InputError(f"bad {what} {path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -259,14 +252,14 @@ def _load_manifest(path: str):
         return str(q if q.is_absolute() else base / q)
 
     try:
-        functions = [_load_function(resolve(p)) for p in doc["functions"]]
+        functions = [_load(resolve(p)) for p in doc["functions"]]
     except KeyError as exc:
         raise InputError(f"manifest missing key: {exc}") from exc
     if not functions:
         raise InputError("manifest lists no functions")
-    datum = _load_function(resolve(doc["datum"])) if doc.get("datum") else None
-    omega = _load_cell_set(resolve(doc["omega"])) if doc.get("omega") else None
-    limit = _load_function(resolve(doc["limit"])) if doc.get("limit") else None
+    datum = _load(resolve(doc["datum"])) if doc.get("datum") else None
+    omega = _load(resolve(doc["omega"]), "cell set") if doc.get("omega") else None
+    limit = _load(resolve(doc["limit"])) if doc.get("limit") else None
     settings = {
         "p": float(doc.get("p", 2.0)),
         "eps_ladder": [float(e) for e in doc.get("eps_ladder", [0.2, 0.1])],
@@ -284,16 +277,6 @@ def _load_manifest(path: str):
     return functions, datum, omega, limit, settings
 
 
-def _pipeline(args, u: GridFunction, omega: CellSet | None):
-    f = concentration_profile(u, domain=omega, window=args.window)
-    dec = extract_bubbles(f, eps=args.eps, gap_delta=args.gap_delta,
-                          ref_radius=args.ref_radius)
-    radii = select_radii(f, dec, base_radius=args.ref_radius,
-                         width=args.window, window=args.window) if dec.bubbles else []
-    part = build_partition(u, dec, radii, window=args.window, omega=omega)
-    return f, dec, radii, part
-
-
 def _cmd_fixture(args) -> int:
     try:
         if args.name == "staircase":
@@ -307,14 +290,14 @@ def _cmd_fixture(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    rep = energy(_load_function(args.input), p=args.p)
+    rep = energy(_load(args.input), p=args.p)
     _emit_json(rep.as_dict(), args.out)
     return EXIT_OK
 
 
 def _cmd_profile(args) -> int:
-    u = _load_function(args.input)
-    domain = _load_cell_set(args.domain) if args.domain else None
+    u = _load(args.input)
+    domain = _load(args.domain, "cell set") if args.domain else None
     f = concentration_profile(u, domain=domain, window=args.window)
     if args.svg:
         Path(args.svg).write_text(profile_to_svg(f), encoding="utf-8")
@@ -331,8 +314,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    u = _load_function(args.input)
-    domain = _load_cell_set(args.domain) if args.domain else None
+    u = _load(args.input)
+    domain = _load(args.domain, "cell set") if args.domain else None
     f = concentration_profile(u, domain=domain, window=args.window)
     dec = extract_bubbles(f, eps=args.eps, gap_delta=args.gap_delta,
                           ref_radius=args.ref_radius, max_bubbles=args.max_bubbles)
@@ -344,9 +327,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    u = _load_function(args.input)
-    omega = _load_cell_set(args.omega) if args.omega else None
-    _, dec, radii, part = _pipeline(args, u, omega)
+    u = _load(args.input)
+    omega = _load(args.omega, "cell set") if args.omega else None
+    f = concentration_profile(u, domain=omega, window=args.window)
+    dec, radii, part = bubble_partition(u, f, args.eps, args.window, args.ref_radius,
+                                        args.gap_delta, omega)
     if args.svg:
         Path(args.svg).write_text(_labels_svg(part), encoding="utf-8")
     if args.format == "csv":
@@ -360,20 +345,21 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_renormalize(args) -> int:
-    u = _load_function(args.input)
-    datum = _load_function(args.datum) if args.datum else None
-    omega = _load_cell_set(args.omega) if args.omega else None
+    u = _load(args.input)
+    datum = _load(args.datum) if args.datum else None
+    omega = _load(args.omega, "cell set") if args.omega else None
     v = u.subtract(datum) if datum is not None else u
-    _, dec, radii, part = _pipeline(args, v, omega)
-    w = perturbed_translation(u, part, datum=datum) if args.perturb \
-        else renormalize(u, part, datum=datum)
+    f = concentration_profile(v, domain=omega, window=args.window)
+    _, _, part = bubble_partition(v, f, args.eps, args.window, args.ref_radius,
+                                  args.gap_delta, omega)
+    w = perturbed_translation(v, part) if args.perturb else renormalize(v, part)
     _emit_json(grid_function_to_dict(w), args.out)
     return EXIT_OK
 
 
 def _cmd_vanishing(args) -> int:
-    u = _load_function(args.input)
-    region = _load_cell_set(args.region)
+    u = _load(args.input)
+    region = _load(args.region, "cell set")
     try:
         cert = vanishing_certificate(u, region, eps=args.eps, radius=args.radius,
                                      window=args.window)

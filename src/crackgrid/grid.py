@@ -152,6 +152,18 @@ class GridFunction:
     """
 
     def __init__(self, geom: GridGeometry, values, cracks: Iterable[FaceId] = ()):
+        self._init(geom, values, cracks=cracks)
+
+    @classmethod
+    def from_masks(cls, geom: GridGeometry, values, masks) -> GridFunction:
+        """Function whose cracks are given as one boolean mask per axis over
+        the interior faces.  The masks are made read-only and kept, not copied."""
+        u = cls.__new__(cls)
+        u._init(geom, values, masks=masks)
+        return u
+
+    def _init(self, geom: GridGeometry, values, cracks: Iterable[FaceId] = (),
+              masks=None) -> None:
         self.geom = geom
         arr = np.asarray(values, dtype=float)
         if arr.size != geom.num_cells:
@@ -161,19 +173,10 @@ class GridFunction:
             raise ValueError("all values must be finite")
         arr.flags.writeable = False
         self.values = arr
-        self._set_masks(crack_masks_from_rows(geom, ([f.axis, *f.cell] for f in cracks)))
-
-    @classmethod
-    def from_masks(cls, geom: GridGeometry, values, masks) -> GridFunction:
-        """Function whose cracks are given as one boolean mask per axis over
-        the interior faces.  The masks are made read-only and kept, not copied."""
-        u = cls(geom, values)
-        u._set_masks(masks)
-        return u
-
-    def _set_masks(self, masks) -> None:
+        if masks is None:  # only now that the values fit the geometry
+            masks = crack_masks_from_rows(geom, ([f.axis, *f.cell] for f in cracks))
         masks = tuple(np.asarray(m, dtype=bool) for m in masks)
-        if [m.shape for m in masks] != [self.geom.face_shape(k) for k in range(self.geom.dim)]:
+        if [m.shape for m in masks] != [geom.face_shape(k) for k in range(geom.dim)]:
             raise ValueError("crack masks must cover the interior faces of every axis")
         for m in masks:
             m.flags.writeable = False
@@ -193,9 +196,17 @@ class GridFunction:
         """Value difference (upper minus lower) across interior faces of ``axis``."""
         return np.diff(self.values, axis=axis)
 
+    @cached_property
+    def _jump_masks(self) -> tuple[np.ndarray, ...]:
+        masks = tuple(m & (self.face_delta(k) != 0) for k, m in enumerate(self._masks))
+        for m in masks:
+            m.flags.writeable = False
+        return masks
+
     def jump_mask(self, axis: int) -> np.ndarray:
-        """Crack faces of ``axis`` whose two traces differ: the discrete jump set J_u."""
-        return self.crack_mask(axis) & (self.face_delta(axis) != 0)
+        """Read-only mask of the crack faces of ``axis`` whose two traces differ:
+        the discrete jump set J_u, computed once per function."""
+        return self._jump_masks[axis]
 
     def jump_measure(self) -> float:
         count = sum(int(np.count_nonzero(self.jump_mask(k))) for k in range(self.geom.dim))
@@ -254,9 +265,6 @@ class CellSet:
         cells i-1 and i, so entries 0 and n are the two box faces."""
         lower, upper = face_pairs(pad_axis(self.mask, axis), axis)
         return lower ^ upper
-
-    def complement(self) -> CellSet:
-        return CellSet(self.geom, ~self.mask)
 
 
 def require_same_geometry(a: GridGeometry, b: GridGeometry) -> None:
@@ -327,10 +335,9 @@ def kyfan_distance(u: GridFunction, v: GridFunction) -> float:
     require_same_geometry(u.geom, v.geom)
     diff = np.abs(u.values - v.values).ravel()
     cell_vol = u.geom.cell_volume
-    levels = np.unique(diff)  # ascending
+    levels, counts = np.unique(diff, return_counts=True)  # ascending
     # Volume strictly above each candidate threshold.
-    counts = np.searchsorted(np.sort(diff), levels, side="right")
-    above = (diff.size - counts) * cell_vol
+    above = (diff.size - np.cumsum(counts)) * cell_vol
     # Segment [0, levels[0]): vol above is everything >= levels[0] unless level 0.
     prev = 0.0
     vol_above_prev = diff.size * cell_vol if levels[0] > 0 else above[0]
@@ -349,19 +356,17 @@ def kyfan_distance(u: GridFunction, v: GridFunction) -> float:
 # --- file format -----------------------------------------------------------
 
 
+def _header(geom: GridGeometry) -> dict:
+    return {"version": FORMAT_VERSION, "dim": geom.dim, "origin": list(geom.origin),
+            "spacing": geom.spacing, "shape": list(geom.shape)}
+
+
 def grid_function_to_dict(u: GridFunction) -> dict:
     # axis by axis in C order: the rows come out sorted
     cracks = [[axis, *idx] for axis in range(u.geom.dim)
               for idx in np.argwhere(u.crack_mask(axis)).tolist()]
-    return {
-        "version": FORMAT_VERSION,
-        "dim": u.geom.dim,
-        "origin": list(u.geom.origin),
-        "spacing": u.geom.spacing,
-        "shape": list(u.geom.shape),
-        "values": [float(x) for x in u.values.ravel()],
-        "cracks": cracks,
-    }
+    return {**_header(u.geom), "values": [float(x) for x in u.values.ravel()],
+            "cracks": cracks}
 
 
 def _geometry_from_header(doc: dict) -> GridGeometry:
@@ -384,14 +389,7 @@ def grid_function_from_dict(doc: dict) -> GridFunction:
 
 
 def cell_set_to_dict(S: CellSet) -> dict:
-    return {
-        "version": FORMAT_VERSION,
-        "dim": S.geom.dim,
-        "origin": list(S.geom.origin),
-        "spacing": S.geom.spacing,
-        "shape": list(S.geom.shape),
-        "mask": [int(x) for x in S.mask.ravel()],
-    }
+    return {**_header(S.geom), "mask": [int(x) for x in S.mask.ravel()]}
 
 
 def cell_set_from_dict(doc: dict) -> CellSet:

@@ -38,7 +38,8 @@ _KIND_NAMES = {
 }
 
 # A label code counts the band edges at or below a cell value: code // 4 is
-# the index, code % 4 the kind (vanishing, lower gap, main, upper gap).
+# the index, code % 4 the kind (vanishing, lower gap, main, upper gap).  So a
+# code is even on main and vanishing cells and odd on gap cells.
 _KIND_OF_REM = np.array([KIND_VANISHING, KIND_GAP_MINUS, KIND_MAIN, KIND_GAP_PLUS], np.uint8)
 _REM_OF_KIND = np.argsort(_KIND_OF_REM)
 
@@ -201,9 +202,7 @@ class DomainPartition:
                 if blo <= 0.0 < bhi:
                     self.datum_piece = j
                     break
-        self.stats = self._compute_stats(u)
-        self.outside_jump = self._partition_outside_jump(u)
-        self.gap_boundary = self._gap_boundary()
+        self.stats, self.outside_jump, self.gap_boundary = self._compute_stats(u)
 
     # -- labeling helpers -------------------------------------------------
 
@@ -234,51 +233,41 @@ class DomainPartition:
         """Gap and vanishing cells together (the non-main aggregate)."""
         return self.label_kind != KIND_MAIN
 
-    def _compute_stats(self, u: GridFunction) -> dict[str, SetStats]:
-        """Per-label volume, ambient perimeter and box-relative outside-jump, by bincounts."""
+    def _compute_stats(self, u: GridFunction) -> tuple[dict[str, SetStats], float, float]:
+        """Per-label volume, ambient perimeter and box-relative outside-jump, by
+        bincounts, with the partition's outside-jump (label-boundary faces off
+        the jump set touching a main or vanishing cell) and gap boundary
+        (label-boundary and box faces touching a gap cell), by code parity."""
         k = self._codes
         sides, free_sides = [], []  # one code per label-boundary face side
+        outside_faces = gap_faces = 0
         for axis in range(self.geom.dim):
             lo, hi = face_pairs(k, axis)
             cut = lo != hi
             free = cut & ~u.jump_mask(axis)
-            sides += [lo[cut], hi[cut], k.take([0, -1], axis=axis).ravel()]  # box faces too
-            free_sides += [lo[free], hi[free]]
+            lo_cut, hi_cut, box = lo[cut], hi[cut], k.take([0, -1], axis=axis).ravel()
+            lo_free, hi_free = lo[free], hi[free]
+            sides += [lo_cut, hi_cut, box]  # box faces too
+            free_sides += [lo_free, hi_free]
+            # odd codes are gap cells: outside-jump faces have a side that is not,
+            # gap-boundary faces a side that is
+            outside_faces += int(np.count_nonzero((lo_free & hi_free & 1) == 0))
+            gap_faces += int(np.count_nonzero((lo_cut | hi_cut) & 1)) \
+                + int(np.count_nonzero(box & 1))
         cells, perimeter, outside = (
             np.bincount(np.concatenate(c), minlength=self._edges.size + 1).tolist()
             for c in ([k.ravel()], sides, free_sides))
-        return {_label_name(c): SetStats(
-                    volume=cells[c] * self.geom.cell_volume,
-                    perimeter=perimeter[c] * self.geom.face_area,
-                    outside_jump=outside[c] * self.geom.face_area)
-                for c in self._present_codes().tolist()}
+        area = self.geom.face_area
+        stats = {_label_name(c): SetStats(volume=cells[c] * self.geom.cell_volume,
+                                          perimeter=perimeter[c] * area,
+                                          outside_jump=outside[c] * area)
+                 for c in self._present_codes().tolist()}
+        return stats, outside_faces * area, gap_faces * area
 
     def label_boundary(self, axis: int) -> np.ndarray:
         """Mask over the interior faces of ``axis`` with distinct labels on the two sides."""
         lo, hi = face_pairs(self._codes, axis)
         return lo != hi
-
-    def _touching(self, kinds, axis: int) -> np.ndarray:
-        """Label-boundary faces of ``axis`` with a cell of one of ``kinds`` on either side."""
-        lo, hi = face_pairs(np.isin(self.label_kind, kinds), axis)
-        return self.label_boundary(axis) & (lo | hi)
-
-    def _partition_outside_jump(self, u: GridFunction) -> float:
-        """Measure of main/vanishing piece boundaries not on the jump set."""
-        count = sum(int(np.count_nonzero(self._touching((KIND_MAIN, KIND_VANISHING), axis)
-                                         & ~u.jump_mask(axis)))
-                    for axis in range(self.geom.dim))
-        return count * self.geom.face_area
-
-    def _gap_boundary(self) -> float:
-        """Ambient measure of the union of all gap-set boundaries."""
-        gaps = (KIND_GAP_PLUS, KIND_GAP_MINUS)
-        is_gap = np.isin(self.label_kind, gaps)
-        count = 0
-        for axis in range(self.geom.dim):
-            count += int(np.count_nonzero(self._touching(gaps, axis)))
-            count += int(np.count_nonzero(is_gap.take([0, -1], axis=axis)))  # box faces
-        return count * self.geom.face_area
 
     def volume_by_kind(self, kind: int) -> float:
         return int(np.count_nonzero(self.label_kind == kind)) * self.geom.cell_volume

@@ -77,12 +77,13 @@ class ConcentrationProfile:
         if not rows.size:
             return cls.empty(window)
         ends, weights = rows[:, :2], rows[:, 2]
-        bp = np.unique(ends.ravel())
-        lo_idx = np.searchsorted(bp, ends[:, 0])
-        hi_idx = np.searchsorted(bp, ends[:, 1])
+        # raveled first, the inverse is 1-D on every numpy version: lo, hi, lo, hi, ...
+        # Adding 0.0 turns -0.0 into 0.0, so a zero breakpoint does not take
+        # the sign of whichever zero the sort happens to put first.
+        bp, slot = np.unique(ends.ravel() + 0.0, return_inverse=True)
         delta = np.zeros(bp.size + 2)
-        np.add.at(delta, lo_idx + 1, weights)
-        np.add.at(delta, hi_idx + 1, -weights)
+        np.add.at(delta, slot[0::2] + 1, weights)
+        np.add.at(delta, slot[1::2] + 1, -weights)
         values = np.cumsum(delta)[:-1]
         # The end plateaus are exactly zero in exact arithmetic; snap float
         # residue from the cumulative sum so the invariant holds for generic

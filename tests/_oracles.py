@@ -426,3 +426,83 @@ def lsc_report(seq, limit: GridFunction, box: CellSet | None = None):
         margins=margins, total_margin=total_margin,
         limit_slice_counts=tuple(lim_counts), seq_slice_counts=tuple(seq_counts),
         eta=tuple(etas), eta_resolution_limited=tuple(limited), eta_ok=tuple(ok))
+
+
+def _touching(part, kinds, axis: int) -> np.ndarray:
+    """Label-boundary faces of ``axis`` with a cell of one of ``kinds`` on either side."""
+    n = part.geom.shape[axis]
+    is_kind = np.isin(part.label_kind, kinds)
+    return label_boundary(part, axis) & (is_kind.take(range(n - 1), axis=axis)
+                                         | is_kind.take(range(1, n), axis=axis))
+
+
+def partition_outside_jump(part, u: GridFunction) -> float:
+    """Measure of main/vanishing piece boundaries not on the jump set."""
+    from crackgrid.partition import KIND_MAIN, KIND_VANISHING
+
+    count = sum(int(np.count_nonzero(_touching(part, (KIND_MAIN, KIND_VANISHING), axis)
+                                     & ~u.jump_mask(axis)))
+                for axis in range(part.geom.dim))
+    return count * part.geom.face_area
+
+
+def gap_boundary(part) -> float:
+    """Ambient measure of the union of all gap-set boundaries."""
+    from crackgrid.partition import KIND_GAP_MINUS, KIND_GAP_PLUS
+
+    gaps = (KIND_GAP_PLUS, KIND_GAP_MINUS)
+    is_gap = np.isin(part.label_kind, gaps)
+    count = 0
+    for axis in range(part.geom.dim):
+        count += int(np.count_nonzero(_touching(part, gaps, axis)))
+        count += int(np.count_nonzero(is_gap.take([0, -1], axis=axis)))  # box faces
+    return count * part.geom.face_area
+
+
+def kyfan_distance(u: GridFunction, v: GridFunction) -> float:
+    """Ky Fan distance walking the distinct levels, each placed in a second sort."""
+    diff = np.abs(u.values - v.values).ravel()
+    cell_vol = u.geom.cell_volume
+    levels = np.unique(diff)  # ascending
+    # Volume strictly above each candidate threshold.
+    counts = np.searchsorted(np.sort(diff), levels, side="right")
+    above = (diff.size - counts) * cell_vol
+    # Segment [0, levels[0]): vol above is everything >= levels[0] unless level 0.
+    prev = 0.0
+    vol_above_prev = diff.size * cell_vol if levels[0] > 0 else above[0]
+    for lev, vol in zip(levels, above):
+        # On [prev, lev) the exceedance volume is vol_above_prev.
+        if vol_above_prev <= prev:
+            return prev
+        if vol_above_prev < lev:
+            return vol_above_prev
+        prev = float(lev)
+        vol_above_prev = float(vol)
+    # Beyond the largest value the exceedance volume is 0.
+    return prev
+
+
+def from_intervals(intervals, window: float = 1.0) -> ConcentrationProfile:
+    """``ConcentrationProfile.from_intervals`` placing every end in the sorted
+    breakpoints again, with one ``searchsorted`` per column.  Zero ends are
+    made +0.0 first, as the package does."""
+    if not isinstance(intervals, np.ndarray):
+        intervals = list(intervals)
+    rows = np.asarray(intervals, dtype=float).reshape(-1, 3)
+    rows = rows[(rows[:, 1] > rows[:, 0]) & (rows[:, 2] != 0.0)]
+    if not rows.size:
+        return ConcentrationProfile.empty(window)
+    ends, weights = rows[:, :2] + 0.0, rows[:, 2]
+    bp = np.unique(ends.ravel())
+    lo_idx = np.searchsorted(bp, ends[:, 0])
+    hi_idx = np.searchsorted(bp, ends[:, 1])
+    delta = np.zeros(bp.size + 2)
+    np.add.at(delta, lo_idx + 1, weights)
+    np.add.at(delta, hi_idx + 1, -weights)
+    values = np.cumsum(delta)[:-1]
+    snap = 16 * np.finfo(float).eps * float(np.sum(np.abs(weights)))
+    values[np.abs(values) <= snap] = 0.0
+    values[0] = 0.0
+    values[-1] = 0.0
+    np.maximum(values, 0.0, out=values)
+    return ConcentrationProfile(bp, values, window)._canonical()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from _fixtures import all_interior_faces, jumpy_fixture, random_fixture
-from crackgrid.analysis import lsc_report, vanishing_certificate
+from crackgrid.analysis import bubble_partition, lsc_report, vanishing_certificate
 from crackgrid.bubbles import extract_bubbles, track_sequence
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import (
@@ -24,12 +24,7 @@ from crackgrid.grid import (
     kyfan_distance,
     level_set,
 )
-from crackgrid.partition import (
-    build_partition,
-    renormalize,
-    select_radii,
-    vanishing_region,
-)
+from crackgrid.partition import renormalize, vanishing_region
 from crackgrid.profile import (
     ConcentrationProfile,
     concentration_profile,
@@ -51,9 +46,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def staircase_pipeline(n, eps=0.1, ref=1.0, gap=2.0, w=1.0, cells_per_step=1):
     u = fixture_staircase(n, cells_per_step=cells_per_step)
     f = concentration_profile(u, window=w)
-    dec = extract_bubbles(f, eps=eps, gap_delta=gap, ref_radius=ref)
-    radii = select_radii(f, dec, base_radius=ref, width=w, window=w)
-    part = build_partition(u, dec, radii, window=w)
+    dec, radii, part = bubble_partition(u, f, eps, w, ref, gap)
     return u, f, dec, radii, part
 
 
@@ -116,10 +109,8 @@ def test_criterion_04_runaway_pipeline():
         u = fixture_runaway(n)
         seq.append(u)
         f = concentration_profile(u, window=1.0)
-        dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
+        dec, _, part = bubble_partition(u, f, 0.1, 1.0, 1.0, 2.0)
         decs.append(dec)
-        radii = select_radii(f, dec, base_radius=1.0, width=1.0, window=1.0)
-        part = build_partition(u, dec, radii, window=1.0)
         renorms.append(renormalize(u, part))
     zero = seq[0].with_values(np.zeros(seq[0].geom.shape))
     ok &= all(kyfan_distance(w, zero) == 0.0 for w in renorms)
@@ -183,10 +174,7 @@ def test_criterion_07_renormalization_contracts():
     ok = True
     for u in _contract_fixtures():
         f = concentration_profile(u, window=1.0)
-        dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
-        radii = select_radii(f, dec, base_radius=1.0, width=1.0, window=1.0) \
-            if dec.bubbles else []
-        part = build_partition(u, dec, radii, window=1.0)
+        _, radii, part = bubble_partition(u, f, 0.1, 1.0, 1.0, 2.0)
         w = renormalize(u, part)
         max_radius = max((max(c.r_minus, c.r_plus) for c in radii), default=0.0)
         ok &= float(np.max(np.abs(w.values))) <= max_radius + 1.0 + TOL

@@ -61,6 +61,36 @@ class TestVanishingCertificate:
         assert cert.trivial and cert.certified
         assert cert.measured_volume == 0.0
 
+    def test_eps_none_certifies_at_the_region_score(self):
+        rng = np.random.default_rng(47)
+        stairs = fixture_staircase(16)
+        columns = []
+        for rows in (slice(3, 14, 2), slice(0, 16), slice(5, 16, 3)):
+            mask = np.zeros(stairs.geom.shape, dtype=bool)
+            mask[16, rows] = True  # one stair column: thin in the range
+            columns.append(mask)
+        jumpy = jumpy_fixture(rng, shape=(12, 10), spacing=0.25)
+        nothing = CellSet(jumpy.geom, np.zeros(jumpy.geom.shape, dtype=bool))
+        everything = CellSet(jumpy.geom, np.ones(jumpy.geom.shape, dtype=bool))
+        cases = [(stairs, m, r) for m in columns for r in (1.0, 0.5)]
+        cases += [(jumpy, m, 0.75) for m in [nothing.mask, everything.mask]
+                  + [random_mask(rng, jumpy.geom).mask for _ in range(4)]]
+        alphas = set()
+        for u, mask, radius in cases:
+            region = CellSet(u.geom, mask)
+            prof = concentration_profile(u, domain=region, window=0.5)
+            score = levy_concentration(prof, radius)[0]
+            auto = vanishing_certificate(u, region, eps=None, radius=radius, window=0.5)
+            given = vanishing_certificate(u, region, eps=max(score, 1e-12), radius=radius,
+                                          window=0.5)
+            assert json.dumps(auto.as_dict()) == json.dumps(given.as_dict())
+            alphas.add(auto.alpha)
+        assert max(alphas) > 1  # the range got cut into slabs
+        empty = vanishing_certificate(jumpy, nothing, eps=None)
+        assert empty.trivial and empty.eps == 1e-12
+        with pytest.raises(ValueError, match="eps must be positive"):
+            vanishing_certificate(jumpy, everything, eps=0.0)
+
     def test_hypothesis_violation_names_center(self):
         u = fixture_runaway(5.0)
         region = CellSet(u.geom, np.ones(u.geom.shape, dtype=bool))
@@ -422,6 +452,22 @@ class TestCompactnessReport:
         compactness_report(seq, p=3.0, eps_ladder=[0.2, 0.1, 0.05])
         # one bulk energy per function for the p-norm series and one for p = 2
         assert sorted(calls) == [2.0] * 3 + [3.0] * 3
+
+    def test_each_profile_built_once(self, monkeypatch):
+        calls = []
+
+        def counted(u, domain=None, window=1.0):
+            calls.append(domain)
+            return concentration_profile(u, domain=domain, window=window)
+
+        monkeypatch.setattr(analysis, "concentration_profile", counted)
+        seq = [fixture_staircase(n, cells_per_step=16 // n) for n in (4, 8, 16)]
+        ladder = [0.2, 0.1, 0.05]
+        compactness_report(seq, eps_ladder=ladder)
+        # one profile per function, then one region profile per certificate
+        assert len(calls) == len(seq) + len(ladder) * len(seq)
+        assert calls[:len(seq)] == [None] * len(seq)
+        assert all(isinstance(d, CellSet) for d in calls[len(seq):])
 
     def test_geometry_mismatch_rejected(self):
         a = fixture_runaway(1.0, resolution=8)

@@ -5,6 +5,7 @@ import pytest
 
 from _fixtures import all_interior_faces, random_fixture, random_mask
 from _oracles import boundary_face_keys, crack_rows, face_ids, jump_faces
+from _oracles import kyfan_distance as oracle_kyfan_distance
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import (
     CellSet,
@@ -210,6 +211,33 @@ class TestKyFan:
             brute = min(c for c in candidates if exceed(c) <= c)
             assert kyfan_distance(u, v) == pytest.approx(brute, abs=1e-14)
 
+    @staticmethod
+    def assert_matches_level_walk(u, v):
+        got, want = kyfan_distance(u, v), oracle_kyfan_distance(u, v)
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        return got
+
+    def test_matches_level_walk_oracle(self):
+        line = GridGeometry((0.0,), 1.0, (4,))
+        zero = GridFunction(line, np.zeros(4))
+        # every level exceeded by more volume than itself: the walk ends past the last level
+        assert self.assert_matches_level_walk(zero, zero.with_values([0.1, 0.2, 0.3, 0.4])) == 0.4
+        assert self.assert_matches_level_walk(zero, zero) == 0.0
+        ties = GridFunction(GridGeometry((0.0,), 0.25, (8,)),
+                            [0.5, 0.5, 0.25, -0.25, 1.0, 0.0, 0.0, 0.5])
+        self.assert_matches_level_walk(ties, ties.with_values(np.zeros(8)))
+        one = GridFunction(GridGeometry((0.0,), 0.5, (1,)), [0.0])
+        for value in (0.0, 0.1, 0.5, 3.0):
+            self.assert_matches_level_walk(one, one.with_values([value]))
+        rng = np.random.default_rng(67)
+        for _ in range(40):
+            u = random_fixture(rng, max_1d=40, max_2d=7)
+            scale = float(rng.choice([0.25, 1.0, 1 / 3]))
+            v = u.with_values(u.values + scale * rng.integers(-3, 4, size=u.geom.shape))
+            self.assert_matches_level_walk(u, v)
+            self.assert_matches_level_walk(u, u)
+
 
 def coarea_sides(u: GridFunction):
     """Oracle for the discrete coarea identity, by direct enumeration."""
@@ -272,6 +300,21 @@ class TestSerialization:
                 assert not mask.flags.writeable
                 assert np.array_equal(v.crack_mask(k), mask)
                 assert w.crack_mask(k) is mask  # shared, not copied
+
+    def test_jump_masks_are_computed_once_and_read_only(self):
+        rng = np.random.default_rng(61)
+        for _ in range(6):
+            u = random_fixture(rng, max_1d=64, max_2d=12)
+            flat = u.with_values(np.zeros(u.geom.shape))  # shares the cracks, jumps nowhere
+            for k in range(u.geom.dim):
+                mask = u.jump_mask(k)
+                assert mask is u.jump_mask(k)
+                assert not mask.flags.writeable
+                with pytest.raises(ValueError):
+                    mask[...] = False
+                assert np.array_equal(mask, u.crack_mask(k) & (np.diff(u.values, axis=k) != 0))
+                assert not flat.jump_mask(k).any()
+                assert np.array_equal(u.jump_mask(k), mask)
 
     def test_duplicate_cracks_rejected(self):
         doc = grid_function_to_dict(fixture_staircase(2))

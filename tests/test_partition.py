@@ -6,6 +6,7 @@ import pytest
 from _fixtures import jumpy_fixture, random_fixture
 from _oracles import (
     best_radius,
+    gap_boundary,
     jump_faces,
     label_arrays,
     label_boundary,
@@ -13,9 +14,11 @@ from _oracles import (
     new_cracks,
     objective_pieces,
     partition_csv,
+    partition_outside_jump,
     partition_stats,
 )
 from crackgrid import partition
+from crackgrid.analysis import bubble_partition
 from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import (
@@ -44,9 +47,7 @@ from crackgrid.profile import ConcentrationProfile, concentration_profile
 def staircase_pipeline(n, eps=0.1, ref=1.0, gap=2.0, w=1.0):
     u = fixture_staircase(n)
     f = concentration_profile(u, window=w)
-    dec = extract_bubbles(f, eps=eps, gap_delta=gap, ref_radius=ref)
-    radii = select_radii(f, dec, base_radius=ref, width=w, window=w)
-    part = build_partition(u, dec, radii, window=w)
+    dec, radii, part = bubble_partition(u, f, eps, w, ref, gap)
     return u, f, dec, radii, part
 
 
@@ -182,7 +183,7 @@ class TestPartitionStatsOracle:
 
     def test_random_partitions_match(self):
         rng = np.random.default_rng(406)
-        absent = empty = 0
+        absent = empty = gap_on_box = 0
         for _ in range(80):
             u, part = self.random_partition(rng)
             kind, index = label_arrays(u, part)
@@ -194,10 +195,16 @@ class TestPartitionStatsOracle:
             for axis in range(u.geom.dim):
                 assert np.array_equal(part.label_boundary(axis), label_boundary(part, axis))
             assert part.to_csv() == partition_csv(part)
+            assert part.outside_jump == partition_outside_jump(part, u)
+            assert part.gap_boundary == gap_boundary(part)
             absent += len(part.labels_present()) < 4 * len(part.pieces) + 1
             empty += not part.pieces
-        # the cases include labels with no cell and partitions with no piece
-        assert absent and empty
+            is_gap = np.isin(part.label_kind, (KIND_GAP_PLUS, KIND_GAP_MINUS))
+            gap_on_box += any(is_gap.take([0, -1], axis=axis).any()
+                              for axis in range(u.geom.dim))
+        # the cases include labels with no cell, partitions with no piece and
+        # gap cells in the box layers (their box faces count as gap boundary)
+        assert absent and empty and gap_on_box
 
     def test_label_arrays_are_computed_once_and_read_only(self):
         u, part = self.random_partition(np.random.default_rng(7))

@@ -149,6 +149,36 @@ class TestProfileConstruction:
         assert np.array_equal(f.breakpoints, [0.0, 0.5, 1.0, 2.0])
         assert ConcentrationProfile.from_intervals(np.empty((0, 3))).breakpoints.size == 0
 
+    def test_from_intervals_matches_two_search_oracle(self):
+        cases = [
+            [(0.0, 1.0, 0.5), (0.0, 1.0, 0.25), (1.0, 2.0, 1 / 3), (0.0, 2.0, 0.1)],  # tied ends
+            [(0.0, 1.0, 0.0), (0.5, 1.5, 1.0), (-1.0, 0.5, 0.0)],  # zero weights
+            [(1.0, 0.0, 1.0), (2.0, 2.0, 3.0), (0.0, 1.0, 0.7)],  # hi <= lo rows
+            [(1.0, 1.0, 1.0), (0.0, 1.0, 0.0)],  # nothing left
+        ]
+        rng = np.random.default_rng(71)
+        for _ in range(30):
+            n = int(rng.integers(1, 40))
+            ends = np.round(rng.uniform(-3.0, 3.0, size=(n, 2)) * 4) / 4  # ties, some hi <= lo
+            weights = rng.choice([0.0, 0.1, 1 / 3, 0.25, 2.0], size=n)
+            cases.append([(float(a), float(b), float(w)) for (a, b), w in zip(ends, weights)])
+        for rows in cases:
+            want = _oracles.from_intervals(rows, window=0.5)
+            for form in (np.array(rows), rows, tuple(rows)):
+                got = ConcentrationProfile.from_intervals(form, window=0.5)
+                assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+                assert got.plateau_values.tobytes() == want.plateau_values.tobytes()
+                assert got.window == want.window
+
+    def test_zero_breakpoint_is_positive_zero(self):
+        rng = np.random.default_rng(73)
+        for _ in range(20):
+            zeros = rng.choice([0.0, -0.0], size=8)
+            rows = [(float(z), 1.0, 0.5) for z in zeros] + [(-1.0, float(z), 0.25) for z in zeros]
+            f = ConcentrationProfile.from_intervals(rows)
+            assert np.array_equal(f.breakpoints, [-1.0, 0.0, 1.0])
+            assert not np.signbit(f.breakpoints[1])
+
 
 class TestProfileQueries:
     def test_window_mass_full_support_is_total(self):
