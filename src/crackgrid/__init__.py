@@ -32,7 +32,6 @@ from .fixtures import fixture_runaway, fixture_staircase
 from .grid import (
     CellSet,
     EnergyReport,
-    FaceId,
     GeometryMismatchError,
     GridFunction,
     GridGeometry,
@@ -75,7 +74,6 @@ __all__ = [
     "ConcentrationProfile",
     "DomainPartition",
     "EnergyReport",
-    "FaceId",
     "GeometryMismatchError",
     "GridFunction",
     "GridGeometry",

@@ -64,11 +64,6 @@ def grid_iso_constant(side: int = 4) -> float:
     return float(np.max(vol / perim.astype(float) ** 2))
 
 
-def _boundary_faces(S: CellSet) -> list[np.ndarray]:
-    """Per-axis masks of the ambient boundary faces of a cell set, box faces included."""
-    return [S.boundary_faces(axis) for axis in range(S.geom.dim)]
-
-
 def _face_count(masks) -> int:
     return sum(int(np.count_nonzero(m)) for m in masks)
 
@@ -205,13 +200,13 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     # every face mask below spans the box faces too (n + 1 faces along its axis)
     jump = [pad_axis(u.jump_mask(axis), axis) for axis in range(2)]
     area = u.geom.face_area
-    D = _face_count(j | r for j, r in zip(jump, _boundary_faces(region))) * area
+    D = _face_count(j | region.boundary_faces(k) for k, j in enumerate(jump)) * area
     region_perim = region.perimeter()
 
-    gap_faces = [_boundary_faces(G) for G in gap_sets]
+    gap_faces = [[G.boundary_faces(k) for k in range(2)] for G in gap_sets]
     chain_rhs = 0.0
     for i, S in enumerate(slab_sets):
-        faces = _boundary_faces(S)
+        faces = [S.boundary_faces(k) for k in range(2)]
         for gap in gap_faces[max(i - 1, 0):i + 1]:  # the gaps on either side of slab i
             faces = [f & ~g for f, g in zip(faces, gap)]
         chain_rhs += 0.5 * _face_count(faces) * area
@@ -240,8 +235,8 @@ def slice_line(u: GridFunction, axis: int, index: int) -> GridFunction:
     if not (0 <= index < u.geom.shape[other]):
         raise ValueError(f"slice index {index} out of range")
     geom = GridGeometry((u.geom.origin[axis],), u.geom.spacing, (u.geom.shape[axis],))
-    return GridFunction.from_masks(geom, u.values.take(index, axis=other),
-                                   [u.crack_mask(axis).take(index, axis=other)])
+    return GridFunction(geom, u.values.take(index, axis=other),
+                        [u.crack_mask(axis).take(index, axis=other)])
 
 
 def jump_count_1d(u: GridFunction) -> int:
@@ -431,8 +426,8 @@ def bubble_partition(v: GridFunction, prof: ConcentrationProfile, eps: float, wi
     """Bubbles of ``v``'s profile, their radii and the partition they induce:
     ``(decomposition, radii, partition)``."""
     dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
-    radii = select_radii(prof, dec, base_radius=ref_radius, width=window, window=window)
-    part = build_partition(v, dec, radii, window=window, omega=omega)
+    radii = select_radii(prof, dec.bubbles, base_radius=ref_radius, width=window, window=window)
+    part = build_partition(v, dec.bubbles, radii, window=window, omega=omega)
     return dec, radii, part
 
 
@@ -442,7 +437,7 @@ def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v, jump_v,
     for msg in dec.validate():
         violations.append(f"{tag}: decomposition: {msg}")
     w = renormalize(v, part)
-    region = vanishing_region(v, dec, radius=ref_radius, omega=omega)
+    region = vanishing_region(v, dec.bubbles, radius=ref_radius, omega=omega)
     cert = None
     if v.geom.dim == 2:
         # certified at the region's own Lévy score

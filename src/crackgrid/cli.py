@@ -71,6 +71,10 @@ def _real_in(low: float, high: float = math.inf):
     return parse
 
 
+# the one range of each setting, for its command-line flag and its manifest key
+_POSITIVE, _EPS, _P = _real_in(0), _real_in(0, 1), _real_in(1)
+
+
 def _load_doc(path: str) -> dict:
     try:
         if path == "-":
@@ -151,19 +155,19 @@ def _labels_svg(part, cell: int = 8) -> str:
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     if "window" in names:
-        p.add_argument("--window", type=_real_in(0), default=1.0,
+        p.add_argument("--window", type=_POSITIVE, default=1.0,
                        help="trace window half-width (default 1.0)")
     if "eps" in names:
-        p.add_argument("--eps", type=_real_in(0, 1), default=0.1,
+        p.add_argument("--eps", type=_EPS, default=0.1,
                        help="relative concentration tolerance in (0,1) (default 0.1)")
     if "p" in names:
-        p.add_argument("--p", type=_real_in(1), default=2.0,
+        p.add_argument("--p", type=_P, default=2.0,
                        help="bulk integrability exponent, > 1 (default 2.0)")
     if "ref" in names:
-        p.add_argument("--ref-radius", type=_real_in(0), default=1.0,
+        p.add_argument("--ref-radius", type=_POSITIVE, default=1.0,
                        help="window radius for concentration search (default 1.0)")
     if "gap" in names:
-        p.add_argument("--gap-delta", type=_real_in(0), default=2.0,
+        p.add_argument("--gap-delta", type=_POSITIVE, default=2.0,
                        help="annulus growth step (default 2.0)")
     if "out" in names:
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -224,9 +228,9 @@ def build_parser() -> argparse.ArgumentParser:
                                           "vanishing region")
     va.add_argument("input", nargs="?", default="-")
     va.add_argument("--region", required=True, help="cell-set mask file")
-    va.add_argument("--radius", type=_real_in(0), default=1.0,
+    va.add_argument("--radius", type=_POSITIVE, default=1.0,
                     help="window radius in the hypothesis (default 1.0)")
-    va.add_argument("--eps", type=_real_in(0), default=0.1,
+    va.add_argument("--eps", type=_POSITIVE, default=0.1,
                     help="largest window mass of the hypothesis, > 0 (default 0.1)")
     _add_common(va, "window", "out")
 
@@ -251,23 +255,25 @@ def _load_manifest(path: str):
         q = Path(p)
         return str(q if q.is_absolute() else base / q)
 
-    try:
-        functions = [_load(resolve(p)) for p in doc["functions"]]
-    except KeyError as exc:
-        raise InputError(f"manifest missing key: {exc}") from exc
+    def setting(key, value, parse):
+        try:
+            return parse(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+            raise InputError(f"manifest {key}: {exc}") from exc
+
+    names, ladder = doc.get("functions"), doc.get("eps_ladder", [0.2, 0.1])
+    if not (isinstance(names, list) and isinstance(ladder, list)):
+        raise InputError("manifest functions and eps_ladder must be lists")
+    functions = [_load(resolve(p)) for p in names]
     if not functions:
         raise InputError("manifest lists no functions")
     datum = _load(resolve(doc["datum"])) if doc.get("datum") else None
     omega = _load(resolve(doc["omega"]), "cell set") if doc.get("omega") else None
     limit = _load(resolve(doc["limit"])) if doc.get("limit") else None
-    settings = {
-        "p": float(doc.get("p", 2.0)),
-        "eps_ladder": [float(e) for e in doc.get("eps_ladder", [0.2, 0.1])],
-        "window": float(doc.get("window", 1.0)),
-        "ref_radius": float(doc.get("ref_radius", 1.0)),
-        "gap_delta": float(doc.get("gap_delta", 2.0)),
-    }
-    ladder = settings["eps_ladder"]
+    settings = {key: setting(key, doc.get(key, default), parse) for key, default, parse in (
+        ("p", 2.0, _P), ("window", 1.0, _POSITIVE), ("ref_radius", 1.0, _POSITIVE),
+        ("gap_delta", 2.0, _POSITIVE))}
+    ladder = settings["eps_ladder"] = [setting("eps_ladder", e, _EPS) for e in ladder]
     if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise InputError(f"eps ladder must be strictly decreasing, got {ladder}")
     geom = functions[0].geom
@@ -360,6 +366,8 @@ def _cmd_renormalize(args) -> int:
 def _cmd_vanishing(args) -> int:
     u = _load(args.input)
     region = _load(args.region, "cell set")
+    if u.geom.dim != 2 or region.geom != u.geom:  # preconditions, not the hypothesis
+        raise InputError(f"vanishing needs a 2D grid shared by {args.input} and {args.region}")
     try:
         cert = vanishing_certificate(u, region, eps=args.eps, radius=args.radius,
                                      window=args.window)

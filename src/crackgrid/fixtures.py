@@ -23,7 +23,7 @@ def fixture_runaway(n: float, resolution: int = 16) -> GridFunction:
     values[nx // 2 :, :] = float(n)
     masks = [np.zeros(geom.face_shape(k), dtype=bool) for k in range(2)]
     masks[0][nx // 2 - 1, :] = True
-    return GridFunction.from_masks(geom, values, masks)
+    return GridFunction(geom, values, masks)
 
 
 def fixture_staircase(n: int, cells_per_step: int = 1) -> GridFunction:
@@ -55,4 +55,4 @@ def fixture_staircase(n: int, cells_per_step: int = 1) -> GridFunction:
     masks[0][m - 1, :] = True  # x = 0
     masks[0][m + c - 1, :] = True  # x = 1/n
     masks[1][strip, c - 1 : (n - 1) * c : c] = True  # between stairs k and k+1
-    return GridFunction.from_masks(geom, values, masks)
+    return GridFunction(geom, values, masks)

@@ -5,12 +5,12 @@ Conventions used throughout the package:
 * A grid in dimension d (1 or 2) has ``shape[k]`` cells along axis k, cell
   width ``spacing`` (isotropic), and physical low corner ``origin``.  Cell
   values are stored row-major (C order), one finite float per cell.
-* A face is identified by the cell on its lower side: ``FaceId(axis, cell)``
-  sits between ``cell`` and ``cell + e_axis``.  Interior faces have both
-  cells in the grid; box-boundary faces have exactly one.
-* Cracks are a set of interior faces.  The jump set ``J_u`` consists of the
-  crack faces whose two adjacent values differ; a crack face with equal
-  traces is "healed" and carries no jump measure.
+* A face is identified by the cell on its lower side: the row ``(axis,
+  *cell)`` names the face between ``cell`` and ``cell + e_axis``.  Interior
+  faces have both cells in the grid; box-boundary faces have exactly one.
+* Cracks are a set of interior faces, one boolean mask per axis.  The jump
+  set ``J_u`` consists of the crack faces whose two adjacent values differ;
+  a crack face with equal traces is "healed" and carries no jump measure.
 * Measures are the anisotropic face-count ones: a cell has volume
   ``spacing**dim`` and a face has area ``spacing**(dim-1)``.  The perimeter
   of a cell set counts all faces separating inside from outside, including
@@ -22,11 +22,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -47,11 +46,14 @@ class GridGeometry:
 
     def __post_init__(self):
         object.__setattr__(self, "origin", tuple(float(x) for x in self.origin))
-        object.__setattr__(self, "shape", tuple(int(n) for n in self.shape))
+        # an integer shape entry, not a truncated float: index() raises TypeError
+        object.__setattr__(self, "shape", tuple(operator.index(n) for n in self.shape))
         if len(self.shape) not in (1, 2):
             raise ValueError(f"dim must be 1 or 2, got shape {self.shape}")
         if len(self.origin) != len(self.shape):
             raise ValueError("origin and shape must have equal length")
+        if not all(math.isfinite(x) for x in self.origin):
+            raise ValueError(f"origin must be finite, got {self.origin}")
         if not (self.spacing > 0) or not math.isfinite(self.spacing):
             raise ValueError(f"spacing must be a positive finite real, got {self.spacing}")
         if any(n < 1 for n in self.shape):
@@ -76,20 +78,6 @@ class GridGeometry:
     def face_shape(self, axis: int) -> tuple[int, ...]:
         """Shape of the array over the interior faces normal to ``axis``."""
         return tuple(n - (k == axis) for k, n in enumerate(self.shape))
-
-
-@dataclass(frozen=True)
-class FaceId:
-    """Face between ``cell`` and ``cell + e_axis``; ``cell`` is the lower side."""
-
-    axis: int
-    cell: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "cell", tuple(int(i) for i in self.cell))
-
-    def upper_cell(self) -> tuple[int, ...]:
-        return tuple(c + (1 if k == self.axis else 0) for k, c in enumerate(self.cell))
 
 
 def face_pairs(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -146,24 +134,13 @@ def crack_masks_from_rows(geom: GridGeometry, rows) -> tuple[np.ndarray, ...]:
 class GridFunction:
     """Scalar function on a grid plus per-axis masks of its interior crack faces.
 
-    The masks are the stored form of the cracks (see :meth:`crack_mask`);
-    the constructor also accepts the cracks as ``FaceId`` objects, and
-    :attr:`cracks` derives them back.
+    ``masks`` holds one boolean array per axis over that axis's interior
+    faces (see :meth:`crack_mask`); ``None`` means no cracks.  The masks are
+    made read-only and kept, not copied.  Crack rows from a file go through
+    :func:`crack_masks_from_rows`.
     """
 
-    def __init__(self, geom: GridGeometry, values, cracks: Iterable[FaceId] = ()):
-        self._init(geom, values, cracks=cracks)
-
-    @classmethod
-    def from_masks(cls, geom: GridGeometry, values, masks) -> GridFunction:
-        """Function whose cracks are given as one boolean mask per axis over
-        the interior faces.  The masks are made read-only and kept, not copied."""
-        u = cls.__new__(cls)
-        u._init(geom, values, masks=masks)
-        return u
-
-    def _init(self, geom: GridGeometry, values, cracks: Iterable[FaceId] = (),
-              masks=None) -> None:
+    def __init__(self, geom: GridGeometry, values, masks=None):
         self.geom = geom
         arr = np.asarray(values, dtype=float)
         if arr.size != geom.num_cells:
@@ -174,19 +151,19 @@ class GridFunction:
         arr.flags.writeable = False
         self.values = arr
         if masks is None:  # only now that the values fit the geometry
-            masks = crack_masks_from_rows(geom, ([f.axis, *f.cell] for f in cracks))
-        masks = tuple(np.asarray(m, dtype=bool) for m in masks)
-        if [m.shape for m in masks] != [geom.face_shape(k) for k in range(geom.dim)]:
-            raise ValueError("crack masks must cover the interior faces of every axis")
+            masks = [np.zeros(geom.face_shape(k), dtype=bool) for k in range(geom.dim)]
+        masks = tuple(np.asarray(m) for m in masks)
+        if [(m.dtype, m.shape) for m in masks] != [(np.dtype(bool), geom.face_shape(k))
+                                                   for k in range(geom.dim)]:
+            raise ValueError("cracks must be one boolean mask per axis over its interior faces")
         for m in masks:
             m.flags.writeable = False
         self._masks = masks
 
     @cached_property
-    def cracks(self) -> frozenset[FaceId]:
-        """The crack faces as ``FaceId`` objects, derived from the masks once."""
-        return frozenset(FaceId(axis, idx) for axis, mask in enumerate(self._masks)
-                         for idx in np.argwhere(mask).tolist())
+    def cracks(self) -> frozenset[tuple[int, ...]]:
+        """The crack faces as ``(axis, *lower cell)`` rows, derived from the masks once."""
+        return frozenset(map(tuple, _crack_rows(self)))
 
     def crack_mask(self, axis: int) -> np.ndarray:
         """Read-only boolean array over interior faces of ``axis`` (True where cracked)."""
@@ -213,13 +190,13 @@ class GridFunction:
         return count * self.geom.face_area
 
     def with_values(self, values) -> GridFunction:
-        return GridFunction.from_masks(self.geom, values, self._masks)
+        return GridFunction(self.geom, values, self._masks)
 
     def subtract(self, other: GridFunction) -> GridFunction:
         """Pointwise u - other; cracks are the union of both crack sets."""
         require_same_geometry(self.geom, other.geom)
         masks = [a | b for a, b in zip(self._masks, other._masks)]
-        return GridFunction.from_masks(self.geom, self.values - other.values, masks)
+        return GridFunction(self.geom, self.values - other.values, masks)
 
     def add_on(self, mask: np.ndarray, c: float) -> GridFunction:
         """Add the constant c on the masked cells (a piecewise-constant translation)."""
@@ -361,12 +338,15 @@ def _header(geom: GridGeometry) -> dict:
             "spacing": geom.spacing, "shape": list(geom.shape)}
 
 
-def grid_function_to_dict(u: GridFunction) -> dict:
+def _crack_rows(u: GridFunction) -> list[list[int]]:
     # axis by axis in C order: the rows come out sorted
-    cracks = [[axis, *idx] for axis in range(u.geom.dim)
-              for idx in np.argwhere(u.crack_mask(axis)).tolist()]
+    return [[axis, *idx] for axis in range(u.geom.dim)
+            for idx in np.argwhere(u.crack_mask(axis)).tolist()]
+
+
+def grid_function_to_dict(u: GridFunction) -> dict:
     return {**_header(u.geom), "values": [float(x) for x in u.values.ravel()],
-            "cracks": cracks}
+            "cracks": _crack_rows(u)}
 
 
 def _geometry_from_header(doc: dict) -> GridGeometry:
@@ -385,7 +365,7 @@ def grid_function_from_dict(doc: dict) -> GridFunction:
     if values.size != geom.num_cells:
         raise ValueError(f"expected {geom.num_cells} values, got {values.size}")
     masks = crack_masks_from_rows(geom, doc.get("cracks", []))
-    return GridFunction.from_masks(geom, values, masks)
+    return GridFunction(geom, values, masks)
 
 
 def cell_set_to_dict(S: CellSet) -> dict:
@@ -394,13 +374,7 @@ def cell_set_to_dict(S: CellSet) -> dict:
 
 def cell_set_from_dict(doc: dict) -> CellSet:
     geom = _geometry_from_header(doc)
-    mask = [int(x) for x in doc["mask"]]
-    if any(x not in (0, 1) for x in mask):
-        raise ValueError("mask entries must be 0 or 1")
+    mask = doc["mask"]
+    if any(type(x) is not int or x not in (0, 1) for x in mask):
+        raise ValueError("mask entries must be the integers 0 or 1")
     return CellSet(geom, mask)
-
-
-def write_json(obj: dict, path) -> None:
-    text = json.dumps(obj, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")

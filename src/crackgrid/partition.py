@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bubbles import Bubble, BubbleDecomposition
+from .bubbles import Bubble
 from .grid import CellSet, GridFunction, face_pairs, require_same_geometry
 from .profile import ConcentrationProfile
 
@@ -46,12 +46,6 @@ _REM_OF_KIND = np.argsort(_KIND_OF_REM)
 
 def _label_name(code: int) -> str:
     return f"{_KIND_NAMES[int(_KIND_OF_REM[code % 4])]}:{code // 4}"
-
-
-def _bubble_list(bubbles) -> list[Bubble]:
-    if isinstance(bubbles, BubbleDecomposition):
-        return list(bubbles.bubbles)
-    return list(bubbles)
 
 
 @dataclass(frozen=True)
@@ -108,7 +102,7 @@ def _interval_average(f: ConcentrationProfile, offsets, lo: float, hi: float) ->
     return total / (hi - lo)
 
 
-def select_radii(f: ConcentrationProfile, bubbles, base_radius: float,
+def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble], base_radius: float,
                  width: float, window: float | None = None,
                  per_side: bool = False, equal_radii: bool = False) -> list[RadiusChoice]:
     """Choose per-bubble radii in [base_radius, base_radius + width) where the
@@ -127,19 +121,18 @@ def select_radii(f: ConcentrationProfile, bubbles, base_radius: float,
     if not base_radius > 0:
         raise ValueError("base_radius must be positive")
     w = f.window if window is None else float(window)
-    blist = _bubble_list(bubbles)
     lo, hi = base_radius, base_radius + width
 
     out = []
-    if equal_radii and blist:
+    if equal_radii and bubbles:
         offsets = []
-        for b in blist:
+        for b in bubbles:
             offsets += [(1.0, b.center), (1.0, b.center + w),
                         (-1.0, b.center), (-1.0, b.center - w)]
         r, val = _best_radius(f, offsets, lo, hi)
         avg = _interval_average(f, offsets, lo, hi)
-        return [RadiusChoice(b.center, r, r, val, avg) for b in blist]
-    for b in blist:
+        return [RadiusChoice(b.center, r, r, val, avg) for b in bubbles]
+    for b in bubbles:
         plus = [(1.0, b.center), (1.0, b.center + w)]
         minus = [(-1.0, b.center), (-1.0, b.center - w)]
         if per_side:
@@ -302,13 +295,12 @@ class DomainPartition:
         }
 
 
-def build_partition(u: GridFunction, bubbles, radii: Sequence[RadiusChoice],
+def build_partition(u: GridFunction, bubbles: Sequence[Bubble], radii: Sequence[RadiusChoice],
                     window: float, omega: CellSet | None = None) -> DomainPartition:
     """Label every cell by the bubble value bands; rejects overlapping bands."""
-    blist = _bubble_list(bubbles)
     by_center = {rc.center: rc for rc in radii}
     pieces = []
-    for b in blist:
+    for b in bubbles:
         rc = by_center.get(b.center)
         if rc is None:
             raise ValueError(f"no radius choice for bubble centered at {b.center}")
@@ -316,18 +308,16 @@ def build_partition(u: GridFunction, bubbles, radii: Sequence[RadiusChoice],
     return DomainPartition(u, pieces, window, omega)
 
 
-def renormalize(u: GridFunction, part: DomainPartition,
-                datum: GridFunction | None = None) -> GridFunction:
-    """Subtract each piece's center on its main piece; datum value elsewhere.
+def renormalize(v: GridFunction, part: DomainPartition) -> GridFunction:
+    """Subtract each piece's center on its main piece; zero elsewhere.
 
-    With a datum h the input is first reduced to v = u - h (so the result
-    vanishes on gap and vanishing cells and, when a datum piece exists, on
-    the whole complement of the working domain: that piece's translation
-    constant is pinned to zero).  Faces between different partition labels
-    are added to the crack set, which keeps the jump measure within
-    ``jump(v) + outside_jump`` of the original.
+    With a datum h, pass the reduced function ``v = u.subtract(h)``: the
+    result then vanishes on gap and vanishing cells and, when a datum piece
+    exists, on the whole complement of the working domain (that piece's
+    translation constant is pinned to zero).  Faces between different
+    partition labels are added to the crack set, which keeps the jump
+    measure within ``jump(v) + outside_jump`` of the original.
     """
-    v = u.subtract(datum) if datum is not None else u
     require_same_geometry(v.geom, part.geom)
     values = np.zeros(v.geom.shape)
     for j, p in enumerate(part.pieces):
@@ -335,7 +325,7 @@ def renormalize(u: GridFunction, part: DomainPartition,
         a = 0.0 if part.datum_piece == j else p.center
         values[m] = v.values[m] - a
     cracks = [v.crack_mask(axis) | part.label_boundary(axis) for axis in range(v.geom.dim)]
-    return GridFunction.from_masks(v.geom, values, cracks)
+    return GridFunction(v.geom, values, cracks)
 
 
 _DYADIC_CANDIDATES: list[float] = [0.0, 1.0]
@@ -344,8 +334,7 @@ for _depth in range(1, 14):
     _DYADIC_CANDIDATES.extend(k / _den for k in range(1, _den, 2))
 
 
-def perturbed_translation(u: GridFunction, part: DomainPartition,
-                          datum: GridFunction | None = None) -> GridFunction:
+def perturbed_translation(v: GridFunction, part: DomainPartition) -> GridFunction:
     """Renormalize with per-piece offsets in [0,1] making every partition
     boundary face a genuine jump.
 
@@ -356,7 +345,7 @@ def perturbed_translation(u: GridFunction, part: DomainPartition,
     pieces (jumps interior to the aggregate are overwritten by the constant
     datum value, so they heal).
     """
-    w = renormalize(u, part, datum=datum)
+    w = renormalize(v, part)
     # main pieces keep their index; all gap/vanishing cells share id -1
     ids = np.where(part.label_kind == KIND_MAIN, part.label_index.astype(np.int64), -1)
     piece_order = [-1] + list(range(len(part.pieces)))  # aggregate first, then by band
@@ -387,7 +376,7 @@ def perturbed_translation(u: GridFunction, part: DomainPartition,
     return w.with_values(w.values + lookup[ids])
 
 
-def vanishing_region(u: GridFunction, bubbles, radius: float,
+def vanishing_region(u: GridFunction, bubbles: Sequence[Bubble], radius: float,
                      omega: CellSet | None = None) -> CellSet:
     """Cells whose value escapes every open bubble window (center-r, center+r).
 
@@ -396,9 +385,8 @@ def vanishing_region(u: GridFunction, bubbles, radius: float,
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
-    blist = _bubble_list(bubbles)
     inside_any = np.zeros(u.geom.shape, dtype=bool)
-    for b in blist:
+    for b in bubbles:
         inside_any |= (u.values > b.center - radius) & (u.values < b.center + radius)
     mask = ~inside_any
     if omega is not None:

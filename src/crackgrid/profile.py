@@ -235,11 +235,6 @@ def concentration_profile(u: GridFunction, domain: CellSet | None = None,
     return ConcentrationProfile.from_intervals(intervals, window)
 
 
-def trace_side_count(u: GridFunction, domain: CellSet | None = None) -> int:
-    """Number of trace windows the profile carries (cracks count per side)."""
-    return sum(tr.size for _, _, traces in _profile_faces(u, domain) for tr in traces)
-
-
 def jump_boundary_measure(u: GridFunction, domain: CellSet | None = None) -> float:
     """Measure of the jump set together with the (domain or box) boundary,
     each face counted once."""

@@ -5,17 +5,18 @@ from __future__ import annotations
 import numpy as np
 
 from crackgrid.fixtures import fixture_staircase
-from crackgrid.grid import CellSet, FaceId, GridFunction, GridGeometry
+from crackgrid.grid import CellSet, GridFunction, GridGeometry, crack_masks_from_rows
 from crackgrid.profile import ConcentrationProfile, concentration_profile
 
 
-def all_interior_faces(geom: GridGeometry) -> list[FaceId]:
+def all_interior_faces(geom: GridGeometry) -> list[tuple[int, ...]]:
+    """Every interior face as an ``(axis, *cell)`` crack row."""
     faces = []
     for axis in range(geom.dim):
         shp = list(geom.shape)
         shp[axis] -= 1
         for idx in np.ndindex(*shp):
-            faces.append(FaceId(axis, tuple(int(i) for i in idx)))
+            faces.append((axis, *(int(i) for i in idx)))
     return faces
 
 
@@ -42,7 +43,7 @@ def random_fixture(rng: np.random.Generator, dim: int | None = None,
     n_cracks = int(rng.integers(0, max(1, len(faces) // 6) + 1))
     idx = rng.choice(len(faces), size=min(n_cracks, len(faces)), replace=False)
     cracks = [faces[i] for i in idx]
-    return GridFunction(geom, values, cracks)
+    return GridFunction(geom, values, crack_masks_from_rows(geom, cracks))
 
 
 def random_mask(rng: np.random.Generator, geom: GridGeometry, p: float = 0.5) -> CellSet:
@@ -59,12 +60,7 @@ def jumpy_fixture(rng: np.random.Generator, shape=(16, 16), spacing: float = 0.2
     geom = GridGeometry((0.0, 0.0), spacing, shape)
     labels = rng.integers(0, levels, size=shape)
     values = labels.astype(float) * float(rng.integers(1, 4))
-    cracks = []
-    for axis in range(2):
-        d = np.diff(values, axis=axis)
-        for idx in np.argwhere(d != 0):
-            cracks.append(FaceId(axis, tuple(int(i) for i in idx)))
-    return GridFunction(geom, values, cracks)
+    return GridFunction(geom, values, [np.diff(values, axis=axis) != 0 for axis in range(2)])
 
 
 def dyadic_profile(rng: np.random.Generator, n_clusters: int) -> ConcentrationProfile:
@@ -90,7 +86,7 @@ def grid_profile(rng: np.random.Generator) -> ConcentrationProfile:
     v = random_fixture(rng, max_1d=64, max_2d=10) if rng.random() < 0.6 else \
         jumpy_fixture(rng, shape=(8, 8))
     geom = GridGeometry(v.geom.origin, float(rng.choice([0.1, 1 / 3, 0.25])), v.geom.shape)
-    u = GridFunction.from_masks(geom, v.values, [v.crack_mask(a) for a in range(geom.dim)])
+    u = GridFunction(geom, v.values, [v.crack_mask(a) for a in range(geom.dim)])
     domain = random_mask(rng, geom, 0.7) if rng.random() < 0.3 else None
     return concentration_profile(u, domain, float(rng.choice([1.0, 1 / 3, 0.5])))
 

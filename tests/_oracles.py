@@ -1,7 +1,7 @@
 """Face-by-face and breakpoint-by-breakpoint reference implementations for
 oracle tests.
 
-Each function walks ``FaceId`` objects, single cells, breakpoints or
+Each function walks ``(axis, *cell)`` face rows, single cells, breakpoints or
 intervals in plain Python loops, so it shares no code with the array
 arithmetic of the package it checks; the tests require the package to agree
 with it exactly.
@@ -13,44 +13,51 @@ import math
 
 import numpy as np
 
-from crackgrid.grid import CellSet, FaceId, GridFunction, GridGeometry
+from crackgrid.grid import CellSet, GridFunction, GridGeometry, crack_masks_from_rows
 from crackgrid.profile import ConcentrationProfile, _profile_faces
 
 
-def face_ids(masks) -> frozenset[FaceId]:
-    """The True entries of per-axis interior-face masks as ``FaceId`` objects."""
-    return frozenset(FaceId(axis, tuple(int(i) for i in idx))
+def upper_cell(face: tuple[int, ...]) -> tuple[int, ...]:
+    """The cell above the face ``(axis, *cell)``, whose lower cell is ``cell``."""
+    axis, cell = face[0], face[1:]
+    return tuple(c + (1 if k == axis else 0) for k, c in enumerate(cell))
+
+
+def face_ids(masks) -> frozenset[tuple[int, ...]]:
+    """The True entries of per-axis interior-face masks as ``(axis, *cell)`` rows."""
+    return frozenset((axis, *(int(i) for i in idx))
                      for axis, mask in enumerate(masks) for idx in np.argwhere(mask))
 
 
-def jump_faces(u: GridFunction) -> frozenset[FaceId]:
+def jump_faces(u: GridFunction) -> frozenset[tuple[int, ...]]:
     """Crack faces whose two adjacent values differ."""
-    return frozenset(f for f in u.cracks if u.values[f.cell] != u.values[f.upper_cell()])
+    return frozenset(f for f in u.cracks if u.values[f[1:]] != u.values[upper_cell(f)])
 
 
 def crack_rows(u: GridFunction) -> list[list[int]]:
     """The ``cracks`` field of the file format: sorted ``[axis, *cell]`` rows."""
-    return sorted([f.axis, *f.cell] for f in u.cracks)
+    return sorted(list(f) for f in u.cracks)
 
 
 def slice_line(u: GridFunction, axis: int, index: int) -> GridFunction:
     """1D section of a 2D function, its cracks found by scanning every crack."""
     other = 1 - axis
     geom = GridGeometry((u.geom.origin[axis],), u.geom.spacing, (u.geom.shape[axis],))
-    cracks = [FaceId(0, (f.cell[axis],)) for f in u.cracks
-              if f.axis == axis and f.cell[other] == index]
-    return GridFunction(geom, u.values.take(index, axis=other), cracks)
+    cracks = [[0, f[1 + axis]] for f in u.cracks
+              if f[0] == axis and f[1 + other] == index]
+    return GridFunction(geom, u.values.take(index, axis=other),
+                        crack_masks_from_rows(geom, cracks))
 
 
-def new_cracks(u: GridFunction, part) -> frozenset[FaceId]:
+def new_cracks(u: GridFunction, part) -> frozenset[tuple[int, ...]]:
     """Cracks of u united with every interior face between distinct partition labels."""
     cracks = set(u.cracks)
     for axis in range(u.geom.dim):
         for idx in np.ndindex(*u.geom.face_shape(axis)):
-            up = FaceId(axis, idx).upper_cell()
+            up = upper_cell((axis, *idx))
             if (part.label_kind[idx], part.label_index[idx]) != \
                     (part.label_kind[up], part.label_index[up]):
-                cracks.add(FaceId(axis, idx))
+                cracks.add((axis, *idx))
     return frozenset(cracks)
 
 
@@ -75,7 +82,7 @@ def boundary_face_keys(S: CellSet) -> set[tuple]:
 def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: float):
     """(boundary_measure, chain_rhs) of a vanishing certificate with the given cuts."""
     area = u.geom.face_area
-    jump = {("i", f.axis, f.cell) for f in jump_faces(u)}
+    jump = {("i", f[0], f[1:]) for f in jump_faces(u)}
     measure = len(jump | boundary_face_keys(region)) * area
     edges = [-math.inf, *cuts, math.inf]
     gaps = [boundary_face_keys(CellSet(u.geom, region.mask & (u.values > t - radius)

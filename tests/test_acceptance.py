@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from _fixtures import all_interior_faces, jumpy_fixture, random_fixture
+from _oracles import upper_cell
 from crackgrid.analysis import bubble_partition, lsc_report, vanishing_certificate
 from crackgrid.bubbles import extract_bubbles, track_sequence
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
@@ -20,6 +21,7 @@ from crackgrid.grid import (
     GridFunction,
     GridGeometry,
     boundary_outside_jump,
+    crack_masks_from_rows,
     energy,
     kyfan_distance,
     level_set,
@@ -90,7 +92,7 @@ def test_criterion_03_staircase_vanishing():
         f = concentration_profile(u, window=1.0)
         dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
         scores[n] = levy_concentration(dec.remainder, 1.0)[0]
-        region = vanishing_region(u, dec, radius=1.0)
+        region = vanishing_region(u, dec.bubbles, radius=1.0)
         ok &= region.volume() == 1.0 / n
         region_prof = concentration_profile(u, domain=region, window=1.0)
         eps_cert = levy_concentration(region_prof, 1.0)[0]
@@ -242,14 +244,15 @@ def test_criterion_10_mask_oracle_sweep():
     rng = np.random.default_rng(1010)
     faces = all_interior_faces(geom)
     u = GridFunction(geom, rng.integers(0, 3, size=(4, 4)).astype(float),
-                     [f for f in faces if rng.random() < 0.4])
+                     crack_masks_from_rows(geom, [f for f in faces if rng.random() < 0.4]))
     jump_pairs = set()
     interior_pairs = []
     for f in faces:
-        lo = f.cell[0] * 4 + f.cell[1]
-        up = f.upper_cell()[0] * 4 + f.upper_cell()[1]
+        cell, upper = f[1:], upper_cell(f)
+        lo = cell[0] * 4 + cell[1]
+        up = upper[0] * 4 + upper[1]
         interior_pairs.append((lo, up))
-        if f in u.cracks and u.values[f.cell] != u.values[f.upper_cell()]:
+        if f in u.cracks and u.values[cell] != u.values[upper]:
             jump_pairs.add((lo, up))
     box_cells = []
     for idx in np.ndindex(4, 4):

@@ -21,7 +21,7 @@ from crackgrid.analysis import (
 )
 from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
-from crackgrid.grid import CellSet, FaceId, GridFunction, GridGeometry, energy
+from crackgrid.grid import CellSet, GridFunction, GridGeometry, crack_masks_from_rows, energy
 from crackgrid.partition import vanishing_region
 from crackgrid.profile import concentration_profile, levy_concentration
 
@@ -47,7 +47,7 @@ class TestVanishingCertificate:
             u = fixture_staircase(n)
             f = concentration_profile(u)
             dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
-            region = vanishing_region(u, dec, radius=1.0)
+            region = vanishing_region(u, dec.bubbles, radius=1.0)
             assert region.volume() == pytest.approx(1 / n, abs=1e-15)
             cert = vanishing_certificate(u, region, eps=eps, radius=1.0)
             assert cert.measured_volume == pytest.approx(1 / n, abs=1e-15)
@@ -137,7 +137,7 @@ class TestVanishingCertificate:
         h = 1.0 / m
         geom = GridGeometry((0.0, 0.0), h, (m, m))
         values = 40.0 * np.arange(float(m * m)).reshape(m, m)
-        return GridFunction(geom, values, all_interior_faces(geom))
+        return GridFunction(geom, values, crack_masks_from_rows(geom, all_interior_faces(geom)))
 
     def test_bound_scales_linearly_in_eps(self):
         # fixed region volume, shrinking eps: the bound tracks eps to first order
@@ -246,7 +246,8 @@ class TestLscReport:
         m = geom.shape[0] // 2
         vals = np.zeros(geom.shape)
         vals[m:, :] = 1.0
-        limit = GridFunction(geom, vals, [FaceId(0, (m - 1, iy)) for iy in range(geom.shape[1])])
+        limit = GridFunction(geom, vals, crack_masks_from_rows(
+            geom, [[0, m - 1, iy] for iy in range(geom.shape[1])]))
         rep = lsc_report(seq, limit)
         assert rep.limit_directional[0] == 1.0
         assert rep.lsc_holds
@@ -256,15 +257,17 @@ class TestLscReport:
 
     def test_eta_detects_distant_jumps(self):
         geom = GridGeometry((0.0,), 1.0 / 8, (8,))
-        limit = GridFunction(geom, [0, 0, 0, 0, 1, 1, 1, 1.0], [FaceId(0, (3,))])
-        moved = GridFunction(geom, [0, 1, 1, 1, 1, 1, 1, 1.0], [FaceId(0, (0,))])
+        limit = GridFunction(geom, [0, 0, 0, 0, 1, 1, 1, 1.0],
+                             crack_masks_from_rows(geom, [[0, 3]]))
+        moved = GridFunction(geom, [0, 1, 1, 1, 1, 1, 1, 1.0],
+                             crack_masks_from_rows(geom, [[0, 0]]))
         rep = lsc_report([moved], limit)
         # jump sits 3 cells away: eta must grow beyond the 2h floor
         assert rep.eta[0] is not None and rep.eta[0] > 2 * geom.spacing
 
     def test_missing_jump_flagged(self):
         geom = GridGeometry((0.0,), 0.25, (4,))
-        limit = GridFunction(geom, [0, 0, 2, 2.0], [FaceId(0, (1,))])
+        limit = GridFunction(geom, [0, 0, 2, 2.0], crack_masks_from_rows(geom, [[0, 1]]))
         flat = GridFunction(geom, np.zeros(4))
         rep = lsc_report([flat], limit)
         assert rep.eta[0] is None
@@ -298,7 +301,7 @@ def _random_on(rng, geom: GridGeometry, crack_p: float) -> GridFunction:
     probability ``crack_p``."""
     values = np.round(rng.normal(0.0, 2.0, size=geom.shape) * 4) / 4
     masks = [rng.random(geom.face_shape(axis)) < crack_p for axis in range(geom.dim)]
-    return GridFunction.from_masks(geom, values, masks)
+    return GridFunction(geom, values, masks)
 
 
 class TestLscOracle:
@@ -356,13 +359,14 @@ class TestLscOracle:
         rows = GridGeometry((0.5, 0.25), 0.1, (10, 4))
         values = np.tile(np.arange(10.0), (4, 1)).T
         cracks = np.ones(rows.face_shape(0), dtype=bool)
-        limit = GridFunction.from_masks(rows, values, [cracks, np.zeros(rows.face_shape(1))])
+        uncracked = np.zeros(rows.face_shape(1), dtype=bool)
+        limit = GridFunction(rows, values, [cracks, uncracked])
         holed = cracks.copy()
         holed[:, 2] = False
-        seq = [GridFunction.from_masks(rows, values, [holed, np.zeros(rows.face_shape(1))])]
+        seq = [GridFunction(rows, values, [holed, uncracked])]
         rep = self.assert_matches(seq, limit)
         assert rep["eta"][0] is None and rep["seq_slice_counts"][0][0][2] == 0
-        line = GridFunction(geom, np.arange(10.0), [FaceId(0, (4,))])
+        line = GridFunction(geom, np.arange(10.0), crack_masks_from_rows(geom, [[0, 4]]))
         rep = self.assert_matches([GridFunction(geom, np.arange(10.0))], line)
         assert rep["eta"] == [None]
 
@@ -370,8 +374,8 @@ class TestLscOracle:
         # the limit jump at face 5 has sequence jumps exactly 0.75 away on both sides
         geom = GridGeometry((-0.5,), 0.25, (12,))
         values = np.arange(12.0)
-        limit = GridFunction(geom, values, [FaceId(0, (5,))])
-        seq = [GridFunction(geom, values, [FaceId(0, (2,)), FaceId(0, (8,))])]
+        limit = GridFunction(geom, values, crack_masks_from_rows(geom, [[0, 5]]))
+        seq = [GridFunction(geom, values, crack_masks_from_rows(geom, [[0, 2], [0, 8]]))]
         rep = self.assert_matches(seq, limit)
         assert rep["eta"] == [1.0]
 

@@ -187,6 +187,41 @@ def test_vanishing_hypothesis_violation_exits_2(tmp_path: Path):
     assert json.loads(res.stdout)["violations"]
 
 
+def _staircase_and_region(tmp_path: Path, n: int = 16) -> tuple[Path, dict]:
+    """A staircase fixture file and a cell-set document on its grid, all cells in."""
+    fx = run_cli("fixture", "staircase", "--n", str(n))
+    u_path = tmp_path / "u.json"
+    u_path.write_text(fx.stdout)
+    doc = json.loads(fx.stdout)
+    region = {k: doc[k] for k in ("version", "dim", "origin", "spacing", "shape")}
+    region["mask"] = [1] * len(doc["values"])
+    return u_path, region
+
+
+def test_vanishing_on_a_1d_grid_exits_1(tmp_path: Path):
+    u_path, region_path = tmp_path / "u.json", tmp_path / "region.json"
+    u_path.write_text(json.dumps({**ONE_D, "cracks": []}))
+    region = {k: ONE_D[k] for k in ("version", "dim", "origin", "spacing", "shape")}
+    region_path.write_text(json.dumps({**region, "mask": [1] * 8}))
+    res = run_cli("vanishing", str(u_path), "--region", str(region_path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "error:" in res.stderr and "2D" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_vanishing_region_on_another_grid_exits_1(tmp_path: Path):
+    u_path, region = _staircase_and_region(tmp_path)
+    region["spacing"] *= 2
+    region_path = tmp_path / "region.json"
+    region_path.write_text(json.dumps(region))
+    res = run_cli("vanishing", str(u_path), "--region", str(region_path), "--eps", "0.001")
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "error:" in res.stderr and str(region_path) in res.stderr
+    assert "invariant violation" not in res.stderr
+
+
 def write_manifest(tmp_path: Path, n_values, eps_ladder, limit=None) -> Path:
     paths = []
     for k, n in enumerate(n_values):
@@ -287,3 +322,71 @@ def test_json_write_read_write_is_byte_stable(tmp_path: Path):
     u = grid_function_from_dict(doc)
     again = grid_function_to_dict(u)
     assert json.dumps(again, sort_keys=True) == json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize("command", ["verify", "slice-lsc"])
+@pytest.mark.parametrize("key,value", [
+    ("eps_ladder", [1.5]),
+    ("eps_ladder", [0.2, 0.0]),
+    ("eps_ladder", 0.2),
+    ("eps_ladder", {"0.5": 1}),
+    ("p", 0.5),
+    ("p", None),
+    ("p", "abc"),
+    ("window", -1),
+    ("window", "abc"),
+    ("window", [1.0]),
+    ("ref_radius", 0),
+    ("gap_delta", float("inf")),
+    ("functions", "u0.json"),
+], ids=["ladder-range", "ladder-zero", "ladder-scalar", "ladder-object", "p-range", "p-null",
+        "p-text", "window-range", "window-text", "window-list", "ref-radius-zero",
+        "gap-delta-inf", "functions-string"])
+def test_bad_manifest_settings_exit_1(tmp_path: Path, command, key, value):
+    from crackgrid.fixtures import fixture_runaway
+    from crackgrid.grid import grid_function_to_dict
+
+    for k, n in enumerate((10.0, 100.0)):
+        (tmp_path / f"u{k}.json").write_text(json.dumps(grid_function_to_dict(fixture_runaway(n))))
+    mp = tmp_path / "manifest.json"
+    mp.write_text(json.dumps({"functions": ["u0.json", "u1.json"], "eps_ladder": [0.1],
+                              key: value}))
+    res = run_cli(command, str(mp))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "error:" in res.stderr
+    assert "invariant violation" not in res.stderr
+    assert "Traceback" not in res.stderr
+    assert key in res.stderr
+
+
+@pytest.mark.parametrize("what,field,value", [
+    ("function", "shape", [8.5, 4]),
+    ("function", "origin", [float("nan"), 0.0]),
+    ("function", "origin", [0.0, float("inf")]),
+    ("cell set", "shape", [8.5, 4]),
+    ("cell set", "origin", [float("nan"), 0.0]),
+    ("cell set", "mask", 0.7),
+    ("cell set", "mask", 1.0),
+    ("cell set", "mask", True),
+], ids=["function-shape", "function-nan-origin", "function-inf-origin", "set-shape",
+        "set-nan-origin", "set-mask-0.7", "set-mask-1.0", "set-mask-true"])
+def test_truncated_header_and_mask_fields_exit_1(tmp_path: Path, what, field, value):
+    from crackgrid.fixtures import fixture_runaway
+    from crackgrid.grid import grid_function_to_dict
+
+    doc = grid_function_to_dict(fixture_runaway(3.0, resolution=8))
+    domain = {k: doc[k] for k in ("version", "dim", "origin", "spacing", "shape")}
+    domain["mask"] = [1] * len(doc["values"])
+    target = doc if what == "function" else domain
+    if field == "mask":
+        target["mask"][5] = value
+    else:
+        target[field] = value
+    u_path, domain_path = tmp_path / "u.json", tmp_path / "domain.json"
+    u_path.write_text(json.dumps(doc))
+    domain_path.write_text(json.dumps(domain))
+    res = run_cli("profile", str(u_path), "--domain", str(domain_path))
+    assert res.returncode == 1
+    assert f"error: bad {'grid function' if what == 'function' else what}" in res.stderr
+    assert "Traceback" not in res.stderr

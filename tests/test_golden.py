@@ -94,6 +94,13 @@ def test_report_matches_golden(rel, argv, expected_code):
     assert text.encode("utf-8") == (GOLDEN / rel).read_bytes()
 
 
+def write_json(obj: dict, path: Path) -> None:
+    """Write an input file with the CLI's own JSON writer."""
+    from crackgrid.cli import _emit_json
+
+    _emit_json(obj, str(path))
+
+
 def _write_manifest_inputs() -> None:
     from crackgrid.fixtures import fixture_runaway, fixture_staircase
     from crackgrid.grid import (
@@ -101,7 +108,6 @@ def _write_manifest_inputs() -> None:
         GridFunction,
         cell_set_to_dict,
         grid_function_to_dict,
-        write_json,
     )
 
     stairs = GOLDEN / "stairs"
@@ -136,7 +142,7 @@ def _write_region_masks() -> None:
     """Vanishing-certificate regions: every other stair cell of the staircase
     (thin in the range), a block across the runaway crack (two heavy values)."""
     from crackgrid.fixtures import fixture_runaway, fixture_staircase
-    from crackgrid.grid import CellSet, cell_set_to_dict, write_json
+    from crackgrid.grid import CellSet, cell_set_to_dict
 
     for name, u in (("staircase16", fixture_staircase(16)), ("runaway1000", fixture_runaway(1000))):
         nx, ny = u.geom.shape

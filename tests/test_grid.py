@@ -9,13 +9,13 @@ from _oracles import kyfan_distance as oracle_kyfan_distance
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import (
     CellSet,
-    FaceId,
     GeometryMismatchError,
     GridFunction,
     GridGeometry,
     boundary_outside_jump,
     cell_set_from_dict,
     cell_set_to_dict,
+    crack_masks_from_rows,
     energy,
     grid_function_from_dict,
     grid_function_to_dict,
@@ -78,7 +78,7 @@ class TestEnergy:
 
     def test_bulk_matches_hand_sum(self):
         geom = GridGeometry((0.0,), 0.5, (4,))
-        u = GridFunction(geom, [0.0, 1.0, 3.0, 3.0], [FaceId(0, (1,))])
+        u = GridFunction(geom, [0.0, 1.0, 3.0, 3.0], crack_masks_from_rows(geom, [[0, 1]]))
         rep = energy(u, p=2.0)
         # faces: 0-1 quotient 2, 1-2 cracked (jump 2), 2-3 quotient 0
         assert rep.bulk == (2.0**2) * 0.5
@@ -137,10 +137,11 @@ class TestBoundaryOutsideJump:
         u = GridFunction(
             geom,
             rng.integers(0, 4, size=(8, 8)).astype(float),
-            [f for f in all_interior_faces(geom) if rng.random() < 0.3],
+            crack_masks_from_rows(geom, [f for f in all_interior_faces(geom)
+                                         if rng.random() < 0.3]),
         )
         S = random_mask(rng, geom)
-        jump = {("i", f.axis, f.cell) for f in jump_faces(u)}
+        jump = {("i", f[0], f[1:]) for f in jump_faces(u)}
         count = sum(1 for key in boundary_face_keys(S) if key[0] == "i" and key not in jump)
         assert boundary_outside_jump(S, u) == count * geom.face_area
 
@@ -338,7 +339,7 @@ class TestValidation:
     def test_crack_must_be_interior(self):
         geom = GridGeometry((0.0,), 1.0, (3,))
         with pytest.raises(ValueError):
-            GridFunction(geom, [0.0, 1.0, 2.0], [FaceId(0, (2,))])
+            GridFunction(geom, [0.0, 1.0, 2.0], crack_masks_from_rows(geom, [[0, 2]]))
 
     def test_cell_count_does_not_overflow(self):
         geom = GridGeometry((0.0, 0.0), 1.0, (2**32, 2**32))
@@ -353,3 +354,71 @@ class TestValidation:
     def test_spacing_positive(self):
         with pytest.raises(ValueError):
             GridGeometry((0.0,), 0.0, (4,))
+
+    def test_shape_entries_must_be_integers(self):
+        with pytest.raises(TypeError):
+            GridGeometry((0.0, 0.0), 1.0, (8.5, 4))
+        assert GridGeometry((0.0,), 1.0, (np.int64(4),)).shape == (4,)
+
+    @pytest.mark.parametrize("origin", [(float("nan"),), (float("inf"),), (-float("inf"),)])
+    def test_origin_finite(self, origin):
+        with pytest.raises(ValueError, match="origin"):
+            GridGeometry(origin, 1.0, (4,))
+
+    @pytest.mark.parametrize("entry", [0.7, 1.0, True, 2, -1, "1", None])
+    def test_cell_set_mask_entries_are_the_integers_0_or_1(self, entry):
+        doc = cell_set_to_dict(CellSet(GridGeometry((0.0,), 1.0, (3,)), [1, 0, 1]))
+        doc["mask"][1] = entry
+        with pytest.raises(ValueError, match="mask entries"):
+            cell_set_from_dict(doc)
+
+
+class TestConstructor:
+    """``GridFunction(geom, values, masks=None)``: the one way cracks get in."""
+
+    def test_cracks_are_the_written_rows(self):
+        rng = np.random.default_rng(31)
+        for _ in range(8):
+            u = random_fixture(rng, max_1d=64, max_2d=12)
+            rows = grid_function_to_dict(u)["cracks"]
+            assert u.cracks == {tuple(r) for r in rows}
+            assert len(u.cracks) == len(rows)
+            assert u.cracks is u.cracks  # derived once
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), (1, 1), (4, 3)])
+    def test_no_masks_means_no_cracks(self, shape):
+        geom = GridGeometry((0.0,) * len(shape), 0.5, shape)
+        u = GridFunction(geom, np.arange(float(np.prod(shape))))
+        assert u.cracks == frozenset()
+        assert energy(u).jump == 0.0
+        for k in range(geom.dim):
+            mask = u.crack_mask(k)
+            assert mask.dtype == bool and mask.shape == geom.face_shape(k)
+            assert not mask.any()
+            assert not mask.flags.writeable
+            with pytest.raises(ValueError):
+                mask[...] = True
+
+    @pytest.mark.parametrize("shape,masks", [
+        ((3,), [[0, 1]]),  # an old-style crack row, even where its length fits axis 0
+        ((4,), [[0, 1]]),
+        ((4, 3), [[0, 1, 2]]),
+        ((4, 3), [[0, 1, 2], [1, 0, 0]]),
+        ((4, 3), [np.zeros((3, 3), dtype=bool)]),  # one mask short
+        ((4,), [np.zeros(3, dtype=bool), np.zeros(3, dtype=bool)]),  # one mask too many
+        ((4,), [np.zeros(4, dtype=bool)]),  # cells, not faces
+        ((4,), [np.zeros(3)]),  # not boolean
+        ((4,), [np.zeros(3, dtype=int)]),
+    ], ids=["row-fits", "row-1d", "row-2d", "rows-2d", "short", "extra", "cell-shape",
+            "float-mask", "int-mask"])
+    def test_anything_but_one_boolean_mask_per_axis_rejected(self, shape, masks):
+        geom = GridGeometry((0.0,) * len(shape), 1.0, shape)
+        with pytest.raises(ValueError, match="one boolean mask per axis"):
+            GridFunction(geom, np.zeros(shape), masks)
+
+    def test_masks_are_kept_read_only(self):
+        geom = GridGeometry((0.0,), 1.0, (4,))
+        mask = np.array([False, True, False])
+        u = GridFunction(geom, [0.0, 1.0, 2.0, 3.0], [mask])
+        assert u.crack_mask(0) is mask and not mask.flags.writeable
+        assert u.cracks == {(0, 1)}

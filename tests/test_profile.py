@@ -6,14 +6,13 @@ import pytest
 import _oracles
 from _fixtures import jumpy_fixture, random_fixture, random_mask, random_profile
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
-from crackgrid.grid import CellSet, FaceId, GridFunction, GridGeometry
+from crackgrid.grid import CellSet, GridFunction, GridGeometry, crack_masks_from_rows
 from crackgrid.profile import (
     ConcentrationProfile,
     concentration_profile,
     jump_boundary_measure,
     levy_concentration,
     profile_to_csv,
-    trace_side_count,
     window_mass,
 )
 
@@ -30,7 +29,7 @@ def oracle_value(u: GridFunction, inside: np.ndarray, w: float, t: float) -> flo
             upper = tuple(i + (1 if k == axis else 0) for k, i in enumerate(idx))
             a, b = u.values[tuple(idx)], u.values[upper]
             ia, ib = inside[tuple(idx)], inside[upper]
-            is_crack = FaceId(axis, tuple(idx)) in crack_set
+            is_crack = (axis, *idx) in crack_set
             if ia and ib:
                 if is_crack:
                     if a != b:
@@ -80,7 +79,7 @@ class TestProfileConstruction:
         # jump from 0 to 5 at the midpoint of (0,1): two crack traces plus
         # two boundary traces give height 2 on each window, total mass 8
         geom = GridGeometry((0.0,), 0.25, (4,))
-        u = GridFunction(geom, [0.0, 0.0, 5.0, 5.0], [FaceId(0, (1,))])
+        u = GridFunction(geom, [0.0, 0.0, 5.0, 5.0], crack_masks_from_rows(geom, [[0, 1]]))
         f = concentration_profile(u, window=1.0)
         assert np.array_equal(f.breakpoints, [-1.0, 1.0, 4.0, 6.0])
         assert np.array_equal(f.plateau_values, [0.0, 2.0, 0.0, 2.0, 0.0])
@@ -88,7 +87,7 @@ class TestProfileConstruction:
 
     def test_healed_crack_contributes_nothing(self):
         geom = GridGeometry((0.0,), 0.5, (2,))
-        u = GridFunction(geom, [3.0, 3.0], [FaceId(0, (0,))])
+        u = GridFunction(geom, [3.0, 3.0], crack_masks_from_rows(geom, [[0, 0]]))
         f = concentration_profile(u, window=1.0)
         # only the two boundary traces remain
         assert np.array_equal(f.breakpoints, [2.0, 4.0])
@@ -130,8 +129,7 @@ class TestProfileConstruction:
             v = jumpy_fixture(rng, shape=(11, 9)) if k % 3 == 0 else \
                 random_fixture(rng, max_1d=160, max_2d=20)
             geom = GridGeometry(v.geom.origin, spacing, v.geom.shape)
-            u = GridFunction.from_masks(geom, v.values,
-                                        [v.crack_mask(a) for a in range(geom.dim)])
+            u = GridFunction(geom, v.values, [v.crack_mask(a) for a in range(geom.dim)])
             w = [1.0, 1 / 3, 0.1][k % 3]
             for dom in (None, random_mask(rng, geom)):
                 f = concentration_profile(u, domain=dom, window=w)
@@ -285,7 +283,8 @@ class TestProfileInvariants:
             for axis in range(u.geom.dim):
                 d = np.abs(u.face_delta(axis))[~u.crack_mask(axis)]
                 grad_mass += float(np.sum(d)) * u.geom.face_area
-            side_mass = 2 * w * trace_side_count(u) * u.geom.face_area
+            # one window per side of every jump face and per box face
+            side_mass = 2 * w * (u.jump_measure() + jump_boundary_measure(u))
             assert f.total_mass() == pytest.approx(grad_mass + side_mass, rel=1e-12)
 
     def test_translation_equivariance_exact(self):
@@ -340,7 +339,7 @@ class TestSurgery:
         v = random_fixture(rng, dim=2, max_2d=12)
         geom = GridGeometry(v.geom.origin, 0.1, v.geom.shape)
         f = concentration_profile(
-            GridFunction.from_masks(geom, v.values, [v.crack_mask(a) for a in range(2)]),
+            GridFunction(geom, v.values, [v.crack_mask(a) for a in range(2)]),
             window=1 / 3)
         bp, pv = f.breakpoints, f.plateau_values
         assert bp.size >= 4
