@@ -48,15 +48,26 @@ DATUM_OMEGA_RENORMALIZE = {
     "renormalize.json": [],
     "renormalize_perturb.json": ["--perturb"],
 }
+# side outputs: the file each command writes at ``--svg SIDE``
+SIDE = "SIDE"
+PER_FUNCTION_SVG = {
+    "profile.svg": ["profile", "--svg", SIDE],
+    "partition.svg": ["partition", "--svg", SIDE],
+}
+PER_MANIFEST_SVG = {
+    "verify.svg": ["verify", "--svg", SIDE],
+}
 
 
 def _cases() -> list[tuple[str, list[str], int]]:
-    """(golden path relative to GOLDEN, CLI argv, exit code) for every pinned report."""
+    """(golden path relative to GOLDEN, CLI argv, exit code) for every pinned
+    output.  The golden is the command's stdout, or the file it writes at the
+    path ``SIDE`` when argv names one."""
     cases = []
     for name, argv in FIXTURES.items():
         fixture = str(GOLDEN / name / "fixture.json")
         cases.append((f"{name}/fixture.json", argv, 0))
-        for out, cmd in PER_FUNCTION.items():
+        for out, cmd in {**PER_FUNCTION, **PER_FUNCTION_SVG}.items():
             cases.append((f"{name}/{out}", [cmd[0], fixture, *cmd[1:]], 0))
         region = str(GOLDEN / name / "region.json")
         for out, (eps, code) in VANISHING[name].items():
@@ -64,7 +75,7 @@ def _cases() -> list[tuple[str, list[str], int]]:
                           ["vanishing", fixture, "--region", region, "--eps", eps], code))
     for name in MANIFESTS:
         manifest = str(GOLDEN / name / "manifest.json")
-        for out, cmd in PER_MANIFEST.items():
+        for out, cmd in {**PER_MANIFEST, **PER_MANIFEST_SVG}.items():
             cases.append((f"{name}/{out}", [cmd[0], manifest, *cmd[1:]], 0))
     shifted = GOLDEN / "datum_omega"
     for out, flags in DATUM_OMEGA_RENORMALIZE.items():
@@ -75,23 +86,26 @@ def _cases() -> list[tuple[str, list[str], int]]:
     return cases
 
 
-def _run(argv: list[str]) -> tuple[int, str]:
+def _run(argv: list[str], side: Path) -> tuple[int, bytes]:
+    """Exit code and output bytes: the file written at ``side`` when argv
+    names ``SIDE``, else stdout."""
     from crackgrid.cli import main
 
     saved, sys.stdout = sys.stdout, io.StringIO()
     try:
-        code = main(argv)
-        return code, sys.stdout.getvalue()
+        code = main([str(side) if a == SIDE else a for a in argv])
+        text = sys.stdout.getvalue()
     finally:
         sys.stdout = saved
+    return code, side.read_bytes() if SIDE in argv else text.encode("utf-8")
 
 
 @pytest.mark.parametrize("rel,argv,expected_code", _cases(),
                          ids=[rel for rel, _, _ in _cases()])
-def test_report_matches_golden(rel, argv, expected_code):
-    code, text = _run(argv)
+def test_report_matches_golden(rel, argv, expected_code, tmp_path):
+    code, out = _run(argv, tmp_path / Path(rel).name)
     assert code == expected_code
-    assert text.encode("utf-8") == (GOLDEN / rel).read_bytes()
+    assert out == (GOLDEN / rel).read_bytes()
 
 
 def write_json(obj: dict, path: Path) -> None:
@@ -160,10 +174,10 @@ def regenerate() -> None:
     for rel, argv, expected_code in _cases():
         path = GOLDEN / rel
         path.parent.mkdir(parents=True, exist_ok=True)
-        code, text = _run(argv)
+        code, out = _run(argv, path)
         if code != expected_code:
             raise SystemExit(f"{rel}: exit code {code}, expected {expected_code}")
-        path.write_bytes(text.encode("utf-8"))
+        path.write_bytes(out)
 
 
 if __name__ == "__main__":
