@@ -46,7 +46,6 @@ from .grid import (
 )
 from .partition import (
     DomainPartition,
-    PartitionPiece,
     RadiusChoice,
     build_partition,
     perturbed_translation,
@@ -77,7 +76,6 @@ __all__ = [
     "GeometryMismatchError",
     "GridFunction",
     "GridGeometry",
-    "PartitionPiece",
     "RadiusChoice",
     "SequenceReport",
     "SliceLscReport",

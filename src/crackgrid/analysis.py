@@ -427,7 +427,7 @@ def bubble_partition(v: GridFunction, prof: ConcentrationProfile, eps: float, wi
     ``(decomposition, radii, partition)``."""
     dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
     radii = select_radii(prof, dec.bubbles, base_radius=ref_radius, width=window, window=window)
-    part = build_partition(v, dec.bubbles, radii, window=window, omega=omega)
+    part = build_partition(v, radii, window=window, omega=omega)
     return dec, radii, part
 
 

@@ -26,11 +26,13 @@ from .grid import (
     energy,
     grid_function_from_dict,
     grid_function_to_dict,
+    require_same_geometry,
 )
 from .partition import (
     KIND_GAP_MINUS,
     KIND_GAP_PLUS,
     KIND_MAIN,
+    KIND_VANISHING,
     build_partition,  # not called here: perfbench/spans.py rebinds the name in this module
     perturbed_translation,
     renormalize,
@@ -77,19 +79,24 @@ _POSITIVE, _EPS, _P = _real_in(0), _real_in(0, 1), _real_in(1)
 
 def _load_doc(path: str) -> dict:
     try:
-        if path == "-":
-            return json.load(sys.stdin)
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        doc = json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"bad document {path}: not a JSON object")
+    return doc
 
 
-def _load(path: str, what: str = "grid function"):
-    """The grid function, or with ``what="cell set"`` the cell set, in a JSON file."""
+def _load(path: str, what: str = "grid function", geom=None):
+    """The grid function, or with ``what="cell set"`` the cell set, in a JSON
+    file; with ``geom``, a side file that must lie on the main input's grid."""
     read = cell_set_from_dict if what == "cell set" else grid_function_from_dict
     try:
-        return read(_load_doc(path))
+        obj = read(_load_doc(path))
+        if geom is not None:
+            require_same_geometry(geom, obj.geom)
+        return obj
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad {what} {path}: {exc}") from exc
 
@@ -134,7 +141,8 @@ def _labels_svg(part, cell: int = 8) -> str:
     if len(shape) == 1:
         shape = (shape[0], 1)
     palette = {KIND_MAIN: ["#4477aa", "#66ccee", "#228833", "#ccbb44"],
-               KIND_GAP_PLUS: ["#ee6677"], KIND_GAP_MINUS: ["#aa3377"]}
+               KIND_GAP_PLUS: ["#ee6677"], KIND_GAP_MINUS: ["#aa3377"],
+               KIND_VANISHING: ["#dddddd"]}
     w, h = shape[0] * cell, shape[1] * cell
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">']
     kinds = np.atleast_2d(part.label_kind.reshape(shape))
@@ -142,10 +150,7 @@ def _labels_svg(part, cell: int = 8) -> str:
     for ix in range(shape[0]):
         for iy in range(shape[1]):
             kind, idx = int(kinds[ix, iy]), int(indices[ix, iy])
-            if kind in palette:
-                color = palette[kind][idx % len(palette[kind])]
-            else:
-                color = "#dddddd"  # vanishing
+            color = palette[kind][idx % len(palette[kind])]
             y = (shape[1] - 1 - iy) * cell
             parts.append(f'<rect x="{ix * cell}" y="{y}" width="{cell}" '
                          f'height="{cell}" fill="{color}"/>')
@@ -252,6 +257,8 @@ def _load_manifest(path: str):
     base = Path(path).parent if path != "-" else Path(".")
 
     def resolve(p):
+        if not isinstance(p, str):
+            raise InputError(f"manifest path {p!r} is not a string")
         q = Path(p)
         return str(q if q.is_absolute() else base / q)
 
@@ -264,22 +271,20 @@ def _load_manifest(path: str):
     names, ladder = doc.get("functions"), doc.get("eps_ladder", [0.2, 0.1])
     if not (isinstance(names, list) and isinstance(ladder, list)):
         raise InputError("manifest functions and eps_ladder must be lists")
-    functions = [_load(resolve(p)) for p in names]
-    if not functions:
+    if not names:
         raise InputError("manifest lists no functions")
-    datum = _load(resolve(doc["datum"])) if doc.get("datum") else None
-    omega = _load(resolve(doc["omega"]), "cell set") if doc.get("omega") else None
-    limit = _load(resolve(doc["limit"])) if doc.get("limit") else None
+    functions = [_load(resolve(names[0]))]
+    geom = functions[0].geom
+    functions += [_load(resolve(p), geom=geom) for p in names[1:]]
+    datum = _load(resolve(doc["datum"]), geom=geom) if doc.get("datum") else None
+    omega = _load(resolve(doc["omega"]), "cell set", geom) if doc.get("omega") else None
+    limit = _load(resolve(doc["limit"]), geom=geom) if doc.get("limit") else None
     settings = {key: setting(key, doc.get(key, default), parse) for key, default, parse in (
         ("p", 2.0, _P), ("window", 1.0, _POSITIVE), ("ref_radius", 1.0, _POSITIVE),
         ("gap_delta", 2.0, _POSITIVE))}
     ladder = settings["eps_ladder"] = [setting("eps_ladder", e, _EPS) for e in ladder]
     if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise InputError(f"eps ladder must be strictly decreasing, got {ladder}")
-    geom = functions[0].geom
-    for obj in [*functions[1:], datum, omega, limit]:
-        if obj is not None and obj.geom != geom:
-            raise InputError("manifest inputs have mismatched geometries")
     return functions, datum, omega, limit, settings
 
 
@@ -303,7 +308,7 @@ def _cmd_energy(args) -> int:
 
 def _cmd_profile(args) -> int:
     u = _load(args.input)
-    domain = _load(args.domain, "cell set") if args.domain else None
+    domain = _load(args.domain, "cell set", u.geom) if args.domain else None
     f = concentration_profile(u, domain=domain, window=args.window)
     if args.svg:
         Path(args.svg).write_text(profile_to_svg(f), encoding="utf-8")
@@ -321,7 +326,7 @@ def _cmd_profile(args) -> int:
 
 def _cmd_decompose(args) -> int:
     u = _load(args.input)
-    domain = _load(args.domain, "cell set") if args.domain else None
+    domain = _load(args.domain, "cell set", u.geom) if args.domain else None
     f = concentration_profile(u, domain=domain, window=args.window)
     dec = extract_bubbles(f, eps=args.eps, gap_delta=args.gap_delta,
                           ref_radius=args.ref_radius, max_bubbles=args.max_bubbles)
@@ -334,7 +339,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_partition(args) -> int:
     u = _load(args.input)
-    omega = _load(args.omega, "cell set") if args.omega else None
+    omega = _load(args.omega, "cell set", u.geom) if args.omega else None
     f = concentration_profile(u, domain=omega, window=args.window)
     dec, radii, part = bubble_partition(u, f, args.eps, args.window, args.ref_radius,
                                         args.gap_delta, omega)
@@ -352,8 +357,8 @@ def _cmd_partition(args) -> int:
 
 def _cmd_renormalize(args) -> int:
     u = _load(args.input)
-    datum = _load(args.datum) if args.datum else None
-    omega = _load(args.omega, "cell set") if args.omega else None
+    datum = _load(args.datum, geom=u.geom) if args.datum else None
+    omega = _load(args.omega, "cell set", u.geom) if args.omega else None
     v = u.subtract(datum) if datum is not None else u
     f = concentration_profile(v, domain=omega, window=args.window)
     _, _, part = bubble_partition(v, f, args.eps, args.window, args.ref_radius,
@@ -365,9 +370,9 @@ def _cmd_renormalize(args) -> int:
 
 def _cmd_vanishing(args) -> int:
     u = _load(args.input)
-    region = _load(args.region, "cell set")
-    if u.geom.dim != 2 or region.geom != u.geom:  # preconditions, not the hypothesis
-        raise InputError(f"vanishing needs a 2D grid shared by {args.input} and {args.region}")
+    region = _load(args.region, "cell set", u.geom)
+    if u.geom.dim != 2:  # a precondition, not the hypothesis
+        raise InputError(f"vanishing needs a 2D grid, {args.input} is {u.geom.dim}D")
     try:
         cert = vanishing_certificate(u, region, eps=args.eps, radius=args.radius,
                                      window=args.window)

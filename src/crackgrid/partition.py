@@ -103,18 +103,16 @@ def _interval_average(f: ConcentrationProfile, offsets, lo: float, hi: float) ->
 
 
 def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble], base_radius: float,
-                 width: float, window: float | None = None,
-                 per_side: bool = False, equal_radii: bool = False) -> list[RadiusChoice]:
+                 width: float, window: float | None = None) -> list[RadiusChoice]:
     """Choose per-bubble radii in [base_radius, base_radius + width) where the
-    profile is thin on both edges of the prospective gap bands.
+    profile is thin on both edges of the prospective gap bands; one choice per
+    bubble, in order.
 
     The objective at radius r adds the profile heights at the four band-edge
     levels center +- r and center +- (r + window); being piecewise constant
     it is minimized exactly over its plateaus, and the midpoint of the best
     plateau is returned so chosen thresholds avoid profile breakpoints.  The
     achieved minimum never exceeds the interval average (reported alongside).
-    With ``per_side`` the two sides are optimized independently; with
-    ``equal_radii`` one shared radius minimizes the summed objective.
     """
     if not width > 0:
         raise ValueError("width must be positive")
@@ -124,38 +122,11 @@ def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble], base_radius
     lo, hi = base_radius, base_radius + width
 
     out = []
-    if equal_radii and bubbles:
-        offsets = []
-        for b in bubbles:
-            offsets += [(1.0, b.center), (1.0, b.center + w),
-                        (-1.0, b.center), (-1.0, b.center - w)]
-        r, val = _best_radius(f, offsets, lo, hi)
-        avg = _interval_average(f, offsets, lo, hi)
-        return [RadiusChoice(b.center, r, r, val, avg) for b in bubbles]
     for b in bubbles:
-        plus = [(1.0, b.center), (1.0, b.center + w)]
-        minus = [(-1.0, b.center), (-1.0, b.center - w)]
-        if per_side:
-            rp, vp = _best_radius(f, plus, lo, hi)
-            rm, vm = _best_radius(f, minus, lo, hi)
-            avg = _interval_average(f, plus + minus, lo, hi)
-            out.append(RadiusChoice(b.center, rm, rp, vp + vm, avg))
-        else:
-            r, val = _best_radius(f, plus + minus, lo, hi)
-            avg = _interval_average(f, plus + minus, lo, hi)
-            out.append(RadiusChoice(b.center, r, r, val, avg))
+        offsets = [(1.0, b.center), (1.0, b.center + w), (-1.0, b.center), (-1.0, b.center - w)]
+        r, val = _best_radius(f, offsets, lo, hi)
+        out.append(RadiusChoice(b.center, r, r, val, _interval_average(f, offsets, lo, hi)))
     return out
-
-
-@dataclass(frozen=True)
-class PartitionPiece:
-    center: float
-    r_minus: float
-    r_plus: float
-
-    @property
-    def band(self) -> tuple[float, float]:
-        return self.center - self.r_minus, self.center + self.r_plus
 
 
 @dataclass(frozen=True)
@@ -172,15 +143,15 @@ class SetStats:
 class DomainPartition:
     """Cell labeling into main pieces, gap bands and vanishing slots."""
 
-    def __init__(self, u: GridFunction, pieces: Sequence[PartitionPiece],
+    def __init__(self, u: GridFunction, radii: Sequence[RadiusChoice],
                  window: float, omega: CellSet | None = None):
         self.geom = u.geom
         self.window = float(window)
-        self.pieces = tuple(sorted(pieces, key=lambda p: p.center))
+        self.pieces = tuple(sorted(radii, key=lambda p: p.center))
+        bands = [(p.center - p.r_minus, p.center + p.r_plus) for p in self.pieces]
         w = self.window
         edges = []
-        for p in self.pieces:
-            blo, bhi = p.band
+        for blo, bhi in bands:
             edges += [blo - w, blo, bhi, bhi + w]
         # widened bands may touch (shared edge) but must not overlap
         if any(b < a for a, b in zip(edges, edges[1:])):
@@ -190,8 +161,7 @@ class DomainPartition:
         self.datum_piece: int | None = None
         if omega is not None and not omega.mask.all():
             require_same_geometry(u.geom, omega.geom)
-            for j, p in enumerate(self.pieces):
-                blo, bhi = p.band
+            for j, (blo, bhi) in enumerate(bands):
                 if blo <= 0.0 < bhi:
                     self.datum_piece = j
                     break
@@ -295,17 +265,10 @@ class DomainPartition:
         }
 
 
-def build_partition(u: GridFunction, bubbles: Sequence[Bubble], radii: Sequence[RadiusChoice],
-                    window: float, omega: CellSet | None = None) -> DomainPartition:
-    """Label every cell by the bubble value bands; rejects overlapping bands."""
-    by_center = {rc.center: rc for rc in radii}
-    pieces = []
-    for b in bubbles:
-        rc = by_center.get(b.center)
-        if rc is None:
-            raise ValueError(f"no radius choice for bubble centered at {b.center}")
-        pieces.append(PartitionPiece(b.center, rc.r_minus, rc.r_plus))
-    return DomainPartition(u, pieces, window, omega)
+def build_partition(u: GridFunction, radii: Sequence[RadiusChoice], window: float,
+                    omega: CellSet | None = None) -> DomainPartition:
+    """Label every cell by the value bands of ``radii``; rejects overlapping bands."""
+    return DomainPartition(u, radii, window, omega)
 
 
 def renormalize(v: GridFunction, part: DomainPartition) -> GridFunction:

@@ -359,7 +359,7 @@ def label_arrays(u: GridFunction, part) -> tuple[np.ndarray, np.ndarray]:
 
     edges = []
     for p in part.pieces:
-        blo, bhi = p.band
+        blo, bhi = p.center - p.r_minus, p.center + p.r_plus
         edges += [blo - part.window, blo, bhi, bhi + part.window]
     kind = np.empty(u.geom.shape, dtype=np.uint8)
     index = np.empty(u.geom.shape, dtype=np.int32)

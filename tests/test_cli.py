@@ -390,3 +390,76 @@ def test_truncated_header_and_mask_fields_exit_1(tmp_path: Path, what, field, va
     assert res.returncode == 1
     assert f"error: bad {'grid function' if what == 'function' else what}" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+def _on_another_grid(doc: dict) -> dict:
+    return {**doc, "spacing": doc["spacing"] * 2}
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("profile", "--domain"),
+    ("decompose", "--domain"),
+    ("partition", "--omega"),
+    ("renormalize", "--datum"),
+    ("renormalize", "--omega"),
+])
+def test_side_file_on_another_grid_exits_1(tmp_path: Path, command, flag):
+    u_path, region = _staircase_and_region(tmp_path)
+    side = json.loads(u_path.read_text()) if flag == "--datum" else region
+    side_path = tmp_path / "side.json"
+    side_path.write_text(json.dumps(_on_another_grid(side)))
+    res = run_cli(command, str(u_path), flag, str(side_path))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert f"error: bad {'grid function' if flag == '--datum' else 'cell set'} {side_path}: " \
+           "geometry mismatch" in res.stderr
+    assert "invariant violation" not in res.stderr
+
+
+@pytest.mark.parametrize("command", ["verify", "slice-lsc"])
+@pytest.mark.parametrize("key", ["functions", "datum", "omega", "limit"])
+def test_manifest_entry_on_another_grid_exits_1(tmp_path: Path, command, key):
+    from crackgrid.fixtures import fixture_runaway
+    from crackgrid.grid import CellSet, cell_set_to_dict, grid_function_to_dict
+
+    u = fixture_runaway(10.0)
+    side = cell_set_to_dict(CellSet(u.geom, [1] * u.geom.num_cells)) if key == "omega" \
+        else grid_function_to_dict(u)
+    for name, doc in (("u0.json", grid_function_to_dict(u)), ("u1.json", grid_function_to_dict(u)),
+                      ("side.json", _on_another_grid(side))):
+        (tmp_path / name).write_text(json.dumps(doc))
+    manifest = {"functions": ["u0.json", "u1.json"], "eps_ladder": [0.1]}
+    if key == "functions":
+        manifest["functions"].append("side.json")
+    else:
+        manifest[key] = "side.json"
+    mp = tmp_path / "manifest.json"
+    mp.write_text(json.dumps(manifest))
+    res = run_cli(command, str(mp))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert f"error: bad {'cell set' if key == 'omega' else 'grid function'} " \
+           f"{tmp_path / 'side.json'}: geometry mismatch" in res.stderr
+
+
+@pytest.mark.parametrize("argv,doc", [
+    (["verify"], []),
+    (["verify"], {"functions": [3]}),
+    (["verify"], {"functions": ["u.json"], "datum": 3}),
+    (["energy"], []),
+    (["energy"], "x"),
+    (["profile", "u.json", "--domain"], []),
+], ids=["verify-list", "verify-function-int", "verify-datum-int", "energy-list",
+        "energy-string", "profile-domain-list"])
+def test_document_that_is_not_an_object_exits_1(tmp_path: Path, argv, doc):
+    from crackgrid.fixtures import fixture_runaway
+    from crackgrid.grid import grid_function_to_dict
+
+    (tmp_path / "u.json").write_text(json.dumps(grid_function_to_dict(fixture_runaway(10.0))))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    res = run_cli(*[str(tmp_path / a) if a == "u.json" else a for a in argv], str(bad))
+    assert res.returncode == 1
+    assert res.stdout == ""
+    assert "error:" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+# argv placeholder for a side output path: the golden is the file written there
+SIDE = "SIDE"
 
 FIXTURES = {
     "staircase16": ["fixture", "staircase", "--n", "16"],
@@ -30,6 +32,8 @@ PER_FUNCTION = {
     "partition.csv": ["partition", "--format", "csv"],
     "renormalize.json": ["renormalize"],
     "renormalize_perturb.json": ["renormalize", "--perturb"],
+    "profile.svg": ["profile", "--svg", SIDE],
+    "partition.svg": ["partition", "--svg", SIDE],
 }
 # (eps, exit code) of the certified and the violating vanishing report per
 # fixture, both on the fixture's committed region.json
@@ -42,20 +46,12 @@ PER_MANIFEST = {
     "verify.json": ["verify"],
     "verify.csv": ["verify", "--format", "csv"],
     "slice_lsc.json": ["slice-lsc"],
+    "verify.svg": ["verify", "--svg", SIDE],
 }
 # renormalize one displaced plate against the manifest's datum and omega
 DATUM_OMEGA_RENORMALIZE = {
     "renormalize.json": [],
     "renormalize_perturb.json": ["--perturb"],
-}
-# side outputs: the file each command writes at ``--svg SIDE``
-SIDE = "SIDE"
-PER_FUNCTION_SVG = {
-    "profile.svg": ["profile", "--svg", SIDE],
-    "partition.svg": ["partition", "--svg", SIDE],
-}
-PER_MANIFEST_SVG = {
-    "verify.svg": ["verify", "--svg", SIDE],
 }
 
 
@@ -67,7 +63,7 @@ def _cases() -> list[tuple[str, list[str], int]]:
     for name, argv in FIXTURES.items():
         fixture = str(GOLDEN / name / "fixture.json")
         cases.append((f"{name}/fixture.json", argv, 0))
-        for out, cmd in {**PER_FUNCTION, **PER_FUNCTION_SVG}.items():
+        for out, cmd in PER_FUNCTION.items():
             cases.append((f"{name}/{out}", [cmd[0], fixture, *cmd[1:]], 0))
         region = str(GOLDEN / name / "region.json")
         for out, (eps, code) in VANISHING[name].items():
@@ -75,7 +71,7 @@ def _cases() -> list[tuple[str, list[str], int]]:
                           ["vanishing", fixture, "--region", region, "--eps", eps], code))
     for name in MANIFESTS:
         manifest = str(GOLDEN / name / "manifest.json")
-        for out, cmd in {**PER_MANIFEST, **PER_MANIFEST_SVG}.items():
+        for out, cmd in PER_MANIFEST.items():
             cases.append((f"{name}/{out}", [cmd[0], manifest, *cmd[1:]], 0))
     shifted = GOLDEN / "datum_omega"
     for out, flags in DATUM_OMEGA_RENORMALIZE.items():

@@ -34,8 +34,8 @@ from crackgrid.partition import (
     KIND_GAP_PLUS,
     KIND_MAIN,
     KIND_VANISHING,
-    PartitionPiece,
     DomainPartition,
+    RadiusChoice,
     build_partition,
     perturbed_translation,
     renormalize,
@@ -56,7 +56,7 @@ class TestSelectRadii:
     def test_flat_profile_picks_midpoint(self):
         f = ConcentrationProfile.empty()
         bubbles = [type("B", (), {"center": 0.0})()]
-        choices = select_radii(f, [PartitionPiece(0.0, 1.0, 1.0)], 1.0, 1.0)
+        choices = select_radii(f, [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0)], 1.0, 1.0)
         # zero profile: any radius works, midpoint chosen, achieved value 0
         [c] = choices
         assert c.r_plus == 1.5 and c.r_minus == 1.5
@@ -72,22 +72,8 @@ class TestSelectRadii:
         # radius lands outside the spike's plateau
         f = ConcentrationProfile.from_intervals(
             [(1.25, 1.5, 8.0), (0.0, 4.0, 0.25)])
-        [c] = select_radii(f, [PartitionPiece(0.0, 1.0, 1.0)], 1.0, 1.0, window=1.0)
+        [c] = select_radii(f, [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0)], 1.0, 1.0, window=1.0)
         assert not (1.25 <= c.r_plus < 1.5)
-
-    def test_equal_radii_mode(self):
-        _, f, dec, _, _ = staircase_pipeline(16)
-        choices = select_radii(f, dec.bubbles, 1.0, 1.0, window=1.0, equal_radii=True)
-        rs = {(c.r_minus, c.r_plus) for c in choices}
-        assert len(rs) == 1
-
-    def test_per_side_mode(self):
-        f = ConcentrationProfile.from_intervals(
-            [(1.2, 1.4, 5.0), (-4.0, 4.0, 0.125)])
-        [c] = select_radii(f, [PartitionPiece(0.0, 1.0, 1.0)], 1.0, 1.0,
-                           window=1.0, per_side=True)
-        # the spike sits on the plus side only; minus side is free to differ
-        assert not (1.2 <= c.r_plus < 1.4)
 
     def test_achieved_matches_fine_scan_oracle(self):
         rng = np.random.default_rng(55)
@@ -97,7 +83,7 @@ class TestSelectRadii:
             f = ConcentrationProfile.from_intervals(parts)
             center = float(rng.uniform(-2, 2))
             w = 1.0
-            [c] = select_radii(f, [PartitionPiece(center, 1.0, 1.0)], 1.0, 1.0, window=w)
+            [c] = select_radii(f, [RadiusChoice(center, 1.0, 1.0, 0.0, 0.0)], 1.0, 1.0, window=w)
 
             def objective(r):
                 return (f.value_at(center + r) + f.value_at(center + r + w)
@@ -110,19 +96,16 @@ class TestSelectRadii:
 
 
 class TestSelectRadiiOracle:
-    """The array objective against the breakpoint-by-breakpoint loop, in all
-    three modes, with every ``RadiusChoice`` field compared exactly."""
-
-    MODES = [{}, {"per_side": True}, {"equal_radii": True}]
+    """The array objective against the breakpoint-by-breakpoint loop, with
+    every ``RadiusChoice`` field compared exactly."""
 
     def assert_matches_loop(self, monkeypatch, f, bubbles, base_radius, width, window):
-        for mode in self.MODES:
-            fast = select_radii(f, bubbles, base_radius, width, window=window, **mode)
-            with monkeypatch.context() as m:
-                m.setattr(partition, "_best_radius", best_radius)
-                slow = select_radii(f, bubbles, base_radius, width, window=window, **mode)
-            assert fast == slow
-            assert all(type(x) is float for c in fast for x in c.as_dict().values())
+        fast = select_radii(f, bubbles, base_radius, width, window=window)
+        with monkeypatch.context() as m:
+            m.setattr(partition, "_best_radius", best_radius)
+            slow = select_radii(f, bubbles, base_radius, width, window=window)
+        assert fast == slow
+        assert all(type(x) is float for c in fast for x in c.as_dict().values())
 
     def test_dyadic_profiles_with_ties_and_edge_breakpoints(self, monkeypatch):
         rng = np.random.default_rng(404)
@@ -134,7 +117,7 @@ class TestSelectRadiiOracle:
                                     rng.integers(1, 4, n) / 2])
             f = ConcentrationProfile.from_intervals(rows)
             centers = rng.integers(-12, 12, int(rng.integers(1, 4))) / 4
-            bubbles = [PartitionPiece(float(c), 1.0, 1.0) for c in centers]
+            bubbles = [RadiusChoice(float(c), 1.0, 1.0, 0.0, 0.0) for c in centers]
             base, width = float(rng.choice([0.5, 1.0])), float(rng.choice([0.5, 1.0, 2.0]))
             w = float(rng.choice([0.5, 1.0]))
             self.assert_matches_loop(monkeypatch, f, bubbles, base, width, w)
@@ -148,7 +131,7 @@ class TestSelectRadiiOracle:
         assert ties and edges
 
     def test_empty_profile(self, monkeypatch):
-        bubbles = [PartitionPiece(0.0, 1.0, 1.0), PartitionPiece(5.0, 1.0, 1.0)]
+        bubbles = [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0), RadiusChoice(5.0, 1.0, 1.0, 0.0, 0.0)]
         self.assert_matches_loop(monkeypatch, ConcentrationProfile.empty(), bubbles,
                                  1.0, 1.0, 1.0)
 
@@ -178,7 +161,7 @@ class TestPartitionStatsOracle:
             r_minus, r_plus = (float(rng.choice([0.25, 0.5, 1.0, 0.3])) for _ in range(2))
             t += float(rng.choice([0.0, 0.25, 1.0, rng.uniform(0.0, 3.0)])) + w
             center = t + r_minus
-            pieces.append(PartitionPiece(center, r_minus, r_plus))
+            pieces.append(RadiusChoice(center, r_minus, r_plus, 0.0, 0.0))
             t = center + r_plus + w
         return u, DomainPartition(u, pieces, window=w)
 
@@ -224,7 +207,7 @@ class TestBuildPartition:
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
         radii = select_radii(f, dec.bubbles, 1.0, 1.0)
-        part = build_partition(u, dec.bubbles, radii, window=1.0)
+        part = build_partition(u, radii, window=1.0)
         assert part.volume_by_kind(KIND_MAIN) == 2.0
         assert part.volume_by_kind(KIND_GAP_PLUS) == 0.0
         assert part.volume_by_kind(KIND_GAP_MINUS) == 0.0
@@ -238,7 +221,7 @@ class TestBuildPartition:
         u, f, dec, radii, part = staircase_pipeline(n)
         bands = []
         for p in part.pieces:
-            blo, bhi = p.band
+            blo, bhi = p.center - p.r_minus, p.center + p.r_plus
             bands.append((blo - part.window, bhi + part.window))
         expected = 0
         for v in u.values.ravel():
@@ -253,7 +236,7 @@ class TestBuildPartition:
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
         radii = select_radii(f, dec.bubbles, 1.0, 1.0)
-        part = build_partition(u, dec.bubbles, radii, window=1.0)
+        part = build_partition(u, radii, window=1.0)
         assert part.volume_by_kind(KIND_MAIN) == 1.0
         assert len(part.pieces) == 1
 
@@ -265,7 +248,7 @@ class TestBuildPartition:
 
     def test_overlapping_bands_rejected(self):
         u = fixture_runaway(2.0)  # values 0 and 2: bands at radius 1.5 overlap
-        pieces = [PartitionPiece(0.0, 1.5, 1.5), PartitionPiece(2.0, 1.5, 1.5)]
+        pieces = [RadiusChoice(0.0, 1.5, 1.5, 0.0, 0.0), RadiusChoice(2.0, 1.5, 1.5, 0.0, 0.0)]
         with pytest.raises(ValueError, match="overlap"):
             DomainPartition(u, pieces, window=1.0)
 
@@ -278,7 +261,7 @@ class TestBuildPartition:
         area = u.geom.face_area
         bands = []
         for p in part.pieces:
-            blo, bhi = p.band
+            blo, bhi = p.center - p.r_minus, p.center + p.r_plus
             bands.append((bhi, bhi + part.window))
             bands.append((blo - part.window, blo))
 
@@ -317,7 +300,7 @@ class TestRenormalize:
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
         radii = select_radii(f, dec.bubbles, 1.0, 1.0)
-        part = build_partition(u, dec.bubbles, radii, window=1.0)
+        part = build_partition(u, radii, window=1.0)
         w = renormalize(u, part)
         assert np.all(w.values == 0.0)
         zero = u.with_values(np.zeros(u.geom.shape))
@@ -338,7 +321,7 @@ class TestRenormalize:
             f = concentration_profile(u)
             dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
             radii = select_radii(f, dec.bubbles, 1.0, 1.0)
-            part = build_partition(u, dec.bubbles, radii, window=1.0)
+            part = build_partition(u, radii, window=1.0)
             w = renormalize(u, part)
             assert w.jump_measure() <= u.jump_measure() + part.outside_jump + 1e-12
 
@@ -351,7 +334,7 @@ class TestRenormalize:
             f = concentration_profile(u)
             dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
             radii = select_radii(f, dec.bubbles, 1.0, 1.0) if dec.bubbles else []
-            part = build_partition(u, dec.bubbles, radii, window=1.0)
+            part = build_partition(u, radii, window=1.0)
             w = renormalize(u, part)
             assert w.cracks == new_cracks(u, part)
             assert perturbed_translation(u, part).cracks == w.cracks
@@ -365,7 +348,7 @@ class TestRenormalize:
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
         radii = select_radii(f, dec.bubbles, 1.0, 1.0)
-        part = build_partition(u, dec.bubbles, radii, window=1.0)
+        part = build_partition(u, radii, window=1.0)
         w = renormalize(u, part)
         # bulk only lives on non-crack faces interior to pieces, where the
         # translation cancels; everywhere else w is constant per label
@@ -386,7 +369,7 @@ class TestRenormalize:
 
     def test_identity_when_single_zero_piece(self):
         u = fixture_staircase(4)
-        part = DomainPartition(u, [PartitionPiece(0.0, 50.0, 50.0)], window=1.0)
+        part = DomainPartition(u, [RadiusChoice(0.0, 50.0, 50.0, 0.0, 0.0)], window=1.0)
         w = renormalize(u, part)
         assert np.array_equal(w.values, u.values)
         assert w.cracks == u.cracks
@@ -409,7 +392,7 @@ class TestRenormalize:
         f = concentration_profile(v, window=1.0)
         dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
         radii = select_radii(f, dec.bubbles, 1.0, 1.0)
-        part = build_partition(v, dec.bubbles, radii, window=1.0, omega=omega)
+        part = build_partition(v, radii, window=1.0, omega=omega)
         assert part.datum_piece is not None
         w = renormalize(u.subtract(datum), part)
         assert np.all(w.values[~omega_mask] == 0.0)
@@ -421,7 +404,7 @@ class TestPerturbedTranslation:
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
         radii = select_radii(f, dec.bubbles, 1.0, 1.0)
-        part = build_partition(u, dec.bubbles, radii, window=1.0)
+        part = build_partition(u, radii, window=1.0)
         w = perturbed_translation(u, part)
         assert w.jump_measure() == 1.0  # the single interface, forced to jump
 
@@ -432,7 +415,7 @@ class TestPerturbedTranslation:
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
         radii = select_radii(f, dec.bubbles, 1.0, 1.0)
-        part = build_partition(u, dec.bubbles, radii, window=1.0)
+        part = build_partition(u, radii, window=1.0)
         plain = renormalize(u, part)
         assert plain.jump_measure() == 0.0
         forced = perturbed_translation(u, part)
@@ -446,7 +429,7 @@ class TestPerturbedTranslation:
             f = concentration_profile(u)
             dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
             radii = select_radii(f, dec.bubbles, 1.0, 1.0)
-            part = build_partition(u, dec.bubbles, radii, window=1.0)
+            part = build_partition(u, radii, window=1.0)
             w = perturbed_translation(u, part)
             # exact identity: partition boundaries plus jump faces interior
             # to the main pieces (aggregate-interior jumps heal)
