@@ -531,10 +531,12 @@ def compactness_report(functions: Sequence[GridFunction],
             parts.append(part)
             renorms.append(w)
         rest_masks[eps] = [part.rest_mask() for part in parts]
-        lim = limit if limit is not None else renorms[-1]
+        if limit is None:  # the last renormalized function, whose pairings are at hand
+            lim, lim_pairings = renorms[-1], entries[-1]["pairings"]
+        else:
+            lim, lim_pairings = limit, gradient_pairings(limit)
         consecutive = [kyfan_distance(a, b) for a, b in zip(renorms, renorms[1:])]
         to_limit = [kyfan_distance(w, lim) for w in renorms]
-        lim_pairings = gradient_pairings(lim)
         pairing_report = {}
         for key in lim_pairings:
             series = [e["pairings"][key] for e in entries]

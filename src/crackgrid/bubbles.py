@@ -215,9 +215,15 @@ class _LevyScan:
     [a, b] and may add a and b, so every candidate it adds or removes, and
     the keep-out (lo, hi), lies in the zone [min(lo, a - r), max(hi, b + r)]
     (rounding is monotone).  The scanned candidates in the zone are dropped;
-    the current candidates inside all zones form the small ``near`` set,
-    scored directly.  Elsewhere a zeroing shifts the slots above b and
-    changes the plateau terms only of the slots in [i0, i1] it touches.
+    elsewhere a zeroing shifts the slots above b and changes the plateau
+    terms only of the slots in [i0, i1] it touches.
+
+    The current candidates inside the union of the zones (breakpoints +- r
+    and keep-out edges, none inside an open keep-out) form the small sorted
+    ``near`` set, scored directly.  A zeroing changes candidates only inside
+    its own zone, and its keep-out lies there too, so only that zone's part
+    of ``near`` is built again; the points outside it stay valid, even where
+    zones overlap.
     """
 
     def __init__(self, f: ConcentrationProfile, radius: float):
@@ -245,9 +251,10 @@ class _LevyScan:
         if f.breakpoints.size == 0:
             return 0.0, 0.0
         below = f._cum0[self.k] + self.term
+        near_below = f.mass_below(np.stack([near + r, near - r]))
         best = []  # the first maximum of each candidate set
         for centers, masses in ((self.centers, below[0] - below[1]),
-                                (near, f.mass_below(near + r) - f.mass_below(near - r))):
+                                (near, near_below[0] - near_below[1])):
             if centers.size:
                 j = int(np.argmax(masses))
                 best.append((float(masses[j]), float(centers[j])))
@@ -264,10 +271,11 @@ class _LevyScan:
             self._rescan = False
             self._scan()
         else:
-            gone = np.s_[self.centers.searchsorted(z_lo, side="left"):
-                         self.centers.searchsorted(z_hi, side="right")]
+            c0 = int(self.centers.searchsorted(z_lo, side="left"))
+            c1 = int(self.centers.searchsorted(z_hi, side="right"))
             self.centers, self.q, self.k, self.term = (
-                np.delete(x, gone, axis=-1) for x in (self.centers, self.q, self.k, self.term))
+                np.concatenate([x[..., :c0], x[..., c1:]], axis=-1)
+                for x in (self.centers, self.q, self.k, self.term))
             bp = old.breakpoints
             i0 = int(bp.searchsorted(a, side="left"))
             i1 = int(bp.searchsorted(b, side="right"))
@@ -278,21 +286,21 @@ class _LevyScan:
                 k[j1:] += shift
                 k[j0:j1] = new.breakpoints.searchsorted(q[j0:j1], side="right")
                 term[j0:j1] = new._plateau_term(k[j0:j1], q[j0:j1])
-        self._regenerate_near()
+        self._update_near(z_lo, z_hi)
 
-    def _regenerate_near(self) -> None:
-        """The current candidates inside the zones: breakpoints +- r and keep-out edges."""
-        bp, r = self.f.breakpoints, self.radius
-        z_lo, z_hi = np.array(self.zones).T
+    def _update_near(self, z_lo: float, z_hi: float) -> None:
+        """Build the part of ``near`` in the new zone [z_lo, z_hi] again."""
+        bp, r, near = self.f.breakpoints, self.radius, self.near
         edges = np.array(self.edges)
-        parts = [edges]
+        parts = [edges[(edges >= z_lo) & (edges <= z_hi)]]
         for vals in (bp - r, bp + r):
-            starts = vals.searchsorted(z_lo, side="left").tolist()
-            stops = vals.searchsorted(z_hi, side="right").tolist()
-            parts += [vals[i:j] for i, j in zip(starts, stops)]
-        near = np.unique(np.concatenate(parts))
+            parts.append(vals[vals.searchsorted(z_lo, side="left"):
+                              vals.searchsorted(z_hi, side="right")])
+        zone = np.unique(np.concatenate(parts))
         lo, hi = edges[0::2], edges[1::2]
-        self.near = near[~np.any((near[:, None] > lo) & (near[:, None] < hi), axis=1)]
+        zone = zone[~np.any((zone[:, None] > lo) & (zone[:, None] < hi), axis=1)]
+        self.near = np.concatenate([near[:near.searchsorted(z_lo, side="left")], zone,
+                                    near[near.searchsorted(z_hi, side="right"):]])
 
 
 def classify(f: ConcentrationProfile, eps: float, ref_radius: float,

@@ -268,6 +268,10 @@ def _load_manifest(path: str):
         except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise InputError(f"manifest {key}: {exc}") from exc
 
+    def side(key, what="grid function"):
+        # null is absent, as in the README's example; anything else must be a path
+        return None if doc.get(key) is None else _load(resolve(doc[key]), what, geom)
+
     names, ladder = doc.get("functions"), doc.get("eps_ladder", [0.2, 0.1])
     if not (isinstance(names, list) and isinstance(ladder, list)):
         raise InputError("manifest functions and eps_ladder must be lists")
@@ -276,9 +280,7 @@ def _load_manifest(path: str):
     functions = [_load(resolve(names[0]))]
     geom = functions[0].geom
     functions += [_load(resolve(p), geom=geom) for p in names[1:]]
-    datum = _load(resolve(doc["datum"]), geom=geom) if doc.get("datum") else None
-    omega = _load(resolve(doc["omega"]), "cell set", geom) if doc.get("omega") else None
-    limit = _load(resolve(doc["limit"]), geom=geom) if doc.get("limit") else None
+    datum, omega, limit = side("datum"), side("omega", "cell set"), side("limit")
     settings = {key: setting(key, doc.get(key, default), parse) for key, default, parse in (
         ("p", 2.0, _P), ("window", 1.0, _POSITIVE), ("ref_radius", 1.0, _POSITIVE),
         ("gap_delta", 2.0, _POSITIVE))}
@@ -316,8 +318,8 @@ def _cmd_profile(args) -> int:
         _emit(profile_to_csv(f), args.out)
     else:
         _emit_json({
-            "breakpoints": [float(x) for x in f.breakpoints],
-            "plateau_values": [float(x) for x in f.plateau_values],
+            "breakpoints": f.breakpoints.tolist(),
+            "plateau_values": f.plateau_values.tolist(),
             "window": f.window,
             "total_mass": f.total_mass(),
         }, args.out)

@@ -306,28 +306,26 @@ def boundary_outside_jump(S: CellSet, u: GridFunction) -> float:
 def kyfan_distance(u: GridFunction, v: GridFunction) -> float:
     """Ky Fan metric inf{d > 0 : vol(|u - v| > d) <= d} for convergence in measure.
 
-    Computed exactly by scanning the sorted distinct values of |u - v|
-    against the cumulative cell volume.
+    Computed exactly from the sorted distinct values of |u - v| and the
+    cumulative cell volume: on the segment [prev, level) below each distinct
+    level the volume above is constant, and the first segment where it is
+    at most prev, or below level, gives the distance.
     """
     require_same_geometry(u.geom, v.geom)
     diff = np.abs(u.values - v.values).ravel()
     cell_vol = u.geom.cell_volume
     levels, counts = np.unique(diff, return_counts=True)  # ascending
-    # Volume strictly above each candidate threshold.
+    # Volume strictly above each level.
     above = (diff.size - np.cumsum(counts)) * cell_vol
-    # Segment [0, levels[0]): vol above is everything >= levels[0] unless level 0.
-    prev = 0.0
-    vol_above_prev = diff.size * cell_vol if levels[0] > 0 else above[0]
-    for lev, vol in zip(levels, above):
-        # On [prev, lev) the exceedance volume is vol_above_prev.
-        if vol_above_prev <= prev:
-            return prev
-        if vol_above_prev < lev:
-            return vol_above_prev
-        prev = float(lev)
-        vol_above_prev = float(vol)
-    # Beyond the largest value the exceedance volume is 0.
-    return prev
+    # Below the first level the volume above is everything, unless that level is 0.
+    prev = np.concatenate([[0.0], levels[:-1]])
+    vol = np.concatenate([[diff.size * cell_vol if levels[0] > 0 else above[0]], above[:-1]])
+    stop = (vol <= prev) | (vol < levels)
+    i = int(np.argmax(stop))
+    if not stop[i]:
+        # Beyond the largest value the volume above is 0.
+        return float(levels[-1])
+    return float(prev[i] if vol[i] <= prev[i] else vol[i])
 
 
 # --- file format -----------------------------------------------------------
@@ -345,7 +343,7 @@ def _crack_rows(u: GridFunction) -> list[list[int]]:
 
 
 def grid_function_to_dict(u: GridFunction) -> dict:
-    return {**_header(u.geom), "values": [float(x) for x in u.values.ravel()],
+    return {**_header(u.geom), "values": u.values.ravel().tolist(),
             "cracks": _crack_rows(u)}
 
 

@@ -66,40 +66,7 @@ class RadiusChoice:
         }
 
 
-def _objective_pieces(f: ConcentrationProfile, offsets: Sequence[tuple[float, float]],
-                      lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-    """Piecewise-constant objective r -> sum_k sign_k-shifted profile values.
-
-    ``offsets`` holds (scale, shift) pairs meaning the term f(scale*r + shift)
-    with scale in {+1,-1}.  Returns the sorted cut points on [lo, hi] and the
-    objective value on each piece between consecutive cuts.
-    """
-    cuts = [np.array([lo, hi])]
-    for scale, shift in offsets:
-        r = (f.breakpoints - shift) / scale
-        cuts.append(r[(lo < r) & (r < hi)])
-    points = np.unique(np.concatenate(cuts))
-    mid = 0.5 * (points[:-1] + points[1:])
-    values = np.zeros(mid.size)
-    for scale, shift in offsets:
-        values += f.plateau_values[np.searchsorted(f.breakpoints, scale * mid + shift,
-                                                   side="right")]
-    return points, values
-
-
-def _best_radius(f: ConcentrationProfile, offsets, lo: float, hi: float) -> tuple[float, float]:
-    """Midpoint of the leftmost minimizing plateau (for determinism) and the minimum."""
-    points, values = _objective_pieces(f, offsets, lo, hi)
-    k = int(np.argmin(values))  # first occurrence
-    return float(0.5 * (points[k] + points[k + 1])), float(values[k])
-
-
-def _interval_average(f: ConcentrationProfile, offsets, lo: float, hi: float) -> float:
-    total = 0.0
-    for scale, shift in offsets:
-        a, b = scale * lo + shift, scale * hi + shift
-        total += f.integrate(min(a, b), max(a, b))
-    return total / (hi - lo)
+_SCALES = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble], base_radius: float,
@@ -110,23 +77,63 @@ def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble], base_radius
 
     The objective at radius r adds the profile heights at the four band-edge
     levels center +- r and center +- (r + window); being piecewise constant
-    it is minimized exactly over its plateaus, and the midpoint of the best
-    plateau is returned so chosen thresholds avoid profile breakpoints.  The
-    achieved minimum never exceeds the interval average (reported alongside).
+    it is minimized exactly over its plateaus, and the midpoint of the leftmost
+    best plateau is returned so chosen thresholds avoid profile breakpoints.
+    The achieved minimum never exceeds the interval average (reported
+    alongside).
+
+    All bubbles are done in one pass over flat arrays.  A center c gives the
+    terms f(scale * r + shift) for the (scale, shift) offsets ``(1, c),
+    (1, c + w), (-1, c), (-1, c - w)``; each offset contributes the cut
+    points r = (b - shift) / scale in (lo, hi) of the breakpoints b in one
+    slice, and a ``lexsort`` on (bubble, r) orders each bubble's cuts.
     """
     if not width > 0:
         raise ValueError("width must be positive")
     if not base_radius > 0:
         raise ValueError("base_radius must be positive")
     w = f.window if window is None else float(window)
-    lo, hi = base_radius, base_radius + width
-
-    out = []
-    for b in bubbles:
-        offsets = [(1.0, b.center), (1.0, b.center + w), (-1.0, b.center), (-1.0, b.center - w)]
-        r, val = _best_radius(f, offsets, lo, hi)
-        out.append(RadiusChoice(b.center, r, r, val, _interval_average(f, offsets, lo, hi)))
-    return out
+    lo, hi = float(base_radius), float(base_radius + width)
+    if not hi > lo:
+        raise ValueError("width vanishes next to base_radius")
+    bp, n = f.breakpoints, len(bubbles)
+    c = np.array([b.center for b in bubbles], dtype=float)
+    shift = np.concatenate([c, c + w, c, c - w])  # offset-major: row o * n + bubble
+    scale = _SCALES.repeat(n)
+    # The levels scale * r + shift swept by r in [lo, hi].  A cut needs
+    # b > lo + shift and b < hi + shift exactly (scale 1), or b > shift - hi
+    # and b < shift - lo (scale -1); a float above (below) an exact sum is at
+    # or above (below) its rounding, so the slices below hold every cut, and
+    # the filter decides.
+    ends = np.sort(shift + scale * np.array([[lo], [hi]]), axis=0)
+    first = bp.searchsorted(ends[0], side="left")
+    counts = bp.searchsorted(ends[1], side="right") - first
+    seg = np.arange(4 * n).repeat(counts)
+    idx = np.arange(seg.size) + (first - counts.cumsum() + counts).repeat(counts)
+    r = (bp[idx] - shift[seg]) / scale[seg]
+    inside = (lo < r) & (r < hi)
+    cut = np.concatenate([r[inside], np.repeat([lo, hi], n)])
+    owner = np.concatenate([seg[inside] % n, np.arange(2 * n) % n])
+    order = np.lexsort((cut, owner))
+    cut, owner = cut[order], owner[order]
+    # between consecutive distinct cuts of one bubble lies one piece
+    piece = ((owner[1:] == owner[:-1]) & (cut[1:] != cut[:-1])).nonzero()[0]
+    mid = 0.5 * (cut[piece] + cut[piece + 1])
+    owner = owner[piece]
+    terms = f.plateau_values[bp.searchsorted(
+        _SCALES[:, None] * mid + shift.reshape(4, n)[:, owner], side="right")]
+    values = 0.0 + terms[0] + terms[1] + terms[2] + terms[3]  # in offset order, from 0
+    pieces = np.bincount(owner, minlength=n)
+    starts = pieces.cumsum() - pieces
+    least = np.minimum.reduceat(values, starts)
+    hits = (values == least.repeat(pieces)).nonzero()[0]
+    best = hits[owner[hits].searchsorted(np.arange(n))]  # each bubble's first minimum
+    # the interval average integrates each term over its swept levels
+    below = f.mass_below(ends)
+    swept = (below[1] - below[0]).reshape(4, n)
+    average = (0.0 + swept[0] + swept[1] + swept[2] + swept[3]) / (hi - lo)
+    return [RadiusChoice(b.center, r_best, r_best, val, avg) for b, r_best, val, avg in zip(
+        bubbles, mid[best].tolist(), values[best].tolist(), average.tolist())]
 
 
 @dataclass(frozen=True)

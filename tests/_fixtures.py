@@ -118,3 +118,19 @@ def random_profile(rng: np.random.Generator) -> ConcentrationProfile:
     else:
         f = concentration_profile(fixture_staircase(int(rng.integers(2, 20))))
     return split_plateaus(rng, f) if rng.random() < 0.3 else f
+
+
+def cluster_plate(rng: np.random.Generator, clusters: int = 20, blocks: int = 5,
+                  block: int = 4, spacing: float = 8.0, noise: float = 0.05) -> GridFunction:
+    """A square plate of ``blocks`` x ``blocks`` blocks of ``block`` cells, each
+    block on one of ``clusters`` values ``spacing`` apart plus N(0, noise)
+    noise, with cracks on the block edges: the multi-bubble plate's shape at
+    a smaller size.  Clusters own equally many blocks, give or take one."""
+    side = blocks * block
+    geom = GridGeometry((0.0, 0.0), 1.0 / side, (side, side))
+    owner = rng.permutation(np.arange(blocks * blocks) % clusters).reshape(blocks, blocks)
+    values = spacing * np.kron(owner, np.ones((block, block))) \
+        + rng.normal(0.0, noise, size=(side, side))
+    block_id = np.kron(np.arange(blocks * blocks).reshape(blocks, blocks),
+                       np.ones((block, block), dtype=int))
+    return GridFunction(geom, values, [np.diff(block_id, axis=axis) != 0 for axis in range(2)])

@@ -2,9 +2,10 @@
 oracle tests.
 
 Each function walks ``(axis, *cell)`` face rows, single cells, breakpoints or
-intervals in plain Python loops, so it shares no code with the array
-arithmetic of the package it checks; the tests require the package to agree
-with it exactly.
+intervals in plain Python loops, or keeps the simpler per-item array code
+that a whole-array path of the package replaced, so it shares no code with
+the array arithmetic it checks; the tests require the package to agree with
+it exactly.
 """
 
 from __future__ import annotations
@@ -209,6 +210,24 @@ def constrained_levy(f: ConcentrationProfile, radius: float, keep_out, events=No
     return float(masses[k]), float(centers[k])
 
 
+def near_candidates(f: ConcentrationProfile, radius: float, zones, edges) -> np.ndarray:
+    """The sorted candidates inside the union of the closed ``zones``: every
+    breakpoint +- radius in a zone and every keep-out edge, minus those
+    inside an open keep-out ``(edges[2i], edges[2i+1])``; all zones scanned
+    afresh."""
+    bp = f.breakpoints
+    z_lo, z_hi = np.array(zones).T
+    edges = np.array(edges)
+    parts = [edges]
+    for vals in (bp - radius, bp + radius):
+        starts = vals.searchsorted(z_lo, side="left").tolist()
+        stops = vals.searchsorted(z_hi, side="right").tolist()
+        parts += [vals[i:j] for i, j in zip(starts, stops)]
+    near = np.unique(np.concatenate(parts))
+    lo, hi = edges[0::2], edges[1::2]
+    return near[~np.any((near[:, None] > lo) & (near[:, None] < hi), axis=1)]
+
+
 class _MaskedIntegrals:
     """A profile seen only through ``masked_mass_below``, for ``bubbles._grow_window``."""
 
@@ -240,6 +259,7 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
         events["non-canonical input"] += 1
     current = f
     found = []
+    zones_removed = []  # per bubble, the span its zeroing and keep-out can touch
     incomplete = False
     if scale > 0:
         threshold = eps * scale
@@ -272,6 +292,11 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
             removed = view.integrate(center - outer, center + outer)
             found.append((Bubble(center, inner, outer, captured), removed - captured, was_capped))
             a, b = center - outer, center + outer
+            reach = inner + ref_radius + gap_delta
+            zone = (min(center - reach, a - ref_radius), max(center + reach, b + ref_radius))
+            if any(zone[0] <= z_hi and z_lo <= zone[1] for z_lo, z_hi in zones_removed):
+                events["overlapping zones"] += 1
+            zones_removed.append(zone)
             if a in bp or b in bp:
                 events["cut on a breakpoint"] += 1
             if a < bp[0] or b > bp[-1]:
@@ -318,6 +343,60 @@ def best_radius(f: ConcentrationProfile, offsets, lo: float, hi: float) -> tuple
         if v == vmin:
             return 0.5 * (a + b), vmin
     raise AssertionError("unreachable")
+
+
+def array_objective_pieces(f: ConcentrationProfile, offsets, lo: float,
+                           hi: float) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted cut points on [lo, hi] and the objective on each piece between
+    them, for one bubble: the whole breakpoint array mapped and masked once
+    per (scale, shift) offset, then one ``searchsorted`` per offset at the
+    piece midpoints, summed in offset order from 0."""
+    cuts = [np.array([lo, hi])]
+    for scale, shift in offsets:
+        r = (f.breakpoints - shift) / scale
+        cuts.append(r[(lo < r) & (r < hi)])
+    points = np.unique(np.concatenate(cuts))
+    mid = 0.5 * (points[:-1] + points[1:])
+    values = np.zeros(mid.size)
+    for scale, shift in offsets:
+        values += f.plateau_values[np.searchsorted(f.breakpoints, scale * mid + shift,
+                                                   side="right")]
+    return points, values
+
+
+def array_best_radius(f: ConcentrationProfile, offsets, lo: float,
+                      hi: float) -> tuple[float, float]:
+    """Midpoint of the leftmost minimizing piece and the minimum, from
+    ``array_objective_pieces``."""
+    points, values = array_objective_pieces(f, offsets, lo, hi)
+    k = int(np.argmin(values))  # first occurrence
+    return float(0.5 * (points[k] + points[k + 1])), float(values[k])
+
+
+def interval_average(f: ConcentrationProfile, offsets, lo: float, hi: float) -> float:
+    """Mean over r in (lo, hi) of the sum of f(scale * r + shift), one
+    ``integrate`` per (scale, shift) offset."""
+    total = 0.0
+    for scale, shift in offsets:
+        a, b = scale * lo + shift, scale * hi + shift
+        total += f.integrate(min(a, b), max(a, b))
+    return total / (hi - lo)
+
+
+def select_radii(f: ConcentrationProfile, bubbles, base_radius: float, width: float,
+                 window: float | None = None, best=array_best_radius):
+    """``partition.select_radii`` one bubble at a time, each bubble's radius
+    and minimum from ``best`` (``array_best_radius`` or ``best_radius``)."""
+    from crackgrid.partition import RadiusChoice
+
+    w = f.window if window is None else float(window)
+    lo, hi = base_radius, base_radius + width
+    out = []
+    for b in bubbles:
+        offsets = [(1.0, b.center), (1.0, b.center + w), (-1.0, b.center), (-1.0, b.center - w)]
+        r, val = best(f, offsets, lo, hi)
+        out.append(RadiusChoice(b.center, r, r, val, interval_average(f, offsets, lo, hi)))
+    return out
 
 
 def labels_present(part) -> list[tuple[int, int]]:

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import _oracles
-from _fixtures import random_profile
+from _fixtures import cluster_plate, random_profile
 
 from crackgrid.bubbles import (
+    _LevyScan,
     classify,
     extract_bubbles,
     separation_trend,
@@ -193,7 +194,42 @@ class TestExtractOracle:
         assert set(events) == {
             "non-canonical input", "tied maximum", "keep-out edge on a breakpoint +- r",
             "cut on a breakpoint", "cut outside the support", "max_bubbles reached",
-            "mass_scale set", "remainder emptied"}, events
+            "mass_scale set", "remainder emptied", "overlapping zones"}, events
+
+    def test_many_zone_plates_match(self):
+        # multi-bubble plates with clusters close enough that the zones of
+        # neighbouring bubbles overlap, where only the new zone's part of the
+        # near candidates is built again
+        rng = np.random.default_rng(2025)
+        events = Counter()
+        for spacing in (8.0, 6.0, 5.0, 4.5):
+            f = concentration_profile(cluster_plate(rng, spacing=spacing))
+            want = _oracles.extract_bubbles(f, 0.02, 2.0, 1.0, events=events)
+            assert len(want.bubbles) >= 20
+            self.assert_same(extract_bubbles(f, 0.02, 2.0, 1.0), want)
+        assert events["overlapping zones"] >= 20, events
+
+    def test_near_candidates_match_full_rebuild(self, monkeypatch):
+        # after every removal the zone-local near set equals the one built
+        # from every zone afresh, byte for byte
+        remove, removals = _LevyScan.remove, Counter()
+
+        def checked_remove(scan, *args):
+            remove(scan, *args)
+            want = _oracles.near_candidates(scan.f, scan.radius, scan.zones, scan.edges)
+            assert scan.near.tobytes() == want.tobytes()
+            removals[len(scan.zones) > 1] += 1
+
+        monkeypatch.setattr(_LevyScan, "remove", checked_remove)
+        rng = np.random.default_rng(2026)
+        for spacing in (8.0, 5.0):
+            extract_bubbles(concentration_profile(cluster_plate(rng, spacing=spacing)),
+                            0.02, 2.0, 1.0)
+        for _ in range(100):
+            f = random_profile(rng)
+            extract_bubbles(f, float(rng.choice([0.01, 0.05])), float(rng.choice([0.25, 1.0])),
+                            float(rng.choice([0.25, 1.0])))
+        assert removals[True] >= 100, removals
 
     def test_fixture_decompositions_match(self):
         for f in (concentration_profile(fixture_staircase(64)),

@@ -463,3 +463,24 @@ def test_document_that_is_not_an_object_exits_1(tmp_path: Path, argv, doc):
     assert res.stdout == ""
     assert "error:" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("entries,code", [
+    ({"datum": None, "omega": None, "limit": None}, 0),
+    ({"datum": ""}, 1), ({"omega": False}, 1), ({"limit": 0}, 1),
+    ({"datum": []}, 1), ({"omega": 0}, 1), ({"limit": False}, 1),
+], ids=["all-null", "datum-empty-string", "omega-false", "limit-zero", "datum-empty-list",
+        "omega-zero", "limit-false"])
+def test_manifest_side_entry_is_absent_only_when_null(tmp_path: Path, entries, code):
+    # a falsy datum, omega or limit other than null is not a path, and not absent either
+    from crackgrid.fixtures import fixture_runaway
+    from crackgrid.grid import grid_function_to_dict
+
+    (tmp_path / "u.json").write_text(json.dumps(grid_function_to_dict(fixture_runaway(10.0))))
+    mp = tmp_path / "manifest.json"
+    mp.write_text(json.dumps({"functions": ["u.json"], "eps_ladder": [0.1], **entries}))
+    res = run_cli("verify", str(mp))
+    assert res.returncode == code
+    if code:
+        assert res.stdout == ""
+        assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr

@@ -3,8 +3,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from _fixtures import jumpy_fixture, random_fixture
+from _fixtures import cluster_plate, dyadic_profile, jumpy_fixture, random_fixture
 from _oracles import (
+    array_best_radius,
     best_radius,
     gap_boundary,
     jump_faces,
@@ -18,7 +19,7 @@ from _oracles import (
     partition_stats,
     upper_cell,
 )
-from crackgrid import partition
+from _oracles import select_radii as oracle_select_radii
 from crackgrid.analysis import bubble_partition
 from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
@@ -62,6 +63,15 @@ class TestSelectRadii:
         assert c.r_plus == 1.5 and c.r_minus == 1.5
         assert c.achieved == 0.0
 
+    def test_rejects_an_empty_search_interval(self):
+        f = ConcentrationProfile.from_intervals([(0.0, 2.0, 1.0)])
+        bubbles = [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0)]
+        for base, width, match in ((1.0, 0.0, "width must be positive"),
+                                   (0.0, 1.0, "base_radius must be positive"),
+                                   (1e20, 1.0, "width vanishes")):
+            with pytest.raises(ValueError, match=match):
+                select_radii(f, bubbles, base, width)
+
     def test_min_below_interval_average(self):
         _, f, dec, radii, _ = staircase_pipeline(16)
         for c in radii:
@@ -96,18 +106,27 @@ class TestSelectRadii:
 
 
 class TestSelectRadiiOracle:
-    """The array objective against the breakpoint-by-breakpoint loop, with
-    every ``RadiusChoice`` field compared exactly."""
+    """The one-pass objective over all bubbles against the per-bubble loops it
+    replaced: the array loop (the breakpoint array mapped once per bubble and
+    offset) and the breakpoint-by-breakpoint loop, with every ``RadiusChoice``
+    field compared byte for byte."""
 
-    def assert_matches_loop(self, monkeypatch, f, bubbles, base_radius, width, window):
+    @staticmethod
+    def assert_matches_loops(f, bubbles, base_radius, width, window):
         fast = select_radii(f, bubbles, base_radius, width, window=window)
-        with monkeypatch.context() as m:
-            m.setattr(partition, "_best_radius", best_radius)
-            slow = select_radii(f, bubbles, base_radius, width, window=window)
-        assert fast == slow
+        for best in (array_best_radius, best_radius):
+            slow = oracle_select_radii(f, bubbles, base_radius, width, window, best=best)
+            assert repr(fast) == repr(slow)
         assert all(type(x) is float for c in fast for x in c.as_dict().values())
+        return fast
 
-    def test_dyadic_profiles_with_ties_and_edge_breakpoints(self, monkeypatch):
+    @staticmethod
+    def tied(f, center, base, width, w):
+        offsets = [(1.0, center), (1.0, center + w), (-1.0, center), (-1.0, center - w)]
+        values = [v for _, _, v in objective_pieces(f, offsets, base, base + width)]
+        return values.count(min(values)) > 1
+
+    def test_dyadic_profiles_with_ties_and_edge_breakpoints(self):
         rng = np.random.default_rng(404)
         ties = edges = 0
         for _ in range(40):
@@ -120,22 +139,91 @@ class TestSelectRadiiOracle:
             bubbles = [RadiusChoice(float(c), 1.0, 1.0, 0.0, 0.0) for c in centers]
             base, width = float(rng.choice([0.5, 1.0])), float(rng.choice([0.5, 1.0, 2.0]))
             w = float(rng.choice([0.5, 1.0]))
-            self.assert_matches_loop(monkeypatch, f, bubbles, base, width, w)
+            self.assert_matches_loops(f, bubbles, base, width, w)
             for c in centers:
-                offsets = [(1.0, c), (1.0, c + w), (-1.0, c), (-1.0, c - w)]
-                values = [v for _, _, v in objective_pieces(f, offsets, base, base + width)]
-                ties += values.count(min(values)) > 1
+                ties += self.tied(f, c, base, width, w)
                 r = np.concatenate([f.breakpoints - c, c - f.breakpoints])
                 edges += bool(np.isin([base, base + width], r).any())
         # the cases exercise the leftmost-plateau rule and cuts falling on lo/hi
         assert ties and edges
 
-    def test_empty_profile(self, monkeypatch):
+    def test_empty_profile(self):
         bubbles = [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0), RadiusChoice(5.0, 1.0, 1.0, 0.0, 0.0)]
-        self.assert_matches_loop(monkeypatch, ConcentrationProfile.empty(), bubbles,
-                                 1.0, 1.0, 1.0)
+        got = self.assert_matches_loops(ConcentrationProfile.empty(), bubbles, 1.0, 1.0, 1.0)
+        assert [(c.r_plus, c.achieved) for c in got] == [(1.5, 0.0), (1.5, 0.0)]
 
-    def test_fixture_profiles(self, monkeypatch):
+    def test_empty_bubble_list(self):
+        f = ConcentrationProfile.from_intervals([(0.0, 2.0, 1.0)])
+        for g in (f, ConcentrationProfile.empty()):
+            assert self.assert_matches_loops(g, [], 1.0, 1.0, 1.0) == []
+
+    def test_no_breakpoint_inside_any_band(self):
+        # every band edge level center +- r, center +- (r + w) for r in (1, 2)
+        # stays on one plateau: no cut, one piece per bubble
+        f = ConcentrationProfile.from_intervals([(-20.0, -10.0, 1.0), (10.0, 20.0, 0.5),
+                                                 (-0.5, 0.5, 2.0)])
+        bubbles = [RadiusChoice(c, 1.0, 1.0, 0.0, 0.0) for c in (0.0, 0.25, -0.25)]
+        got = self.assert_matches_loops(f, bubbles, 1.0, 1.0, 1.0)
+        assert [(c.r_plus, c.achieved) for c in got] == [(1.5, 0.0)] * 3
+        # every level on a -0.0 plateau: the objective is summed from +0.0
+        f = ConcentrationProfile([-9.0, 9.0], [0.0, -0.0, 0.0])
+        [c] = self.assert_matches_loops(f, bubbles[:1], 1.0, 1.0, 1.0)
+        assert repr(c.achieved) == "0.0"
+
+    def test_bands_past_both_ends_of_the_profile(self):
+        f = ConcentrationProfile.from_intervals([(0.0, 1.0, 1.0), (0.25, 0.5, 2.0)])
+        # below, above, astride the whole support, and reaching one end only
+        bubbles = [RadiusChoice(c, 1.0, 1.0, 0.0, 0.0) for c in (-40.0, 40.0, 0.5, 2.5, -1.75)]
+        got = self.assert_matches_loops(f, bubbles, 1.0, 1.0, 1.0)
+        assert [c.achieved for c in got][:3] == [0.0, 0.0, 0.0]
+        self.assert_matches_loops(f, bubbles, 0.125, 8.0, 0.5)
+
+    def test_breakpoints_at_the_rounded_band_ends(self):
+        # breakpoints on and one ulp around every rounded band end
+        # scale * lo + shift, scale * hi + shift, with non-dyadic centers,
+        # where the breakpoint slices and the cut filter must agree
+        rng = np.random.default_rng(409)
+        for _ in range(30):
+            centers = np.round(rng.uniform(-3, 3, 3), 1)
+            base, width, w = 0.3, float(rng.choice([0.7, 1.1])), 0.7
+            lo, hi = base, base + width
+            ends = [s + k for c in centers for s in (c, c + w, c - w)
+                    for k in (lo, hi, -lo, -hi)]
+            bp = np.unique(np.concatenate([np.nextafter(ends, -np.inf), ends,
+                                           np.nextafter(ends, np.inf)]))
+            pv = np.concatenate([[0.0], rng.integers(1, 5, bp.size - 1) / 4, [0.0]])
+            f = ConcentrationProfile(bp, pv)
+            bubbles = [RadiusChoice(float(c), 1.0, 1.0, 0.0, 0.0) for c in centers]
+            self.assert_matches_loops(f, bubbles, base, width, w)
+
+    def test_equal_centers(self):
+        rng = np.random.default_rng(406)
+        f = dyadic_profile(rng, 8)
+        bubbles = [RadiusChoice(c, 1.0, 1.0, 0.0, 0.0) for c in (3.0, 3.0, -1.0, 3.0, -1.0)]
+        got = self.assert_matches_loops(f, bubbles, 0.5, 2.0, 1.0)
+        assert got[0] == got[1] == got[3] and got[2] == got[4]
+
+    def test_many_bubbles_with_tied_minima(self):
+        rng = np.random.default_rng(407)
+        for _ in range(6):
+            f = dyadic_profile(rng, 40)
+            lo, hi = f.support()
+            centers = np.sort(rng.integers(int(4 * lo), int(4 * hi), 24) / 4)
+            bubbles = [RadiusChoice(float(c), 1.0, 1.0, 0.0, 0.0) for c in centers]
+            base, width = float(rng.choice([0.25, 1.0])), float(rng.choice([2.0, 4.0]))
+            self.assert_matches_loops(f, bubbles, base, width, 1.0)
+            assert sum(self.tied(f, c, base, width, 1.0) for c in centers) >= 5
+
+    def test_multi_bubble_plates(self):
+        rng = np.random.default_rng(408)
+        for spacing in (8.0, 6.0, 5.0):
+            u = cluster_plate(rng, spacing=spacing)
+            f = concentration_profile(u, window=1.0)
+            dec = extract_bubbles(f, eps=0.02, gap_delta=2.0, ref_radius=1.0)
+            assert len(dec.bubbles) >= 20
+            self.assert_matches_loops(f, dec.bubbles, 1.0, 1.0, 1.0)
+
+    def test_fixture_profiles(self):
         rng = np.random.default_rng(405)
         for k in range(8):
             u = jumpy_fixture(rng, shape=(10, 12)) if k % 2 else \
@@ -143,7 +231,7 @@ class TestSelectRadiiOracle:
             f = concentration_profile(u, window=0.5)
             dec = extract_bubbles(f, eps=0.02, gap_delta=0.5, ref_radius=0.25)
             assert dec.bubbles
-            self.assert_matches_loop(monkeypatch, f, dec.bubbles, 0.25, 0.5, 0.5)
+            self.assert_matches_loops(f, dec.bubbles, 0.25, 0.5, 0.5)
 
 
 class TestPartitionStatsOracle:
