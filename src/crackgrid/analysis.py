@@ -27,6 +27,7 @@ from .grid import (
     CellSet,
     GridFunction,
     GridGeometry,
+    Record,
     energy,
     face_pairs,
     kyfan_distance,
@@ -72,7 +73,7 @@ def _face_count(masks) -> int:
 
 
 @dataclass(frozen=True)
-class VanishingCertificate:
+class VanishingCertificate(Record):
     """Measured volume bound for a weakly vanishing region (2D only)."""
 
     alpha: int
@@ -91,6 +92,7 @@ class VanishingCertificate:
     chain_lhs: float  # boundary measure, left side of the halving inequality
     chain_rhs: float  # half the summed slab boundaries outside the gaps
     trivial: bool = False
+    _derived = ("certified", "chain_ok")
 
     @property
     def certified(self) -> bool:
@@ -99,28 +101,6 @@ class VanishingCertificate:
     @property
     def chain_ok(self) -> bool:
         return self.chain_lhs >= self.chain_rhs - 1e-12
-
-    def as_dict(self) -> dict:
-        return {
-            "alpha": self.alpha,
-            "cut_points": list(self.cut_points),
-            "slab_volumes": list(self.slab_volumes),
-            "gap_volumes": list(self.gap_volumes),
-            "gap_perimeters": list(self.gap_perimeters),
-            "measured_volume": self.measured_volume,
-            "bound": self.bound,
-            "eps": self.eps,
-            "radius": self.radius,
-            "boundary_measure": self.boundary_measure,
-            "region_perimeter": self.region_perimeter,
-            "iso_constant": self.iso_constant,
-            "slab_correction": self.slab_correction,
-            "chain_lhs": self.chain_lhs,
-            "chain_rhs": self.chain_rhs,
-            "certified": self.certified,
-            "chain_ok": self.chain_ok,
-            "trivial": self.trivial,
-        }
 
 
 def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
@@ -258,7 +238,7 @@ def directional_jump_measure(u: GridFunction, axis: int,
 
 
 @dataclass(frozen=True)
-class SliceLscReport:
+class SliceLscReport(Record):
     """Directional jump comparison between a sequence and its limit."""
 
     axes: tuple[int, ...]
@@ -271,25 +251,11 @@ class SliceLscReport:
     eta: tuple[float | None, ...]  # smallest working dyadic locality radius
     eta_resolution_limited: tuple[bool, ...]
     eta_ok: tuple[bool, ...]
+    _derived = ("lsc_holds",)
 
     @property
     def lsc_holds(self) -> bool:
         return all(mg >= -1e-12 for mg in self.margins) and self.total_margin >= -1e-12
-
-    def as_dict(self) -> dict:
-        return {
-            "axes": list(self.axes),
-            "limit_directional": list(self.limit_directional),
-            "seq_directional": [list(s) for s in self.seq_directional],
-            "margins": list(self.margins),
-            "total_margin": self.total_margin,
-            "limit_slice_counts": [list(c) for c in self.limit_slice_counts],
-            "seq_slice_counts": [[list(c) for c in per_n] for per_n in self.seq_slice_counts],
-            "eta": list(self.eta),
-            "eta_resolution_limited": list(self.eta_resolution_limited),
-            "eta_ok": list(self.eta_ok),
-            "lsc_holds": self.lsc_holds,
-        }
 
 
 def _row_jumps(u: GridFunction, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -371,29 +337,21 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction,
 # -- gradient pairings (weak-convergence proxy) -------------------------------
 
 
-def _test_fields(geom: GridGeometry) -> dict[str, np.ndarray]:
-    fields = {"full": np.ones(geom.shape, dtype=bool)}
-    for axis in range(geom.dim):
-        half = np.zeros(geom.shape, dtype=bool)
-        sel = [slice(None)] * geom.dim
-        sel[axis] = slice(0, geom.shape[axis] // 2)
-        half[tuple(sel)] = True
-        fields[f"low_half_axis{axis}"] = half
-    return fields
-
-
 def gradient_pairings(u: GridFunction) -> dict[str, float]:
-    """Pairings of the face-sampled gradient with a fixed indicator dictionary."""
+    """Pairings of the face-sampled gradient with a fixed indicator dictionary:
+    the whole grid and, per axis k, its low half (the first ``shape[k] // 2``
+    cells along k), each paired over the faces whose lower cell it holds."""
     h = u.geom.spacing
+    # on either face axis, the faces of the low half are the first shape[k] // 2 along k
+    fields = {"full": ()}
+    fields.update((f"low_half_axis{k}", (slice(None),) * k + (slice(n // 2),))
+                  for k, n in enumerate(u.geom.shape))
     out = {}
-    fields = _test_fields(u.geom)
     for axis in range(u.geom.dim):
         d = u.face_delta(axis)
         keep = ~u.crack_mask(axis)
-        for name, mask in fields.items():
-            lower = face_pairs(mask, axis)[0]
-            val = float(np.sum((d[keep & lower] / h)) * u.geom.cell_volume)
-            out[f"axis{axis}:{name}"] = val
+        for name, sel in fields.items():
+            out[f"axis{axis}:{name}"] = float(np.sum(d[sel][keep[sel]] / h) * u.geom.cell_volume)
     return out
 
 
@@ -401,24 +359,16 @@ def gradient_pairings(u: GridFunction) -> dict[str, float]:
 
 
 @dataclass
-class SequenceReport:
+class SequenceReport(Record):
     settings: dict
     per_eps: dict
     nesting: dict
     violations: list
+    _derived = ("ok",)
 
     @property
     def ok(self) -> bool:
         return not self.violations
-
-    def as_dict(self) -> dict:
-        return {
-            "settings": self.settings,
-            "per_eps": self.per_eps,
-            "nesting": self.nesting,
-            "violations": self.violations,
-            "ok": self.ok,
-        }
 
 
 def bubble_partition(v: GridFunction, prof: ConcentrationProfile, eps: float, window: float,
@@ -531,12 +481,13 @@ def compactness_report(functions: Sequence[GridFunction],
             parts.append(part)
             renorms.append(w)
         rest_masks[eps] = [part.rest_mask() for part in parts]
-        if limit is None:  # the last renormalized function, whose pairings are at hand
+        consecutive = [kyfan_distance(a, b) for a, b in zip(renorms, renorms[1:])]
+        if limit is None:  # the last renormalized function: its pairings and distances are at hand
             lim, lim_pairings = renorms[-1], entries[-1]["pairings"]
+            to_limit = [kyfan_distance(w, lim) for w in renorms[:-2]] + consecutive[-1:] + [0.0]
         else:
             lim, lim_pairings = limit, gradient_pairings(limit)
-        consecutive = [kyfan_distance(a, b) for a, b in zip(renorms, renorms[1:])]
-        to_limit = [kyfan_distance(w, lim) for w in renorms]
+            to_limit = [kyfan_distance(w, lim) for w in renorms]
         pairing_report = {}
         for key in lim_pairings:
             series = [e["pairings"][key] for e in entries]

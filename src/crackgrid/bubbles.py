@@ -26,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .grid import Record
 from .profile import ConcentrationProfile, levy_concentration, window_mass
 
 
@@ -45,7 +46,7 @@ class ExtractionParams:
 
 
 @dataclass(frozen=True)
-class Bubble:
+class Bubble(Record):
     """One cluster of range concentration: center, window radii, captured mass."""
 
     center: float
@@ -58,14 +59,6 @@ class Bubble:
             raise ValueError("need 0 < inner_radius <= outer_radius")
         if not self.mass > 0:
             raise ValueError("bubble mass must be positive")
-
-    def as_dict(self) -> dict:
-        return {
-            "center": self.center,
-            "inner_radius": self.inner_radius,
-            "outer_radius": self.outer_radius,
-            "mass": self.mass,
-        }
 
 
 @dataclass(frozen=True)
@@ -133,23 +126,13 @@ class BubbleDecomposition:
 
 
 @dataclass(frozen=True)
-class TrichotomyVerdict:
+class TrichotomyVerdict(Record):
     kind: str  # "compactness" | "vanishing" | "dichotomy"
     witness: Bubble | None
     split_masses: tuple[float, float] | None
     total: float
     eps: float
     ref_radius: float
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "witness": self.witness.as_dict() if self.witness else None,
-            "split_masses": list(self.split_masses) if self.split_masses else None,
-            "total": self.total,
-            "eps": self.eps,
-            "ref_radius": self.ref_radius,
-        }
 
 
 def _heavy_adjacent_strip(f: ConcentrationProfile, lo: float, hi: float,

@@ -40,6 +40,7 @@ from .partition import (
 )
 from .profile import (
     concentration_profile,
+    polyline_svg,
     profile_to_csv,
     profile_to_svg,
 )
@@ -117,23 +118,13 @@ def _trend_svg(series_map: dict[str, list[float]], width=640, height=240) -> str
     all_vals = [v for s in series_map.values() for v in s] or [0.0]
     top = max(max(all_vals), 1e-30) * 1.1
     length = max(len(s) for s in series_map.values())
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
-             '<rect width="100%" height="100%" fill="white"/>']
     colors = ["black", "crimson", "steelblue", "seagreen", "darkorange"]
+    lines = []
     for k, (name, series) in enumerate(sorted(series_map.items())):
-        pts = []
-        for i, v in enumerate(series):
-            x = pad + (i / max(1, length - 1)) * (width - 2 * pad)
-            y = height - pad - (v / top) * (height - 2 * pad)
-            pts.append(f"{x:.2f},{y:.2f}")
-        color = colors[k % len(colors)]
-        parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '
-                     f'stroke="{color}" stroke-width="1.5"/>')
-        parts.append(f'<text x="{pad}" y="{14 + 14 * k}" font-size="11" '
-                     f'fill="{color}">{name}</text>')
-    parts.append(f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
-                 f'y2="{height - pad}" stroke="gray"/></svg>\n')
-    return "".join(parts)
+        pts = [(pad + (i / max(1, length - 1)) * (width - 2 * pad),
+                height - pad - (v / top) * (height - 2 * pad)) for i, v in enumerate(series)]
+        lines.append((pts, colors[k % len(colors)], name))
+    return polyline_svg(lines, width, height, pad)
 
 
 def _labels_svg(part, cell: int = 8) -> str:
@@ -293,6 +284,8 @@ def _load_manifest(path: str):
 def _cmd_fixture(args) -> int:
     try:
         if args.name == "staircase":
+            if not args.n.is_integer():  # a stair count, not truncated
+                raise ValueError(f"stair count must be an integer, got {args.n}")
             u = fixture_staircase(int(args.n), cells_per_step=args.cells_per_step)
         else:
             u = fixture_runaway(args.n, resolution=args.resolution)
@@ -327,6 +320,8 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.max_bubbles < 0:
+        raise InputError(f"--max-bubbles must be at least 0, got {args.max_bubbles}")
     u = _load(args.input)
     domain = _load(args.domain, "cell set", u.geom) if args.domain else None
     f = concentration_profile(u, domain=domain, window=args.window)

@@ -24,8 +24,9 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -34,6 +35,30 @@ FORMAT_VERSION = 1
 
 class GeometryMismatchError(ValueError):
     """Two objects that must share a grid geometry do not."""
+
+
+class Record:
+    """Mixin for result dataclasses whose JSON form is their fields.
+
+    ``as_dict`` returns every dataclass field, then the derived properties
+    named in ``_derived``; tuples come out as lists and nested records as
+    dicts.
+    """
+
+    _derived: ClassVar[tuple[str, ...]] = ()
+
+    def as_dict(self) -> dict:
+        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        out.update((name, getattr(self, name)) for name in self._derived)
+        return out
+
+
+def _plain(x):
+    if isinstance(x, Record):
+        return x.as_dict()
+    if isinstance(x, tuple):  # of one kind of entry: scalars convert in one call
+        return [_plain(y) for y in x] if x and isinstance(x[0], tuple) else list(x)
+    return x
 
 
 @dataclass(frozen=True)
@@ -250,19 +275,17 @@ def require_same_geometry(a: GridGeometry, b: GridGeometry) -> None:
 
 
 @dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(Record):
     """Bulk p-gradient energy plus jump-set measure."""
 
     bulk: float
     jump: float
     p: float
+    _derived = ("total",)
 
     @property
     def total(self) -> float:
         return self.bulk + self.jump
-
-    def as_dict(self) -> dict:
-        return {"bulk": self.bulk, "jump": self.jump, "p": self.p, "total": self.total}
 
 
 def energy(u: GridFunction, p: float = 2.0) -> EnergyReport:

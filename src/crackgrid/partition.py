@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bubbles import Bubble
-from .grid import CellSet, GridFunction, face_pairs, require_same_geometry
+from .grid import CellSet, GridFunction, Record, face_pairs, require_same_geometry
 from .profile import ConcentrationProfile
 
 KIND_MAIN = 0
@@ -49,21 +49,12 @@ def _label_name(code: int) -> str:
 
 
 @dataclass(frozen=True)
-class RadiusChoice:
+class RadiusChoice(Record):
     center: float
     r_minus: float
     r_plus: float
     achieved: float  # objective value at the chosen radii
     interval_average: float  # mean of the objective over the search interval
-
-    def as_dict(self) -> dict:
-        return {
-            "center": self.center,
-            "r_minus": self.r_minus,
-            "r_plus": self.r_plus,
-            "achieved": self.achieved,
-            "interval_average": self.interval_average,
-        }
 
 
 _SCALES = np.array([1.0, 1.0, -1.0, -1.0])
@@ -137,14 +128,10 @@ def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble], base_radius
 
 
 @dataclass(frozen=True)
-class SetStats:
+class SetStats(Record):
     volume: float
     perimeter: float
     outside_jump: float
-
-    def as_dict(self) -> dict:
-        return {"volume": self.volume, "perimeter": self.perimeter,
-                "outside_jump": self.outside_jump}
 
 
 class DomainPartition:

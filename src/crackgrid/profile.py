@@ -298,11 +298,22 @@ def profile_to_svg(f: ConcentrationProfile, width: int = 640, height: int = 240)
         pts.append((sx(t), sy(float(f.plateau_values[k]))))
         pts.append((sx(t), sy(float(f.plateau_values[k + 1]))))
     pts.append((sx(hi), sy(0.0)))
-    path = " ".join(f"{x:.2f},{y:.2f}" for x, y in pts)
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
-        f'<rect width="100%" height="100%" fill="white"/>'
-        f'<polyline points="{path}" fill="none" stroke="black" stroke-width="1.5"/>'
-        f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" y2="{height - pad}" '
-        f'stroke="gray"/></svg>\n'
-    )
+    return polyline_svg([(pts, "black", None)], width, height, pad)
+
+
+def polyline_svg(lines, width: int, height: int, pad: int) -> str:
+    """Standalone SVG of ``(points, colour, label)`` polylines on white over a
+    gray baseline ``pad`` above the bottom; a label (None for none) is written
+    in its line's colour, one row per line from the top left."""
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+             '<rect width="100%" height="100%" fill="white"/>']
+    for k, (points, color, label) in enumerate(lines):
+        path = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        parts.append(f'<polyline points="{path}" fill="none" '
+                     f'stroke="{color}" stroke-width="1.5"/>')
+        if label is not None:
+            parts.append(f'<text x="{pad}" y="{14 + 14 * k}" font-size="11" '
+                         f'fill="{color}">{label}</text>')
+    parts.append(f'<line x1="{pad}" y1="{height - pad}" x2="{width - pad}" '
+                 f'y2="{height - pad}" stroke="gray"/></svg>\n')
+    return "".join(parts)

@@ -592,3 +592,24 @@ def from_intervals(intervals, window: float = 1.0) -> ConcentrationProfile:
     values[-1] = 0.0
     np.maximum(values, 0.0, out=values)
     return ConcentrationProfile(bp, values, window)._canonical()
+
+
+def gradient_pairings(u: GridFunction) -> dict[str, float]:
+    """``analysis.gradient_pairings`` with each indicator built as a full cell
+    mask and its faces picked by the mask of their lower cells."""
+    h = u.geom.spacing
+    fields = {"full": np.ones(u.geom.shape, dtype=bool)}
+    for axis in range(u.geom.dim):
+        half = np.zeros(u.geom.shape, dtype=bool)
+        sel = [slice(None)] * u.geom.dim
+        sel[axis] = slice(0, u.geom.shape[axis] // 2)
+        half[tuple(sel)] = True
+        fields[f"low_half_axis{axis}"] = half
+    out = {}
+    for axis in range(u.geom.dim):
+        d = u.face_delta(axis)
+        keep = ~u.crack_mask(axis)
+        for name, mask in fields.items():
+            lower = np.delete(mask, -1, axis=axis)
+            out[f"axis{axis}:{name}"] = float(np.sum(d[keep & lower] / h) * u.geom.cell_volume)
+    return out

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from _fixtures import jumpy_fixture, random_fixture, random_mask
 from _oracles import certificate_face_measures
+from _oracles import gradient_pairings as oracle_gradient_pairings
 from _oracles import lsc_report as oracle_lsc_report
 from _oracles import slice_line as oracle_slice_line
 from crackgrid import analysis
@@ -21,7 +23,14 @@ from crackgrid.analysis import (
 )
 from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
-from crackgrid.grid import CellSet, GridFunction, GridGeometry, crack_masks_from_rows, energy
+from crackgrid.grid import (
+    CellSet,
+    GridFunction,
+    GridGeometry,
+    crack_masks_from_rows,
+    energy,
+    kyfan_distance,
+)
 from crackgrid.partition import vanishing_region
 from crackgrid.profile import concentration_profile, levy_concentration
 
@@ -60,6 +69,18 @@ class TestVanishingCertificate:
         cert = vanishing_certificate(u, region, eps=0.5)
         assert cert.trivial and cert.certified
         assert cert.measured_volume == 0.0
+
+    def test_as_dict_is_fields_and_flags(self):
+        u = fixture_staircase(16)
+        mask = np.zeros(u.geom.shape, dtype=bool)
+        mask[16, 3:14:2] = True
+        cert = vanishing_certificate(u, CellSet(u.geom, mask), eps=None, window=0.5)
+        d = cert.as_dict()
+        assert d["cut_points"] == [8.0, 10.0, 14.0]
+        assert all(type(d[k]) is list for k in
+                   ("cut_points", "slab_volumes", "gap_volumes", "gap_perimeters"))
+        assert (d["certified"], d["chain_ok"], d["trivial"]) == (True, cert.chain_ok, False)
+        assert len(d) == len(dataclasses.fields(cert)) + 2
 
     def test_eps_none_certifies_at_the_region_score(self):
         rng = np.random.default_rng(47)
@@ -282,6 +303,16 @@ class TestLscReport:
         assert rep.limit_slice_counts[0] == tuple([2] * u.geom.shape[1])
         assert rep.seq_slice_counts[0][0] == rep.limit_slice_counts[0]
 
+    def test_as_dict_lists_every_tuple(self):
+        seq = [fixture_staircase(n, cells_per_step=8 // n) for n in (2, 4, 8)]
+        d = lsc_report(seq, seq[0]).as_dict()
+        assert type(d["eta"]) is list
+        assert type(d["seq_slice_counts"]) is list
+        assert all(type(per_n) is list and all(type(c) is list for c in per_n)
+                   for per_n in d["seq_slice_counts"])
+        assert d["seq_slice_counts"][0][0] == [2] * seq[0].geom.shape[1]
+        assert d["lsc_holds"] is True
+
     def test_box_restriction(self):
         # a box touching only the left half sees no jump of the runaway crack
         u = fixture_runaway(4.0)
@@ -294,6 +325,18 @@ class TestLscReport:
         assert directional_jump_measure(u, 0, full) == 1.0
         rep = lsc_report([u], u, box=box)
         assert rep.limit_directional == (0.0, 0.0)
+
+
+class TestGradientPairings:
+    def test_matches_mask_oracle(self):
+        rng = np.random.default_rng(53)
+        cases = [random_fixture(rng, dim=dim, max_1d=40, max_2d=20)
+                 for dim in (1, 2) for _ in range(25)]
+        cases += [fixture_runaway(7.0, resolution=6), fixture_staircase(5, cells_per_step=3)]
+        for u in cases:
+            got, want = analysis.gradient_pairings(u), oracle_gradient_pairings(u)
+            assert list(got) == list(want)
+            assert json.dumps(got) == json.dumps(want)
 
 
 def _random_on(rng, geom: GridGeometry, crack_p: float) -> GridFunction:
@@ -472,6 +515,28 @@ class TestCompactnessReport:
         assert len(calls) == len(seq) + len(ladder) * len(seq)
         assert calls[:len(seq)] == [None] * len(seq)
         assert all(isinstance(d, CellSet) for d in calls[len(seq):])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_kyfan_to_the_last_function_reuses_known_distances(self, monkeypatch, n):
+        pairs = []
+
+        def recorded(a, b):
+            pairs.append((a, b))
+            return kyfan_distance(a, b)
+
+        monkeypatch.setattr(analysis, "kyfan_distance", recorded)
+        seq = [fixture_staircase(k, cells_per_step=16 // k) for k in (2, 4, 8, 16)[:n]]
+        c1 = compactness_report(seq, eps_ladder=[0.1]).per_eps["0.1"][
+            "conclusion1_measure_convergence"]
+        # the consecutive distances, then one call per function before the last two
+        assert len(pairs) == (n - 1) + max(n - 2, 0)
+        if n == 1:
+            assert c1 == {"consecutive_kyfan": [], "kyfan_to_limit": [0.0]}
+            return
+        renorms = [pairs[0][0]] + [b for _, b in pairs[:n - 1]]
+        assert c1["consecutive_kyfan"] == [kyfan_distance(a, b)
+                                           for a, b in zip(renorms, renorms[1:])]
+        assert c1["kyfan_to_limit"] == [kyfan_distance(w, renorms[-1]) for w in renorms]
 
     def test_geometry_mismatch_rejected(self):
         a = fixture_runaway(1.0, resolution=8)

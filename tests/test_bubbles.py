@@ -62,6 +62,23 @@ class TestClassify:
         # the dominant cluster sits at one of the two plate values
         assert min(abs(v.witness.center - 0.0), abs(v.witness.center - 17.0)) <= 1.0
 
+    def test_verdict_as_dict(self):
+        compact = classify(ConcentrationProfile.from_intervals([(0.0, 2.0, 1.0)]),
+                           eps=0.1, ref_radius=2.0)
+        assert compact.as_dict() == {
+            "kind": "compactness",
+            "witness": {"center": 0.0, "inner_radius": 2.0, "outer_radius": 4.0, "mass": 2.0},
+            "split_masses": None, "total": 2.0, "eps": 0.1, "ref_radius": 2.0}
+        empty = classify(ConcentrationProfile.empty(), eps=0.5, ref_radius=1.0)
+        assert empty.as_dict() == {"kind": "vanishing", "witness": None, "split_masses": None,
+                                   "total": 0.0, "eps": 0.5, "ref_radius": 1.0}
+        split = classify(concentration_profile(fixture_staircase(16)), eps=0.1, ref_radius=1.0)
+        d = split.as_dict()
+        assert d["kind"] == "dichotomy"
+        assert d["witness"] == split.witness.as_dict()
+        assert type(d["split_masses"]) is list and d["split_masses"] == list(split.split_masses)
+        assert json.loads(json.dumps(d)) == d
+
     def test_staircase_remainder_is_vanishing(self):
         u = fixture_staircase(64)
         f = concentration_profile(u)

@@ -130,12 +130,24 @@ def test_malformed_crack_entries_exit_1(base, cracks):
     ["partition", "-", "--window", "-1"],
     ["fixture", "staircase", "--n", "1"],
     ["vanishing", "-", "--region", "r.json", "--eps", "0"],
+    ["fixture", "staircase", "--n", "4.7"],  # not truncated to 4
+    ["decompose", "-", "--max-bubbles", "-3"],
 ])
 def test_parameter_errors_exit_1(argv):
-    res = run_cli(*argv, stdin="")
+    # a valid input on stdin, so that only the parameter can be at fault
+    res = run_cli(*argv, stdin=run_cli("fixture", "staircase", "--n", "4").stdout)
     assert res.returncode == 1
     assert "error:" in res.stderr
     assert "invariant violation" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_max_bubbles_zero_is_valid():
+    res = run_cli("decompose", "-", "--max-bubbles", "0",
+                  stdin=run_cli("fixture", "staircase", "--n", "4").stdout)
+    assert res.returncode == 0
+    doc = json.loads(res.stdout)
+    assert doc["bubbles"] == [] and doc["incomplete"] is True
 
 
 def test_partition_and_renormalize(tmp_path: Path):
