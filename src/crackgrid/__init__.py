@@ -14,7 +14,6 @@ from .analysis import (
     compactness_report,
     directional_jump_measure,
     grid_iso_constant,
-    jump_count_1d,
     lsc_report,
     slice_line,
     vanishing_certificate,
@@ -98,7 +97,6 @@ __all__ = [
     "grid_function_to_dict",
     "grid_iso_constant",
     "jump_boundary_measure",
-    "jump_count_1d",
     "kyfan_distance",
     "level_set",
     "levy_concentration",

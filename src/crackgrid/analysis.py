@@ -29,6 +29,7 @@ from .grid import (
     GridGeometry,
     Record,
     energy,
+    face_count,
     face_pairs,
     kyfan_distance,
     pad_axis,
@@ -63,10 +64,6 @@ def grid_iso_constant(side: int = 4) -> float:
     perim = sum(np.logical_xor(*face_pairs(pad_axis(masks, axis), axis)).sum(axis=(1, 2))
                 for axis in (1, 2))
     return float(np.max(vol / perim.astype(float) ** 2))
-
-
-def _face_count(masks) -> int:
-    return sum(int(np.count_nonzero(m)) for m in masks)
 
 
 # -- vanishing certificate ----------------------------------------------------
@@ -180,7 +177,7 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     # every face mask below spans the box faces too (n + 1 faces along its axis)
     jump = [pad_axis(u.jump_mask(axis), axis) for axis in range(2)]
     area = u.geom.face_area
-    D = _face_count(j | region.boundary_faces(k) for k, j in enumerate(jump)) * area
+    D = face_count(j | region.boundary_faces(k) for k, j in enumerate(jump)) * area
     region_perim = region.perimeter()
 
     gap_faces = [[G.boundary_faces(k) for k in range(2)] for G in gap_sets]
@@ -189,7 +186,7 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
         faces = [S.boundary_faces(k) for k in range(2)]
         for gap in gap_faces[max(i - 1, 0):i + 1]:  # the gaps on either side of slab i
             faces = [f & ~g for f, g in zip(faces, gap)]
-        chain_rhs += 0.5 * _face_count(faces) * area
+        chain_rhs += 0.5 * face_count(faces) * area
     c_iso = grid_iso_constant()
     slab_correction = max(0.0, max(m / alpha_eff - v for v in slab_vols))
     bound = 4.0 * c_iso * (D + gamma) ** 2 / alpha_eff + alpha_eff * slab_correction
@@ -219,22 +216,9 @@ def slice_line(u: GridFunction, axis: int, index: int) -> GridFunction:
                         [u.crack_mask(axis).take(index, axis=other)])
 
 
-def jump_count_1d(u: GridFunction) -> int:
-    """Number of genuine jumps (crack faces with differing traces) in 1D."""
-    if u.geom.dim != 1:
-        raise ValueError("expected a 1D function")
-    return int(np.count_nonzero(u.jump_mask(0)))
-
-
-def directional_jump_measure(u: GridFunction, axis: int,
-                             box: CellSet | None = None) -> float:
-    """Measure of jump faces with normal along ``axis`` (optionally within a box)."""
-    sel = u.jump_mask(axis)
-    if box is not None:
-        require_same_geometry(u.geom, box.geom)
-        lo, hi = face_pairs(box.mask, axis)
-        sel = sel & lo & hi
-    return int(np.count_nonzero(sel)) * u.geom.face_area
+def directional_jump_measure(u: GridFunction, axis: int) -> float:
+    """Measure of jump faces with normal along ``axis``."""
+    return int(np.count_nonzero(u.jump_mask(axis))) * u.geom.face_area
 
 
 @dataclass(frozen=True)
@@ -265,8 +249,7 @@ def _row_jumps(u: GridFunction, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return np.nonzero(rows)
 
 
-def lsc_report(seq: Sequence[GridFunction], limit: GridFunction,
-               box: CellSet | None = None) -> SliceLscReport:
+def lsc_report(seq: Sequence[GridFunction], limit: GridFunction) -> SliceLscReport:
     """Check lower semicontinuity of the jump measure via directional slicing.
 
     Per axis the directional jump measures are exact face counts; the margin
@@ -280,8 +263,8 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction,
         require_same_geometry(g.geom, limit.geom)
     geom = limit.geom
     axes = tuple(range(geom.dim))
-    lim_dir = tuple(directional_jump_measure(limit, k, box) for k in axes)
-    seq_dir = tuple(tuple(directional_jump_measure(g, k, box) for g in seq) for k in axes)
+    lim_dir = tuple(directional_jump_measure(limit, k) for k in axes)
+    seq_dir = tuple(tuple(directional_jump_measure(g, k) for g in seq) for k in axes)
     margins = tuple(min(s) - l for s, l in zip(seq_dir, lim_dir))
     total_margin = min(sum(col) for col in zip(*seq_dir)) - sum(lim_dir)
 
@@ -381,11 +364,13 @@ def bubble_partition(v: GridFunction, prof: ConcentrationProfile, eps: float, wi
     return dec, radii, part
 
 
-def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v, jump_v,
-                  omega, eps, window, ref_radius, gap_delta, violations, tag):
+def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v: float, jump_v: float,
+                  omega: CellSet | None, eps: float, ref_radius: float, gap_delta: float):
+    """One function at one eps, at its profile's window: ``(entry, decomposition,
+    rest mask, renormalized function, violations)``."""
+    window = prof.window
     dec, radii, part = bubble_partition(v, prof, eps, window, ref_radius, gap_delta, omega)
-    for msg in dec.validate():
-        violations.append(f"{tag}: decomposition: {msg}")
+    violations = [f"decomposition: {msg}" for msg in dec.validate()]
     w = renormalize(v, part)
     region = vanishing_region(v, dec.bubbles, radius=ref_radius, omega=omega)
     cert = None
@@ -393,15 +378,16 @@ def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v, jump_v,
         # certified at the region's own Lévy score
         cert = vanishing_certificate(v, region, eps=None, radius=ref_radius, window=window)
         if not cert.certified:
-            violations.append(f"{tag}: vanishing certificate failed")
+            violations.append("vanishing certificate failed")
     sup_norm = float(np.max(np.abs(w.values)))
     max_radius = max((max(c.r_minus, c.r_plus) for c in radii), default=0.0)
     jump_w = w.jump_measure()
     outside = part.outside_jump
     if sup_norm > max_radius + window + 1e-12:
-        violations.append(f"{tag}: renormalized sup-norm bound fails")
+        violations.append("renormalized sup-norm bound fails")
     if jump_w > jump_v + outside + 1e-12:
-        violations.append(f"{tag}: renormalized jump bound fails")
+        violations.append("renormalized jump bound fails")
+    rest = part.rest_mask()
     entry = {
         "total_mass": prof.total_mass(),
         "bubbles": [b.as_dict() for b in dec.bubbles],
@@ -409,7 +395,7 @@ def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v, jump_v,
         "remainder_mass": dec.remainder.total_mass(),
         "outside_jump": outside,
         "gap_boundary": part.gap_boundary,
-        "rest_volume": float(np.count_nonzero(part.rest_mask())) * v.geom.cell_volume,
+        "rest_volume": float(np.count_nonzero(rest)) * v.geom.cell_volume,
         "vanishing_region_volume": region.volume(),
         "certificate": cert.as_dict() if cert is not None else None,
         "sup_norm": sup_norm,
@@ -419,7 +405,7 @@ def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v, jump_v,
         "bulk_original": bulk_v,
         "pairings": gradient_pairings(w),
     }
-    return entry, dec, part, w
+    return entry, dec, rest, w, violations
 
 
 def compactness_report(functions: Sequence[GridFunction],
@@ -460,27 +446,24 @@ def compactness_report(functions: Sequence[GridFunction],
     if limit is not None:
         require_same_geometry(limit.geom, geom)
 
-    violations: list[str] = []
     reduced = [u.subtract(datum) if datum is not None else u for u in functions]
-    # profiles, energies and jump measures do not depend on eps: take them once
-    profiles = [concentration_profile(v, domain=omega, window=window) for v in reduced]
-    bulk_norms = [energy(v, p).bulk for v in reduced]
-    bulk_2 = [energy(v, 2.0).bulk for v in reduced]
-    jumps = [v.jump_measure() for v in reduced]
+    # the eps-independent stage, once per function: profile, two bulk energies, jump measure
+    stage = [(v, concentration_profile(v, domain=omega, window=window), energy(v, p).bulk,
+              energy(v, 2.0).bulk, v.jump_measure()) for v in reduced]
+    bulk_norms = [bulk_p for _, _, bulk_p, _, _ in stage]
+    violations: list[str] = []
     per_eps: dict[str, dict] = {}
-    rest_masks: dict[float, list[np.ndarray]] = {}
-    for eps in eps_ladder:
-        entries, decs, parts, renorms = [], [], [], []
-        for i, (v, prof) in enumerate(zip(reduced, profiles)):
-            tag = f"eps={eps} n_index={i}"
-            entry, dec, part, w = _pipeline_one(
-                v, prof, bulk_2[i], jumps[i], omega, eps, window, ref_radius, gap_delta,
-                violations, tag)
-            entries.append(entry)
-            decs.append(dec)
-            parts.append(part)
-            renorms.append(w)
-        rest_masks[eps] = [part.rest_mask() for part in parts]
+    nesting: dict[str, list[bool]] = {}
+    for k, eps in enumerate(eps_ladder):
+        entries, decs, rests, renorms, problems = map(list, zip(*(
+            _pipeline_one(v, prof, bulk_2, jump_v, omega, eps, ref_radius, gap_delta)
+            for v, prof, _, bulk_2, jump_v in stage)))
+        for i, msgs in enumerate(problems):
+            violations += [f"eps={eps} n_index={i}: {msg}" for msg in msgs]
+        if k:  # each rest region against the one at the previous, larger eps
+            nesting[f"{eps_ladder[k - 1]!r}->{eps!r}"] = [
+                bool(np.all(lo <= hi)) for hi, lo in zip(prev_rests, rests)]
+        prev_rests = rests
         consecutive = [kyfan_distance(a, b) for a, b in zip(renorms, renorms[1:])]
         if limit is None:  # the last renormalized function: its pairings and distances are at hand
             lim, lim_pairings = renorms[-1], entries[-1]["pairings"]
@@ -519,11 +502,6 @@ def compactness_report(functions: Sequence[GridFunction],
             },
             "conclusion5_bubble_tracks": tracks.as_dict() if tracks else None,
         }
-    nesting = {}
-    for eps_hi, eps_lo in zip(eps_ladder, eps_ladder[1:]):
-        flags = [bool(np.all(lo_mask <= hi_mask)) for hi_mask, lo_mask in
-                 zip(rest_masks[eps_hi], rest_masks[eps_lo])]
-        nesting[f"{eps_hi!r}->{eps_lo!r}"] = flags
     settings = {
         "p": p,
         "eps_ladder": eps_ladder,

@@ -24,10 +24,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .grid import Record
-from .profile import ConcentrationProfile, levy_concentration, window_mass
+from .profile import ConcentrationProfile, _LevyScan, levy_concentration, window_mass
 
 
 @dataclass(frozen=True)
@@ -183,109 +181,6 @@ def _grow_window(f: ConcentrationProfile, center: float, ref_radius: float,
     return r, r + gap_delta, True
 
 
-class _LevyScan:
-    """Levy maximization at one radius over centers outside the keep-out
-    intervals, kept current while windows of the profile are zeroed.
-
-    Window mass is piecewise linear in the center, so the maximum over the
-    allowed closed set sits at a breakpoint +- radius or on a keep-out edge.
-    The breakpoint candidates are scanned once: each stores its query points
-    ``c + r`` and ``c - r``, their right-``searchsorted`` slots ``k`` and
-    plateau terms, and its mass is ``(cum0[k+] + term+) - (cum0[k-] + term-)``,
-    which is ``mass_below(c + r) - mass_below(c - r)`` bit for bit.
-
-    Zeroing (a, b) on a canonical profile removes breakpoints only inside
-    [a, b] and may add a and b, so every candidate it adds or removes, and
-    the keep-out (lo, hi), lies in the zone [min(lo, a - r), max(hi, b + r)]
-    (rounding is monotone).  The scanned candidates in the zone are dropped;
-    elsewhere a zeroing shifts the slots above b and changes the plateau
-    terms only of the slots in [i0, i1] it touches.
-
-    The current candidates inside the union of the zones (breakpoints +- r
-    and keep-out edges, none inside an open keep-out) form the small sorted
-    ``near`` set, scored directly.  A zeroing changes candidates only inside
-    its own zone, and its keep-out lies there too, so only that zone's part
-    of ``near`` is built again; the points outside it stay valid, even where
-    zones overlap.
-    """
-
-    def __init__(self, f: ConcentrationProfile, radius: float):
-        self.f = f
-        self.radius = radius
-        self.edges: list[float] = []  # keep-out (lo, hi) pairs, flattened
-        self.zones: list[tuple[float, float]] = []
-        self.near = np.empty(0)
-        self._rescan = f._canonical() is not f
-        self._scan()
-
-    def _scan(self) -> None:
-        bp, r = self.f.breakpoints, self.radius
-        c = np.unique(np.concatenate([bp - r, bp + r]))
-        for z_lo, z_hi in self.zones:
-            c = c[(c < z_lo) | (c > z_hi)]
-        self.centers = c
-        self.q = np.stack([c + r, c - r])
-        self.k = bp.searchsorted(self.q, side="right")
-        self.term = self.f._plateau_term(self.k, self.q) if bp.size else np.zeros_like(self.q)
-
-    def best(self) -> tuple[float, float]:
-        """Largest allowed window mass and its smallest maximizing center."""
-        f, r, near = self.f, self.radius, self.near
-        if f.breakpoints.size == 0:
-            return 0.0, 0.0
-        below = f._cum0[self.k] + self.term
-        near_below = f.mass_below(np.stack([near + r, near - r]))
-        best = []  # the first maximum of each candidate set
-        for centers, masses in ((self.centers, below[0] - below[1]),
-                                (near, near_below[0] - near_below[1])):
-            if centers.size:
-                j = int(np.argmax(masses))
-                best.append((float(masses[j]), float(centers[j])))
-        return max(best, key=lambda mc: (mc[0], -mc[1]), default=(0.0, 0.0))
-
-    def remove(self, a: float, b: float, lo: float, hi: float) -> None:
-        """Zero the profile on (a, b) and keep centers out of (lo, hi)."""
-        old, r = self.f, self.radius
-        self.f = new = old.zero_on(a, b)
-        self.edges += [lo, hi]
-        z_lo, z_hi = min(lo, a - r), max(hi, b + r)
-        self.zones.append((z_lo, z_hi))
-        if self._rescan or new.breakpoints.size == 0:
-            self._rescan = False
-            self._scan()
-        else:
-            c0 = int(self.centers.searchsorted(z_lo, side="left"))
-            c1 = int(self.centers.searchsorted(z_hi, side="right"))
-            self.centers, self.q, self.k, self.term = (
-                np.concatenate([x[..., :c0], x[..., c1:]], axis=-1)
-                for x in (self.centers, self.q, self.k, self.term))
-            bp = old.breakpoints
-            i0 = int(bp.searchsorted(a, side="left"))
-            i1 = int(bp.searchsorted(b, side="right"))
-            shift = new.breakpoints.size - bp.size
-            for k, q, term in zip(self.k, self.q, self.term):
-                j0 = int(k.searchsorted(i0, side="left"))
-                j1 = int(k.searchsorted(i1, side="right"))
-                k[j1:] += shift
-                k[j0:j1] = new.breakpoints.searchsorted(q[j0:j1], side="right")
-                term[j0:j1] = new._plateau_term(k[j0:j1], q[j0:j1])
-        self._update_near(z_lo, z_hi)
-
-    def _update_near(self, z_lo: float, z_hi: float) -> None:
-        """Build the part of ``near`` in the new zone [z_lo, z_hi] again."""
-        bp, r, near = self.f.breakpoints, self.radius, self.near
-        edges = np.array(self.edges)
-        parts = [edges[(edges >= z_lo) & (edges <= z_hi)]]
-        for vals in (bp - r, bp + r):
-            parts.append(vals[vals.searchsorted(z_lo, side="left"):
-                              vals.searchsorted(z_hi, side="right")])
-        zone = np.unique(np.concatenate(parts))
-        lo, hi = edges[0::2], edges[1::2]
-        zone = zone[~np.any((zone[:, None] > lo) & (zone[:, None] < hi), axis=1)]
-        self.near = np.concatenate([near[:near.searchsorted(z_lo, side="left")], zone,
-                                    near[near.searchsorted(z_hi, side="right"):]])
-
-
 def classify(f: ConcentrationProfile, eps: float, ref_radius: float,
              gap_delta: float = 2.0) -> TrichotomyVerdict:
     """Trichotomy at scale (eps, ref_radius): compactness, vanishing or dichotomy.
@@ -328,6 +223,8 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
     bubble's leakage and the bubble is flagged in ``capped``.
     """
     params = ExtractionParams(eps, gap_delta, ref_radius)
+    if max_bubbles < 0:
+        raise ValueError(f"max_bubbles must be at least 0, got {max_bubbles}")
     total = f.total_mass()
     scale = total if mass_scale is None else float(mass_scale)
     current = f

@@ -123,6 +123,11 @@ def pad_axis(arr: np.ndarray, axis: int) -> np.ndarray:
     return np.concatenate([zeros, arr, zeros], axis=axis)
 
 
+def face_count(masks) -> int:
+    """Number of True entries over an iterable of face masks."""
+    return sum(int(np.count_nonzero(m)) for m in masks)
+
+
 def crack_masks_from_rows(geom: GridGeometry, rows) -> tuple[np.ndarray, ...]:
     """Per-axis crack masks from ``[axis, i]`` (1D) or ``[axis, i, j]`` (2D)
     rows, each naming an interior face by its lower cell.
@@ -151,7 +156,7 @@ def crack_masks_from_rows(geom: GridGeometry, rows) -> tuple[np.ndarray, ...]:
                              f"interior face of shape {geom.shape}")
         for k, mask in enumerate(masks):
             mask[tuple(cells[axis == k].T)] = True
-        if sum(int(np.count_nonzero(m)) for m in masks) != len(rows):
+        if face_count(masks) != len(rows):
             raise ValueError("duplicate crack entries")
     return masks
 
@@ -211,8 +216,7 @@ class GridFunction:
         return self._jump_masks[axis]
 
     def jump_measure(self) -> float:
-        count = sum(int(np.count_nonzero(self.jump_mask(k))) for k in range(self.geom.dim))
-        return count * self.geom.face_area
+        return face_count(self._jump_masks) * self.geom.face_area
 
     def with_values(self, values) -> GridFunction:
         return GridFunction(self.geom, values, self._masks)
@@ -222,12 +226,6 @@ class GridFunction:
         require_same_geometry(self.geom, other.geom)
         masks = [a | b for a, b in zip(self._masks, other._masks)]
         return GridFunction(self.geom, self.values - other.values, masks)
-
-    def add_on(self, mask: np.ndarray, c: float) -> GridFunction:
-        """Add the constant c on the masked cells (a piecewise-constant translation)."""
-        vals = self.values.copy()
-        vals[np.asarray(mask, dtype=bool)] += c
-        return self.with_values(vals)
 
 
 class CellSet:
@@ -247,14 +245,7 @@ class CellSet:
 
     def perimeter(self) -> float:
         """Ambient perimeter: faces separating inside from outside or from beyond the box."""
-        count = sum(int(np.count_nonzero(self.boundary_faces(k))) for k in range(self.geom.dim))
-        return count * self.geom.face_area
-
-    def relative_perimeter(self) -> float:
-        """Perimeter relative to the box: interior separating faces only."""
-        count = sum(int(np.count_nonzero(self.interior_boundary(k)))
-                    for k in range(self.geom.dim))
-        return count * self.geom.face_area
+        return face_count(map(self.boundary_faces, range(self.geom.dim))) * self.geom.face_area
 
     def interior_boundary(self, axis: int) -> np.ndarray:
         """Mask over the interior faces of ``axis`` separating the set from its complement."""
@@ -321,8 +312,7 @@ def boundary_outside_jump(S: CellSet, u: GridFunction) -> float:
     so are crack faces with differing traces.
     """
     require_same_geometry(S.geom, u.geom)
-    count = sum(int(np.count_nonzero(S.interior_boundary(k) & ~u.jump_mask(k)))
-                for k in range(u.geom.dim))
+    count = face_count(S.interior_boundary(k) & ~u.jump_mask(k) for k in range(u.geom.dim))
     return count * u.geom.face_area
 
 

@@ -183,9 +183,6 @@ class DomainPartition:
         codes = np.flatnonzero(np.bincount(self._codes.ravel()))
         return codes[np.lexsort((codes // 4, _KIND_OF_REM[codes % 4]))]
 
-    def labels_present(self) -> list[tuple[int, int]]:
-        return [(int(_KIND_OF_REM[c % 4]), int(c // 4)) for c in self._present_codes()]
-
     def rest_mask(self) -> np.ndarray:
         """Gap and vanishing cells together (the non-main aggregate)."""
         return self.label_kind != KIND_MAIN

@@ -186,6 +186,18 @@ def levy_concentration(f: ConcentrationProfile, radius: float) -> tuple[float, f
     return float(masses[k]), float(centers[k])
 
 
+def levy_over_candidates(f: ConcentrationProfile, radius: float) -> tuple[float, float]:
+    """Largest window mass, ``mass_below(c + r) - mass_below(c - r)``, over the
+    candidates ``breakpoints +- radius`` built and scored in one go: the body
+    ``profile.levy_concentration`` had before it became a scan's first ``best()``."""
+    if f.breakpoints.size == 0:
+        return 0.0, 0.0
+    centers = np.unique(np.concatenate([f.breakpoints - radius, f.breakpoints + radius]))
+    masses = f.mass_below(centers + radius) - f.mass_below(centers - radius)
+    k = int(np.argmax(masses))  # first occurrence: smallest center wins ties
+    return float(masses[k]), float(centers[k])
+
+
 def constrained_levy(f: ConcentrationProfile, radius: float, keep_out, events=None):
     """Largest window mass over centers outside the open keep-out intervals,
     every candidate (breakpoints +- radius and keep-out edges) built and
@@ -461,7 +473,7 @@ def partition_csv(part) -> str:
     return "\n".join(",".join(row) for row in names.tolist()) + "\n"
 
 
-def lsc_report(seq, limit: GridFunction, box: CellSet | None = None):
+def lsc_report(seq, limit: GridFunction):
     """Slicing LSC report from one ``slice_line`` per (function, row) and a
     pairwise search over the limit and sequence jumps of every row."""
     from crackgrid.analysis import SliceLscReport, directional_jump_measure, slice_line
@@ -473,8 +485,8 @@ def lsc_report(seq, limit: GridFunction, box: CellSet | None = None):
 
     geom = limit.geom
     axes = tuple(range(geom.dim))
-    lim_dir = tuple(directional_jump_measure(limit, k, box) for k in axes)
-    seq_dir = tuple(tuple(directional_jump_measure(g, k, box) for g in seq) for k in axes)
+    lim_dir = tuple(directional_jump_measure(limit, k) for k in axes)
+    seq_dir = tuple(tuple(directional_jump_measure(g, k) for g in seq) for k in axes)
     margins = tuple(min(s) - l for s, l in zip(seq_dir, lim_dir))
     total_margin = min(sum(col) for col in zip(*seq_dir)) - sum(lim_dir)
     etas, limited, ok, lim_counts, seq_counts = [], [], [], [], []

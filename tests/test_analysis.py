@@ -16,7 +16,6 @@ from crackgrid.analysis import (
     compactness_report,
     directional_jump_measure,
     grid_iso_constant,
-    jump_count_1d,
     lsc_report,
     slice_line,
     vanishing_certificate,
@@ -190,13 +189,13 @@ class TestSlicing:
         u = fixture_staircase(n)
         for iy in range(u.geom.shape[1]):
             line = slice_line(u, 0, iy)
-            assert jump_count_1d(line) == 2  # 0 -> i and i -> n+1
+            assert line.jump_measure() == 2  # 0 -> i and i -> n+1
 
     def test_crack_free_slices(self):
         geom = GridGeometry((0.0, 0.0), 0.5, (6, 4))
         u = GridFunction(geom, np.add.outer(np.arange(6.0), np.arange(4.0)))
         for iy in range(4):
-            assert jump_count_1d(slice_line(u, 0, iy)) == 0
+            assert slice_line(u, 0, iy).jump_measure() == 0
 
     def test_fubini_bulk_resummation(self):
         rng = np.random.default_rng(7)
@@ -227,13 +226,13 @@ class TestSlicing:
             u = random_fixture(rng, dim=2, max_2d=12)
             h = u.geom.spacing
             for axis in range(2):
-                counted = 0
+                counted = 0.0
                 for row in range(u.geom.shape[1 - axis]):
                     line, ref = slice_line(u, axis, row), oracle_slice_line(u, axis, row)
                     assert line.geom == ref.geom
                     assert np.array_equal(line.values, ref.values)
                     assert np.array_equal(line.crack_mask(0), ref.crack_mask(0))
-                    counted += jump_count_1d(line)
+                    counted += line.jump_measure()
                 assert counted * h == pytest.approx(
                     directional_jump_measure(u, axis), abs=1e-15)
 
@@ -313,19 +312,6 @@ class TestLscReport:
         assert d["seq_slice_counts"][0][0] == [2] * seq[0].geom.shape[1]
         assert d["lsc_holds"] is True
 
-    def test_box_restriction(self):
-        # a box touching only the left half sees no jump of the runaway crack
-        u = fixture_runaway(4.0)
-        nx = u.geom.shape[0]
-        left = np.zeros(u.geom.shape, dtype=bool)
-        left[: nx // 2, :] = True
-        box = CellSet(u.geom, left)
-        assert directional_jump_measure(u, 0, box) == 0.0
-        full = CellSet(u.geom, np.ones(u.geom.shape, dtype=bool))
-        assert directional_jump_measure(u, 0, full) == 1.0
-        rep = lsc_report([u], u, box=box)
-        assert rep.limit_directional == (0.0, 0.0)
-
 
 class TestGradientPairings:
     def test_matches_mask_oracle(self):
@@ -352,9 +338,9 @@ class TestLscOracle:
     pairwise search over the jumps of every row."""
 
     @staticmethod
-    def assert_matches(seq, limit, box=None):
-        fast = lsc_report(seq, limit, box=box).as_dict()
-        slow = oracle_lsc_report(seq, limit, box=box).as_dict()
+    def assert_matches(seq, limit):
+        fast = lsc_report(seq, limit).as_dict()
+        slow = oracle_lsc_report(seq, limit).as_dict()
         assert fast == slow
         # the serialized report, types included, is the same too
         assert json.dumps(fast, sort_keys=True) == json.dumps(slow, sort_keys=True)
@@ -373,8 +359,7 @@ class TestLscOracle:
             seq = [_random_on(rng, geom, float(rng.choice([0.0, 0.05, 0.3, 0.7])))
                    for _ in range(int(rng.integers(1, 4)))]
             limit = _random_on(rng, geom, float(rng.choice([0.0, 0.1, 0.4])))
-            box = random_mask(rng, geom, 0.7) if rng.random() < 0.3 else None
-            rep = self.assert_matches(seq, limit, box)
+            rep = self.assert_matches(seq, limit)
             missing += None in rep["eta"]
             found += any(e is not None and e > 2 * spacing for e in rep["eta"])
         # both the missing-row rule and a grown locality radius occur
@@ -385,7 +370,7 @@ class TestLscOracle:
         for _ in range(6):
             seq = [jumpy_fixture(rng, shape=(12, 10), spacing=0.1) for _ in range(3)]
             self.assert_matches(seq, seq[-1])
-            self.assert_matches(seq[:2], seq[-1], box=random_mask(rng, seq[0].geom))
+            self.assert_matches(seq[:2], seq[-1])
 
     def test_limit_without_jumps(self):
         rng = np.random.default_rng(409)
@@ -537,6 +522,32 @@ class TestCompactnessReport:
         assert c1["consecutive_kyfan"] == [kyfan_distance(a, b)
                                            for a, b in zip(renorms, renorms[1:])]
         assert c1["kyfan_to_limit"] == [kyfan_distance(w, renorms[-1]) for w in renorms]
+
+    def test_violations_pinned_in_order(self, monkeypatch):
+        calls = []
+
+        def uncertified_on_calls_0_and_4(u, region, eps, radius=1.0, window=1.0):
+            cert = vanishing_certificate(u, region, eps, radius=radius, window=window)
+            calls.append(len(calls))
+            if calls[-1] in (0, 4):
+                return dataclasses.replace(cert, measured_volume=cert.bound + 1.0)
+            return cert
+
+        monkeypatch.setattr(analysis, "vanishing_certificate", uncertified_on_calls_0_and_4)
+        seq = [fixture_staircase(n, cells_per_step=16 // n) for n in (4, 8, 16)]
+        geom = seq[0].geom
+        # every interior face of the limit is a jump: far more than any sequence function has
+        limit = GridFunction(geom, np.arange(geom.num_cells, dtype=float),
+                             [np.ones(geom.face_shape(k), dtype=bool) for k in range(2)])
+        rep = compactness_report(seq, eps_ladder=[0.2, 0.1], limit=limit)
+        assert len(calls) == 6
+        assert rep.violations == [
+            "eps=0.2 n_index=0: vanishing certificate failed",
+            "eps=0.2: jump LSC margin negative",
+            "eps=0.1 n_index=1: vanishing certificate failed",
+            "eps=0.1: jump LSC margin negative",
+        ]
+        assert not rep.ok and rep.as_dict()["violations"] == rep.violations
 
     def test_geometry_mismatch_rejected(self):
         a = fixture_runaway(1.0, resolution=8)

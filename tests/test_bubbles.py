@@ -10,14 +10,18 @@ import _oracles
 from _fixtures import cluster_plate, random_profile
 
 from crackgrid.bubbles import (
-    _LevyScan,
     classify,
     extract_bubbles,
     separation_trend,
     track_sequence,
 )
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
-from crackgrid.profile import ConcentrationProfile, concentration_profile, levy_concentration
+from crackgrid.profile import (
+    ConcentrationProfile,
+    _LevyScan,
+    concentration_profile,
+    levy_concentration,
+)
 
 
 def dyadic_cluster_profile(rng: np.random.Generator, n_clusters: int,
@@ -172,6 +176,10 @@ class TestExtract:
         dec = extract_bubbles(f, eps=0.01, gap_delta=2.0, ref_radius=1.0, max_bubbles=3)
         assert dec.incomplete
         assert len(dec.bubbles) == 3
+        none = extract_bubbles(f, eps=0.01, gap_delta=2.0, ref_radius=1.0, max_bubbles=0)
+        assert none.incomplete and none.bubbles == ()
+        with pytest.raises(ValueError, match="max_bubbles must be at least 0, got -3"):
+            extract_bubbles(f, eps=0.01, gap_delta=2.0, ref_radius=1.0, max_bubbles=-3)
 
     def test_masses_descending(self):
         rng = np.random.default_rng(3)

@@ -220,6 +220,23 @@ class TestProfileQueries:
             assert mass == pytest.approx(brute, abs=1e-12)
             assert f.integrate(center - radius, center + radius) == pytest.approx(mass, abs=1e-14)
 
+    def test_levy_is_the_old_candidate_scan_bit_for_bit(self):
+        # the scan's first best() against the direct candidate scan it replaced
+        rng = np.random.default_rng(2027)
+        kinds = {"empty": 0, "canonical": 0, "non-canonical": 0}
+        cases = [ConcentrationProfile.empty(), ConcentrationProfile.empty(0.25)]
+        cases += [random_profile(rng) for _ in range(300)]
+        for f in cases:
+            kind = ("empty" if f.breakpoints.size == 0 else
+                    "canonical" if f._canonical() is f else "non-canonical")
+            kinds[kind] += 1
+            for radius in (0.125, 1 / 3, 1.0, 2.5, float(rng.uniform(0.05, 8.0))):
+                got, want = levy_concentration(f, radius), _oracles.levy_over_candidates(f, radius)
+                assert repr(got) == repr(want)
+        assert min(kinds.values()) >= 2, kinds
+        with pytest.raises(ValueError, match="radius must be positive"):
+            levy_concentration(cases[2], 0.0)
+
     def test_levy_staircase_prefers_the_edge_clusters(self):
         u = fixture_staircase(16)
         f = concentration_profile(u)
@@ -352,7 +369,7 @@ class TestSurgery:
         assert not f._cum0.flags.writeable
         check(f.zero_on(float(bp[1]), float(bp[-2])))
         check(f.zero_on(0.5 * float(bp[0] + bp[1]), 0.5 * float(bp[-2] + bp[-1])))
-        check(f.shifted(0.3))
+        check(ConcentrationProfile(bp + 0.3, pv, f.window))
         # split plateau 2 in two: the canonical form drops the extra breakpoint
         split = ConcentrationProfile(np.insert(bp, 2, 0.5 * (bp[1] + bp[2])),
                                      np.insert(pv, 2, pv[2]), f.window)
