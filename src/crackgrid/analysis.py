@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -30,7 +29,6 @@ from .grid import (
     Record,
     energy,
     face_count,
-    face_pairs,
     kyfan_distance,
     pad_axis,
     require_same_geometry,
@@ -47,23 +45,14 @@ from .profile import ConcentrationProfile, concentration_profile, levy_concentra
 # -- grid isoperimetric constant ---------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def grid_iso_constant(side: int = 4) -> float:
-    """Largest volume/perimeter^2 over all masks in a side x side box (h = 1).
+def grid_iso_constant() -> float:
+    """Largest volume/perimeter^2 of a 2D cell set (h = 1): 1/16.
 
-    The maximum is attained by the full square and the value is scale-free,
-    so it bounds volume <= c * perimeter^2 for arbitrary 2D cell sets (any
-    component satisfies the classical count <= boundary^2/16 bound, and the
-    bound is superadditive over components).
+    A set of n cells has at least 4 sqrt(n) faces and the full square
+    attains this; the value is scale-free, and the bound is superadditive
+    over components, so volume <= perimeter^2 / 16 for every cell set.
     """
-    n = side * side
-    bits = np.arange(1, 1 << n, dtype=np.uint32)
-    masks = ((bits[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
-    masks = masks.reshape(-1, side, side)
-    vol = masks.sum(axis=(1, 2))
-    perim = sum(np.logical_xor(*face_pairs(pad_axis(masks, axis), axis)).sum(axis=(1, 2))
-                for axis in (1, 2))
-    return float(np.max(vol / perim.astype(float) ** 2))
+    return 1 / 16
 
 
 # -- vanishing certificate ----------------------------------------------------
@@ -354,10 +343,11 @@ class SequenceReport(Record):
         return not self.violations
 
 
-def bubble_partition(v: GridFunction, prof: ConcentrationProfile, eps: float, window: float,
+def bubble_partition(v: GridFunction, prof: ConcentrationProfile, eps: float,
                      ref_radius: float, gap_delta: float, omega: CellSet | None = None):
-    """Bubbles of ``v``'s profile, their radii and the partition they induce:
-    ``(decomposition, radii, partition)``."""
+    """Bubbles of ``v``'s profile, their radii and the partition they induce,
+    all at the profile's window: ``(decomposition, radii, partition)``."""
+    window = prof.window
     dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
     radii = select_radii(prof, dec.bubbles, base_radius=ref_radius, width=window, window=window)
     part = build_partition(v, radii, window=window, omega=omega)
@@ -369,7 +359,7 @@ def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v: float, ju
     """One function at one eps, at its profile's window: ``(entry, decomposition,
     rest mask, renormalized function, violations)``."""
     window = prof.window
-    dec, radii, part = bubble_partition(v, prof, eps, window, ref_radius, gap_delta, omega)
+    dec, radii, part = bubble_partition(v, prof, eps, ref_radius, gap_delta, omega)
     violations = [f"decomposition: {msg}" for msg in dec.validate()]
     w = renormalize(v, part)
     region = vanishing_region(v, dec.bubbles, radius=ref_radius, omega=omega)

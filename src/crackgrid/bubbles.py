@@ -138,23 +138,15 @@ def _heavy_adjacent_strip(f: ConcentrationProfile, lo: float, hi: float,
                           zones: Sequence[tuple[float, float]]) -> bool:
     """Is a heavy narrow strip trapped between (lo, hi) and an existing zone?
 
-    Strips at least one window diameter wide still admit an allowed center,
-    so only narrower ones can be stranded by the separation constraint.
+    The strips are (a, lo) and (hi, b), from the nearest zone edge on each
+    side (or -inf and inf, where no zone lies there).  Strips at least one
+    window diameter wide still admit an allowed center, so only narrower
+    ones can be stranded by the separation constraint.
     """
-    for side in (0, 1):
-        if side == 0:
-            edges = [z_hi for z_lo, z_hi in zones if z_hi <= lo]
-            if not edges:
-                continue
-            a, b = max(edges), lo
-        else:
-            edges = [z_lo for z_lo, z_hi in zones if z_lo >= hi]
-            if not edges:
-                continue
-            a, b = hi, min(edges)
-        if 0 < b - a < 2 * ref_radius and f.integrate(a, b) > threshold:
-            return True
-    return False
+    a = max((z_hi for _, z_hi in zones if z_hi <= lo), default=-math.inf)
+    b = min((z_lo for z_lo, _ in zones if z_lo >= hi), default=math.inf)
+    return any(0 < right - left < 2 * ref_radius and f.integrate(left, right) > threshold
+               for left, right in ((a, lo), (hi, b)))
 
 
 def _grow_window(f: ConcentrationProfile, center: float, ref_radius: float,
@@ -172,6 +164,8 @@ def _grow_window(f: ConcentrationProfile, center: float, ref_radius: float,
     """
     r = ref_radius
     while r + gap_delta <= radius_cap:
+        if not r + gap_delta > r:  # the window would never grow
+            raise ValueError(f"gap_delta {gap_delta!r} vanishes next to radius {r!r}")
         lo, hi = center - r - gap_delta, center + r + gap_delta
         annulus = f.integrate(lo, hi) - f.integrate(center - r, center + r)
         if annulus <= leak_threshold and not _heavy_adjacent_strip(

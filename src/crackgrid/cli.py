@@ -78,6 +78,15 @@ def _real_in(low: float, high: float = math.inf):
 _POSITIVE, _EPS, _P = _real_in(0), _real_in(0, 1), _real_in(1)
 
 
+def _check_steps(ref_radius: float, **steps: float) -> None:
+    """The check, for flags and manifest keys alike, that each step added to
+    ``ref_radius`` moves it: the window grows by ``gap_delta`` and the radius
+    band is ``window`` wide."""
+    for name, step in steps.items():
+        if not ref_radius + step > ref_radius:
+            raise InputError(f"{name} {step!r} vanishes next to ref_radius {ref_radius!r}")
+
+
 def _load_doc(path: str) -> dict:
     try:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
@@ -275,6 +284,8 @@ def _load_manifest(path: str):
     settings = {key: setting(key, doc.get(key, default), parse) for key, default, parse in (
         ("p", 2.0, _P), ("window", 1.0, _POSITIVE), ("ref_radius", 1.0, _POSITIVE),
         ("gap_delta", 2.0, _POSITIVE))}
+    _check_steps(settings["ref_radius"], gap_delta=settings["gap_delta"],
+                 window=settings["window"])
     ladder = settings["eps_ladder"] = [setting("eps_ladder", e, _EPS) for e in ladder]
     if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
         raise InputError(f"eps ladder must be strictly decreasing, got {ladder}")
@@ -322,6 +333,7 @@ def _cmd_profile(args) -> int:
 def _cmd_decompose(args) -> int:
     if args.max_bubbles < 0:
         raise InputError(f"--max-bubbles must be at least 0, got {args.max_bubbles}")
+    _check_steps(args.ref_radius, gap_delta=args.gap_delta)
     u = _load(args.input)
     domain = _load(args.domain, "cell set", u.geom) if args.domain else None
     f = concentration_profile(u, domain=domain, window=args.window)
@@ -335,11 +347,11 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_partition(args) -> int:
+    _check_steps(args.ref_radius, gap_delta=args.gap_delta, window=args.window)
     u = _load(args.input)
     omega = _load(args.omega, "cell set", u.geom) if args.omega else None
     f = concentration_profile(u, domain=omega, window=args.window)
-    dec, radii, part = bubble_partition(u, f, args.eps, args.window, args.ref_radius,
-                                        args.gap_delta, omega)
+    dec, radii, part = bubble_partition(u, f, args.eps, args.ref_radius, args.gap_delta, omega)
     if args.svg:
         Path(args.svg).write_text(_labels_svg(part), encoding="utf-8")
     if args.format == "csv":
@@ -353,13 +365,13 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_renormalize(args) -> int:
+    _check_steps(args.ref_radius, gap_delta=args.gap_delta, window=args.window)
     u = _load(args.input)
     datum = _load(args.datum, geom=u.geom) if args.datum else None
     omega = _load(args.omega, "cell set", u.geom) if args.omega else None
     v = u.subtract(datum) if datum is not None else u
     f = concentration_profile(v, domain=omega, window=args.window)
-    _, _, part = bubble_partition(v, f, args.eps, args.window, args.ref_radius,
-                                  args.gap_delta, omega)
+    _, _, part = bubble_partition(v, f, args.eps, args.ref_radius, args.gap_delta, omega)
     w = perturbed_translation(v, part) if args.perturb else renormalize(v, part)
     _emit_json(grid_function_to_dict(w), args.out)
     return EXIT_OK

@@ -254,102 +254,79 @@ class _LevyScan:
 
     Window mass is piecewise linear in the center, so the maximum over the
     allowed closed set sits at a breakpoint +- radius or on a keep-out edge.
-    The breakpoint candidates are scanned once: each stores its query points
-    ``c + r`` and ``c - r``, their right-``searchsorted`` slots ``k`` and
-    plateau terms, and its mass is ``(cum0[k+] + term+) - (cum0[k-] + term-)``,
-    which is ``mass_below(c + r) - mass_below(c - r)`` bit for bit.
+    These candidates, minus those inside an open keep-out, form one sorted
+    array ``centers``; each stores its query points ``c + r`` and ``c - r``,
+    their right-``searchsorted`` slots ``k`` and plateau terms, and its mass
+    is ``(cum0[k+] + term+) - (cum0[k-] + term-)``, which is
+    ``mass_below(c + r) - mass_below(c - r)`` bit for bit.
 
     Zeroing (a, b) on a canonical profile removes breakpoints only inside
     [a, b] and may add a and b, so every candidate it adds or removes, and
     the keep-out (lo, hi), lies in the zone [min(lo, a - r), max(hi, b + r)]
-    (rounding is monotone).  The scanned candidates in the zone are dropped;
-    elsewhere a zeroing shifts the slots above b and changes the plateau
-    terms only of the slots in [i0, i1] it touches.
-
-    The current candidates inside the union of the zones (breakpoints +- r
-    and keep-out edges, none inside an open keep-out) form the small sorted
-    ``near`` set, scored directly.  A zeroing changes candidates only inside
-    its own zone, and its keep-out lies there too, so only that zone's part
-    of ``near`` is built again; the points outside it stay valid, even where
-    zones overlap.  Before any removal ``near`` is empty, and ``best()`` is
-    the Levy concentration of the profile.
+    (rounding is monotone).  The zone's candidates are built again on the
+    new profile; outside it the query points miss [a, b], so a zeroing only
+    shifts the slots above b and changes the plateau terms of the slots in
+    [i0, i1] it touches.
     """
 
     def __init__(self, f: ConcentrationProfile, radius: float):
         self.f = f
         self.radius = radius
         self.edges: list[float] = []  # keep-out (lo, hi) pairs, flattened
-        self.zones: list[tuple[float, float]] = []
-        self.near = np.empty(0)
-        self._scan()
+        self.centers, self.q, self.k, self.term = self._build()
 
-    def _scan(self) -> None:
+    def _build(self, z_lo: float = -np.inf, z_hi: float = np.inf):
+        """The candidates in [z_lo, z_hi] with their query points, slots and terms."""
         bp, r = self.f.breakpoints, self.radius
-        c = np.unique(np.concatenate([bp - r, bp + r]))
-        for z_lo, z_hi in self.zones:
-            c = c[(c < z_lo) | (c > z_hi)]
-        self.centers = c
-        self.q = np.stack([c + r, c - r])
-        self.k = bp.searchsorted(self.q, side="right")
-        self.term = self.f._plateau_term(self.k, self.q) if bp.size else np.zeros_like(self.q)
-
-    def best(self) -> tuple[float, float]:
-        """Largest allowed window mass and its smallest maximizing center."""
-        f, r, near = self.f, self.radius, self.near
-        if f.breakpoints.size == 0:
-            return 0.0, 0.0
-        below = f._cum0[self.k] + self.term
-        near_below = f.mass_below(np.stack([near + r, near - r]))
-        best = []  # the first maximum of each candidate set
-        for centers, masses in ((self.centers, below[0] - below[1]),
-                                (near, near_below[0] - near_below[1])):
-            if centers.size:
-                j = int(np.argmax(masses))
-                best.append((float(masses[j]), float(centers[j])))
-        return max(best, key=lambda mc: (mc[0], -mc[1]), default=(0.0, 0.0))
-
-    def remove(self, a: float, b: float, lo: float, hi: float) -> None:
-        """Zero the profile on (a, b) and keep centers out of (lo, hi)."""
-        old, r = self.f, self.radius
-        # only the input can be non-canonical: zeroing it may drop breakpoints off [a, b]
-        rescan = not self.zones and old._canonical() is not old
-        self.f = new = old.zero_on(a, b)
-        self.edges += [lo, hi]
-        z_lo, z_hi = min(lo, a - r), max(hi, b + r)
-        self.zones.append((z_lo, z_hi))
-        if rescan or new.breakpoints.size == 0:
-            self._scan()
-        else:
-            c0 = int(self.centers.searchsorted(z_lo, side="left"))
-            c1 = int(self.centers.searchsorted(z_hi, side="right"))
-            self.centers, self.q, self.k, self.term = (
-                np.concatenate([x[..., :c0], x[..., c1:]], axis=-1)
-                for x in (self.centers, self.q, self.k, self.term))
-            bp = old.breakpoints
-            i0 = int(bp.searchsorted(a, side="left"))
-            i1 = int(bp.searchsorted(b, side="right"))
-            shift = new.breakpoints.size - bp.size
-            for k, q, term in zip(self.k, self.q, self.term):
-                j0 = int(k.searchsorted(i0, side="left"))
-                j1 = int(k.searchsorted(i1, side="right"))
-                k[j1:] += shift
-                k[j0:j1] = new.breakpoints.searchsorted(q[j0:j1], side="right")
-                term[j0:j1] = new._plateau_term(k[j0:j1], q[j0:j1])
-        self._update_near(z_lo, z_hi)
-
-    def _update_near(self, z_lo: float, z_hi: float) -> None:
-        """Build the part of ``near`` in the new zone [z_lo, z_hi] again."""
-        bp, r, near = self.f.breakpoints, self.radius, self.near
         edges = np.array(self.edges)
         parts = [edges[(edges >= z_lo) & (edges <= z_hi)]]
         for vals in (bp - r, bp + r):
             parts.append(vals[vals.searchsorted(z_lo, side="left"):
                               vals.searchsorted(z_hi, side="right")])
-        zone = np.unique(np.concatenate(parts))
-        lo, hi = edges[0::2], edges[1::2]
-        zone = zone[~np.any((zone[:, None] > lo) & (zone[:, None] < hi), axis=1)]
-        self.near = np.concatenate([near[:near.searchsorted(z_lo, side="left")], zone,
-                                    near[near.searchsorted(z_hi, side="right"):]])
+        c = np.unique(np.concatenate(parts))
+        c = c[~np.any((c[:, None] > edges[0::2]) & (c[:, None] < edges[1::2]), axis=1)]
+        q = np.stack([c + r, c - r])
+        k = bp.searchsorted(q, side="right")
+        return c, q, k, self.f._plateau_term(k, q) if bp.size else np.zeros_like(q)
+
+    def best(self) -> tuple[float, float]:
+        """Largest allowed window mass and its smallest maximizing center."""
+        if self.f.breakpoints.size == 0:
+            return 0.0, 0.0
+        below = self.f._cum0[self.k] + self.term
+        masses = below[0] - below[1]
+        j = int(np.argmax(masses))  # centers ascend: the first maximum is the smallest
+        return float(masses[j]), float(self.centers[j])
+
+    def remove(self, a: float, b: float, lo: float, hi: float) -> None:
+        """Zero the profile on (a, b) and keep centers out of (lo, hi)."""
+        old, r = self.f, self.radius
+        # only the input can be non-canonical: zeroing it may drop breakpoints off [a, b]
+        rescan = not self.edges and old._canonical() is not old
+        self.f = new = old.zero_on(a, b)
+        self.edges += [lo, hi]
+        if rescan or new.breakpoints.size == 0:
+            self.centers, self.q, self.k, self.term = self._build()
+            return
+        z_lo, z_hi = min(lo, a - r), max(hi, b + r)
+        c0 = int(self.centers.searchsorted(z_lo, side="left"))
+        c1 = int(self.centers.searchsorted(z_hi, side="right"))
+        bp = old.breakpoints
+        i0 = int(bp.searchsorted(a, side="left"))
+        i1 = int(bp.searchsorted(b, side="right"))
+        shift = new.breakpoints.size - bp.size
+        # the zone's slice [c0, c1) is rebuilt below, so it is skipped; left of
+        # it every slot is at most i0, so only slots right of it can shift
+        for k, q, term in zip(self.k, self.q, self.term):
+            j0 = int(k.searchsorted(i0, side="left"))
+            j1 = int(k.searchsorted(i1, side="right"))
+            k[max(j1, c1):] += shift
+            for s in (slice(j0, min(j1, c0)), slice(max(j0, c1), j1)):
+                k[s] = new.breakpoints.searchsorted(q[s], side="right")
+                term[s] = new._plateau_term(k[s], q[s])
+        self.centers, self.q, self.k, self.term = (
+            np.concatenate([x[..., :c0], z, x[..., c1:]], axis=-1)
+            for x, z in zip((self.centers, self.q, self.k, self.term), self._build(z_lo, z_hi)))
 
 
 def levy_concentration(f: ConcentrationProfile, radius: float) -> tuple[float, float]:
@@ -357,6 +334,8 @@ def levy_concentration(f: ConcentrationProfile, radius: float) -> tuple[float, f
     center: the first ``best()`` of a Levy scan, before any zone is removed."""
     if not radius > 0:
         raise ValueError("radius must be positive")
+    if f.breakpoints.size == 0:
+        return 0.0, 0.0
     return _LevyScan(f, radius).best()
 
 

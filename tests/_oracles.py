@@ -222,22 +222,33 @@ def constrained_levy(f: ConcentrationProfile, radius: float, keep_out, events=No
     return float(masses[k]), float(centers[k])
 
 
-def near_candidates(f: ConcentrationProfile, radius: float, zones, edges) -> np.ndarray:
-    """The sorted candidates inside the union of the closed ``zones``: every
-    breakpoint +- radius in a zone and every keep-out edge, minus those
-    inside an open keep-out ``(edges[2i], edges[2i+1])``; all zones scanned
-    afresh."""
-    bp = f.breakpoints
-    z_lo, z_hi = np.array(zones).T
-    edges = np.array(edges)
-    parts = [edges]
-    for vals in (bp - radius, bp + radius):
-        starts = vals.searchsorted(z_lo, side="left").tolist()
-        stops = vals.searchsorted(z_hi, side="right").tolist()
-        parts += [vals[i:j] for i, j in zip(starts, stops)]
-    near = np.unique(np.concatenate(parts))
+def iso_constant(side: int = 4) -> float:
+    """Largest volume/perimeter^2 over all nonempty masks in a side x side
+    box (h = 1), by enumerating the 2^(side^2) - 1 masks."""
+    n = side * side
+    bits = np.arange(1, 1 << n, dtype=np.uint32)
+    masks = ((bits[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(bool)
+    padded = np.pad(masks.reshape(-1, side, side), ((0, 0), (1, 1), (1, 1)))
+    perim = sum(np.count_nonzero(np.diff(padded, axis=axis), axis=(1, 2)) for axis in (1, 2))
+    return float(np.max(masks.sum(axis=1) / perim.astype(float) ** 2))
+
+
+def scan_state(f: ConcentrationProfile, radius: float, edges) -> tuple[np.ndarray, ...]:
+    """The ``(centers, k, term)`` of a Levy scan built afresh: every breakpoint
+    +- radius and every keep-out edge, sorted, minus those inside an open
+    keep-out ``(edges[2i], edges[2i+1])``; per center the right slots ``k`` of
+    ``(c + radius, c - radius)`` and the mass on each slot's plateau below
+    its query point."""
+    bp, pv = f.breakpoints, f.plateau_values
+    edges = np.array(edges, dtype=float)
+    c = np.unique(np.concatenate([bp - radius, bp + radius, edges]))
     lo, hi = edges[0::2], edges[1::2]
-    return near[~np.any((near[:, None] > lo) & (near[:, None] < hi), axis=1)]
+    c = c[~np.any((c[:, None] > lo) & (c[:, None] < hi), axis=1)]
+    q = np.stack([c + radius, c - radius])
+    k = np.searchsorted(bp, q, side="right")
+    if not bp.size:
+        return c, k, np.zeros_like(q)
+    return c, k, pv[k] * (np.clip(q, bp[0], bp[-1]) - bp[k - 1])
 
 
 class _MaskedIntegrals:

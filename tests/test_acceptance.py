@@ -48,7 +48,7 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
 def staircase_pipeline(n, eps=0.1, ref=1.0, gap=2.0, w=1.0, cells_per_step=1):
     u = fixture_staircase(n, cells_per_step=cells_per_step)
     f = concentration_profile(u, window=w)
-    dec, radii, part = bubble_partition(u, f, eps, w, ref, gap)
+    dec, radii, part = bubble_partition(u, f, eps, ref, gap)
     return u, f, dec, radii, part
 
 
@@ -111,7 +111,7 @@ def test_criterion_04_runaway_pipeline():
         u = fixture_runaway(n)
         seq.append(u)
         f = concentration_profile(u, window=1.0)
-        dec, _, part = bubble_partition(u, f, 0.1, 1.0, 1.0, 2.0)
+        dec, _, part = bubble_partition(u, f, 0.1, 1.0, 2.0)
         decs.append(dec)
         renorms.append(renormalize(u, part))
     zero = seq[0].with_values(np.zeros(seq[0].geom.shape))
@@ -176,7 +176,7 @@ def test_criterion_07_renormalization_contracts():
     ok = True
     for u in _contract_fixtures():
         f = concentration_profile(u, window=1.0)
-        _, radii, part = bubble_partition(u, f, 0.1, 1.0, 1.0, 2.0)
+        _, radii, part = bubble_partition(u, f, 0.1, 1.0, 2.0)
         w = renormalize(u, part)
         max_radius = max((max(c.r_minus, c.r_plus) for c in radii), default=0.0)
         ok &= float(np.max(np.abs(w.values))) <= max_radius + 1.0 + TOL

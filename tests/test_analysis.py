@@ -9,6 +9,7 @@ import pytest
 from _fixtures import jumpy_fixture, random_fixture, random_mask
 from _oracles import certificate_face_measures
 from _oracles import gradient_pairings as oracle_gradient_pairings
+from _oracles import iso_constant as oracle_iso_constant
 from _oracles import lsc_report as oracle_lsc_report
 from _oracles import slice_line as oracle_slice_line
 from crackgrid import analysis
@@ -35,9 +36,9 @@ from crackgrid.profile import concentration_profile, levy_concentration
 
 
 class TestIsoConstant:
-    def test_measured_value_is_one_sixteenth(self):
+    def test_closed_form_matches_enumeration(self):
         # the sweep over all 4x4 masks peaks at the full square
-        assert grid_iso_constant() == pytest.approx(1 / 16, abs=1e-15)
+        assert grid_iso_constant() == oracle_iso_constant() == 1 / 16
 
     def test_bounds_random_masks_on_larger_grids(self):
         rng = np.random.default_rng(2)

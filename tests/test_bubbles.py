@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -181,6 +185,23 @@ class TestExtract:
         with pytest.raises(ValueError, match="max_bubbles must be at least 0, got -3"):
             extract_bubbles(f, eps=0.01, gap_delta=2.0, ref_radius=1.0, max_bubbles=-3)
 
+    @pytest.mark.parametrize("call", ["classify", "extract_bubbles"])
+    @pytest.mark.parametrize("ref,gap", [(1e20, 2.0), (1e17, 1.0)])
+    def test_gap_lost_next_to_radius_raises(self, call, ref, gap):
+        # in a child process with a timeout: window growth that never ends
+        # fails the test instead of hanging the suite
+        code = ("from crackgrid.bubbles import classify, extract_bubbles\n"
+                "from crackgrid.fixtures import fixture_staircase\n"
+                "from crackgrid.profile import concentration_profile\n"
+                f"{call}(concentration_profile(fixture_staircase(4)), eps=0.1, "
+                f"ref_radius={ref!r}, gap_delta={gap!r})\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env=env, timeout=60)
+        assert res.returncode == 1
+        assert res.stderr.rstrip().endswith(
+            f"ValueError: gap_delta {gap!r} vanishes next to radius {ref!r}")
+
     def test_masses_descending(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -224,7 +245,7 @@ class TestExtractOracle:
     def test_many_zone_plates_match(self):
         # multi-bubble plates with clusters close enough that the zones of
         # neighbouring bubbles overlap, where only the new zone's part of the
-        # near candidates is built again
+        # scan's candidates is built again
         rng = np.random.default_rng(2025)
         events = Counter()
         for spacing in (8.0, 6.0, 5.0, 4.5):
@@ -234,16 +255,17 @@ class TestExtractOracle:
             self.assert_same(extract_bubbles(f, 0.02, 2.0, 1.0), want)
         assert events["overlapping zones"] >= 20, events
 
-    def test_near_candidates_match_full_rebuild(self, monkeypatch):
-        # after every removal the zone-local near set equals the one built
-        # from every zone afresh, byte for byte
+    def test_scan_state_matches_full_rebuild(self, monkeypatch):
+        # after every removal the whole scan state, updated outside the new
+        # zone and rebuilt inside it, equals a scan built afresh, byte for byte
         remove, removals = _LevyScan.remove, Counter()
 
         def checked_remove(scan, *args):
             remove(scan, *args)
-            want = _oracles.near_candidates(scan.f, scan.radius, scan.zones, scan.edges)
-            assert scan.near.tobytes() == want.tobytes()
-            removals[len(scan.zones) > 1] += 1
+            want = _oracles.scan_state(scan.f, scan.radius, scan.edges)
+            for got, expected in zip((scan.centers, scan.k, scan.term), want):
+                assert got.tobytes() == expected.tobytes()
+            removals[len(scan.edges) > 2] += 1
 
         monkeypatch.setattr(_LevyScan, "remove", checked_remove)
         rng = np.random.default_rng(2026)

@@ -11,12 +11,14 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*argv: str, stdin: str | None = None):
+def run_cli(*argv: str, stdin: str | None = None, timeout: float | None = None):
+    """The CLI in a child process; past ``timeout`` seconds the child is
+    killed and ``subprocess.TimeoutExpired`` fails the test."""
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH", "")]))
     return subprocess.run(
         [sys.executable, "-m", "crackgrid.cli", *argv],
-        input=stdin, capture_output=True, text=True, env=env)
+        input=stdin, capture_output=True, text=True, env=env, timeout=timeout)
 
 
 def test_fixture_pipe_energy():
@@ -139,6 +141,37 @@ def test_parameter_errors_exit_1(argv):
     assert res.returncode == 1
     assert "error:" in res.stderr
     assert "invariant violation" not in res.stderr
+    assert res.stdout == ""
+
+
+# each ran forever (gap_delta lost) or exited 2 (window lost) before the check
+@pytest.mark.parametrize("argv", [
+    ["partition", "-", "--ref-radius", "1e20"],
+    ["decompose", "-", "--ref-radius", "1e20"],
+    ["renormalize", "-", "--ref-radius", "1e20"],
+    ["decompose", "-", "--ref-radius", "1e17", "--gap-delta", "1"],
+    ["partition", "-", "--ref-radius", "1e16", "--window", "1"],
+])
+def test_steps_lost_next_to_ref_radius_exit_1(argv):
+    res = run_cli(*argv, stdin=run_cli("fixture", "staircase", "--n", "4").stdout, timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "vanishes next to ref_radius" in res.stderr
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("command", ["verify", "slice-lsc"])
+@pytest.mark.parametrize("entries,key", [
+    ({"ref_radius": 1e20}, "gap_delta"),
+    ({"ref_radius": 1e17, "gap_delta": 1}, "gap_delta"),
+    ({"ref_radius": 1e16, "window": 1}, "window"),
+], ids=["ref-radius-1e20", "gap-delta-lost", "window-lost"])
+def test_manifest_steps_lost_next_to_ref_radius_exit_1(tmp_path: Path, command, entries, key):
+    (tmp_path / "u.json").write_text(run_cli("fixture", "staircase", "--n", "4").stdout)
+    mp = tmp_path / "manifest.json"
+    mp.write_text(json.dumps({"functions": ["u.json"], "eps_ladder": [0.1], **entries}))
+    res = run_cli(command, str(mp), timeout=60)
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"error: {key} ")
     assert res.stdout == ""
 
 

@@ -48,7 +48,7 @@ from crackgrid.profile import ConcentrationProfile, concentration_profile
 def staircase_pipeline(n, eps=0.1, ref=1.0, gap=2.0, w=1.0):
     u = fixture_staircase(n)
     f = concentration_profile(u, window=w)
-    dec, radii, part = bubble_partition(u, f, eps, w, ref, gap)
+    dec, radii, part = bubble_partition(u, f, eps, ref, gap)
     return u, f, dec, radii, part
 
 
