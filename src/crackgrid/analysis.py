@@ -130,46 +130,34 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
             f"region profile is not weakly vanishing at eps={eps}: the window "
             f"of radius {radius} centered at {center} holds mass {score}")
 
-    values = u.values[region.mask]
-    cell_vol = u.geom.cell_volume
-    order = np.sort(values)
-    distinct = np.unique(order)
-    alpha = max(1, min(math.ceil(1.0 / eps), distinct.size))
-    cuts: list[float] = []
-    if alpha > 1:
-        cum = np.arange(1, order.size + 1) * cell_vol
-        for i in range(1, alpha):
-            target = i * m / alpha
-            k = int(np.searchsorted(cum, target, side="left"))
-            k = min(k, order.size - 1)
-            # smallest value with at least the target volume strictly below it
-            j = int(np.searchsorted(order, order[k], side="right"))
-            cuts.append(float(order[min(j, order.size - 1)]))
-        cuts = sorted(set(cuts))
+    order = np.sort(u.values[region.mask])
+    alpha = max(1, min(math.ceil(1.0 / eps), np.unique(order).size))
+    # per target volume, the smallest value with at least that volume below it
+    cum = np.arange(1, order.size + 1) * u.geom.cell_volume
+    q = np.minimum(cum.searchsorted(np.arange(1, alpha) * m / alpha, side="left"), order.size - 1)
+    above = order.searchsorted(order[q], side="right")
+    cuts = np.unique(order[np.minimum(above, order.size - 1)]).tolist()
     alpha_eff = len(cuts) + 1
 
     edges = [-math.inf] + cuts + [math.inf]
-    slab_sets, gap_sets = [], []
-    for i in range(alpha_eff):
-        lo = edges[i] + radius if math.isfinite(edges[i]) else -math.inf
-        hi = edges[i + 1] - radius if math.isfinite(edges[i + 1]) else math.inf
-        slab_sets.append(CellSet(u.geom, region.mask & (u.values >= lo) & (u.values < hi)))
-    for t in cuts:
-        gap_sets.append(CellSet(
-            u.geom, region.mask & (u.values > t - radius) & (u.values < t + radius)))
-
-    slab_vols = tuple(S.volume() for S in slab_sets)
-    gap_vols = tuple(G.volume() for G in gap_sets)
-    gap_perims = tuple(G.perimeter() for G in gap_sets)
-    gamma = float(sum(gap_perims))
+    slab_sets = [CellSet(u.geom, region.mask & (u.values >= lo + radius) & (u.values < hi - radius))
+                 for lo, hi in zip(edges, edges[1:])]
+    gap_sets = [CellSet(u.geom, region.mask & (u.values > t - radius) & (u.values < t + radius))
+                for t in cuts]
 
     # every face mask below spans the box faces too (n + 1 faces along its axis)
-    jump = [pad_axis(u.jump_mask(axis), axis) for axis in range(2)]
     area = u.geom.face_area
-    D = face_count(j | region.boundary_faces(k) for k, j in enumerate(jump)) * area
-    region_perim = region.perimeter()
-
     gap_faces = [[G.boundary_faces(k) for k in range(2)] for G in gap_sets]
+    slab_vols = tuple(S.volume() for S in slab_sets)
+    gap_vols = tuple(G.volume() for G in gap_sets)
+    gap_perims = tuple(face_count(faces) * area for faces in gap_faces)
+    gamma = float(sum(gap_perims))
+
+    jump = [pad_axis(u.jump_mask(axis), axis) for axis in range(2)]
+    region_faces = [region.boundary_faces(k) for k in range(2)]
+    D = face_count(j | f for j, f in zip(jump, region_faces)) * area
+    region_perim = face_count(region_faces) * area
+
     chain_rhs = 0.0
     for i, S in enumerate(slab_sets):
         faces = [S.boundary_faces(k) for k in range(2)]
@@ -349,7 +337,7 @@ def bubble_partition(v: GridFunction, prof: ConcentrationProfile, eps: float,
     all at the profile's window: ``(decomposition, radii, partition)``."""
     window = prof.window
     dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
-    radii = select_radii(prof, dec.bubbles, base_radius=ref_radius, width=window, window=window)
+    radii = select_radii(prof, dec.bubbles, base_radius=ref_radius, width=window)
     part = build_partition(v, radii, window=window, omega=omega)
     return dec, radii, part
 

@@ -111,11 +111,18 @@ def _load(path: str, what: str = "grid function", geom=None):
         raise InputError(f"bad {what} {path}: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        _write(out, text)
 
 
 def _emit_json(obj, out: str | None) -> None:
@@ -317,7 +324,7 @@ def _cmd_profile(args) -> int:
     domain = _load(args.domain, "cell set", u.geom) if args.domain else None
     f = concentration_profile(u, domain=domain, window=args.window)
     if args.svg:
-        Path(args.svg).write_text(profile_to_svg(f), encoding="utf-8")
+        _write(args.svg, profile_to_svg(f))
     if args.format == "csv":
         _emit(profile_to_csv(f), args.out)
     else:
@@ -353,7 +360,7 @@ def _cmd_partition(args) -> int:
     f = concentration_profile(u, domain=omega, window=args.window)
     dec, radii, part = bubble_partition(u, f, args.eps, args.ref_radius, args.gap_delta, omega)
     if args.svg:
-        Path(args.svg).write_text(_labels_svg(part), encoding="utf-8")
+        _write(args.svg, _labels_svg(part))
     if args.format == "csv":
         _emit(part.to_csv(), args.out)
         return EXIT_OK
@@ -410,11 +417,11 @@ def _cmd_verify(args) -> int:
     first = rep.per_eps[repr(settings["eps_ladder"][0])]
     trends = first["conclusion4_partition_trends"]
     if args.svg:
-        Path(args.svg).write_text(_trend_svg({
+        _write(args.svg, _trend_svg({
             "outside_jump": trends["outside_jump_series"],
             "vanishing_volume": trends["vanishing_volume_series"],
             "rest_volume": trends["rest_volume_series"],
-        }), encoding="utf-8")
+        }))
     if args.format == "csv":
         lines = ["n_index,outside_jump,vanishing_volume,rest_volume,kyfan_to_limit"]
         kyfan = first["conclusion1_measure_convergence"]["kyfan_to_limit"]
@@ -445,9 +452,14 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        # an inf or nan made from the input must not reach a report
+        with np.errstate(over="raise", invalid="raise"):
+            return _COMMANDS[args.command](args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (FloatingPointError, OverflowError) as exc:
+        print(f"error: input out of floating-point range: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -61,13 +61,13 @@ _SCALES = np.array([1.0, 1.0, -1.0, -1.0])
 
 
 def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble], base_radius: float,
-                 width: float, window: float | None = None) -> list[RadiusChoice]:
+                 width: float) -> list[RadiusChoice]:
     """Choose per-bubble radii in [base_radius, base_radius + width) where the
     profile is thin on both edges of the prospective gap bands; one choice per
     bubble, in order.
 
     The objective at radius r adds the profile heights at the four band-edge
-    levels center +- r and center +- (r + window); being piecewise constant
+    levels center +- r and center +- (r + f.window); being piecewise constant
     it is minimized exactly over its plateaus, and the midpoint of the leftmost
     best plateau is returned so chosen thresholds avoid profile breakpoints.
     The achieved minimum never exceeds the interval average (reported
@@ -83,7 +83,7 @@ def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble], base_radius
         raise ValueError("width must be positive")
     if not base_radius > 0:
         raise ValueError("base_radius must be positive")
-    w = f.window if window is None else float(window)
+    w = f.window
     lo, hi = float(base_radius), float(base_radius + width)
     if not hi > lo:
         raise ValueError("width vanishes next to base_radius")

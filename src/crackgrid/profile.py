@@ -34,7 +34,10 @@ from .grid import CellSet, GridFunction, face_pairs, require_same_geometry
 @dataclass(frozen=True)
 class ConcentrationProfile:
     """Piecewise-constant profile: ``plateau_values[k]`` holds on
-    (breakpoints[k-1], breakpoints[k]); the unbounded end plateaus are zero."""
+    (breakpoints[k-1], breakpoints[k]); the unbounded end plateaus are zero.
+
+    The arrays are the profile's one form: construction merges equal
+    neighbouring plateaus, so one step function has one pair of arrays."""
 
     breakpoints: np.ndarray
     plateau_values: np.ndarray
@@ -53,6 +56,9 @@ class ConcentrationProfile:
             raise ValueError("plateau values must be nonnegative")
         if not self.window > 0:
             raise ValueError("window must be positive")
+        keep = pv[:-1] != pv[1:]
+        if not keep.all():
+            bp, pv = bp[keep], np.concatenate([pv[:1], pv[1:][keep]])
         bp.flags.writeable = False
         pv.flags.writeable = False
         object.__setattr__(self, "breakpoints", bp)
@@ -93,17 +99,7 @@ class ConcentrationProfile:
         values[0] = 0.0
         values[-1] = 0.0
         np.maximum(values, 0.0, out=values)
-        return cls(bp, values, window)._canonical()
-
-    def _canonical(self) -> "ConcentrationProfile":
-        if self.breakpoints.size == 0:
-            return self
-        keep = self.plateau_values[:-1] != self.plateau_values[1:]
-        if np.all(keep):
-            return self
-        bp = self.breakpoints[keep]
-        pv = np.concatenate([self.plateau_values[:1], self.plateau_values[1:][keep]])
-        return ConcentrationProfile(bp, pv, self.window)
+        return cls(bp, values, window)
 
     # -- queries --------------------------------------------------------
 
@@ -165,21 +161,16 @@ class ConcentrationProfile:
     # -- surgery ---------------------------------------------------------
 
     def zero_on(self, a: float, b: float) -> "ConcentrationProfile":
-        """Canonical profile with values replaced by zero on the open interval
-        (a, b): the breakpoints in [a, b] are cut out, and a (b) is kept where
-        the plateau left of a (right of b) is not zero."""
+        """Profile with values replaced by zero on the open interval (a, b):
+        the breakpoints in [a, b] are cut out, and a (b) stays a breakpoint
+        where the plateau left of a (right of b) is not zero."""
         if not b > a or self.breakpoints.size == 0:
             return self
-        f = self._canonical()
-        bp, pv = f.breakpoints, f.plateau_values
+        bp, pv = self.breakpoints, self.plateau_values
         i0 = int(bp.searchsorted(a, side="left"))
         i1 = int(bp.searchsorted(b, side="right"))
-        keep_a, keep_b = bool(pv[i0] != 0.0), bool(pv[i1] != 0.0)
-        kept = [x for x, keep in ((a, keep_a), (b, keep_b)) if keep]
-        new_bp = np.concatenate([bp[:i0], kept, bp[i1:]])
-        new_pv = np.concatenate([pv[:i0 + 1], [0.0] * (keep_a and keep_b),
-                                 pv[i1 + (not kept):]])
-        return ConcentrationProfile(new_bp, new_pv, self.window)
+        return ConcentrationProfile(np.concatenate([bp[:i0], [a, b], bp[i1:]]),
+                                    np.concatenate([pv[:i0 + 1], [0.0], pv[i1:]]), self.window)
 
 
 def _profile_faces(u: GridFunction, domain: CellSet | None):
@@ -260,13 +251,13 @@ class _LevyScan:
     is ``(cum0[k+] + term+) - (cum0[k-] + term-)``, which is
     ``mass_below(c + r) - mass_below(c - r)`` bit for bit.
 
-    Zeroing (a, b) on a canonical profile removes breakpoints only inside
-    [a, b] and may add a and b, so every candidate it adds or removes, and
-    the keep-out (lo, hi), lies in the zone [min(lo, a - r), max(hi, b + r)]
-    (rounding is monotone).  The zone's candidates are built again on the
-    new profile; outside it the query points miss [a, b], so a zeroing only
-    shifts the slots above b and changes the plateau terms of the slots in
-    [i0, i1] it touches.
+    Zeroing (a, b) on a profile, canonical by construction, removes
+    breakpoints only inside [a, b] and may add a and b, so every candidate
+    it adds or removes, and the keep-out (lo, hi), lies in the zone
+    [min(lo, a - r), max(hi, b + r)] (rounding is monotone).  The zone's
+    candidates are built again on the new profile; outside it the query
+    points miss [a, b], so a zeroing only shifts the slots above b and
+    changes the plateau terms of the slots in [i0, i1] it touches.
     """
 
     def __init__(self, f: ConcentrationProfile, radius: float):
@@ -301,11 +292,9 @@ class _LevyScan:
     def remove(self, a: float, b: float, lo: float, hi: float) -> None:
         """Zero the profile on (a, b) and keep centers out of (lo, hi)."""
         old, r = self.f, self.radius
-        # only the input can be non-canonical: zeroing it may drop breakpoints off [a, b]
-        rescan = not self.edges and old._canonical() is not old
         self.f = new = old.zero_on(a, b)
         self.edges += [lo, hi]
-        if rescan or new.breakpoints.size == 0:
+        if new.breakpoints.size == 0:
             self.centers, self.q, self.k, self.term = self._build()
             return
         z_lo, z_hi = min(lo, a - r), max(hi, b + r)

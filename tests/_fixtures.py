@@ -6,7 +6,7 @@ import numpy as np
 
 from crackgrid.fixtures import fixture_staircase
 from crackgrid.grid import CellSet, GridFunction, GridGeometry, crack_masks_from_rows
-from crackgrid.profile import ConcentrationProfile, concentration_profile
+from crackgrid.profile import ConcentrationProfile, concentration_profile, levy_concentration
 
 
 def all_interior_faces(geom: GridGeometry) -> list[tuple[int, ...]]:
@@ -92,8 +92,10 @@ def grid_profile(rng: np.random.Generator) -> ConcentrationProfile:
 
 
 def split_plateaus(rng: np.random.Generator, f: ConcentrationProfile) -> ConcentrationProfile:
-    """The same step function with up to five redundant breakpoints (a plateau,
-    possibly an unbounded zero one, cut in two equal halves): not canonical."""
+    """``f`` built again from arrays with up to five redundant breakpoints (a
+    plateau, possibly an unbounded zero one, cut in two equal halves).  The
+    construction merges them: the result has ``f``'s arrays byte for byte and
+    the same masses and Levy maxima."""
     bp, pv = f.breakpoints.tolist(), f.plateau_values.tolist()
     for _ in range(int(rng.integers(1, 6))):
         if not bp:
@@ -105,11 +107,20 @@ def split_plateaus(rng: np.random.Generator, f: ConcentrationProfile) -> Concent
         if lo < x < hi:
             bp.insert(i, x)
             pv.insert(i, pv[i])
-    return ConcentrationProfile(np.array(bp), np.array(pv), f.window)
+    g = ConcentrationProfile(np.array(bp), np.array(pv), f.window)
+    assert g.breakpoints.tobytes() == f.breakpoints.tobytes()
+    assert g.plateau_values.tobytes() == f.plateau_values.tobytes()
+    ts = np.array(bp + [-np.inf, np.inf])
+    assert g.mass_below(ts).tobytes() == f.mass_below(ts).tobytes()
+    assert g.total_mass() == f.total_mass()
+    for radius in (0.25, 1 / 3, 1.0):
+        assert levy_concentration(g, radius) == levy_concentration(f, radius)
+    return g
 
 
 def random_profile(rng: np.random.Generator) -> ConcentrationProfile:
-    """A dyadic, grid or staircase profile; about a third are not canonical."""
+    """A dyadic, grid or staircase profile; about a third are built again from
+    split plateaus, which checks that construction merges them."""
     kind = int(rng.integers(0, 3))
     if kind == 0:
         f = dyadic_profile(rng, int(rng.integers(2, 26)))

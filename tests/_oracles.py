@@ -160,7 +160,7 @@ def masked_mass_below(f: ConcentrationProfile, t):
 def zero_on(f: ConcentrationProfile, a: float, b: float) -> ConcentrationProfile:
     """``f`` zeroed on (a, b): a and b merged into the breakpoints with
     ``np.unique``, every plateau inside (a, b) set to zero, then equal
-    neighbouring plateaus merged by ``_canonical``."""
+    neighbouring plateaus merged by the construction."""
     if not b > a or f.breakpoints.size == 0:
         return f
     bp = np.unique(np.concatenate([f.breakpoints, [a, b]]))
@@ -169,7 +169,7 @@ def zero_on(f: ConcentrationProfile, a: float, b: float) -> ConcentrationProfile
     pv = np.concatenate([[0.0], f.plateau_values[slots], [0.0]])
     inside = (bp[:-1] >= a) & (bp[1:] <= b)
     pv[1:-1][inside] = 0.0
-    return ConcentrationProfile(bp, pv, f.window)._canonical()
+    return ConcentrationProfile(bp, pv, f.window)
 
 
 def window_masses(f: ConcentrationProfile, centers: np.ndarray, radius: float) -> np.ndarray:
@@ -278,8 +278,6 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
     params = ExtractionParams(eps, gap_delta, ref_radius)
     total = f.total_mass()
     scale = total if mass_scale is None else float(mass_scale)
-    if f._canonical() is not f:
-        events["non-canonical input"] += 1
     current = f
     found = []
     zones_removed = []  # per bubble, the span its zeroing and keep-out can touch
@@ -407,12 +405,12 @@ def interval_average(f: ConcentrationProfile, offsets, lo: float, hi: float) -> 
 
 
 def select_radii(f: ConcentrationProfile, bubbles, base_radius: float, width: float,
-                 window: float | None = None, best=array_best_radius):
+                 best=array_best_radius):
     """``partition.select_radii`` one bubble at a time, each bubble's radius
     and minimum from ``best`` (``array_best_radius`` or ``best_radius``)."""
     from crackgrid.partition import RadiusChoice
 
-    w = f.window if window is None else float(window)
+    w = f.window
     lo, hi = base_radius, base_radius + width
     out = []
     for b in bubbles:
@@ -614,7 +612,7 @@ def from_intervals(intervals, window: float = 1.0) -> ConcentrationProfile:
     values[0] = 0.0
     values[-1] = 0.0
     np.maximum(values, 0.0, out=values)
-    return ConcentrationProfile(bp, values, window)._canonical()
+    return ConcentrationProfile(bp, values, window)
 
 
 def gradient_pairings(u: GridFunction) -> dict[str, float]:

@@ -238,7 +238,7 @@ class TestExtractOracle:
             self.assert_same(extract_bubbles(f, eps, gap, radius, max_bubbles, scale), want)
             events["remainder emptied"] += want.remainder.breakpoints.size == 0
         assert set(events) == {
-            "non-canonical input", "tied maximum", "keep-out edge on a breakpoint +- r",
+            "tied maximum", "keep-out edge on a breakpoint +- r",
             "cut on a breakpoint", "cut outside the support", "max_bubbles reached",
             "mass_scale set", "remainder emptied", "overlapping zones"}, events
 

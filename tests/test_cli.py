@@ -529,3 +529,55 @@ def test_manifest_side_entry_is_absent_only_when_null(tmp_path: Path, entries, c
     if code:
         assert res.stdout == ""
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
+
+
+_HUGE_VALUES = {"version": 1, "dim": 1, "origin": [0.0], "spacing": 1.0, "shape": [3],
+                "values": [0.0, 1e308, -1e308], "cracks": []}
+_HUGE_SPACING = {"version": 1, "dim": 2, "origin": [0.0, 0.0], "spacing": 1e300,
+                 "shape": [2, 2], "values": [0.0, 1.0, 2.0, 3.0], "cracks": []}
+
+
+# before, the first two printed an inf as the non-JSON token Infinity and
+# exited 0, the next two exited 2 as invariant violations, and the last ended
+# in a traceback
+@pytest.mark.parametrize("argv,doc", [
+    (["profile", "-", "--window", "1e308"], None),
+    (["energy", "-"], _HUGE_VALUES),
+    (["decompose", "-"], _HUGE_VALUES),
+    (["decompose", "-", "--ref-radius", "1e308", "--gap-delta", "1e308"], None),
+    (["energy", "-"], _HUGE_SPACING),
+], ids=["profile-window", "energy-values", "decompose-values", "decompose-radius",
+        "energy-spacing"])
+def test_float_overflow_exits_1(argv, doc):
+    stdin = run_cli("fixture", "staircase", "--n", "4").stdout if doc is None else json.dumps(doc)
+    res = run_cli(*argv, stdin=stdin)
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: input out of floating-point range")
+    assert res.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "{u}", "--out", "{tmp}/missing/u.json"],
+    ["profile", "{u}", "--out", "{tmp}"],
+    ["profile", "{u}", "--svg", "{tmp}/missing/p.svg"],
+    ["partition", "{u}", "--svg", "{tmp}/missing/p.svg"],
+    ["verify", "{manifest}", "--svg", "{tmp}/missing/t.svg"],
+], ids=["out-missing-dir", "out-is-a-directory", "profile-svg", "partition-svg", "verify-svg"])
+def test_unwritable_output_exits_1(tmp_path: Path, argv):
+    golden = Path(__file__).resolve().parent / "golden" / "stairs"
+    names = {"u": golden / "u4.json", "manifest": golden / "manifest.json", "tmp": tmp_path}
+    res = run_cli(*[a.format(**names) for a in argv])
+    assert res.returncode == 1
+    assert res.stderr.startswith("error: cannot write ")
+    assert "Traceback" not in res.stderr
+    assert res.stdout == ""
+
+
+def test_svg_dash_is_a_file_named_dash(tmp_path: Path, monkeypatch, capsys):
+    from crackgrid.cli import main
+
+    u = Path(__file__).resolve().parent / "golden" / "stairs" / "u4.json"
+    monkeypatch.chdir(tmp_path)
+    assert main(["profile", str(u), "--svg", "-"]) == 0
+    assert (tmp_path / "-").read_text().startswith("<svg")
+    assert json.loads(capsys.readouterr().out)["window"] == 1.0

@@ -81,7 +81,7 @@ class TestSelectRadii:
         # radius lands outside the spike's plateau
         f = ConcentrationProfile.from_intervals(
             [(1.25, 1.5, 8.0), (0.0, 4.0, 0.25)])
-        [c] = select_radii(f, [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0)], 1.0, 1.0, window=1.0)
+        [c] = select_radii(f, [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0)], 1.0, 1.0)
         assert not (1.25 <= c.r_plus < 1.5)
 
     def test_achieved_matches_fine_scan_oracle(self):
@@ -89,10 +89,10 @@ class TestSelectRadii:
         for _ in range(10):
             parts = [(float(a), float(a) + float(wd), float(h)) for a, wd, h in zip(
                 rng.uniform(-6, 6, 6), rng.uniform(0.1, 2.5, 6), rng.uniform(0.1, 3.0, 6))]
-            f = ConcentrationProfile.from_intervals(parts)
-            center = float(rng.uniform(-2, 2))
             w = 1.0
-            [c] = select_radii(f, [RadiusChoice(center, 1.0, 1.0, 0.0, 0.0)], 1.0, 1.0, window=w)
+            f = ConcentrationProfile.from_intervals(parts, window=w)
+            center = float(rng.uniform(-2, 2))
+            [c] = select_radii(f, [RadiusChoice(center, 1.0, 1.0, 0.0, 0.0)], 1.0, 1.0)
 
             def objective(r):
                 return (f.value_at(center + r) + f.value_at(center + r + w)
@@ -112,9 +112,10 @@ class TestSelectRadiiOracle:
 
     @staticmethod
     def assert_matches_loops(f, bubbles, base_radius, width, window):
-        fast = select_radii(f, bubbles, base_radius, width, window=window)
+        f = ConcentrationProfile(f.breakpoints, f.plateau_values, window)
+        fast = select_radii(f, bubbles, base_radius, width)
         for best in (array_best_radius, best_radius):
-            slow = oracle_select_radii(f, bubbles, base_radius, width, window, best=best)
+            slow = oracle_select_radii(f, bubbles, base_radius, width, best=best)
             assert repr(fast) == repr(slow)
         assert all(type(x) is float for c in fast for x in c.as_dict().values())
         return fast
@@ -165,7 +166,8 @@ class TestSelectRadiiOracle:
         got = self.assert_matches_loops(f, bubbles, 1.0, 1.0, 1.0)
         assert [(c.r_plus, c.achieved) for c in got] == [(1.5, 0.0)] * 3
         # every level on a -0.0 plateau: the objective is summed from +0.0
-        f = ConcentrationProfile([-9.0, 9.0], [0.0, -0.0, 0.0])
+        f = ConcentrationProfile([-9.0, -8.0, 8.0, 9.0], [0.0, 1.0, -0.0, 1.0, 0.0])
+        assert np.signbit(f.plateau_values[2])
         [c] = self.assert_matches_loops(f, bubbles[:1], 1.0, 1.0, 1.0)
         assert repr(c.achieved) == "0.0"
 

@@ -223,13 +223,11 @@ class TestProfileQueries:
     def test_levy_is_the_old_candidate_scan_bit_for_bit(self):
         # the scan's first best() against the direct candidate scan it replaced
         rng = np.random.default_rng(2027)
-        kinds = {"empty": 0, "canonical": 0, "non-canonical": 0}
+        kinds = {"empty": 0, "nonempty": 0}
         cases = [ConcentrationProfile.empty(), ConcentrationProfile.empty(0.25)]
         cases += [random_profile(rng) for _ in range(300)]
         for f in cases:
-            kind = ("empty" if f.breakpoints.size == 0 else
-                    "canonical" if f._canonical() is f else "non-canonical")
-            kinds[kind] += 1
+            kinds["empty" if f.breakpoints.size == 0 else "nonempty"] += 1
             for radius in (0.125, 1 / 3, 1.0, 2.5, float(rng.uniform(0.05, 8.0))):
                 got, want = levy_concentration(f, radius), _oracles.levy_over_candidates(f, radius)
                 assert repr(got) == repr(want)
@@ -370,12 +368,11 @@ class TestSurgery:
         check(f.zero_on(float(bp[1]), float(bp[-2])))
         check(f.zero_on(0.5 * float(bp[0] + bp[1]), 0.5 * float(bp[-2] + bp[-1])))
         check(ConcentrationProfile(bp + 0.3, pv, f.window))
-        # split plateau 2 in two: the canonical form drops the extra breakpoint
-        split = ConcentrationProfile(np.insert(bp, 2, 0.5 * (bp[1] + bp[2])),
-                                     np.insert(pv, 2, pv[2]), f.window)
-        check(split)
-        merged = split._canonical()
-        assert merged is not split
+        # split plateau 2 in two: construction drops the extra breakpoint
+        merged = ConcentrationProfile(np.insert(bp, 2, 0.5 * (bp[1] + bp[2])),
+                                      np.insert(pv, 2, pv[2]), f.window)
+        assert merged.breakpoints.tobytes() == bp.tobytes()
+        assert merged.plateau_values.tobytes() == pv.tobytes()
         check(merged)
 
     def test_mass_below_paths_match_masked_oracle(self):
@@ -412,7 +409,7 @@ class TestSurgery:
 
     def test_zero_on_matches_unique_and_canonical_oracle(self):
         rng = np.random.default_rng(37)
-        seen = dict.fromkeys(["non-canonical", "a on a breakpoint", "b on a breakpoint",
+        seen = dict.fromkeys(["a on a breakpoint", "b on a breakpoint",
                               "a below the support", "b above the support", "emptied"], 0)
         for _ in range(400):
             f = random_profile(rng)
@@ -424,9 +421,6 @@ class TestSurgery:
             assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
             assert got.plateau_values.tobytes() == want.plateau_values.tobytes()
             assert got.window == want.window
-            if b > a:
-                assert got._canonical() is got
-            seen["non-canonical"] += f._canonical() is not f
             seen["a on a breakpoint"] += a in bp
             seen["b on a breakpoint"] += b in bp
             seen["a below the support"] += a < bp[0]
