@@ -331,51 +331,47 @@ class SequenceReport(Record):
         return not self.violations
 
 
+def _partition_of(v: GridFunction, prof: ConcentrationProfile, bubbles, ref_radius: float,
+                  omega: CellSet | None):
+    """The radii of ``bubbles`` and the partition they induce, at the
+    profile's window: ``(radii, partition)``."""
+    radii = select_radii(prof, bubbles, base_radius=ref_radius, width=prof.window)
+    return radii, build_partition(v, radii, window=prof.window, omega=omega)
+
+
 def bubble_partition(v: GridFunction, prof: ConcentrationProfile, eps: float,
                      ref_radius: float, gap_delta: float, omega: CellSet | None = None):
     """Bubbles of ``v``'s profile, their radii and the partition they induce,
     all at the profile's window: ``(decomposition, radii, partition)``."""
-    window = prof.window
     dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
-    radii = select_radii(prof, dec.bubbles, base_radius=ref_radius, width=window)
-    part = build_partition(v, radii, window=window, omega=omega)
-    return dec, radii, part
+    return (dec, *_partition_of(v, prof, dec.bubbles, ref_radius, omega))
 
 
-def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v: float, jump_v: float,
-                  omega: CellSet | None, eps: float, ref_radius: float, gap_delta: float):
-    """One function at one eps, at its profile's window: ``(entry, decomposition,
-    rest mask, renormalized function, violations)``."""
+def _partition_stage(v: GridFunction, prof: ConcentrationProfile, bubbles, bulk_v: float,
+                     jump_v: float, omega: CellSet | None, ref_radius: float):
+    """What one function's bubbles fix, at any eps: ``(entry fields, certificate,
+    rest mask, renormalized function, violations)``, at its profile's window."""
     window = prof.window
-    dec, radii, part = bubble_partition(v, prof, eps, ref_radius, gap_delta, omega)
-    violations = [f"decomposition: {msg}" for msg in dec.validate()]
+    radii, part = _partition_of(v, prof, bubbles, ref_radius, omega)
     w = renormalize(v, part)
-    region = vanishing_region(v, dec.bubbles, radius=ref_radius, omega=omega)
-    cert = None
-    if v.geom.dim == 2:
-        # certified at the region's own Lévy score
-        cert = vanishing_certificate(v, region, eps=None, radius=ref_radius, window=window)
-        if not cert.certified:
-            violations.append("vanishing certificate failed")
+    region = vanishing_region(v, bubbles, radius=ref_radius, omega=omega)
+    # 2D only, certified at the region's own Lévy score
+    cert = (vanishing_certificate(v, region, eps=None, radius=ref_radius, window=window)
+            if v.geom.dim == 2 else None)
     sup_norm = float(np.max(np.abs(w.values)))
     max_radius = max((max(c.r_minus, c.r_plus) for c in radii), default=0.0)
     jump_w = w.jump_measure()
     outside = part.outside_jump
-    if sup_norm > max_radius + window + 1e-12:
-        violations.append("renormalized sup-norm bound fails")
-    if jump_w > jump_v + outside + 1e-12:
-        violations.append("renormalized jump bound fails")
+    violations = [msg for msg, failed in (
+        ("vanishing certificate failed", cert is not None and not cert.certified),
+        ("renormalized sup-norm bound fails", sup_norm > max_radius + window + 1e-12),
+        ("renormalized jump bound fails", jump_w > jump_v + outside + 1e-12)) if failed]
     rest = part.rest_mask()
-    entry = {
-        "total_mass": prof.total_mass(),
-        "bubbles": [b.as_dict() for b in dec.bubbles],
-        "vanishing_score": dec.vanishing_score,
-        "remainder_mass": dec.remainder.total_mass(),
+    fields = {
         "outside_jump": outside,
         "gap_boundary": part.gap_boundary,
         "rest_volume": float(np.count_nonzero(rest)) * v.geom.cell_volume,
         "vanishing_region_volume": region.volume(),
-        "certificate": cert.as_dict() if cert is not None else None,
         "sup_norm": sup_norm,
         "max_radius": max_radius,
         "jump_original": jump_v,
@@ -383,7 +379,7 @@ def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v: float, ju
         "bulk_original": bulk_v,
         "pairings": gradient_pairings(w),
     }
-    return entry, dec, rest, w, violations
+    return fields, cert, rest, w, violations
 
 
 def compactness_report(functions: Sequence[GridFunction],
@@ -398,11 +394,13 @@ def compactness_report(functions: Sequence[GridFunction],
     """Run the whole decomposition pipeline on a sequence and report every
     conclusion-level diagnostic.
 
-    Per eps and per function: profile, bubble extraction, radius selection,
+    Per function, its profile once; per eps, its bubbles and, where they
+    differ from the previous eps's, the stage they fix: radius selection,
     partition, renormalization, vanishing region and certificate, contract
-    checks.  Across the sequence: Ky Fan distances (convergence in measure),
-    gradient pairings against a fixed indicator dictionary with uniform
-    p-norm bounds (weak-convergence proxy), directional jump LSC via slicing,
+    checks (a repeated stage is reused, with the same result).  Across the
+    sequence: Ky Fan distances (convergence in measure), gradient pairings
+    against a fixed indicator dictionary with uniform p-norm bounds
+    (weak-convergence proxy), directional jump LSC via slicing,
     boundary-outside-jump and vanishing-volume trends, and bubble tracks.
     The eps ladder must be strictly decreasing; rest-region nesting across
     consecutive ladder entries is reported cell-wise per function.
@@ -429,26 +427,44 @@ def compactness_report(functions: Sequence[GridFunction],
     stage = [(v, concentration_profile(v, domain=omega, window=window), energy(v, p).bulk,
               energy(v, 2.0).bulk, v.jump_measure()) for v in reduced]
     bulk_norms = [bulk_p for _, _, bulk_p, _, _ in stage]
+    limit_pairings = gradient_pairings(limit) if limit is not None else None
     violations: list[str] = []
     per_eps: dict[str, dict] = {}
     nesting: dict[str, list[bool]] = {}
+    # per function, its bubbles and partition stage at the previous eps: the same bubbles
+    # fix the same stage, built again only where they change; each entry copies its containers
+    last: list = [None] * len(stage)
+    prev_renorms, prev_lim = [None] * len(stage), None
     for k, eps in enumerate(eps_ladder):
-        entries, decs, rests, renorms, problems = map(list, zip(*(
-            _pipeline_one(v, prof, bulk_2, jump_v, omega, eps, ref_radius, gap_delta)
-            for v, prof, _, bulk_2, jump_v in stage)))
-        for i, msgs in enumerate(problems):
-            violations += [f"eps={eps} n_index={i}: {msg}" for msg in msgs]
+        rows = []
+        for i, (v, prof, _, bulk_2, jump_v) in enumerate(stage):
+            dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
+            if last[i] is None or last[i][0] != dec.bubbles:
+                last[i] = (dec.bubbles, *_partition_stage(v, prof, dec.bubbles, bulk_2, jump_v,
+                                                          omega, ref_radius))
+            _, fields, cert, rest, w, msgs = last[i]
+            violations += [f"eps={eps} n_index={i}: {msg}" for msg in
+                           [f"decomposition: {m}" for m in dec.validate()] + msgs]
+            rows.append(({"total_mass": prof.total_mass(),
+                          "bubbles": [b.as_dict() for b in dec.bubbles],
+                          "vanishing_score": dec.vanishing_score,
+                          "remainder_mass": dec.remainder.total_mass(), **fields,
+                          "certificate": cert.as_dict() if cert is not None else None,
+                          "pairings": dict(fields["pairings"])}, dec, rest, w))
+        entries, decs, rests, renorms = map(list, zip(*rows))
         if k:  # each rest region against the one at the previous, larger eps
             nesting[f"{eps_ladder[k - 1]!r}->{eps!r}"] = [
                 bool(np.all(lo <= hi)) for hi, lo in zip(prev_rests, rests)]
-        prev_rests = rests
-        consecutive = [kyfan_distance(a, b) for a, b in zip(renorms, renorms[1:])]
-        if limit is None:  # the last renormalized function: its pairings and distances are at hand
-            lim, lim_pairings = renorms[-1], entries[-1]["pairings"]
-            to_limit = [kyfan_distance(w, lim) for w in renorms[:-2]] + consecutive[-1:] + [0.0]
-        else:
-            lim, lim_pairings = limit, gradient_pairings(limit)
-            to_limit = [kyfan_distance(w, lim) for w in renorms]
+        # the last renormalized function: its pairings and distances are at hand
+        lim, lim_pairings = (renorms[-1], entries[-1]["pairings"]) if limit is None \
+            else (limit, limit_pairings)
+        if any(a is not b for a, b in zip(renorms, prev_renorms)):  # else the distances stand
+            consecutive = [kyfan_distance(a, b) for a, b in zip(renorms, renorms[1:])]
+            to_limit = ([kyfan_distance(w, lim) for w in renorms[:-2]] + consecutive[-1:] + [0.0]
+                        if limit is None else [kyfan_distance(w, lim) for w in renorms])
+        if lim is not prev_lim:
+            lsc = lsc_report(reduced, lim)
+        prev_rests, prev_renorms, prev_lim = rests, renorms, lim
         pairing_report = {}
         for key in lim_pairings:
             series = [e["pairings"][key] for e in entries]
@@ -457,18 +473,17 @@ def compactness_report(functions: Sequence[GridFunction],
                 "limit": lim_pairings[key],
                 "max_gap": max(abs(s - lim_pairings[key]) for s in series),
             }
-        lsc = lsc_report(reduced, lim)
         if not lsc.lsc_holds:
             violations.append(f"eps={eps}: jump LSC margin negative")
         tracks = track_sequence(decs) if all(d.bubbles for d in decs) else None
         per_eps[repr(eps)] = {
             "per_n": entries,
             "conclusion1_measure_convergence": {
-                "consecutive_kyfan": consecutive,
-                "kyfan_to_limit": to_limit,
+                "consecutive_kyfan": list(consecutive),
+                "kyfan_to_limit": list(to_limit),
             },
             "conclusion2_weak_gradient": {
-                "bulk_pnorm": bulk_norms,
+                "bulk_pnorm": list(bulk_norms),
                 "uniform_bulk_bound": max(bulk_norms) if bulk_norms else 0.0,
                 "pairings": pairing_report,
             },

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -111,22 +112,34 @@ def _load(path: str, what: str = "grid function", geom=None):
         raise InputError(f"bad {what} {path}: {exc}") from exc
 
 
-def _write(path: str, text: str) -> None:
+def _emit(text: str, out: str | None, svg: tuple[str, str] | None = None) -> None:
+    """Write ``text`` to ``out`` (stdout for None or "-") and the ``(path, text)``
+    pair ``svg`` if given.  Every file opens before any is written, and stdout
+    comes last, so a command with an output that cannot be opened writes none;
+    only regular files are truncated (a device or a pipe cannot be)."""
+    jobs = ([svg] if svg else []) + ([(out, text)] if out not in (None, "-") else [])
+    files, made = [], []
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        for path, _ in jobs:
+            made += [path] * (not os.path.lexists(path))
+            files.append(open(path, "a", encoding="utf-8"))
+        for f, (path, body) in zip(files, jobs):
+            with f:
+                if os.path.isfile(path):
+                    f.truncate(0)
+                f.write(body)
     except OSError as exc:
+        for f in files:
+            f.close()
+        for p in made:
+            Path(p).unlink(missing_ok=True)
         raise InputError(f"cannot write {path}: {exc}") from exc
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out is None or out == "-":
+    if out in (None, "-"):
         sys.stdout.write(text)
-    else:
-        _write(out, text)
 
 
-def _emit_json(obj, out: str | None) -> None:
-    _emit(json.dumps(obj, sort_keys=True) + "\n", out)
+def _emit_json(obj, out: str | None, svg: tuple[str, str] | None = None) -> None:
+    _emit(json.dumps(obj, sort_keys=True) + "\n", out, svg)
 
 
 def _trend_svg(series_map: dict[str, list[float]], width=640, height=240) -> str:
@@ -323,17 +336,16 @@ def _cmd_profile(args) -> int:
     u = _load(args.input)
     domain = _load(args.domain, "cell set", u.geom) if args.domain else None
     f = concentration_profile(u, domain=domain, window=args.window)
-    if args.svg:
-        _write(args.svg, profile_to_svg(f))
+    svg = (args.svg, profile_to_svg(f)) if args.svg else None
     if args.format == "csv":
-        _emit(profile_to_csv(f), args.out)
+        _emit(profile_to_csv(f), args.out, svg)
     else:
         _emit_json({
             "breakpoints": f.breakpoints.tolist(),
             "plateau_values": f.plateau_values.tolist(),
             "window": f.window,
             "total_mass": f.total_mass(),
-        }, args.out)
+        }, args.out, svg)
     return EXIT_OK
 
 
@@ -359,15 +371,14 @@ def _cmd_partition(args) -> int:
     omega = _load(args.omega, "cell set", u.geom) if args.omega else None
     f = concentration_profile(u, domain=omega, window=args.window)
     dec, radii, part = bubble_partition(u, f, args.eps, args.ref_radius, args.gap_delta, omega)
-    if args.svg:
-        _write(args.svg, _labels_svg(part))
+    svg = (args.svg, _labels_svg(part)) if args.svg else None
     if args.format == "csv":
-        _emit(part.to_csv(), args.out)
+        _emit(part.to_csv(), args.out, svg)
         return EXIT_OK
     doc = part.as_dict()
     doc["radii"] = [c.as_dict() for c in radii]
     doc["bubbles"] = [b.as_dict() for b in dec.bubbles]
-    _emit_json(doc, args.out)
+    _emit_json(doc, args.out, svg)
     return EXIT_OK
 
 
@@ -416,12 +427,11 @@ def _cmd_verify(args) -> int:
                              **settings)
     first = rep.per_eps[repr(settings["eps_ladder"][0])]
     trends = first["conclusion4_partition_trends"]
-    if args.svg:
-        _write(args.svg, _trend_svg({
-            "outside_jump": trends["outside_jump_series"],
-            "vanishing_volume": trends["vanishing_volume_series"],
-            "rest_volume": trends["rest_volume_series"],
-        }))
+    svg = (args.svg, _trend_svg({
+        "outside_jump": trends["outside_jump_series"],
+        "vanishing_volume": trends["vanishing_volume_series"],
+        "rest_volume": trends["rest_volume_series"],
+    })) if args.svg else None
     if args.format == "csv":
         lines = ["n_index,outside_jump,vanishing_volume,rest_volume,kyfan_to_limit"]
         kyfan = first["conclusion1_measure_convergence"]["kyfan_to_limit"]
@@ -430,9 +440,9 @@ def _cmd_verify(args) -> int:
                 i, trends["outside_jump_series"][i],
                 trends["vanishing_volume_series"][i],
                 trends["rest_volume_series"][i], kyfan[i])))
-        _emit("\n".join(lines) + "\n", args.out)
+        _emit("\n".join(lines) + "\n", args.out, svg)
     else:
-        _emit_json(rep.as_dict(), args.out)
+        _emit_json(rep.as_dict(), args.out, svg)
     return EXIT_OK if rep.ok else EXIT_VIOLATION
 
 

@@ -8,6 +8,7 @@ the package is exact, so its results must equal these with ``==``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -82,3 +83,91 @@ def levy_maximum(bp, pv, radius: float) -> tuple[Fraction, Fraction]:
         if i == 0 or m > best[0]:
             best = (m, c)
     return best
+
+
+class Step:
+    """The step function ``(bp, pv)`` with its running integral: ``cum[j]`` is
+    the mass below ``bp[j]``, so a mass is one bisection."""
+
+    def __init__(self, bp, pv):
+        self.bp, self.pv = list(bp), list(pv)
+        self.cum = [Fraction(0)]
+        for a, b, v in zip(self.bp, self.bp[1:], self.pv[1:]):
+            self.cum.append(self.cum[-1] + v * (b - a))
+
+    def below(self, t: Fraction) -> Fraction:
+        """Integral over (-inf, t)."""
+        k = bisect.bisect_right(self.bp, t)
+        return self.cum[k - 1] + self.pv[k] * (t - self.bp[k - 1]) if k else Fraction(0)
+
+    def integral(self, a: Fraction, b: Fraction) -> Fraction:
+        """Integral over (a, b), zero unless a < b."""
+        return self.below(b) - self.below(a) if b > a else Fraction(0)
+
+    def zeroed(self, a: Fraction, b: Fraction) -> "Step":
+        """The function set to zero on (a, b), equal neighbouring plateaus merged."""
+        ends = sorted(set(self.bp) | {a, b})
+        bp, pv = [], [Fraction(0)]
+        for lo, hi in zip(ends, ends[1:] + [ends[-1] + 1]):
+            mid = (lo + hi) / 2
+            v = Fraction(0) if a < mid < b else self.pv[bisect.bisect_right(self.bp, mid)]
+            if v != pv[-1]:
+                bp.append(lo)
+                pv.append(v)
+        return Step(bp, pv)
+
+
+def grow_window(F: Step, center: Fraction, ref_radius: Fraction, gap_delta: Fraction,
+                leak: Fraction, cap: Fraction | None = None, zones=()) -> tuple:
+    """``(inner, outer, capped)`` by the growth rule of ``bubbles._grow_window``:
+    the first ``R = ref_radius + j * gap_delta`` with ``R + gap_delta`` within
+    ``cap`` (None: no cap) whose annulus ``(R, R + gap_delta)`` on either side
+    holds at most ``leak``, and whose window ``center +- (R + gap_delta)`` leaves
+    no strip narrower than ``2 * ref_radius`` holding more than ``leak``
+    between its edge and the nearest zone ``(lo, hi)`` on that side; the last
+    ``R`` the cap allows, capped, if there is none."""
+    R = ref_radius
+    while cap is None or R + gap_delta <= cap:
+        lo, hi = center - R - gap_delta, center + R + gap_delta
+        annulus = F.integral(lo, hi) - F.integral(center - R, center + R)
+        left = [z_hi for _, z_hi in zones if z_hi <= lo]
+        right = [z_lo for z_lo, _ in zones if z_lo >= hi]
+        strips = ([(max(left), lo)] if left else []) + ([(hi, min(right))] if right else [])
+        if annulus <= leak and not any(0 < b - a < 2 * ref_radius and F.integral(a, b) > leak
+                                       for a, b in strips):
+            return R, R + gap_delta, False
+        R += gap_delta
+    return R, R + gap_delta, True
+
+
+def extract(F: Step, eps: float, gap_delta: float, ref_radius: float):
+    """The greedy extraction ``bubbles.extract_bubbles`` describes, in
+    extraction order: ``([(center, inner, outer, captured, removed, capped)],
+    remainder)``.  Each center is the smallest maximizer of the window mass
+    at ``ref_radius`` over the centers outside every open keep-out
+    ``center_i +- (inner_i + ref_radius + gap_delta)``, by brute force over the
+    kinks ``breakpoint +- ref_radius`` and the keep-out edges; extraction stops
+    once that mass is at most ``eps`` times the total mass.  Each window grows
+    by :func:`grow_window`, capped so that the separation
+    ``inner_i + inner + gap_delta`` holds and against the zones removed so
+    far, and its outer window is then zeroed."""
+    r, g = Fraction(ref_radius), Fraction(gap_delta)
+    threshold = Fraction(eps) * F.cum[-1]
+    found, keep_out = [], []
+    while F.bp:
+        edges = [t for pair in keep_out for t in pair]
+        centers = sorted(c for c in {t + s for t in F.bp for s in (-r, r)} | set(edges)
+                         if not any(lo < c < hi for lo, hi in keep_out))
+        mass, center = max((F.integral(c - r, c + r), -c) for c in centers)
+        center = -center
+        if mass <= threshold:
+            break
+        caps = [abs(center - c) - inner - g for c, inner, *_ in found]
+        zones = [(c - outer, c + outer) for c, _, outer, *_ in found]
+        inner, outer, capped = grow_window(F, center, r, g, threshold,
+                                           min(caps) if caps else None, zones)
+        found.append((center, inner, outer, F.integral(center - inner, center + inner),
+                      F.integral(center - outer, center + outer), capped))
+        keep_out.append((center - inner - r - g, center + inner + r + g))
+        F = F.zeroed(center - outer, center + outer)
+    return found, F

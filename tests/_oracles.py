@@ -5,7 +5,8 @@ Each function walks ``(axis, *cell)`` face rows, single cells, breakpoints or
 intervals in plain Python loops, or keeps the simpler per-item array code
 that a whole-array path of the package replaced, so it shares no code with
 the array arithmetic it checks; the tests require the package to agree with
-it exactly.
+it exactly.  ``compactness_report`` instead builds afresh, at every eps, the
+stages the package's report reuses along the eps ladder.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import math
 
 import numpy as np
 
+from crackgrid import analysis
 from crackgrid.grid import CellSet, GridFunction, GridGeometry, crack_masks_from_rows
 from crackgrid.profile import ConcentrationProfile, _profile_faces
 
@@ -634,3 +636,126 @@ def gradient_pairings(u: GridFunction) -> dict[str, float]:
             lower = np.delete(mask, -1, axis=axis)
             out[f"axis{axis}:{name}"] = float(np.sum(d[keep & lower] / h) * u.geom.cell_volume)
     return out
+
+
+def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v: float, jump_v: float,
+                  omega: CellSet | None, eps: float, ref_radius: float, gap_delta: float):
+    """One function at one eps, every stage built afresh: ``(entry,
+    decomposition, rest mask, renormalized function, violations)``."""
+    window = prof.window
+    dec, radii, part = analysis.bubble_partition(v, prof, eps, ref_radius, gap_delta, omega)
+    violations = [f"decomposition: {msg}" for msg in dec.validate()]
+    w = analysis.renormalize(v, part)
+    region = analysis.vanishing_region(v, dec.bubbles, radius=ref_radius, omega=omega)
+    cert = None
+    if v.geom.dim == 2:
+        cert = analysis.vanishing_certificate(v, region, eps=None, radius=ref_radius,
+                                              window=window)
+        if not cert.certified:
+            violations.append("vanishing certificate failed")
+    sup_norm = float(np.max(np.abs(w.values)))
+    max_radius = max((max(c.r_minus, c.r_plus) for c in radii), default=0.0)
+    jump_w = w.jump_measure()
+    outside = part.outside_jump
+    if sup_norm > max_radius + window + 1e-12:
+        violations.append("renormalized sup-norm bound fails")
+    if jump_w > jump_v + outside + 1e-12:
+        violations.append("renormalized jump bound fails")
+    rest = part.rest_mask()
+    entry = {
+        "total_mass": prof.total_mass(),
+        "bubbles": [b.as_dict() for b in dec.bubbles],
+        "vanishing_score": dec.vanishing_score,
+        "remainder_mass": dec.remainder.total_mass(),
+        "outside_jump": outside,
+        "gap_boundary": part.gap_boundary,
+        "rest_volume": float(np.count_nonzero(rest)) * v.geom.cell_volume,
+        "vanishing_region_volume": region.volume(),
+        "certificate": cert.as_dict() if cert is not None else None,
+        "sup_norm": sup_norm,
+        "max_radius": max_radius,
+        "jump_original": jump_v,
+        "jump_renormalized": jump_w,
+        "bulk_original": bulk_v,
+        "pairings": analysis.gradient_pairings(w),
+    }
+    return entry, dec, rest, w, violations
+
+
+def compactness_report(functions, datum=None, omega=None, p: float = 2.0,
+                       eps_ladder=(0.2, 0.1), window: float = 1.0, ref_radius: float = 1.0,
+                       gap_delta: float = 2.0, limit=None) -> analysis.SequenceReport:
+    """``analysis.compactness_report`` building every stage after the profile
+    again at every eps: the partition, certificate, pairings, Ky Fan distances
+    and LSC of each eps from scratch.  Inputs must be valid; nothing is checked."""
+    eps_ladder = list(eps_ladder)
+    reduced = [u.subtract(datum) if datum is not None else u for u in functions]
+    stage = [(v, analysis.concentration_profile(v, domain=omega, window=window),
+              analysis.energy(v, p).bulk, analysis.energy(v, 2.0).bulk, v.jump_measure())
+             for v in reduced]
+    bulk_norms = [bulk_p for _, _, bulk_p, _, _ in stage]
+    violations: list[str] = []
+    per_eps: dict[str, dict] = {}
+    nesting: dict[str, list[bool]] = {}
+    for k, eps in enumerate(eps_ladder):
+        entries, decs, rests, renorms, problems = map(list, zip(*(
+            _pipeline_one(v, prof, bulk_2, jump_v, omega, eps, ref_radius, gap_delta)
+            for v, prof, _, bulk_2, jump_v in stage)))
+        for i, msgs in enumerate(problems):
+            violations += [f"eps={eps} n_index={i}: {msg}" for msg in msgs]
+        if k:
+            nesting[f"{eps_ladder[k - 1]!r}->{eps!r}"] = [
+                bool(np.all(lo <= hi)) for hi, lo in zip(prev_rests, rests)]
+        prev_rests = rests
+        consecutive = [analysis.kyfan_distance(a, b) for a, b in zip(renorms, renorms[1:])]
+        if limit is None:
+            lim, lim_pairings = renorms[-1], entries[-1]["pairings"]
+            to_limit = [analysis.kyfan_distance(w, lim) for w in renorms[:-2]] \
+                + consecutive[-1:] + [0.0]
+        else:
+            lim, lim_pairings = limit, analysis.gradient_pairings(limit)
+            to_limit = [analysis.kyfan_distance(w, lim) for w in renorms]
+        pairing_report = {}
+        for key in lim_pairings:
+            series = [e["pairings"][key] for e in entries]
+            pairing_report[key] = {
+                "series": series,
+                "limit": lim_pairings[key],
+                "max_gap": max(abs(s - lim_pairings[key]) for s in series),
+            }
+        lsc = analysis.lsc_report(reduced, lim)
+        if not lsc.lsc_holds:
+            violations.append(f"eps={eps}: jump LSC margin negative")
+        tracks = analysis.track_sequence(decs) if all(d.bubbles for d in decs) else None
+        per_eps[repr(eps)] = {
+            "per_n": entries,
+            "conclusion1_measure_convergence": {
+                "consecutive_kyfan": consecutive,
+                "kyfan_to_limit": to_limit,
+            },
+            "conclusion2_weak_gradient": {
+                "bulk_pnorm": bulk_norms,
+                "uniform_bulk_bound": max(bulk_norms) if bulk_norms else 0.0,
+                "pairings": pairing_report,
+            },
+            "conclusion3_jump_lsc": lsc.as_dict(),
+            "conclusion4_partition_trends": {
+                "outside_jump_series": [e["outside_jump"] for e in entries],
+                "rest_volume_series": [e["rest_volume"] for e in entries],
+                "vanishing_volume_series": [e["vanishing_region_volume"] for e in entries],
+            },
+            "conclusion5_bubble_tracks": tracks.as_dict() if tracks else None,
+        }
+    settings = {
+        "p": p,
+        "eps_ladder": eps_ladder,
+        "window": window,
+        "ref_radius": ref_radius,
+        "gap_delta": gap_delta,
+        "n_functions": len(functions),
+        "datum": datum is not None,
+        "omega": omega is not None,
+        "limit_supplied": limit is not None,
+    }
+    return analysis.SequenceReport(settings=settings, per_eps=per_eps,
+                                   nesting=nesting, violations=violations)

@@ -6,8 +6,9 @@ import json
 import numpy as np
 import pytest
 
-from _fixtures import jumpy_fixture, random_fixture, random_mask
+from _fixtures import cluster_plate, jumpy_fixture, random_fixture, random_mask
 from _oracles import certificate_face_measures
+from _oracles import compactness_report as oracle_compactness_report
 from _oracles import gradient_pairings as oracle_gradient_pairings
 from _oracles import iso_constant as oracle_iso_constant
 from _oracles import lsc_report as oracle_lsc_report
@@ -495,12 +496,21 @@ class TestCompactnessReport:
 
         monkeypatch.setattr(analysis, "concentration_profile", counted)
         seq = [fixture_staircase(n, cells_per_step=16 // n) for n in (4, 8, 16)]
-        ladder = [0.2, 0.1, 0.05]
-        compactness_report(seq, eps_ladder=ladder)
-        # one profile per function, then one region profile per certificate
-        assert len(calls) == len(seq) + len(ladder) * len(seq)
-        assert calls[:len(seq)] == [None] * len(seq)
-        assert all(isinstance(d, CellSet) for d in calls[len(seq):])
+        profiles = [concentration_profile(u) for u in seq]
+        # the n = 4 staircase has two bubbles at 0.2 and one below (golden stairs/u4),
+        # n = 8 two down to 0.1 and one at 0.05, n = 16 two throughout
+        for ladder, regions in (([0.2], 3), ([0.2, 0.1], 4), ([0.2, 0.1, 0.05], 5)):
+            calls.clear()
+            compactness_report(seq, eps_ladder=ladder)
+            # one profile per function, then one region profile per distinct
+            # decomposition along the ladder: a repeated one reuses its certificate
+            distinct = 0
+            for f in profiles:
+                decs = [extract_bubbles(f, eps, 2.0, 1.0).bubbles for eps in ladder]
+                distinct += 1 + sum(a != b for a, b in zip(decs, decs[1:]))
+            assert len(calls) == len(seq) + distinct == len(seq) + regions
+            assert calls[:len(seq)] == [None] * len(seq)
+            assert all(isinstance(d, CellSet) for d in calls[len(seq):])
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kyfan_to_the_last_function_reuses_known_distances(self, monkeypatch, n):
@@ -526,26 +536,30 @@ class TestCompactnessReport:
 
     def test_violations_pinned_in_order(self, monkeypatch):
         calls = []
+        seq = [fixture_staircase(n, cells_per_step=16 // n) for n in (4, 8, 16)]
 
-        def uncertified_on_calls_0_and_4(u, region, eps, radius=1.0, window=1.0):
+        def uncertified_for_functions_0_and_2(u, region, eps, radius=1.0, window=1.0):
             cert = vanishing_certificate(u, region, eps, radius=radius, window=window)
-            calls.append(len(calls))
-            if calls[-1] in (0, 4):
+            calls.append(next(i for i, g in enumerate(seq) if g is u))
+            if calls[-1] in (0, 2):
                 return dataclasses.replace(cert, measured_volume=cert.bound + 1.0)
             return cert
 
-        monkeypatch.setattr(analysis, "vanishing_certificate", uncertified_on_calls_0_and_4)
-        seq = [fixture_staircase(n, cells_per_step=16 // n) for n in (4, 8, 16)]
+        monkeypatch.setattr(analysis, "vanishing_certificate", uncertified_for_functions_0_and_2)
         geom = seq[0].geom
         # every interior face of the limit is a jump: far more than any sequence function has
         limit = GridFunction(geom, np.arange(geom.num_cells, dtype=float),
                              [np.ones(geom.face_shape(k), dtype=bool) for k in range(2)])
         rep = compactness_report(seq, eps_ladder=[0.2, 0.1], limit=limit)
-        assert len(calls) == 6
+        # only function 0 (two bubbles at 0.2, one at 0.1) is certified again at 0.1;
+        # the others reuse their certificate and its violation
+        assert calls == [0, 1, 2, 0]
         assert rep.violations == [
             "eps=0.2 n_index=0: vanishing certificate failed",
+            "eps=0.2 n_index=2: vanishing certificate failed",
             "eps=0.2: jump LSC margin negative",
-            "eps=0.1 n_index=1: vanishing certificate failed",
+            "eps=0.1 n_index=0: vanishing certificate failed",
+            "eps=0.1 n_index=2: vanishing certificate failed",
             "eps=0.1: jump LSC margin negative",
         ]
         assert not rep.ok and rep.as_dict()["violations"] == rep.violations
@@ -560,3 +574,70 @@ class TestCompactnessReport:
         u = fixture_runaway(1.0, resolution=8)
         with pytest.raises(ValueError):
             compactness_report([u], eps_ladder=[0.1, 0.2])
+
+
+def _containers(x):
+    """The ids of every list and dict inside ``x``, ``x`` included."""
+    if isinstance(x, (dict, list)):
+        yield id(x)
+        for y in x.values() if isinstance(x, dict) else x:
+            yield from _containers(y)
+
+
+class TestReportAgainstPerEpsOracle:
+    """The report reuses a function's partition stage where its bubbles repeat
+    along the ladder; the oracle builds every stage again at every eps."""
+
+    LADDER = (0.3, 0.2, 0.15, 0.1, 0.05, 0.02)
+
+    @staticmethod
+    def sequence(rng, kind):
+        if kind == "staircase":
+            return [fixture_staircase(n, cells_per_step=16 // n)
+                    for n in sorted(rng.choice([2, 4, 8, 16], size=3, replace=False).tolist())]
+        if kind == "runaway":
+            return [fixture_runaway(h, resolution=16) for h in sorted(
+                rng.choice([10.0, 40.0, 100.0, 400.0, 1000.0], size=3, replace=False).tolist())]
+        # at noise 0.3, more growth at eps 0.02 than at 0.05 moves some later centers
+        spacing = float(rng.choice([6.0, 7.0, 8.0]))
+        return [cluster_plate(rng, clusters=int(rng.integers(3, 6)), spacing=spacing, noise=0.3)
+                for _ in range(3)]
+
+    def test_byte_equal_to_the_per_eps_report(self):
+        rng = np.random.default_rng(2501)
+        steps = {"repeat": 0, "change": 0, "move": 0}
+        seen = set()
+        for case in range(24):
+            kind = ("staircase", "runaway", "cluster_plate")[case % 3]
+            seq = self.sequence(rng, kind)
+            geom = seq[0].geom
+            ladder = sorted(rng.choice(self.LADDER, size=3, replace=False).tolist(), reverse=True)
+            if case == 2:
+                ladder = [0.1, 0.05, 0.02]
+            extra = {}
+            if rng.random() < 0.5:
+                extra["limit"] = seq[int(rng.integers(len(seq)))].with_values(
+                    rng.normal(0.0, 1.0, size=geom.shape))
+            if rng.random() < 0.5:
+                extra["datum"] = GridFunction(geom, np.full(geom.shape, rng.uniform(-5.0, 5.0)))
+            if rng.random() < 0.5:
+                mask = np.ones(geom.shape, dtype=bool)
+                mask[:int(rng.integers(1, geom.shape[0] // 2))] = False
+                extra["omega"] = CellSet(geom, mask)
+            rep = compactness_report(seq, eps_ladder=ladder, **extra)
+            seen.update(extra, ["violations"] if rep.violations else [])
+            expected = oracle_compactness_report(seq, eps_ladder=ladder, **extra)
+            assert json.dumps(rep.as_dict(), sort_keys=True) == \
+                json.dumps(expected.as_dict(), sort_keys=True), (case, kind, ladder, sorted(extra))
+            # a reused stage shares no list or dict between eps: editing one leaves the rest
+            owned = [set(_containers(rep.per_eps[repr(eps)])) for eps in ladder]
+            assert all(x.isdisjoint(y) for j, x in enumerate(owned) for y in owned[j + 1:])
+            blocks = [rep.per_eps[repr(eps)]["per_n"] for eps in ladder]
+            for prev, cur in zip(blocks, blocks[1:]):
+                for a, b in zip(prev, cur):
+                    steps["repeat" if a["bubbles"] == b["bubbles"] else "change"] += 1
+                    # as many bubbles, but centers elsewhere: a stage kept by count would be wrong
+                    steps["move"] += len(a["bubbles"]) == len(b["bubbles"]) and \
+                        [x["center"] for x in a["bubbles"]] != [x["center"] for x in b["bubbles"]]
+        assert seen == {"limit", "datum", "omega", "violations"}
+        assert all(steps.values()), steps

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -571,6 +572,63 @@ def test_unwritable_output_exits_1(tmp_path: Path, argv):
     assert res.stderr.startswith("error: cannot write ")
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "{u}"],
+    ["partition", "{u}"],
+    ["verify", "{manifest}"],
+], ids=["profile", "partition", "verify"])
+def test_no_output_written_when_another_cannot_be(tmp_path: Path, argv):
+    golden = Path(__file__).resolve().parent / "golden" / "stairs"
+    names = {"u": golden / "u4.json", "manifest": golden / "manifest.json"}
+    argv = [a.format(**names) for a in argv]
+    svg, report, missing = tmp_path / "ok.svg", tmp_path / "r.json", tmp_path / "missing"
+    # an unwritable report: no SVG is made, and one already there keeps its bytes
+    for before in (None, "old"):
+        if before is not None:
+            svg.write_text(before)
+        res = run_cli(*argv, "--svg", str(svg), "--out", str(missing / "r.json"))
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr.startswith(f"error: cannot write {missing / 'r.json'}")
+        assert (svg.read_text() if svg.exists() else None) == before
+    # an unwritable SVG: no report file, and nothing on stdout
+    for out in (["--out", str(report)], []):
+        res = run_cli(*argv, "--svg", str(missing / "p.svg"), *out)
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr.startswith(f"error: cannot write {missing / 'p.svg'}")
+        assert not report.exists()
+    # both writable: both written, the report in full
+    res = run_cli(*argv, "--svg", str(svg), "--out", str(report))
+    assert res.returncode == 0 and res.stdout == ""
+    assert svg.read_text().startswith("<svg") and report.read_text() == run_cli(*argv).stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["profile", "{u}"],
+    ["partition", "{u}"],
+    ["verify", "{manifest}"],
+], ids=["profile", "partition", "verify"])
+def test_outputs_to_devices_and_pipes(tmp_path: Path, argv):
+    """Outputs that are not regular files, which cannot be truncated, are
+    written as they are: /dev/null, /dev/stdout on a pipe, a FIFO."""
+    golden = Path(__file__).resolve().parent / "golden" / "stairs"
+    names = {"u": golden / "u4.json", "manifest": golden / "manifest.json"}
+    argv = [a.format(**names) for a in argv]
+    report = run_cli(*argv).stdout
+    res = run_cli(*argv, "--svg", os.devnull, "--out", os.devnull, timeout=60)
+    assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
+    res = run_cli(*argv, "--svg", os.devnull, "--out", "/dev/stdout", timeout=60)
+    assert (res.returncode, res.stdout) == (0, report)
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    res = run_cli(*argv, "--svg", str(fifo), timeout=60)
+    reader.join(60)
+    assert (res.returncode, res.stdout) == (0, report)
+    assert got and got[0].startswith("<svg")
 
 
 def test_svg_dash_is_a_file_named_dash(tmp_path: Path, monkeypatch, capsys):

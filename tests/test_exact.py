@@ -1,17 +1,22 @@
-"""The float profile and Levy maximum against the exact rational reference.
+"""The float profile, Levy maximum, window growth and bubble extraction
+against the exact rational reference.
 
-On dyadic inputs (spacing 2^-k, values in quarters, window and radius in
-{0.25, 0.5, 1}) every float sum and product the package forms is exact, so
-its results must equal the reference with ``==``, not within a tolerance.
+On dyadic inputs (spacing 2^-k, values in quarters, window, radii and
+gap_delta in {0.25, 0.5, 1}, eps a power of two) every float sum and product
+the package forms is exact, so its results must equal the reference with
+``==``, not within a tolerance.
 """
 
 from __future__ import annotations
 
+import math
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 
 import _exact
+from crackgrid.bubbles import _grow_window, extract_bubbles
 from crackgrid.grid import CellSet, GridFunction, GridGeometry
 from crackgrid.profile import concentration_profile, levy_concentration
 
@@ -56,3 +61,58 @@ def test_profile_and_levy_equal_the_exact_reference():
         # some sum of terms has equal neighbouring plateaus the merge removed
         seen["merged"] += len(bp) < len({t for pair in terms for t in pair})
     assert min(seen[k] for k in ("1D", "2D", "domain", "empty", "merged")) >= 2, seen
+
+
+def exact_profile(u, inside, window):
+    terms = _exact.profile_terms(
+        u.values, [u.crack_mask(axis) for axis in range(u.geom.dim)],
+        np.ones(u.geom.shape, dtype=bool) if inside is None else inside,
+        u.geom.spacing, window)
+    return _exact.Step(*_exact.step_function(terms))
+
+
+def test_window_growth_and_leakage_equal_the_exact_reference():
+    rng = np.random.default_rng(2025)
+    seen = Counter()
+    for _ in range(120):
+        u, inside, window = dyadic_input(rng)
+        domain = None if inside is None else CellSet(u.geom, inside)
+        f = concentration_profile(u, domain=domain, window=window)
+        F = exact_profile(u, inside, window)
+        eps = float(rng.choice([0.0625, 0.125, 0.25]))
+        gap_delta, ref_radius = (float(x) for x in rng.choice([0.25, 0.5, 1.0], size=2))
+        # the whole extraction: centers, growth, captured and removed masses
+        dec = extract_bubbles(f, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
+        found, rest = _exact.extract(F, eps, gap_delta, ref_radius)
+        found.sort(key=lambda b: (-b[3], b[0]))
+        assert [(b.center, b.inner_radius, b.outer_radius, b.mass) for b in dec.bubbles] == \
+            [tuple(float(x) for x in b[:4]) for b in found]
+        assert list(dec.leakages) == [float(b[4] - b[3]) for b in found]
+        assert list(dec.capped) == [b[5] for b in found]
+        assert dec.remainder.breakpoints.tolist() == [float(t) for t in rest.bp]
+        assert dec.remainder.plateau_values.tolist() == [float(v) for v in rest.pv]
+        assert dec.vanishing_score == float(_exact.levy_maximum(rest.bp, rest.pv, ref_radius)[0])
+        # one growth from a dyadic center, under a cap and beside zones or not
+        if F.bp:
+            center = F.bp[int(rng.integers(len(F.bp)))] + Fraction(int(rng.integers(-4, 5)), 4)
+            leak = F.cum[-1] * Fraction(1, int(rng.choice([4, 8, 16, 32])))
+            cap = None if rng.random() < 0.5 else Fraction(int(rng.integers(1, 17)), 4)
+            zones = []
+            for side in (-1, 1):  # a unit-wide zone some quarters away on this side, or none
+                d = Fraction(int(rng.integers(1, 13)), 4)
+                if rng.random() < 0.5:
+                    zones.append(tuple(sorted((center + side * d, center + side * (d + 1)))))
+            got = _grow_window(f, float(center), ref_radius, gap_delta, float(leak),
+                               radius_cap=math.inf if cap is None else float(cap),
+                               zones=[(float(a), float(b)) for a, b in zones])
+            want = _exact.grow_window(F, center, Fraction(ref_radius), Fraction(gap_delta),
+                                      leak, cap, zones)
+            assert got == tuple(float(x) if not isinstance(x, bool) else x for x in want)
+            seen["capped growth"] += want[2]
+            seen["grown past ref_radius"] += want[0] > Fraction(ref_radius)
+        seen["bubbles"] += len(found)
+        seen["several bubbles"] += len(found) > 1
+        seen["capped bubble"] += any(b[5] for b in found)
+        seen["leak"] += any(b[4] > b[3] for b in found)
+    assert min(seen[k] for k in ("capped growth", "grown past ref_radius", "several bubbles",
+                                 "capped bubble", "leak")) >= 2, seen
