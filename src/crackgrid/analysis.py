@@ -335,7 +335,7 @@ def _partition_of(v: GridFunction, prof: ConcentrationProfile, bubbles, ref_radi
                   omega: CellSet | None):
     """The radii of ``bubbles`` and the partition they induce, at the
     profile's window: ``(radii, partition)``."""
-    radii = select_radii(prof, bubbles, base_radius=ref_radius, width=prof.window)
+    radii = select_radii(prof, bubbles, base_radius=ref_radius)
     return radii, build_partition(v, radii, window=prof.window, omega=omega)
 
 
@@ -349,7 +349,7 @@ def bubble_partition(v: GridFunction, prof: ConcentrationProfile, eps: float,
 
 def _partition_stage(v: GridFunction, prof: ConcentrationProfile, bubbles, bulk_v: float,
                      jump_v: float, omega: CellSet | None, ref_radius: float):
-    """What one function's bubbles fix, at any eps: ``(entry fields, certificate,
+    """What one function's bubble centers fix, at any eps: ``(entry fields, certificate,
     rest mask, renormalized function, violations)``, at its profile's window."""
     window = prof.window
     radii, part = _partition_of(v, prof, bubbles, ref_radius, omega)
@@ -394,10 +394,10 @@ def compactness_report(functions: Sequence[GridFunction],
     """Run the whole decomposition pipeline on a sequence and report every
     conclusion-level diagnostic.
 
-    Per function, its profile once; per eps, its bubbles and, where they
-    differ from the previous eps's, the stage they fix: radius selection,
-    partition, renormalization, vanishing region and certificate, contract
-    checks (a repeated stage is reused, with the same result).  Across the
+    Per function, its profile once; per eps, its bubbles and, where their
+    centers differ from the previous eps's, the stage they fix: radius
+    selection, partition, renormalization, vanishing region and certificate,
+    contract checks (a repeated stage is reused, with the same result).  Across the
     sequence: Ky Fan distances (convergence in measure), gradient pairings
     against a fixed indicator dictionary with uniform p-norm bounds
     (weak-convergence proxy), directional jump LSC via slicing,
@@ -431,17 +431,18 @@ def compactness_report(functions: Sequence[GridFunction],
     violations: list[str] = []
     per_eps: dict[str, dict] = {}
     nesting: dict[str, list[bool]] = {}
-    # per function, its bubbles and partition stage at the previous eps: the same bubbles
-    # fix the same stage, built again only where they change; each entry copies its containers
+    # per function, its bubble centers and partition stage at the previous eps: the same centers
+    # fix the same stage, built again only where they move; each entry copies its containers
     last: list = [None] * len(stage)
     prev_renorms, prev_lim = [None] * len(stage), None
     for k, eps in enumerate(eps_ladder):
         rows = []
         for i, (v, prof, _, bulk_2, jump_v) in enumerate(stage):
             dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
-            if last[i] is None or last[i][0] != dec.bubbles:
-                last[i] = (dec.bubbles, *_partition_stage(v, prof, dec.bubbles, bulk_2, jump_v,
-                                                          omega, ref_radius))
+            centers = tuple(b.center for b in dec.bubbles)
+            if last[i] is None or last[i][0] != centers:
+                last[i] = (centers, *_partition_stage(v, prof, dec.bubbles, bulk_2, jump_v,
+                                                      omega, ref_radius))
             _, fields, cert, rest, w, msgs = last[i]
             violations += [f"eps={eps} n_index={i}: {msg}" for msg in
                            [f"decomposition: {m}" for m in dec.validate()] + msgs]

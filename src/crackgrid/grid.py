@@ -81,6 +81,7 @@ class GridGeometry:
             raise ValueError(f"origin must be finite, got {self.origin}")
         if not (self.spacing > 0) or not math.isfinite(self.spacing):
             raise ValueError(f"spacing must be a positive finite real, got {self.spacing}")
+        object.__setattr__(self, "spacing", float(self.spacing))  # only a real got here
         if any(n < 1 for n in self.shape):
             raise ValueError(f"every axis needs at least one cell, got {self.shape}")
 

@@ -60,11 +60,11 @@ class RadiusChoice(Record):
 _SCALES = np.array([1.0, 1.0, -1.0, -1.0])
 
 
-def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble], base_radius: float,
-                 width: float) -> list[RadiusChoice]:
-    """Choose per-bubble radii in [base_radius, base_radius + width) where the
-    profile is thin on both edges of the prospective gap bands; one choice per
-    bubble, in order.
+def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble],
+                 base_radius: float) -> list[RadiusChoice]:
+    """Choose per-bubble radii in [base_radius, base_radius + f.window) where
+    the profile is thin on both edges of the prospective gap bands; one choice
+    per bubble, in order.
 
     The objective at radius r adds the profile heights at the four band-edge
     levels center +- r and center +- (r + f.window); being piecewise constant
@@ -79,14 +79,12 @@ def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble], base_radius
     points r = (b - shift) / scale in (lo, hi) of the breakpoints b in one
     slice, and a ``lexsort`` on (bubble, r) orders each bubble's cuts.
     """
-    if not width > 0:
-        raise ValueError("width must be positive")
     if not base_radius > 0:
         raise ValueError("base_radius must be positive")
     w = f.window
-    lo, hi = float(base_radius), float(base_radius + width)
+    lo, hi = float(base_radius), float(base_radius + w)
     if not hi > lo:
-        raise ValueError("width vanishes next to base_radius")
+        raise ValueError("window vanishes next to base_radius")
     bp, n = f.breakpoints, len(bubbles)
     c = np.array([b.center for b in bubbles], dtype=float)
     shift = np.concatenate([c, c + w, c, c - w])  # offset-major: row o * n + bubble
@@ -159,7 +157,7 @@ class DomainPartition:
                 if blo <= 0.0 < bhi:
                     self.datum_piece = j
                     break
-        self.stats, self.outside_jump, self.gap_boundary = self._compute_stats(u)
+        self.stats, self.outside_jump, self.gap_boundary, self._kind_cells = self._compute_stats(u)
 
     # -- labeling helpers -------------------------------------------------
 
@@ -187,11 +185,12 @@ class DomainPartition:
         """Gap and vanishing cells together (the non-main aggregate)."""
         return self.label_kind != KIND_MAIN
 
-    def _compute_stats(self, u: GridFunction) -> tuple[dict[str, SetStats], float, float]:
+    def _compute_stats(self, u: GridFunction) -> tuple[dict[str, SetStats], float, float, list]:
         """Per-label volume, ambient perimeter and box-relative outside-jump, by
         bincounts, with the partition's outside-jump (label-boundary faces off
-        the jump set touching a main or vanishing cell) and gap boundary
-        (label-boundary and box faces touching a gap cell), by code parity."""
+        the jump set touching a main or vanishing cell), gap boundary
+        (label-boundary and box faces touching a gap cell), by code parity, and
+        the cell count of each kind."""
         k = self._codes
         sides, free_sides = [], []  # one code per label-boundary face side
         outside_faces = gap_faces = 0
@@ -216,7 +215,8 @@ class DomainPartition:
                                           perimeter=perimeter[c] * area,
                                           outside_jump=outside[c] * area)
                  for c in self._present_codes().tolist()}
-        return stats, outside_faces * area, gap_faces * area
+        kind_cells = [sum(cells[r::4]) for r in _REM_OF_KIND.tolist()]
+        return stats, outside_faces * area, gap_faces * area, kind_cells
 
     def label_boundary(self, axis: int) -> np.ndarray:
         """Mask over the interior faces of ``axis`` with distinct labels on the two sides."""
@@ -224,7 +224,7 @@ class DomainPartition:
         return lo != hi
 
     def volume_by_kind(self, kind: int) -> float:
-        return int(np.count_nonzero(self.label_kind == kind)) * self.geom.cell_volume
+        return self._kind_cells[kind] * self.geom.cell_volume
 
     def label_names(self) -> np.ndarray:
         names = np.array([_label_name(c) for c in range(self._edges.size + 1)], object)
@@ -243,8 +243,8 @@ class DomainPartition:
                        for p in self.pieces],
             "window": self.window,
             "datum_piece": self.datum_piece,
-            "label_kind": [int(x) for x in self.label_kind.ravel()],
-            "label_index": [int(x) for x in self.label_index.ravel()],
+            "label_kind": self.label_kind.ravel().tolist(),
+            "label_index": self.label_index.ravel().tolist(),
             "stats": {k: s.as_dict() for k, s in self.stats.items()},
             "outside_jump": self.outside_jump,
             "gap_boundary": self.gap_boundary,
@@ -282,10 +282,10 @@ def renormalize(v: GridFunction, part: DomainPartition) -> GridFunction:
     return GridFunction(v.geom, values, cracks)
 
 
-_DYADIC_CANDIDATES: list[float] = [0.0, 1.0]
-for _depth in range(1, 14):
-    _den = 2**_depth
-    _DYADIC_CANDIDATES.extend(k / _den for k in range(1, _den, 2))
+def _dyadic_offsets():
+    """0, 1, then the odd multiples of 2**-d in (0, 1), for d = 1, ..., 13."""
+    yield from (0.0, 1.0)
+    yield from (k / 2**d for d in range(1, 14) for k in range(1, 2**d, 2))
 
 
 def perturbed_translation(v: GridFunction, part: DomainPartition) -> GridFunction:
@@ -300,34 +300,30 @@ def perturbed_translation(v: GridFunction, part: DomainPartition) -> GridFunctio
     datum value, so they heal).
     """
     w = renormalize(v, part)
-    # main pieces keep their index; all gap/vanishing cells share id -1
-    ids = np.where(part.label_kind == KIND_MAIN, part.label_index.astype(np.int64), -1)
-    piece_order = [-1] + list(range(len(part.pieces)))  # aggregate first, then by band
-    # collect cross-piece faces once: (id_lo, id_hi, base_lo, base_hi)
-    cross: list[tuple[int, int, float, float]] = []
+    n = len(part.pieces)
+    # main pieces keep their index; all gap/vanishing cells form piece n
+    ids = np.where(part._codes % 4 == _REM_OF_KIND[KIND_MAIN], part._codes // 4, n)
+    # every cross-piece face once: the piece ids and base values of its two sides
+    faces = []
     for axis in range(w.geom.dim):
         id_lo, id_hi = face_pairs(ids, axis)
-        b_lo, b_hi = face_pairs(w.values, axis)
-        sel = id_lo != id_hi
-        cross.extend(zip(id_lo[sel].tolist(), id_hi[sel].tolist(),
-                         b_lo[sel].tolist(), b_hi[sel].tolist()))
-    alphas: dict[int, float] = {}
-    for pid in piece_order:
-        forbidden = set(alphas.values())
-        for id_a, id_b, x, y in cross:
-            if id_a == pid and id_b in alphas:
-                forbidden.add(alphas[id_b] + y - x)
-            elif id_b == pid and id_a in alphas:
-                forbidden.add(alphas[id_a] + x - y)
-        for cand in _DYADIC_CANDIDATES:
+        cut = id_lo != id_hi
+        faces.append([a[cut] for a in (id_lo, id_hi, *face_pairs(w.values, axis))])
+    id_lo, id_hi, base_lo, base_hi = (np.concatenate(c) for c in zip(*faces))
+    alpha, done = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
+    for pid in [n, *range(n)]:  # aggregate first, then by band
+        # a face from value a on this piece to b on an offset one heals at alpha[other] + b - a
+        lo, hi = (id_lo == pid) & done[id_hi], (id_hi == pid) & done[id_lo]
+        forbidden = set(alpha[done].tolist())
+        forbidden.update((alpha[id_hi[lo]] + base_hi[lo] - base_lo[lo]).tolist())
+        forbidden.update((alpha[id_lo[hi]] + base_lo[hi] - base_hi[hi]).tolist())
+        for cand in _dyadic_offsets():
             if cand not in forbidden:
-                alphas[pid] = cand
                 break
         else:
             raise RuntimeError("exhausted dyadic offsets; too many conflicting faces")
-    # ids == -1 (the aggregate) indexes the last lookup slot
-    lookup = np.array([alphas[j] for j in range(len(part.pieces))] + [alphas[-1]])
-    return w.with_values(w.values + lookup[ids])
+        alpha[pid], done[pid] = cand, True
+    return w.with_values(w.values + alpha[ids])
 
 
 def vanishing_region(u: GridFunction, bubbles: Sequence[Bubble], radius: float,

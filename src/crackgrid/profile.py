@@ -117,11 +117,6 @@ class ConcentrationProfile:
             return None
         return float(self.breakpoints[nz[0] - 1]), float(self.breakpoints[nz[-1]])
 
-    def value_at(self, t: float) -> float:
-        """Plateau value with the half-open convention [b_{k-1}, b_k)."""
-        k = int(np.searchsorted(self.breakpoints, t, side="right"))
-        return float(self.plateau_values[k])
-
     @cached_property
     def _cum0(self) -> np.ndarray:
         """Read-only mass below ``breakpoints[k-1]`` at k >= 1, and 0.0 at k = 0."""

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from crackgrid.analysis import bubble_partition
 from crackgrid.fixtures import fixture_staircase
 from crackgrid.grid import CellSet, GridFunction, GridGeometry, crack_masks_from_rows
 from crackgrid.profile import ConcentrationProfile, concentration_profile, levy_concentration
@@ -145,3 +146,12 @@ def cluster_plate(rng: np.random.Generator, clusters: int = 20, blocks: int = 5,
     block_id = np.kron(np.arange(blocks * blocks).reshape(blocks, blocks),
                        np.ones((block, block), dtype=int))
     return GridFunction(geom, values, [np.diff(block_id, axis=axis) != 0 for axis in range(2)])
+
+
+def staircase_pipeline(n, eps=0.1, ref=1.0, gap=2.0, w=1.0):
+    """The staircase fixture, its profile at window ``w``, and its
+    ``bubble_partition``: ``(u, f, decomposition, radii, partition)``."""
+    u = fixture_staircase(n)
+    f = concentration_profile(u, window=w)
+    dec, radii, part = bubble_partition(u, f, eps, ref, gap)
+    return u, f, dec, radii, part

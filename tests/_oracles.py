@@ -121,6 +121,12 @@ def concentration_profile(u: GridFunction, domain: CellSet | None = None,
     return ConcentrationProfile.from_intervals(intervals, window)
 
 
+def value_at(f: ConcentrationProfile, t: float) -> float:
+    """Plateau value at ``t`` with the half-open convention [b_{k-1}, b_k)."""
+    k = int(np.searchsorted(f.breakpoints, t, side="right"))
+    return float(f.plateau_values[k])
+
+
 def mass_below(f: ConcentrationProfile, t: float) -> float:
     """Integral of the profile over (-inf, t) from a cumulative sum taken afresh."""
     bp, pv = f.breakpoints, f.plateau_values
@@ -353,7 +359,7 @@ def objective_pieces(f: ConcentrationProfile, offsets, lo: float,
     pieces = []
     for a, b in zip(points, points[1:]):
         mid = 0.5 * (a + b)
-        val = sum(f.value_at(scale * mid + shift) for scale, shift in offsets)
+        val = sum(value_at(f, scale * mid + shift) for scale, shift in offsets)
         pieces.append((a, b, val))
     return pieces
 
@@ -406,14 +412,14 @@ def interval_average(f: ConcentrationProfile, offsets, lo: float, hi: float) -> 
     return total / (hi - lo)
 
 
-def select_radii(f: ConcentrationProfile, bubbles, base_radius: float, width: float,
+def select_radii(f: ConcentrationProfile, bubbles, base_radius: float,
                  best=array_best_radius):
     """``partition.select_radii`` one bubble at a time, each bubble's radius
     and minimum from ``best`` (``array_best_radius`` or ``best_radius``)."""
     from crackgrid.partition import RadiusChoice
 
     w = f.window
-    lo, hi = base_radius, base_radius + width
+    lo, hi = base_radius, base_radius + w
     out = []
     for b in bubbles:
         offsets = [(1.0, b.center), (1.0, b.center + w), (-1.0, b.center), (-1.0, b.center - w)]
@@ -482,6 +488,78 @@ def partition_csv(part) -> str:
     if part.geom.dim == 1:
         return ",".join(names.tolist()) + "\n"
     return "\n".join(",".join(row) for row in names.tolist()) + "\n"
+
+
+def volume_by_kind(part, kind: int) -> float:
+    """Volume of the cells of one kind, counted afresh on ``label_kind``."""
+    return int(np.count_nonzero(part.label_kind == kind)) * part.geom.cell_volume
+
+
+def partition_dict(part) -> dict:
+    """``DomainPartition.as_dict`` with the labels written one int at a time
+    and the volumes from ``volume_by_kind``."""
+    from crackgrid.partition import KIND_GAP_MINUS, KIND_GAP_PLUS, KIND_MAIN, KIND_VANISHING
+
+    return {
+        "pieces": [{"center": p.center, "r_minus": p.r_minus, "r_plus": p.r_plus}
+                   for p in part.pieces],
+        "window": part.window,
+        "datum_piece": part.datum_piece,
+        "label_kind": [int(x) for x in part.label_kind.ravel()],
+        "label_index": [int(x) for x in part.label_index.ravel()],
+        "stats": {k: s.as_dict() for k, s in part.stats.items()},
+        "outside_jump": part.outside_jump,
+        "gap_boundary": part.gap_boundary,
+        "volumes": {
+            "main": volume_by_kind(part, KIND_MAIN),
+            "gap": volume_by_kind(part, KIND_GAP_PLUS) + volume_by_kind(part, KIND_GAP_MINUS),
+            "vanishing": volume_by_kind(part, KIND_VANISHING),
+        },
+    }
+
+
+_DYADIC_CANDIDATES: list[float] = [0.0, 1.0]
+for _depth in range(1, 14):
+    _den = 2**_depth
+    _DYADIC_CANDIDATES.extend(k / _den for k in range(1, _den, 2))
+
+
+def perturbed_translation(v: GridFunction, part) -> tuple[GridFunction, dict[int, float]]:
+    """``partition.perturbed_translation`` over a list of cross-piece face
+    tuples and a table of dyadic candidates, with the offset of every piece
+    id (-1 the gap/vanishing aggregate)."""
+    from crackgrid.grid import face_pairs
+    from crackgrid.partition import KIND_MAIN, renormalize
+
+    w = renormalize(v, part)
+    # main pieces keep their index; all gap/vanishing cells share id -1
+    ids = np.where(part.label_kind == KIND_MAIN, part.label_index.astype(np.int64), -1)
+    piece_order = [-1] + list(range(len(part.pieces)))  # aggregate first, then by band
+    # collect cross-piece faces once: (id_lo, id_hi, base_lo, base_hi)
+    cross: list[tuple[int, int, float, float]] = []
+    for axis in range(w.geom.dim):
+        id_lo, id_hi = face_pairs(ids, axis)
+        b_lo, b_hi = face_pairs(w.values, axis)
+        sel = id_lo != id_hi
+        cross.extend(zip(id_lo[sel].tolist(), id_hi[sel].tolist(),
+                         b_lo[sel].tolist(), b_hi[sel].tolist()))
+    alphas: dict[int, float] = {}
+    for pid in piece_order:
+        forbidden = set(alphas.values())
+        for id_a, id_b, x, y in cross:
+            if id_a == pid and id_b in alphas:
+                forbidden.add(alphas[id_b] + y - x)
+            elif id_b == pid and id_a in alphas:
+                forbidden.add(alphas[id_a] + x - y)
+        for cand in _DYADIC_CANDIDATES:
+            if cand not in forbidden:
+                alphas[pid] = cand
+                break
+        else:
+            raise RuntimeError("exhausted dyadic offsets; too many conflicting faces")
+    # ids == -1 (the aggregate) indexes the last lookup slot
+    lookup = np.array([alphas[j] for j in range(len(part.pieces))] + [alphas[-1]])
+    return w.with_values(w.values + lookup[ids]), alphas
 
 
 def lsc_report(seq, limit: GridFunction):

@@ -45,13 +45,6 @@ def _report(num: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
-def staircase_pipeline(n, eps=0.1, ref=1.0, gap=2.0, w=1.0, cells_per_step=1):
-    u = fixture_staircase(n, cells_per_step=cells_per_step)
-    f = concentration_profile(u, window=w)
-    dec, radii, part = bubble_partition(u, f, eps, ref, gap)
-    return u, f, dec, radii, part
-
-
 def test_criterion_01_staircase_jump_measure():
     t0 = time.perf_counter()
     ok = True

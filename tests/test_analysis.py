@@ -32,7 +32,7 @@ from crackgrid.grid import (
     energy,
     kyfan_distance,
 )
-from crackgrid.partition import vanishing_region
+from crackgrid.partition import select_radii, vanishing_region
 from crackgrid.profile import concentration_profile, levy_concentration
 
 
@@ -502,15 +502,35 @@ class TestCompactnessReport:
         for ladder, regions in (([0.2], 3), ([0.2, 0.1], 4), ([0.2, 0.1, 0.05], 5)):
             calls.clear()
             compactness_report(seq, eps_ladder=ladder)
-            # one profile per function, then one region profile per distinct
-            # decomposition along the ladder: a repeated one reuses its certificate
+            # one profile per function, then one region profile per change of
+            # bubble centers along the ladder: repeated centers reuse their certificate
             distinct = 0
             for f in profiles:
-                decs = [extract_bubbles(f, eps, 2.0, 1.0).bubbles for eps in ladder]
-                distinct += 1 + sum(a != b for a, b in zip(decs, decs[1:]))
+                centers = [[b.center for b in extract_bubbles(f, eps, 2.0, 1.0).bubbles]
+                           for eps in ladder]
+                distinct += 1 + sum(a != b for a, b in zip(centers, centers[1:]))
             assert len(calls) == len(seq) + distinct == len(seq) + regions
             assert calls[:len(seq)] == [None] * len(seq)
             assert all(isinstance(d, CellSet) for d in calls[len(seq):])
+
+    def test_partition_stage_keyed_on_bubble_centers(self, monkeypatch):
+        calls = []
+
+        def counted(f, bubbles, base_radius):
+            calls.append(tuple(b.center for b in bubbles))
+            return select_radii(f, bubbles, base_radius)
+
+        monkeypatch.setattr(analysis, "select_radii", counted)
+        seq = [fixture_staircase(n, cells_per_step=16 // n) for n in (2, 4, 16)]
+        ladder = [0.2, 0.15, 0.1]
+        rep = compactness_report(seq, eps_ladder=ladder)
+        # n = 2: one bubble at 0 throughout, of mass 19 down to eps 0.15 and 22 at 0.1;
+        # n = 4: bubbles at 0 and 5 at 0.2, one at 0 below; n = 16: at 0 and 17 throughout
+        before, after = (rep.per_eps[repr(eps)]["per_n"][0]["bubbles"] for eps in ladder[1:])
+        assert before != after and [b["center"] for b in before] == [b["center"] for b in after]
+        # one radius selection per function and eps where the centers move: none
+        # for n = 2 at 0.1, where only the mass does
+        assert calls == [(0.0,), (0.0, 5.0), (0.0, 17.0), (0.0,)]
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_kyfan_to_the_last_function_reuses_known_distances(self, monkeypatch, n):
@@ -564,6 +584,12 @@ class TestCompactnessReport:
         ]
         assert not rep.ok and rep.as_dict()["violations"] == rep.violations
 
+    def test_numpy_scalar_fixture_report_is_json(self):
+        # a NumPy spacing (1 / np.int64(n)) once made the report's flags numpy.bool_
+        reports = [compactness_report([fixture_staircase(k(n), cells_per_step=8 // n)
+                                       for n in (2, 4, 8)]) for k in (np.int64, int)]
+        assert json.dumps(reports[0].as_dict()) == json.dumps(reports[1].as_dict())
+
     def test_geometry_mismatch_rejected(self):
         a = fixture_runaway(1.0, resolution=8)
         b = fixture_runaway(1.0, resolution=16)
@@ -585,8 +611,8 @@ def _containers(x):
 
 
 class TestReportAgainstPerEpsOracle:
-    """The report reuses a function's partition stage where its bubbles repeat
-    along the ladder; the oracle builds every stage again at every eps."""
+    """The report reuses a function's partition stage where its bubble centers
+    repeat along the ladder; the oracle builds every stage again at every eps."""
 
     LADDER = (0.3, 0.2, 0.15, 0.1, 0.05, 0.02)
 
@@ -605,7 +631,7 @@ class TestReportAgainstPerEpsOracle:
 
     def test_byte_equal_to_the_per_eps_report(self):
         rng = np.random.default_rng(2501)
-        steps = {"repeat": 0, "change": 0, "move": 0}
+        steps = {"repeat": 0, "change": 0, "move": 0, "same centers": 0}
         seen = set()
         for case in range(24):
             kind = ("staircase", "runaway", "cluster_plate")[case % 3]
@@ -637,7 +663,9 @@ class TestReportAgainstPerEpsOracle:
                 for a, b in zip(prev, cur):
                     steps["repeat" if a["bubbles"] == b["bubbles"] else "change"] += 1
                     # as many bubbles, but centers elsewhere: a stage kept by count would be wrong
-                    steps["move"] += len(a["bubbles"]) == len(b["bubbles"]) and \
-                        [x["center"] for x in a["bubbles"]] != [x["center"] for x in b["bubbles"]]
+                    centers = [[x["center"] for x in e["bubbles"]] for e in (a, b)]
+                    steps["move"] += len(centers[0]) == len(centers[1]) and centers[0] != centers[1]
+                    # other bubbles at the same centers: the stage is reused
+                    steps["same centers"] += a["bubbles"] != b["bubbles"] and centers[0] == centers[1]
         assert seen == {"limit", "datum", "omega", "violations"}
         assert all(steps.values()), steps

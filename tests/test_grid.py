@@ -357,6 +357,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             GridGeometry((0.0,), 0.0, (4,))
 
+    def test_spacing_is_a_python_float(self):
+        for spacing in (np.float32(0.25), np.int64(4), 1):
+            geom = GridGeometry((0.0,), spacing, (4,))
+            assert type(geom.spacing) is float and geom.spacing == spacing
+        for spacing in ("0.25", None, 1j):
+            with pytest.raises(TypeError):
+                GridGeometry((0.0,), spacing, (4,))
+
     def test_shape_entries_must_be_integers(self):
         with pytest.raises(TypeError):
             GridGeometry((0.0, 0.0), 1.0, (8.5, 4))

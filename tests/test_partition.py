@@ -1,9 +1,17 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
-from _fixtures import cluster_plate, dyadic_profile, jumpy_fixture, random_fixture
+from _fixtures import (
+    cluster_plate,
+    dyadic_profile,
+    jumpy_fixture,
+    random_fixture,
+    staircase_pipeline,
+)
 from _oracles import (
     array_best_radius,
     best_radius,
@@ -14,12 +22,14 @@ from _oracles import (
     new_cracks,
     objective_pieces,
     partition_csv,
+    partition_dict,
     partition_outside_jump,
     partition_stats,
     upper_cell,
+    value_at,
 )
+from _oracles import perturbed_translation as oracle_perturbed_translation
 from _oracles import select_radii as oracle_select_radii
-from crackgrid.analysis import bubble_partition
 from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import (
@@ -45,18 +55,10 @@ from crackgrid.partition import (
 from crackgrid.profile import ConcentrationProfile, concentration_profile
 
 
-def staircase_pipeline(n, eps=0.1, ref=1.0, gap=2.0, w=1.0):
-    u = fixture_staircase(n)
-    f = concentration_profile(u, window=w)
-    dec, radii, part = bubble_partition(u, f, eps, ref, gap)
-    return u, f, dec, radii, part
-
-
 class TestSelectRadii:
     def test_flat_profile_picks_midpoint(self):
         f = ConcentrationProfile.empty()
-        bubbles = [type("B", (), {"center": 0.0})()]
-        choices = select_radii(f, [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0)], 1.0, 1.0)
+        choices = select_radii(f, [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0)], 1.0)
         # zero profile: any radius works, midpoint chosen, achieved value 0
         [c] = choices
         assert c.r_plus == 1.5 and c.r_minus == 1.5
@@ -65,11 +67,12 @@ class TestSelectRadii:
     def test_rejects_an_empty_search_interval(self):
         f = ConcentrationProfile.from_intervals([(0.0, 2.0, 1.0)])
         bubbles = [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0)]
-        for base, width, match in ((1.0, 0.0, "width must be positive"),
-                                   (0.0, 1.0, "base_radius must be positive"),
-                                   (1e20, 1.0, "width vanishes")):
+        with pytest.raises(ValueError, match="window must be positive"):
+            ConcentrationProfile(f.breakpoints, f.plateau_values, window=0.0)
+        for base, match in ((0.0, "base_radius must be positive"),
+                            (1e20, "window vanishes next to base_radius")):
             with pytest.raises(ValueError, match=match):
-                select_radii(f, bubbles, base, width)
+                select_radii(f, bubbles, base)
 
     def test_min_below_interval_average(self):
         _, f, dec, radii, _ = staircase_pipeline(16)
@@ -81,7 +84,7 @@ class TestSelectRadii:
         # radius lands outside the spike's plateau
         f = ConcentrationProfile.from_intervals(
             [(1.25, 1.5, 8.0), (0.0, 4.0, 0.25)])
-        [c] = select_radii(f, [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0)], 1.0, 1.0)
+        [c] = select_radii(f, [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0)], 1.0)
         assert not (1.25 <= c.r_plus < 1.5)
 
     def test_achieved_matches_fine_scan_oracle(self):
@@ -92,11 +95,11 @@ class TestSelectRadii:
             w = 1.0
             f = ConcentrationProfile.from_intervals(parts, window=w)
             center = float(rng.uniform(-2, 2))
-            [c] = select_radii(f, [RadiusChoice(center, 1.0, 1.0, 0.0, 0.0)], 1.0, 1.0)
+            [c] = select_radii(f, [RadiusChoice(center, 1.0, 1.0, 0.0, 0.0)], 1.0)
 
             def objective(r):
-                return (f.value_at(center + r) + f.value_at(center + r + w)
-                        + f.value_at(center - r) + f.value_at(center - r - w))
+                return (value_at(f, center + r) + value_at(f, center + r + w)
+                        + value_at(f, center - r) + value_at(f, center - r - w))
 
             scan = np.linspace(1.0 + 1e-9, 2.0 - 1e-9, 4001)
             best = min(objective(r) for r in scan)
@@ -108,21 +111,22 @@ class TestSelectRadiiOracle:
     """The one-pass objective over all bubbles against the per-bubble loops it
     replaced: the array loop (the breakpoint array mapped once per bubble and
     offset) and the breakpoint-by-breakpoint loop, with every ``RadiusChoice``
-    field compared byte for byte."""
+    field compared byte for byte.  The search interval is [base, base + width),
+    so its width is the profile's window."""
 
     @staticmethod
-    def assert_matches_loops(f, bubbles, base_radius, width, window):
-        f = ConcentrationProfile(f.breakpoints, f.plateau_values, window)
-        fast = select_radii(f, bubbles, base_radius, width)
+    def assert_matches_loops(f, bubbles, base_radius, width):
+        f = ConcentrationProfile(f.breakpoints, f.plateau_values, window=width)
+        fast = select_radii(f, bubbles, base_radius)
         for best in (array_best_radius, best_radius):
-            slow = oracle_select_radii(f, bubbles, base_radius, width, best=best)
+            slow = oracle_select_radii(f, bubbles, base_radius, best=best)
             assert repr(fast) == repr(slow)
         assert all(type(x) is float for c in fast for x in c.as_dict().values())
         return fast
 
     @staticmethod
-    def tied(f, center, base, width, w):
-        offsets = [(1.0, center), (1.0, center + w), (-1.0, center), (-1.0, center - w)]
+    def tied(f, center, base, width):
+        offsets = [(1.0, center), (1.0, center + width), (-1.0, center), (-1.0, center - width)]
         values = [v for _, _, v in objective_pieces(f, offsets, base, base + width)]
         return values.count(min(values)) > 1
 
@@ -138,10 +142,9 @@ class TestSelectRadiiOracle:
             centers = rng.integers(-12, 12, int(rng.integers(1, 4))) / 4
             bubbles = [RadiusChoice(float(c), 1.0, 1.0, 0.0, 0.0) for c in centers]
             base, width = float(rng.choice([0.5, 1.0])), float(rng.choice([0.5, 1.0, 2.0]))
-            w = float(rng.choice([0.5, 1.0]))
-            self.assert_matches_loops(f, bubbles, base, width, w)
+            self.assert_matches_loops(f, bubbles, base, width)
             for c in centers:
-                ties += self.tied(f, c, base, width, w)
+                ties += self.tied(f, c, base, width)
                 r = np.concatenate([f.breakpoints - c, c - f.breakpoints])
                 edges += bool(np.isin([base, base + width], r).any())
         # the cases exercise the leftmost-plateau rule and cuts falling on lo/hi
@@ -149,13 +152,13 @@ class TestSelectRadiiOracle:
 
     def test_empty_profile(self):
         bubbles = [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0), RadiusChoice(5.0, 1.0, 1.0, 0.0, 0.0)]
-        got = self.assert_matches_loops(ConcentrationProfile.empty(), bubbles, 1.0, 1.0, 1.0)
+        got = self.assert_matches_loops(ConcentrationProfile.empty(), bubbles, 1.0, 1.0)
         assert [(c.r_plus, c.achieved) for c in got] == [(1.5, 0.0), (1.5, 0.0)]
 
     def test_empty_bubble_list(self):
         f = ConcentrationProfile.from_intervals([(0.0, 2.0, 1.0)])
         for g in (f, ConcentrationProfile.empty()):
-            assert self.assert_matches_loops(g, [], 1.0, 1.0, 1.0) == []
+            assert self.assert_matches_loops(g, [], 1.0, 1.0) == []
 
     def test_no_breakpoint_inside_any_band(self):
         # every band edge level center +- r, center +- (r + w) for r in (1, 2)
@@ -163,21 +166,21 @@ class TestSelectRadiiOracle:
         f = ConcentrationProfile.from_intervals([(-20.0, -10.0, 1.0), (10.0, 20.0, 0.5),
                                                  (-0.5, 0.5, 2.0)])
         bubbles = [RadiusChoice(c, 1.0, 1.0, 0.0, 0.0) for c in (0.0, 0.25, -0.25)]
-        got = self.assert_matches_loops(f, bubbles, 1.0, 1.0, 1.0)
+        got = self.assert_matches_loops(f, bubbles, 1.0, 1.0)
         assert [(c.r_plus, c.achieved) for c in got] == [(1.5, 0.0)] * 3
         # every level on a -0.0 plateau: the objective is summed from +0.0
         f = ConcentrationProfile([-9.0, -8.0, 8.0, 9.0], [0.0, 1.0, -0.0, 1.0, 0.0])
         assert np.signbit(f.plateau_values[2])
-        [c] = self.assert_matches_loops(f, bubbles[:1], 1.0, 1.0, 1.0)
+        [c] = self.assert_matches_loops(f, bubbles[:1], 1.0, 1.0)
         assert repr(c.achieved) == "0.0"
 
     def test_bands_past_both_ends_of_the_profile(self):
         f = ConcentrationProfile.from_intervals([(0.0, 1.0, 1.0), (0.25, 0.5, 2.0)])
         # below, above, astride the whole support, and reaching one end only
         bubbles = [RadiusChoice(c, 1.0, 1.0, 0.0, 0.0) for c in (-40.0, 40.0, 0.5, 2.5, -1.75)]
-        got = self.assert_matches_loops(f, bubbles, 1.0, 1.0, 1.0)
+        got = self.assert_matches_loops(f, bubbles, 1.0, 1.0)
         assert [c.achieved for c in got][:3] == [0.0, 0.0, 0.0]
-        self.assert_matches_loops(f, bubbles, 0.125, 8.0, 0.5)
+        self.assert_matches_loops(f, bubbles, 0.125, 8.0)
 
     def test_breakpoints_at_the_rounded_band_ends(self):
         # breakpoints on and one ulp around every rounded band end
@@ -186,8 +189,8 @@ class TestSelectRadiiOracle:
         rng = np.random.default_rng(409)
         for _ in range(30):
             centers = np.round(rng.uniform(-3, 3, 3), 1)
-            base, width, w = 0.3, float(rng.choice([0.7, 1.1])), 0.7
-            lo, hi = base, base + width
+            base, w = 0.3, float(rng.choice([0.7, 1.1]))  # the window is the width
+            lo, hi = base, base + w
             ends = [s + k for c in centers for s in (c, c + w, c - w)
                     for k in (lo, hi, -lo, -hi)]
             bp = np.unique(np.concatenate([np.nextafter(ends, -np.inf), ends,
@@ -195,25 +198,27 @@ class TestSelectRadiiOracle:
             pv = np.concatenate([[0.0], rng.integers(1, 5, bp.size - 1) / 4, [0.0]])
             f = ConcentrationProfile(bp, pv)
             bubbles = [RadiusChoice(float(c), 1.0, 1.0, 0.0, 0.0) for c in centers]
-            self.assert_matches_loops(f, bubbles, base, width, w)
+            self.assert_matches_loops(f, bubbles, base, w)
 
     def test_equal_centers(self):
         rng = np.random.default_rng(406)
         f = dyadic_profile(rng, 8)
         bubbles = [RadiusChoice(c, 1.0, 1.0, 0.0, 0.0) for c in (3.0, 3.0, -1.0, 3.0, -1.0)]
-        got = self.assert_matches_loops(f, bubbles, 0.5, 2.0, 1.0)
+        got = self.assert_matches_loops(f, bubbles, 0.5, 2.0)
         assert got[0] == got[1] == got[3] and got[2] == got[4]
 
     def test_many_bubbles_with_tied_minima(self):
         rng = np.random.default_rng(407)
+        ties = 0
         for _ in range(6):
             f = dyadic_profile(rng, 40)
             lo, hi = f.support()
             centers = np.sort(rng.integers(int(4 * lo), int(4 * hi), 24) / 4)
             bubbles = [RadiusChoice(float(c), 1.0, 1.0, 0.0, 0.0) for c in centers]
             base, width = float(rng.choice([0.25, 1.0])), float(rng.choice([2.0, 4.0]))
-            self.assert_matches_loops(f, bubbles, base, width, 1.0)
-            assert sum(self.tied(f, c, base, width, 1.0) for c in centers) >= 5
+            self.assert_matches_loops(f, bubbles, base, width)
+            ties += sum(self.tied(f, c, base, width) for c in centers)
+        assert ties >= 5 * 6  # tied minima for five bubbles a profile, on average
 
     def test_multi_bubble_plates(self):
         rng = np.random.default_rng(408)
@@ -222,7 +227,7 @@ class TestSelectRadiiOracle:
             f = concentration_profile(u, window=1.0)
             dec = extract_bubbles(f, eps=0.02, gap_delta=2.0, ref_radius=1.0)
             assert len(dec.bubbles) >= 20
-            self.assert_matches_loops(f, dec.bubbles, 1.0, 1.0, 1.0)
+            self.assert_matches_loops(f, dec.bubbles, 1.0, 1.0)
 
     def test_fixture_profiles(self):
         rng = np.random.default_rng(405)
@@ -232,7 +237,7 @@ class TestSelectRadiiOracle:
             f = concentration_profile(u, window=0.5)
             dec = extract_bubbles(f, eps=0.02, gap_delta=0.5, ref_radius=0.25)
             assert dec.bubbles
-            self.assert_matches_loops(f, dec.bubbles, 0.25, 0.5, 0.5)
+            self.assert_matches_loops(f, dec.bubbles, 0.25, 0.5)
 
 
 class TestPartitionStatsOracle:
@@ -240,7 +245,9 @@ class TestPartitionStatsOracle:
     against one cell, one ``CellSet`` and one label mask at a time."""
 
     @staticmethod
-    def random_partition(rng) -> tuple[GridFunction, DomainPartition]:
+    def random_partition(rng, omega: bool = False) -> tuple[GridFunction, DomainPartition]:
+        """A random function and sequential bands; with ``omega``, a random
+        working domain, so that a band around 0 is the datum piece."""
         u = random_fixture(rng, max_1d=160, max_2d=20)
         w = float(rng.choice([0.25, 0.5, 1.0, 0.1, 1 / 3]))
         # sequential bands: touching (gap 0) or apart, some beyond the value range
@@ -252,7 +259,8 @@ class TestPartitionStatsOracle:
             center = t + r_minus
             pieces.append(RadiusChoice(center, r_minus, r_plus, 0.0, 0.0))
             t = center + r_plus + w
-        return u, DomainPartition(u, pieces, window=w)
+        domain = CellSet(u.geom, rng.random(u.geom.shape) < 0.8) if omega else None
+        return u, DomainPartition(u, pieces, window=w, omega=domain)
 
     def test_random_partitions_match(self):
         rng = np.random.default_rng(406)
@@ -288,13 +296,37 @@ class TestPartitionStatsOracle:
                 arr[...] = 0
 
 
+class TestLabelCodeReadersOracle:
+    """The perturbed offsets and the kind volumes, read from the label codes,
+    against the per-face tuple list with its table of dyadic candidates and
+    the ``label_kind`` count they replaced."""
+
+    def test_random_partitions_match(self):
+        rng = np.random.default_rng(410)
+        seen = dict.fromkeys(("three pieces", "datum piece", "empty piece", "offset"), 0)
+        for _ in range(80):
+            u, part = TestPartitionStatsOracle.random_partition(rng, omega=True)
+            got = perturbed_translation(u, part)
+            want, offsets = oracle_perturbed_translation(u, part)
+            assert got.values.tobytes() == want.values.tobytes()
+            for axis in range(u.geom.dim):
+                assert np.array_equal(got.crack_mask(axis), want.crack_mask(axis))
+            assert json.dumps(part.as_dict()) == json.dumps(partition_dict(part))
+            seen["three pieces"] += len(part.pieces) >= 3
+            seen["datum piece"] += part.datum_piece is not None
+            seen["empty piece"] += any(not part.mask(KIND_MAIN, j).any()
+                                       for j in range(len(part.pieces)))
+            seen["offset"] += any(a not in (0.0, 1.0) for a in offsets.values())
+        assert all(seen.values()), seen
+
+
 class TestBuildPartition:
     def test_runaway_two_main_pieces(self):
         n = 50.0
         u = fixture_runaway(n)
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
-        radii = select_radii(f, dec.bubbles, 1.0, 1.0)
+        radii = select_radii(f, dec.bubbles, 1.0)
         part = build_partition(u, radii, window=1.0)
         assert part.volume_by_kind(KIND_MAIN) == 2.0
         assert part.volume_by_kind(KIND_GAP_PLUS) == 0.0
@@ -323,7 +355,7 @@ class TestBuildPartition:
         u = GridFunction(geom, np.zeros((4, 4)))
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
-        radii = select_radii(f, dec.bubbles, 1.0, 1.0)
+        radii = select_radii(f, dec.bubbles, 1.0)
         part = build_partition(u, radii, window=1.0)
         assert part.volume_by_kind(KIND_MAIN) == 1.0
         assert len(part.pieces) == 1
@@ -387,7 +419,7 @@ class TestRenormalize:
         u = fixture_runaway(n)
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
-        radii = select_radii(f, dec.bubbles, 1.0, 1.0)
+        radii = select_radii(f, dec.bubbles, 1.0)
         part = build_partition(u, radii, window=1.0)
         w = renormalize(u, part)
         assert np.all(w.values == 0.0)
@@ -408,7 +440,7 @@ class TestRenormalize:
             u = u.with_values(u.values * 12.0)  # separate the value clusters
             f = concentration_profile(u)
             dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
-            radii = select_radii(f, dec.bubbles, 1.0, 1.0)
+            radii = select_radii(f, dec.bubbles, 1.0)
             part = build_partition(u, radii, window=1.0)
             w = renormalize(u, part)
             assert w.jump_measure() <= u.jump_measure() + part.outside_jump + 1e-12
@@ -421,7 +453,7 @@ class TestRenormalize:
             u = random_fixture(rng, max_1d=64, max_2d=12)
             f = concentration_profile(u)
             dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
-            radii = select_radii(f, dec.bubbles, 1.0, 1.0) if dec.bubbles else []
+            radii = select_radii(f, dec.bubbles, 1.0) if dec.bubbles else []
             part = build_partition(u, radii, window=1.0)
             w = renormalize(u, part)
             assert w.cracks == new_cracks(u, part)
@@ -435,7 +467,7 @@ class TestRenormalize:
         u = u.with_values(u.values * 12.0 + rng.normal(0, 0.01, size=(10, 10)))
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
-        radii = select_radii(f, dec.bubbles, 1.0, 1.0)
+        radii = select_radii(f, dec.bubbles, 1.0)
         part = build_partition(u, radii, window=1.0)
         w = renormalize(u, part)
         # bulk only lives on non-crack faces interior to pieces, where the
@@ -479,7 +511,7 @@ class TestRenormalize:
         v = u.subtract(datum)
         f = concentration_profile(v, window=1.0)
         dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
-        radii = select_radii(f, dec.bubbles, 1.0, 1.0)
+        radii = select_radii(f, dec.bubbles, 1.0)
         part = build_partition(v, radii, window=1.0, omega=omega)
         assert part.datum_piece is not None
         w = renormalize(u.subtract(datum), part)
@@ -491,7 +523,7 @@ class TestPerturbedTranslation:
         u = fixture_runaway(7.0)
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
-        radii = select_radii(f, dec.bubbles, 1.0, 1.0)
+        radii = select_radii(f, dec.bubbles, 1.0)
         part = build_partition(u, radii, window=1.0)
         w = perturbed_translation(u, part)
         assert w.jump_measure() == 1.0  # the single interface, forced to jump
@@ -502,7 +534,7 @@ class TestPerturbedTranslation:
         u = fixture_runaway(9.0)
         f = concentration_profile(u)
         dec = extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0)
-        radii = select_radii(f, dec.bubbles, 1.0, 1.0)
+        radii = select_radii(f, dec.bubbles, 1.0)
         part = build_partition(u, radii, window=1.0)
         plain = renormalize(u, part)
         assert plain.jump_measure() == 0.0
@@ -516,7 +548,7 @@ class TestPerturbedTranslation:
             u = u.with_values(u.values * 12.0)
             f = concentration_profile(u)
             dec = extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0)
-            radii = select_radii(f, dec.bubbles, 1.0, 1.0)
+            radii = select_radii(f, dec.bubbles, 1.0)
             part = build_partition(u, radii, window=1.0)
             w = perturbed_translation(u, part)
             # exact identity: partition boundaries plus jump faces interior
