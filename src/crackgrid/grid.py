@@ -364,7 +364,14 @@ def grid_function_to_dict(u: GridFunction) -> dict:
 def _geometry_from_header(doc: dict) -> GridGeometry:
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {doc.get('version')!r}")
-    geom = GridGeometry(tuple(doc["origin"]), float(doc["spacing"]), tuple(doc["shape"]))
+    origin, spacing, shape = tuple(doc["origin"]), doc["spacing"], tuple(doc["shape"])
+    # float() would read "1" and True as numbers, and operator.index() True:
+    # a header number must be a JSON number
+    for key, entries in (("origin", origin), ("spacing", (spacing,)), ("shape", shape),
+                         ("dim", (doc["dim"],))):
+        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entries):
+            raise ValueError(f"{key} must hold JSON numbers, got {doc[key]!r}")
+    geom = GridGeometry(origin, float(spacing), shape)
     if doc["dim"] != geom.dim:
         raise ValueError(f"dim field {doc['dim']} disagrees with shape {geom.shape}")
     return geom
@@ -372,7 +379,10 @@ def _geometry_from_header(doc: dict) -> GridGeometry:
 
 def grid_function_from_dict(doc: dict) -> GridFunction:
     geom = _geometry_from_header(doc)
-    values = np.asarray(doc["values"], dtype=float)
+    values = np.asarray(doc["values"])
+    # the inferred dtype, not a loop over the entries: strings, bools or nulls are not numbers
+    if values.dtype.kind not in "iuf":
+        raise ValueError(f"values must all be JSON numbers, got an array of {values.dtype}")
     # before the masks, which take the header's shape on trust
     if values.size != geom.num_cells:
         raise ValueError(f"expected {geom.num_cells} values, got {values.size}")

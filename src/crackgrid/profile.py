@@ -159,13 +159,50 @@ class ConcentrationProfile:
         """Profile with values replaced by zero on the open interval (a, b):
         the breakpoints in [a, b] are cut out, and a (b) stays a breakpoint
         where the plateau left of a (right of b) is not zero."""
-        if not b > a or self.breakpoints.size == 0:
-            return self
+        return self._cut(a, b)[0]
+
+    def _cut(self, a: float, b: float) -> tuple["ConcentrationProfile", int, int]:
+        """``zero_on(a, b)`` with the slots ``i0``, ``i1`` of a and b: the old
+        breakpoints cut out are ``breakpoints[i0:i1]`` (none where nothing is
+        cut, and the profile is returned as it is).
+
+        The new arrays are spliced from the old ones at the two junctions and
+        need none of the constructor's checks: bp[i0-1] < a < b < bp[i1], so
+        the breakpoints still increase strictly; every plateau is an old one or
+        the new zero, so the values stay nonnegative and the end plateaus zero
+        (pv[0] is kept, and pv[n] is kept or the zero plateau is the last);
+        a (b) is kept only next to a nonzero plateau, and the zero plateau is
+        an entry of its own only between two nonzero ones, so no two
+        neighbouring plateaus are equal.  The cached cumulative mass is carried:
+        below slot max(i0, 1) nothing changed, and above it the same running
+        sum continues in the same order as a fresh ``cumsum``, so every entry
+        has the bits a fresh one would."""
         bp, pv = self.breakpoints, self.plateau_values
+        if not b > a or bp.size == 0:
+            return self, 0, 0
         i0 = int(bp.searchsorted(a, side="left"))
         i1 = int(bp.searchsorted(b, side="right"))
-        return ConcentrationProfile(np.concatenate([bp[:i0], [a, b], bp[i1:]]),
-                                    np.concatenate([pv[:i0 + 1], [0.0], pv[i1:]]), self.window)
+        left, right = bool(pv[i0]), bool(pv[i1])  # the plateaus next to (a, b)
+        new_bp = np.concatenate([bp[:i0], [x for x, on in ((a, left), (b, right)) if on],
+                                 bp[i1:]])
+        # pv[i0] (pv[i1]) is the zero plateau itself where it is zero; where
+        # both are, the zero plateau is pv[i0] and pv[i1] goes
+        new_pv = np.concatenate([pv[:i0 + 1], [0.0] if left and right else [],
+                                 pv[i1 if left or right else i1 + 1:]])
+        cum = np.zeros(new_bp.size + 1)
+        if new_bp.size:
+            s = max(i0, 1)
+            cum[:s + 1] = self._cum0[:s + 1]
+            tail = new_pv[s:-1] * np.diff(new_bp[s - 1:])
+            if tail.size:
+                tail[0] += cum[s]
+                np.cumsum(tail, out=cum[s + 1:])
+        new = object.__new__(ConcentrationProfile)
+        for name, arr in (("breakpoints", new_bp), ("plateau_values", new_pv), ("_cum0", cum)):
+            arr.flags.writeable = False
+            object.__setattr__(new, name, arr)
+        object.__setattr__(new, "window", self.window)
+        return new, i0, i1
 
 
 def _profile_faces(u: GridFunction, domain: CellSet | None):
@@ -241,76 +278,100 @@ class _LevyScan:
     Window mass is piecewise linear in the center, so the maximum over the
     allowed closed set sits at a breakpoint +- radius or on a keep-out edge.
     These candidates, minus those inside an open keep-out, form one sorted
-    array ``centers``; each stores its query points ``c + r`` and ``c - r``,
-    their right-``searchsorted`` slots ``k`` and plateau terms, and its mass
-    is ``(cum0[k+] + term+) - (cum0[k-] + term-)``, which is
-    ``mass_below(c + r) - mass_below(c - r)`` bit for bit.
+    array ``centers``.  Each stores the right-``searchsorted`` slots ``k`` of
+    its query points ``c + r`` and ``c - r``, their plateau terms, and its
+    mass ``(cum0[k+] + term+) - (cum0[k-] + term-)``, which is
+    ``mass_below(c + r) - mass_below(c - r)`` bit for bit; ``best()`` is one
+    ``argmax`` over the stored masses.
 
     Zeroing (a, b) on a profile, canonical by construction, removes
     breakpoints only inside [a, b] and may add a and b, so every candidate
     it adds or removes, and the keep-out (lo, hi), lies in the zone
     [min(lo, a - r), max(hi, b + r)] (rounding is monotone).  The zone's
-    candidates are built again on the new profile; outside it the query
-    points miss [a, b], so a zeroing only shifts the slots above b and
-    changes the plateau terms of the slots in [i0, i1] it touches.
+    candidates are built again from the new profile's breakpoints near it.
+    Left of the zone both query points lie below a (rounding can put one on
+    a, where the mass below is unchanged too), and below a the zeroing
+    changes no breakpoint, plateau or cumulative mass (``zero_on`` carries
+    ``cum0`` there unchanged), so slots, terms and masses stay as they are.
+    Right of it both lie above b: every slot moves by the change in
+    breakpoint count, only the leading run whose old slot is the plateau
+    right of b gets a new term, and every mass is scored again on the new
+    cumulative mass, from the zone on.
     """
 
     def __init__(self, f: ConcentrationProfile, radius: float):
         self.f = f
         self.radius = radius
         self.edges: list[float] = []  # keep-out (lo, hi) pairs, flattened
-        self.centers, self.q, self.k, self.term = self._build()
+        self._pm = np.array([[radius], [-radius]])  # c + _pm: the query points
+        self._rebuild()
 
-    def _build(self, z_lo: float = -np.inf, z_hi: float = np.inf):
-        """The candidates in [z_lo, z_hi] with their query points, slots and terms."""
+    def _rebuild(self) -> None:
+        """Every candidate built and scored afresh."""
+        self.centers = self._candidates(-np.inf, np.inf)
+        self.k, self.term = self._slots(self.centers)
+        self.masses = self._score(self.k, self.term)
+
+    def _candidates(self, z_lo: float, z_hi: float) -> np.ndarray:
+        """The sorted candidates in [z_lo, z_hi]."""
         bp, r = self.f.breakpoints, self.radius
-        edges = np.array(self.edges)
-        parts = [edges[(edges >= z_lo) & (edges <= z_hi)]]
-        for vals in (bp - r, bp + r):
-            parts.append(vals[vals.searchsorted(z_lo, side="left"):
-                              vals.searchsorted(z_hi, side="right")])
-        c = np.unique(np.concatenate(parts))
-        c = c[~np.any((c[:, None] > edges[0::2]) & (c[:, None] < edges[1::2]), axis=1)]
-        q = np.stack([c + r, c - r])
-        k = bp.searchsorted(q, side="right")
-        return c, q, k, self.f._plateau_term(k, q) if bp.size else np.zeros_like(q)
+        # the breakpoints whose +- r can land in the zone; rounding is
+        # monotone, so checking the first one left out on each side suffices
+        j0 = int(bp.searchsorted(z_lo - r, side="left"))
+        while j0 and bp[j0 - 1] + r >= z_lo:
+            j0 -= 1
+        j1 = int(bp.searchsorted(z_hi + r, side="right"))
+        while j1 < bp.size and bp[j1] - r <= z_hi:
+            j1 += 1
+        near, edges = bp[j0:j1], np.array(self.edges)
+        c = np.concatenate([near - r, near + r, edges])
+        keep = (c >= z_lo) & (c <= z_hi)
+        keep &= ~((c[:, None] > edges[0::2]) & (c[:, None] < edges[1::2])).any(axis=1)
+        c = np.sort(c[keep])
+        first = np.ones(c.size, dtype=bool)  # the first of equal values, as np.unique keeps
+        np.not_equal(c[1:], c[:-1], out=first[1:])
+        return c[first]
+
+    def _slots(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The slots and plateau terms of the query points of ``centers``."""
+        q = centers + self._pm
+        k = self.f.breakpoints.searchsorted(q, side="right")
+        return k, self.f._plateau_term(k, q) if self.f.breakpoints.size else np.zeros_like(q)
+
+    def _score(self, k: np.ndarray, term: np.ndarray) -> np.ndarray:
+        below = self.f._cum0[k] + term
+        return below[0] - below[1]
 
     def best(self) -> tuple[float, float]:
         """Largest allowed window mass and its smallest maximizing center."""
         if self.f.breakpoints.size == 0:
             return 0.0, 0.0
-        below = self.f._cum0[self.k] + self.term
-        masses = below[0] - below[1]
-        j = int(np.argmax(masses))  # centers ascend: the first maximum is the smallest
-        return float(masses[j]), float(self.centers[j])
+        j = int(self.masses.argmax())  # centers ascend: the first maximum is the smallest
+        return float(self.masses[j]), float(self.centers[j])
 
     def remove(self, a: float, b: float, lo: float, hi: float) -> None:
         """Zero the profile on (a, b) and keep centers out of (lo, hi)."""
         old, r = self.f, self.radius
-        self.f = new = old.zero_on(a, b)
+        self.f, i0, i1 = old._cut(a, b)
         self.edges += [lo, hi]
-        if new.breakpoints.size == 0:
-            self.centers, self.q, self.k, self.term = self._build()
+        if self.f.breakpoints.size == 0:
+            self._rebuild()
             return
         z_lo, z_hi = min(lo, a - r), max(hi, b + r)
         c0 = int(self.centers.searchsorted(z_lo, side="left"))
         c1 = int(self.centers.searchsorted(z_hi, side="right"))
-        bp = old.breakpoints
-        i0 = int(bp.searchsorted(a, side="left"))
-        i1 = int(bp.searchsorted(b, side="right"))
-        shift = new.breakpoints.size - bp.size
-        # the zone's slice [c0, c1) is rebuilt below, so it is skipped; left of
-        # it every slot is at most i0, so only slots right of it can shift
-        for k, q, term in zip(self.k, self.q, self.term):
-            j0 = int(k.searchsorted(i0, side="left"))
-            j1 = int(k.searchsorted(i1, side="right"))
-            k[max(j1, c1):] += shift
-            for s in (slice(j0, min(j1, c0)), slice(max(j0, c1), j1)):
-                k[s] = new.breakpoints.searchsorted(q[s], side="right")
-                term[s] = new._plateau_term(k[s], q[s])
-        self.centers, self.q, self.k, self.term = (
-            np.concatenate([x[..., :c0], z, x[..., c1:]], axis=-1)
-            for x, z in zip((self.centers, self.q, self.k, self.term), self._build(z_lo, z_hi)))
+        # [c0, c2) is slotted again: the zone's candidates, built again, and
+        # the run right of it whose lower query point has the old slot i1
+        c2 = c1 + int(self.k[1, c1:].searchsorted(i1, side="right"))
+        block = np.concatenate([self._candidates(z_lo, z_hi), self.centers[c1:c2]])
+        k, term = self._slots(block)
+        right = self.k[:, c2:]
+        right += self.f.breakpoints.size - old.breakpoints.size
+        self.centers = np.concatenate([self.centers[:c0], block, self.centers[c2:]])
+        self.k = np.concatenate([self.k[:, :c0], k, right], axis=1)
+        self.term = np.concatenate([self.term[:, :c0], term, self.term[:, c2:]], axis=1)
+        self.masses = np.concatenate([self.masses[:c0],
+                                      self._score(self.k[:, c0:], self.term[:, c0:])])
 
 
 def levy_concentration(f: ConcentrationProfile, radius: float) -> tuple[float, float]:

@@ -242,11 +242,11 @@ def iso_constant(side: int = 4) -> float:
 
 
 def scan_state(f: ConcentrationProfile, radius: float, edges) -> tuple[np.ndarray, ...]:
-    """The ``(centers, k, term)`` of a Levy scan built afresh: every breakpoint
-    +- radius and every keep-out edge, sorted, minus those inside an open
-    keep-out ``(edges[2i], edges[2i+1])``; per center the right slots ``k`` of
-    ``(c + radius, c - radius)`` and the mass on each slot's plateau below
-    its query point."""
+    """The ``(centers, k, term, masses)`` of a Levy scan built afresh: every
+    breakpoint +- radius and every keep-out edge, sorted, minus those inside an
+    open keep-out ``(edges[2i], edges[2i+1])``; per center the right slots ``k``
+    of ``(c + radius, c - radius)``, the mass on each slot's plateau below its
+    query point, and the window mass scored on a cumulative mass summed afresh."""
     bp, pv = f.breakpoints, f.plateau_values
     edges = np.array(edges, dtype=float)
     c = np.unique(np.concatenate([bp - radius, bp + radius, edges]))
@@ -255,8 +255,14 @@ def scan_state(f: ConcentrationProfile, radius: float, edges) -> tuple[np.ndarra
     q = np.stack([c + radius, c - radius])
     k = np.searchsorted(bp, q, side="right")
     if not bp.size:
-        return c, k, np.zeros_like(q)
-    return c, k, pv[k] * (np.clip(q, bp[0], bp[-1]) - bp[k - 1])
+        term = np.zeros_like(q)
+    else:
+        term = pv[k] * (np.clip(q, bp[0], bp[-1]) - bp[k - 1])
+    cum = np.zeros(bp.size + 1)
+    if bp.size > 1:
+        np.cumsum(pv[1:-1] * np.diff(bp), out=cum[2:])
+    below = cum[k] + term
+    return c, k, term, below[0] - below[1]
 
 
 class _MaskedIntegrals:

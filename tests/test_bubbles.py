@@ -257,13 +257,15 @@ class TestExtractOracle:
 
     def test_scan_state_matches_full_rebuild(self, monkeypatch):
         # after every removal the whole scan state, updated outside the new
-        # zone and rebuilt inside it, equals a scan built afresh, byte for byte
+        # zone and rebuilt inside it, equals a scan built afresh, byte for byte;
+        # the stored masses, kept left of the zone and scored again from it on
+        # over the carried cumulative mass, equal masses scored afresh
         remove, removals = _LevyScan.remove, Counter()
 
         def checked_remove(scan, *args):
             remove(scan, *args)
             want = _oracles.scan_state(scan.f, scan.radius, scan.edges)
-            for got, expected in zip((scan.centers, scan.k, scan.term), want):
+            for got, expected in zip((scan.centers, scan.k, scan.term, scan.masses), want):
                 assert got.tobytes() == expected.tobytes()
             removals[len(scan.edges) > 2] += 1
 
@@ -277,6 +279,31 @@ class TestExtractOracle:
             extract_bubbles(f, float(rng.choice([0.01, 0.05])), float(rng.choice([0.25, 1.0])),
                             float(rng.choice([0.25, 1.0])))
         assert removals[True] >= 100, removals
+
+    def test_zone_candidates_across_rounded_edges(self):
+        # a zone's candidates come from the breakpoints near it; a breakpoint
+        # just outside z_lo - r (z_hi + r) whose + r (- r) rounds into the zone
+        # must be among them
+        rng = np.random.default_rng(2027)
+        seen = Counter()
+        while min(seen["left"], seen["right"]) < 5:
+            r = float(rng.choice([1 / 3, 0.1, 0.7, 1.0]))
+            z_lo = float(rng.uniform(-50.0, 50.0))
+            z_hi = z_lo + float(rng.uniform(0.5, 4.0))
+            x = float(np.nextafter(z_lo - r, -np.inf))  # left out by the search
+            y = float(np.nextafter(z_hi + r, np.inf))
+            left, right = x + r >= z_lo, y - r <= z_hi
+            if not (left or right):
+                continue
+            seen["left"] += left
+            seen["right"] += right
+            f = ConcentrationProfile.from_intervals([(x - 1.0, x, 1.0), (z_lo, z_hi, 0.5),
+                                                     (y, y + 1.0, 1.0)])
+            scan = _LevyScan(f, r)
+            bp = f.breakpoints
+            want = np.unique(np.concatenate([bp - r, bp + r]))
+            want = want[(want >= z_lo) & (want <= z_hi)]
+            assert scan._candidates(z_lo, z_hi).tobytes() == want.tobytes()
 
     def test_fixture_decompositions_match(self):
         for f in (concentration_profile(fixture_staircase(64)),

@@ -415,8 +415,21 @@ def test_bad_manifest_settings_exit_1(tmp_path: Path, command, key, value):
     ("cell set", "mask", 0.7),
     ("cell set", "mask", 1.0),
     ("cell set", "mask", True),
+    # numbers written as JSON strings, bools or nulls, from the file's own numbers
+    ("function", "spacing", str),
+    ("function", "spacing", lambda x: True),
+    ("function", "origin", lambda xs: [str(x) for x in xs]),
+    ("function", "origin", lambda xs: [False] * len(xs)),
+    ("function", "origin", lambda xs: [None] * len(xs)),
+    ("function", "values", lambda xs: [str(x) for x in xs]),
+    ("function", "values", lambda xs: [x > 0 for x in xs]),
+    ("cell set", "spacing", str),
+    ("cell set", "origin", lambda xs: [str(x) for x in xs]),
 ], ids=["function-shape", "function-nan-origin", "function-inf-origin", "set-shape",
-        "set-nan-origin", "set-mask-0.7", "set-mask-1.0", "set-mask-true"])
+        "set-nan-origin", "set-mask-0.7", "set-mask-1.0", "set-mask-true",
+        "function-string-spacing", "function-bool-spacing", "function-string-origin",
+        "function-bool-origin", "function-null-origin", "function-string-values", "function-bool-values",
+        "set-string-spacing", "set-string-origin"])
 def test_truncated_header_and_mask_fields_exit_1(tmp_path: Path, what, field, value):
     from crackgrid.fixtures import fixture_runaway
     from crackgrid.grid import grid_function_to_dict
@@ -427,6 +440,8 @@ def test_truncated_header_and_mask_fields_exit_1(tmp_path: Path, what, field, va
     target = doc if what == "function" else domain
     if field == "mask":
         target["mask"][5] = value
+    elif callable(value):
+        target[field] = value(target[field])
     else:
         target[field] = value
     u_path, domain_path = tmp_path / "u.json", tmp_path / "domain.json"
@@ -436,6 +451,8 @@ def test_truncated_header_and_mask_fields_exit_1(tmp_path: Path, what, field, va
     assert res.returncode == 1
     assert f"error: bad {'grid function' if what == 'function' else what}" in res.stderr
     assert "Traceback" not in res.stderr
+    if callable(value):
+        assert f"{field} must" in res.stderr
 
 
 def _on_another_grid(doc: dict) -> dict:

@@ -365,6 +365,18 @@ class TestValidation:
             with pytest.raises(TypeError):
                 GridGeometry((0.0,), spacing, (4,))
 
+    def test_header_numbers_must_be_json_numbers(self):
+        # on a one-cell grid, where float() and operator.index() would read
+        # each of these as the number it stands for
+        doc = {"version": 1, "dim": 1, "origin": [0], "spacing": 1, "shape": [1], "values": [0]}
+        assert grid_function_from_dict(doc).geom == GridGeometry((0.0,), 1.0, (1,))
+        for key, bad in (("spacing", "1"), ("spacing", True), ("origin", ["0"]),
+                         ("origin", [False]), ("shape", [True]), ("shape", ["1"]),
+                         ("dim", True), ("values", ["0"]), ("values", [False]),
+                         ("values", [None])):
+            with pytest.raises(ValueError, match=f"^{key} must"):
+                grid_function_from_dict({**doc, key: bad})
+
     def test_shape_entries_must_be_integers(self):
         with pytest.raises(TypeError):
             GridGeometry((0.0, 0.0), 1.0, (8.5, 4))

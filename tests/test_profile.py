@@ -410,24 +410,47 @@ class TestSurgery:
                              - _oracles.masked_mass_below(f, -inf))
 
     def test_zero_on_matches_unique_and_canonical_oracle(self):
+        # chains of up to three cuts: the spliced arrays equal the oracle's, and
+        # the cumulative mass carried from the parent equals a fresh cumsum,
+        # byte for byte
         rng = np.random.default_rng(37)
-        seen = dict.fromkeys(["a on a breakpoint", "b on a breakpoint",
-                              "a below the support", "b above the support", "emptied"], 0)
+        seen = dict.fromkeys(["a on a breakpoint", "b on a breakpoint", "a below the support",
+                              "b above the support", "zero plateau left of a",
+                              "zero plateau right of b", "zero plateau on both sides",
+                              "i0 = 0", "i1 = n", "cut outside the support", "emptied",
+                              "cut of a cut"], 0)
         for _ in range(400):
             f = random_profile(rng)
-            bp = f.breakpoints
-            ends = [float(rng.choice(bp)), float(rng.uniform(bp[0] - 1, bp[-1] + 1)),
-                    float(bp[0]) - 0.5, float(bp[-1]) + 0.25]
-            a, b = sorted(float(x) for x in rng.choice(ends, 2))
-            got, want = f.zero_on(a, b), _oracles.zero_on(f, a, b)
-            assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
-            assert got.plateau_values.tobytes() == want.plateau_values.tobytes()
-            assert got.window == want.window
-            seen["a on a breakpoint"] += a in bp
-            seen["b on a breakpoint"] += b in bp
-            seen["a below the support"] += a < bp[0]
-            seen["b above the support"] += b > bp[-1]
-            seen["emptied"] += got.breakpoints.size == 0
+            for cut in range(int(rng.integers(1, 4))):
+                bp, pv = f.breakpoints, f.plateau_values
+                if not bp.size:
+                    break
+                ends = [float(rng.choice(bp)), float(rng.uniform(bp[0] - 1, bp[-1] + 1)),
+                        float(bp[0]) - 0.5, float(bp[-1]) + 0.25]
+                a, b = sorted(float(x) for x in rng.choice(ends, 2))
+                got, want = f.zero_on(a, b), _oracles.zero_on(f, a, b)
+                assert got.breakpoints.tobytes() == want.breakpoints.tobytes()
+                assert got.plateau_values.tobytes() == want.plateau_values.tobytes()
+                assert got.window == want.window
+                fresh = ConcentrationProfile(got.breakpoints, got.plateau_values, got.window)
+                assert got._cum0.tobytes() == fresh._cum0.tobytes()
+                assert not any(x.flags.writeable for x in
+                               (got.breakpoints, got.plateau_values, got._cum0))
+                i0, i1 = bp.searchsorted(a, side="left"), bp.searchsorted(b, side="right")
+                inner = b > a and 0 < i0 and i1 < bp.size
+                seen["a on a breakpoint"] += a in bp
+                seen["b on a breakpoint"] += b in bp
+                seen["a below the support"] += a < bp[0]
+                seen["b above the support"] += b > bp[-1]
+                seen["zero plateau left of a"] += inner and pv[i0] == 0 < pv[i1]
+                seen["zero plateau right of b"] += inner and pv[i0] > 0 == pv[i1]
+                seen["zero plateau on both sides"] += inner and pv[i0] == 0 == pv[i1]
+                seen["i0 = 0"] += i0 == 0
+                seen["i1 = n"] += i1 == bp.size
+                seen["cut outside the support"] += a < b and (b <= bp[0] or a >= bp[-1])
+                seen["emptied"] += got.breakpoints.size == 0
+                seen["cut of a cut"] += cut > 0
+                f = got
         assert all(seen.values()), seen
 
     def test_zero_on(self):
