@@ -34,14 +34,12 @@ from .grid import (
     GeometryMismatchError,
     GridFunction,
     GridGeometry,
-    boundary_outside_jump,
     cell_set_from_dict,
     cell_set_to_dict,
     energy,
     grid_function_from_dict,
     grid_function_to_dict,
     kyfan_distance,
-    level_set,
 )
 from .partition import (
     DomainPartition,
@@ -55,11 +53,9 @@ from .partition import (
 from .profile import (
     ConcentrationProfile,
     concentration_profile,
-    jump_boundary_measure,
     levy_concentration,
     profile_to_csv,
     profile_to_svg,
-    window_mass,
 )
 
 __version__ = "0.1.0"
@@ -80,7 +76,6 @@ __all__ = [
     "SliceLscReport",
     "TrichotomyVerdict",
     "VanishingCertificate",
-    "boundary_outside_jump",
     "bubble_partition",
     "build_partition",
     "cell_set_from_dict",
@@ -96,9 +91,7 @@ __all__ = [
     "grid_function_from_dict",
     "grid_function_to_dict",
     "grid_iso_constant",
-    "jump_boundary_measure",
     "kyfan_distance",
-    "level_set",
     "levy_concentration",
     "lsc_report",
     "perturbed_translation",
@@ -110,5 +103,4 @@ __all__ = [
     "track_sequence",
     "vanishing_certificate",
     "vanishing_region",
-    "window_mass",
 ]

@@ -33,15 +33,7 @@ from .grid import (
     pad_axis,
     require_same_geometry,
 )
-from .partition import (
-    KIND_GAP_MINUS,
-    KIND_GAP_PLUS,
-    KIND_VANISHING,
-    build_partition,
-    renormalize,
-    select_radii,
-    vanishing_region,
-)
+from .partition import build_partition, renormalize, select_radii, vanishing_region
 from .profile import ConcentrationProfile, concentration_profile, levy_concentration
 
 
@@ -372,8 +364,7 @@ def _partition_stage(v: GridFunction, prof: ConcentrationProfile, bubbles, bulk_
     fields = {
         "outside_jump": outside,
         "gap_boundary": part.gap_boundary,
-        "rest_volume": sum(part._kind_cells[kind] for kind in
-                           (KIND_GAP_PLUS, KIND_GAP_MINUS, KIND_VANISHING)) * v.geom.cell_volume,
+        "rest_volume": part.rest_volume(),
         "vanishing_region_volume": region.volume(),
         "sup_norm": sup_norm,
         "max_radius": max_radius,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .grid import Record
-from .profile import ConcentrationProfile, _LevyScan, levy_concentration, window_mass
+from .profile import ConcentrationProfile, _LevyScan, levy_concentration
 
 
 @dataclass(frozen=True)
@@ -175,28 +175,39 @@ def _grow_window(f: ConcentrationProfile, center: float, ref_radius: float,
     return r, r + gap_delta, True
 
 
+def _next_bubble(f: ConcentrationProfile, center: float, found, gap_delta: float,
+                 ref_radius: float, threshold: float) -> tuple[Bubble, float, bool]:
+    """One greedy step at ``center``, ``(bubble, leakage, capped)``: the window grown
+    on ``f`` beside the zones of the steps ``found`` so far and capped by their
+    separation; the bubble holds the inner window's mass, the leakage the rest."""
+    cap = min((abs(center - b.center) - b.inner_radius - gap_delta for b, _, _ in found),
+              default=math.inf)
+    zones = [(b.center - b.outer_radius, b.center + b.outer_radius) for b, _, _ in found]
+    inner, outer, capped = _grow_window(f, center, ref_radius, gap_delta, threshold,
+                                        radius_cap=cap, zones=zones)
+    captured = f.integrate(center - inner, center + inner)
+    leakage = f.integrate(center - outer, center + outer) - captured
+    return Bubble(center, inner, outer, captured), leakage, capped
+
+
 def classify(f: ConcentrationProfile, eps: float, ref_radius: float,
              gap_delta: float = 2.0) -> TrichotomyVerdict:
     """Trichotomy at scale (eps, ref_radius): compactness, vanishing or dichotomy.
 
-    The empty profile is vanishing by convention.  In the dichotomy case the
-    first mass is the maximal window grown until its annulus leaks less than
-    eps * total.
+    The empty profile is vanishing by convention.  The witness is the first
+    bubble :func:`extract_bubbles` takes, with the arguments checked as there;
+    in the dichotomy case the first mass is the witness's.
     """
-    if not 0 < eps < 1:
-        raise ValueError(f"eps must lie in (0,1), got {eps}")
+    ExtractionParams(eps, gap_delta, ref_radius)
     total = f.total_mass()
-    if total == 0.0:
-        return TrichotomyVerdict("vanishing", None, None, 0.0, eps, ref_radius)
     m_star, center = levy_concentration(f, ref_radius)
-    if m_star <= eps * total:
+    if total == 0.0 or m_star <= eps * total:
         return TrichotomyVerdict("vanishing", None, None, total, eps, ref_radius)
-    inner, outer, _ = _grow_window(f, center, ref_radius, gap_delta, eps * total)
-    witness = Bubble(center, inner, outer, window_mass(f, center, inner))
+    witness = _next_bubble(f, center, (), gap_delta, ref_radius, eps * total)[0]
     if m_star >= (1 - eps) * total:
         return TrichotomyVerdict("compactness", witness, None, total, eps, ref_radius)
-    lam1 = witness.mass
-    return TrichotomyVerdict("dichotomy", witness, (lam1, total - lam1), total, eps, ref_radius)
+    split = (witness.mass, total - witness.mass)
+    return TrichotomyVerdict("dichotomy", witness, split, total, eps, ref_radius)
 
 
 def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
@@ -234,20 +245,11 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
             if len(found) >= max_bubbles:
                 incomplete = True
                 break
-            cap = math.inf
-            zones = []
-            for b, _, _ in found:
-                cap = min(cap, abs(center - b.center) - b.inner_radius - gap_delta)
-                zones.append((b.center - b.outer_radius, b.center + b.outer_radius))
-            inner, outer, was_capped = _grow_window(
-                current, center, ref_radius, gap_delta, threshold,
-                radius_cap=cap, zones=zones)
-            captured = window_mass(current, center, inner)
-            removed = window_mass(current, center, outer)
-            found.append((Bubble(center, inner, outer, captured),
-                          removed - captured, was_capped))
-            reach = inner + ref_radius + gap_delta
-            scan.remove(center - outer, center + outer, center - reach, center + reach)
+            found.append(_next_bubble(current, center, found, gap_delta, ref_radius, threshold))
+            b = found[-1][0]
+            reach = b.inner_radius + ref_radius + gap_delta
+            scan.remove(center - b.outer_radius, center + b.outer_radius,
+                        center - reach, center + reach)
             current = scan.f
     order = sorted(range(len(found)), key=lambda i: (-found[i][0].mass, found[i][0].center))
     score = levy_concentration(current, ref_radius)[0]

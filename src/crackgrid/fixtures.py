@@ -7,6 +7,13 @@ import numpy as np
 from .grid import GridFunction, GridGeometry
 
 
+def _plate(spacing: float, nx: int, ny: int) -> GridGeometry:
+    """The (-1,1)x(0,1) plate grid, refused past 50M cells before any array exists."""
+    if nx * ny > 50_000_000:
+        raise ValueError(f"fixture shape {(nx, ny)} is too large")
+    return GridGeometry(origin=(-1.0, 0.0), spacing=spacing, shape=(nx, ny))
+
+
 def fixture_runaway(n: float, resolution: int = 16) -> GridFunction:
     """Two-piece plate on (-1,1)x(0,1): value 0 left of x=0, n right, crack at x=0.
 
@@ -15,10 +22,8 @@ def fixture_runaway(n: float, resolution: int = 16) -> GridFunction:
     """
     if resolution < 2 or resolution % 2:
         raise ValueError(f"resolution must be even and >= 2, got {resolution}")
-    nx = resolution
-    ny = resolution // 2
-    h = 2.0 / resolution
-    geom = GridGeometry(origin=(-1.0, 0.0), spacing=h, shape=(nx, ny))
+    nx, ny = resolution, resolution // 2
+    geom = _plate(2.0 / resolution, nx, ny)
     values = np.zeros((nx, ny))
     values[nx // 2 :, :] = float(n)
     masks = [np.zeros(geom.face_shape(k), dtype=bool) for k in range(2)]
@@ -40,11 +45,8 @@ def fixture_staircase(n: int, cells_per_step: int = 1) -> GridFunction:
         raise ValueError(f"cells_per_step must be positive, got {cells_per_step}")
     c = cells_per_step
     m = n * c  # cells per unit length
-    h = 1.0 / m
     nx, ny = 2 * m, m
-    if nx * ny > 50_000_000:
-        raise ValueError(f"fixture shape {(nx, ny)} is too large")
-    geom = GridGeometry(origin=(-1.0, 0.0), spacing=h, shape=(nx, ny))
+    geom = _plate(1.0 / m, nx, ny)
     values = np.zeros((nx, ny))
     strip = slice(m, m + c)
     for iy in range(ny):

@@ -26,6 +26,7 @@ import math
 import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
+from itertools import chain
 from typing import ClassVar
 
 import numpy as np
@@ -133,19 +134,25 @@ def crack_masks_from_rows(geom: GridGeometry, rows) -> tuple[np.ndarray, ...]:
     """Per-axis crack masks from ``[axis, i]`` (1D) or ``[axis, i, j]`` (2D)
     rows, each naming an interior face by its lower cell.
 
-    Rows that are not integer rows of that length, name an axis or a face
-    outside the grid's interior, or repeat a face raise ValueError.
+    Rows that are not that many integers (a bool is not one), name an axis or a face outside
+    the grid's interior, or repeat a face raise ValueError.
     """
     masks = tuple(np.zeros(geom.face_shape(k), dtype=bool) for k in range(geom.dim))
     rows = list(rows)
     if rows:
+        width = geom.dim + 1
+        try:  # by entry type: np.array would read a bool among ints as 0 or 1
+            flat = list(chain.from_iterable(rows))
+            ok = set(map(len, rows)) == {width} and all(
+                issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, flat)))
+        except TypeError:  # a row that is not a list
+            ok = False
+        if not ok:
+            raise ValueError(f"crack entries must be rows of {width} integers [axis, *cell]")
         try:
-            arr = np.array(rows)
+            arr = np.fromiter(flat, np.int64, len(flat)).reshape(len(rows), width)
         except OverflowError as exc:
             raise ValueError(f"crack entry out of range: {exc}") from exc
-        if arr.dtype.kind != "i" or arr.shape != (len(rows), geom.dim + 1):
-            raise ValueError(f"crack entries must be rows of {geom.dim + 1} integers "
-                             f"[axis, cell index per axis]")
         axis, cells = arr[:, 0], arr[:, 1:]
         if np.any((axis < 0) | (axis >= geom.dim)):
             raise ValueError(f"crack axis out of range for dim {geom.dim}")
@@ -244,15 +251,6 @@ class CellSet:
     def volume(self) -> float:
         return int(np.count_nonzero(self.mask)) * self.geom.cell_volume
 
-    def perimeter(self) -> float:
-        """Ambient perimeter: faces separating inside from outside or from beyond the box."""
-        return face_count(map(self.boundary_faces, range(self.geom.dim))) * self.geom.face_area
-
-    def interior_boundary(self, axis: int) -> np.ndarray:
-        """Mask over the interior faces of ``axis`` separating the set from its complement."""
-        lower, upper = face_pairs(self.mask, axis)
-        return lower ^ upper
-
     def boundary_faces(self, axis: int) -> np.ndarray:
         """Mask over all faces of ``axis``, box faces included, separating the
         set from its complement or from beyond the box: entry i lies between
@@ -297,24 +295,6 @@ def energy(u: GridFunction, p: float = 2.0) -> EnergyReport:
         if grad.size:
             bulk += float(np.sum(np.abs(grad) ** p)) * u.geom.cell_volume
     return EnergyReport(bulk=bulk, jump=u.jump_measure(), p=float(p))
-
-
-def level_set(u: GridFunction, t: float) -> CellSet:
-    """Strict superlevel set {u > t} as a cell set."""
-    if not math.isfinite(t):
-        raise ValueError("level must be finite")
-    return CellSet(u.geom, u.values > t)
-
-
-def boundary_outside_jump(S: CellSet, u: GridFunction) -> float:
-    """Measure of the relative reduced boundary of S not lying on the jump set.
-
-    Box-boundary faces are excluded (boundary relative to the grid box), and
-    so are crack faces with differing traces.
-    """
-    require_same_geometry(S.geom, u.geom)
-    count = face_count(S.interior_boundary(k) & ~u.jump_mask(k) for k in range(u.geom.dim))
-    return count * u.geom.face_area
 
 
 def kyfan_distance(u: GridFunction, v: GridFunction) -> float:

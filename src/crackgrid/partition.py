@@ -185,6 +185,10 @@ class DomainPartition:
         """Gap and vanishing cells together (the non-main aggregate)."""
         return self.label_kind != KIND_MAIN
 
+    def rest_volume(self) -> float:
+        """Volume of the rest mask, from the cell count of each kind."""
+        return (sum(self._kind_cells) - self._kind_cells[KIND_MAIN]) * self.geom.cell_volume
+
     def _compute_stats(self, u: GridFunction) -> tuple[dict[str, SetStats], float, float, list]:
         """Per-label volume, ambient perimeter and box-relative outside-jump, by
         bincounts, with the partition's outside-jump (label-boundary faces off

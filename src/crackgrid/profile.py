@@ -255,22 +255,6 @@ def concentration_profile(u: GridFunction, domain: CellSet | None = None,
     return ConcentrationProfile.from_intervals(intervals, window)
 
 
-def jump_boundary_measure(u: GridFunction, domain: CellSet | None = None) -> float:
-    """Measure of the jump set together with the (domain or box) boundary,
-    each face counted once."""
-    # the first trace list holds one entry per jump face, the others one per
-    # boundary face; dropping it counts each face once
-    count = sum(tr.size for _, _, traces in _profile_faces(u, domain) for tr in traces[1:])
-    return count * u.geom.face_area
-
-
-def window_mass(f: ConcentrationProfile, center: float, radius: float) -> float:
-    """Exact integral of the profile over the open ball (center-R, center+R)."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    return f.integrate(center - radius, center + radius)
-
-
 class _LevyScan:
     """Levy maximization at one radius over centers outside the keep-out
     intervals, kept current while windows of the profile are zeroed.

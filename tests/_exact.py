@@ -140,10 +140,11 @@ def grow_window(F: Step, center: Fraction, ref_radius: Fraction, gap_delta: Frac
     return R, R + gap_delta, True
 
 
-def extract(F: Step, eps: float, gap_delta: float, ref_radius: float):
+def extract(F: Step, eps: float, gap_delta: float, ref_radius: float,
+            max_bubbles: int | None = None):
     """The greedy extraction ``bubbles.extract_bubbles`` describes, in
     extraction order: ``([(center, inner, outer, captured, removed, capped)],
-    remainder)``.  Each center is the smallest maximizer of the window mass
+    remainder)``, of at most ``max_bubbles`` bubbles (None: no limit).  Each center is the smallest maximizer of the window mass
     at ``ref_radius`` over the centers outside every open keep-out
     ``center_i +- (inner_i + ref_radius + gap_delta)``, by brute force over the
     kinks ``breakpoint +- ref_radius`` and the keep-out edges; extraction stops
@@ -154,7 +155,7 @@ def extract(F: Step, eps: float, gap_delta: float, ref_radius: float):
     r, g = Fraction(ref_radius), Fraction(gap_delta)
     threshold = Fraction(eps) * F.cum[-1]
     found, keep_out = [], []
-    while F.bp:
+    while F.bp and (max_bubbles is None or len(found) < max_bubbles):
         edges = [t for pair in keep_out for t in pair]
         centers = sorted(c for c in {t + s for t in F.bp for s in (-r, r)} | set(edges)
                          if not any(lo < c < hi for lo, hi in keep_out))
@@ -171,3 +172,20 @@ def extract(F: Step, eps: float, gap_delta: float, ref_radius: float):
         keep_out.append((center - inner - r - g, center + inner + r + g))
         F = F.zeroed(center - outer, center + outer)
     return found, F
+
+
+def classify(F: Step, eps: float, gap_delta: float, ref_radius: float):
+    """The trichotomy verdict ``bubbles.classify`` states, as ``(kind, witness,
+    split, total)``: vanishing when the largest window mass at ``ref_radius``
+    is at most ``eps`` times the total mass (always for the zero function),
+    compactness when it is at least ``1 - eps`` times it, dichotomy otherwise.
+    The witness is the first bubble of :func:`extract`, ``(center, inner,
+    outer, captured)``, and the split its captured mass and the rest."""
+    total, e = F.cum[-1], Fraction(eps)
+    m_star = levy_maximum(F.bp, F.pv, ref_radius)[0]
+    if m_star <= e * total:
+        return "vanishing", None, None, total
+    witness = extract(F, eps, gap_delta, ref_radius, max_bubbles=1)[0][0][:4]
+    if m_star >= (1 - e) * total:
+        return "compactness", witness, None, total
+    return "dichotomy", witness, (witness[3], total - witness[3]), total

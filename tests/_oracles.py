@@ -6,7 +6,10 @@ intervals in plain Python loops, or keeps the simpler per-item array code
 that a whole-array path of the package replaced, so it shares no code with
 the array arithmetic it checks; the tests require the package to agree with
 it exactly.  ``compactness_report`` instead builds afresh, at every eps, the
-stages the package's report reuses along the eps ladder.
+stages the package's report reuses along the eps ladder.  ``level_set``,
+``interior_boundary``, ``perimeter``, ``boundary_outside_jump``,
+``jump_boundary_measure`` and ``classify`` are the bodies the package shipped
+before it dropped or merged them, kept as references for the tests.
 """
 
 from __future__ import annotations
@@ -16,7 +19,15 @@ import math
 import numpy as np
 
 from crackgrid import analysis
-from crackgrid.grid import CellSet, GridFunction, GridGeometry, crack_masks_from_rows
+from crackgrid.grid import (
+    CellSet,
+    GridFunction,
+    GridGeometry,
+    crack_masks_from_rows,
+    face_count,
+    face_pairs,
+    require_same_geometry,
+)
 from crackgrid.profile import ConcentrationProfile, _profile_faces
 
 
@@ -80,6 +91,44 @@ def boundary_face_keys(S: CellSet) -> set[tuple]:
                 elif not S.mask[tuple(nb)]:
                     keys.add(("i", axis, lower))
     return keys
+
+
+def level_set(u: GridFunction, t: float) -> CellSet:
+    """Strict superlevel set {u > t} as a cell set."""
+    if not math.isfinite(t):
+        raise ValueError("level must be finite")
+    return CellSet(u.geom, u.values > t)
+
+
+def interior_boundary(S: CellSet, axis: int) -> np.ndarray:
+    """Mask over the interior faces of ``axis`` separating the set from its complement."""
+    lower, upper = face_pairs(S.mask, axis)
+    return lower ^ upper
+
+
+def perimeter(S: CellSet) -> float:
+    """Ambient perimeter: faces separating inside from outside or from beyond the box."""
+    return face_count(map(S.boundary_faces, range(S.geom.dim))) * S.geom.face_area
+
+
+def boundary_outside_jump(S: CellSet, u: GridFunction) -> float:
+    """Measure of the relative reduced boundary of S not lying on the jump set.
+
+    Box-boundary faces are excluded (boundary relative to the grid box), and
+    so are crack faces with differing traces.
+    """
+    require_same_geometry(S.geom, u.geom)
+    count = face_count(interior_boundary(S, k) & ~u.jump_mask(k) for k in range(u.geom.dim))
+    return count * u.geom.face_area
+
+
+def jump_boundary_measure(u: GridFunction, domain: CellSet | None = None) -> float:
+    """Measure of the jump set together with the (domain or box) boundary,
+    each face counted once."""
+    # the first trace list holds one entry per jump face, the others one per
+    # boundary face; dropping it counts each face once
+    count = sum(tr.size for _, _, traces in _profile_faces(u, domain) for tr in traces[1:])
+    return count * u.geom.face_area
 
 
 def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: float):
@@ -351,6 +400,30 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
     )
 
 
+def classify(f: ConcentrationProfile, eps: float, ref_radius: float,
+             gap_delta: float = 2.0):
+    """The trichotomy verdict as ``bubbles.classify`` computed it on its own:
+    the package's Levy maximum, one growth with no cap and no zones, and the
+    witness mass over the inner window.  Only ``eps`` is checked."""
+    from crackgrid import profile
+    from crackgrid.bubbles import Bubble, TrichotomyVerdict, _grow_window
+
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must lie in (0,1), got {eps}")
+    total = f.total_mass()
+    if total == 0.0:
+        return TrichotomyVerdict("vanishing", None, None, 0.0, eps, ref_radius)
+    m_star, center = profile.levy_concentration(f, ref_radius)
+    if m_star <= eps * total:
+        return TrichotomyVerdict("vanishing", None, None, total, eps, ref_radius)
+    inner, outer, _ = _grow_window(f, center, ref_radius, gap_delta, eps * total)
+    witness = Bubble(center, inner, outer, f.integrate(center - inner, center + inner))
+    if m_star >= (1 - eps) * total:
+        return TrichotomyVerdict("compactness", witness, None, total, eps, ref_radius)
+    lam1 = witness.mass
+    return TrichotomyVerdict("dichotomy", witness, (lam1, total - lam1), total, eps, ref_radius)
+
+
 def objective_pieces(f: ConcentrationProfile, offsets, lo: float,
                      hi: float) -> list[tuple[float, float, float]]:
     """(left, right, value) pieces on [lo, hi) of r -> sum of f(scale*r + shift)
@@ -447,14 +520,13 @@ def label_mask(part, kind: int, index: int) -> np.ndarray:
 
 def partition_stats(part, u: GridFunction) -> dict:
     """Per-label volume, perimeter and outside-jump from one ``CellSet`` per label."""
-    from crackgrid.grid import boundary_outside_jump
     from crackgrid.partition import _KIND_NAMES, SetStats
 
     out = {}
     for kind, index in labels_present(part):
         S = CellSet(part.geom, label_mask(part, kind, index))
         out[f"{_KIND_NAMES[kind]}:{index}"] = SetStats(
-            volume=S.volume(), perimeter=S.perimeter(),
+            volume=S.volume(), perimeter=perimeter(S),
             outside_jump=boundary_outside_jump(S, u))
     return out
 

@@ -12,7 +12,13 @@ import numpy as np
 import pytest
 
 from _fixtures import all_interior_faces, jumpy_fixture, random_fixture
-from _oracles import upper_cell
+from _oracles import (
+    boundary_outside_jump,
+    jump_boundary_measure,
+    level_set,
+    perimeter,
+    upper_cell,
+)
 from crackgrid.analysis import bubble_partition, lsc_report, vanishing_certificate
 from crackgrid.bubbles import extract_bubbles, track_sequence
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
@@ -20,17 +26,14 @@ from crackgrid.grid import (
     CellSet,
     GridFunction,
     GridGeometry,
-    boundary_outside_jump,
     crack_masks_from_rows,
     energy,
     kyfan_distance,
-    level_set,
 )
 from crackgrid.partition import renormalize, vanishing_region
 from crackgrid.profile import (
     ConcentrationProfile,
     concentration_profile,
-    jump_boundary_measure,
     levy_concentration,
 )
 
@@ -262,7 +265,7 @@ def test_criterion_10_mask_oracle_sweep():
         sep = [(a, b) for a, b in interior_pairs if m[a] != m[b]]
         want_perim = (len(sep) + sum(m[c] for c in box_cells)) * area
         want_outside = sum(1 for pair in sep if pair not in jump_pairs) * area
-        if (S.volume() != want_vol or S.perimeter() != want_perim
+        if (S.volume() != want_vol or perimeter(S) != want_perim
                 or boundary_outside_jump(S, u) != want_outside):
             ok = False
             break

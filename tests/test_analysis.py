@@ -12,6 +12,7 @@ from _oracles import compactness_report as oracle_compactness_report
 from _oracles import gradient_pairings as oracle_gradient_pairings
 from _oracles import iso_constant as oracle_iso_constant
 from _oracles import lsc_report as oracle_lsc_report
+from _oracles import perimeter
 from _oracles import slice_line as oracle_slice_line
 from crackgrid import analysis
 from crackgrid.analysis import (
@@ -48,7 +49,7 @@ class TestIsoConstant:
         for _ in range(50):
             S = CellSet(geom, rng.random(geom.shape) < rng.uniform(0.2, 0.9))
             if S.volume() > 0:
-                assert S.volume() <= c * S.perimeter() ** 2 + 1e-12
+                assert S.volume() <= c * perimeter(S) ** 2 + 1e-12
 
 
 class TestVanishingCertificate:

@@ -59,6 +59,40 @@ class TestClassify:
         v = classify(ConcentrationProfile.empty(), eps=0.5, ref_radius=1.0)
         assert v.kind == "vanishing"
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"eps": 0.5, "ref_radius": -1.0}, "ref_radius must be positive, got -1.0"),
+        ({"eps": 0.5, "ref_radius": 1.0, "gap_delta": 0.0}, "gap_delta must be positive"),
+        ({"eps": 1.0, "ref_radius": 1.0}, "eps must lie in"),
+    ])
+    def test_arguments_checked_as_extraction_checks_them(self, kwargs, message):
+        # even where the verdict needs no radius: the empty profile is vanishing
+        with pytest.raises(ValueError, match=message):
+            classify(ConcentrationProfile.empty(), **kwargs)
+
+    def test_matches_oracle_and_first_extracted_bubble(self):
+        # bit for bit (by repr) the verdict of the body classify had before it
+        # took extraction's first step; its witness is that first bubble
+        rng = np.random.default_rng(1984)
+        seen = Counter()
+        for i in range(300):
+            if i % 2:
+                f = random_profile(rng)
+            else:
+                f, _ = dyadic_cluster_profile(rng, int(rng.integers(1, 12)),
+                                              min_gap=float(rng.choice([1.0, 8.0])))
+            eps = float(rng.choice([0.05, 0.1, 0.3]))
+            # a large radius holds a whole profile, the compactness case
+            ref_radius = float(rng.choice([0.5, 1.0, 4.0, 64.0]))
+            gap_delta = float(rng.choice([0.5, 2.0]))
+            verdict = classify(f, eps=eps, ref_radius=ref_radius, gap_delta=gap_delta)
+            assert repr(verdict) == repr(_oracles.classify(f, eps, ref_radius, gap_delta))
+            if verdict.witness is not None:
+                dec = extract_bubbles(f, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius,
+                                      max_bubbles=1)
+                assert repr(dec.bubbles[0]) == repr(verdict.witness)
+            seen[verdict.kind] += 1
+        assert min(seen[k] for k in ("compactness", "dichotomy", "vanishing")) >= 20, seen
+
     def test_staircase_is_dichotomy(self):
         u = fixture_staircase(16)
         f = concentration_profile(u)

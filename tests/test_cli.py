@@ -110,8 +110,10 @@ OVERSIZED = {"version": 1, "dim": 2, "origin": [0.0, 0.0], "spacing": 1.0,
     ("2d", [[0, 3, 0]]),  # box face, not an interior face
     ("2d", [[1, 0, 0], [1, 0, 0]]),  # duplicate
     ("oversized", []),  # shape disagrees with values; rejected before the masks
+    ("2d", [[True, 0, 0]]),  # not read as axis 1
+    ("2d", [[0, False, 0]]),  # not read as index 0
 ], ids=["negative", "short", "1d-rechunk", "axis", "int64", "float", "box-face", "duplicate",
-        "oversized-shape"])
+        "oversized-shape", "bool-axis", "bool-index"])
 def test_malformed_crack_entries_exit_1(base, cracks):
     from crackgrid.fixtures import fixture_staircase
     from crackgrid.grid import grid_function_from_dict, grid_function_to_dict
@@ -125,6 +127,8 @@ def test_malformed_crack_entries_exit_1(base, cracks):
     assert res.returncode == 1
     assert "error: bad grid function" in res.stderr
     assert "Traceback" not in res.stderr
+    if base != "oversized":
+        assert "crack" in res.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -135,6 +139,9 @@ def test_malformed_crack_entries_exit_1(base, cracks):
     ["vanishing", "-", "--region", "r.json", "--eps", "0"],
     ["fixture", "staircase", "--n", "4.7"],  # not truncated to 4
     ["decompose", "-", "--max-bubbles", "-3"],
+    # 10002 x 5001 cells, over the cap: refused before any array is allocated
+    ["fixture", "runaway", "--resolution", "10002"],
+    ["fixture", "staircase", "--n", "5001"],
 ])
 def test_parameter_errors_exit_1(argv):
     # a valid input on stdin, so that only the parameter can be at fault

@@ -1,5 +1,5 @@
-"""The float profile, Levy maximum, window growth and bubble extraction
-against the exact rational reference.
+"""The float profile, Levy maximum, window growth, bubble extraction and
+trichotomy verdict against the exact rational reference.
 
 On dyadic inputs (spacing 2^-k, values in quarters, window, radii and
 gap_delta in {0.25, 0.5, 1}, eps a power of two) every float sum and product
@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 import _exact
-from crackgrid.bubbles import _grow_window, extract_bubbles
+from crackgrid.bubbles import Bubble, _grow_window, classify, extract_bubbles
 from crackgrid.grid import CellSet, GridFunction, GridGeometry
 from crackgrid.profile import concentration_profile, levy_concentration
 
@@ -116,3 +116,22 @@ def test_window_growth_and_leakage_equal_the_exact_reference():
         seen["leak"] += any(b[4] > b[3] for b in found)
     assert min(seen[k] for k in ("capped growth", "grown past ref_radius", "several bubbles",
                                  "capped bubble", "leak")) >= 2, seen
+
+
+def test_classify_equals_the_exact_reference():
+    rng = np.random.default_rng(1983)
+    seen = Counter()
+    for _ in range(120):
+        u, inside, window = dyadic_input(rng)
+        domain = None if inside is None else CellSet(u.geom, inside)
+        f = concentration_profile(u, domain=domain, window=window)
+        F = exact_profile(u, inside, window)
+        gap_delta, ref_radius = (float(x) for x in rng.choice([0.25, 0.5, 1.0], size=2))
+        for eps in (0.125, 0.25):
+            v = classify(f, eps=eps, ref_radius=ref_radius, gap_delta=gap_delta)
+            kind, witness, split, total = _exact.classify(F, eps, gap_delta, ref_radius)
+            assert (v.kind, v.total) == (kind, float(total))
+            assert v.witness == (None if witness is None else Bubble(*map(float, witness)))
+            assert v.split_masses == (None if split is None else tuple(map(float, split)))
+            seen[kind] += 1
+    assert min(seen[k] for k in ("compactness", "dichotomy", "vanishing")) >= 10, seen

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from _fixtures import all_interior_faces, random_fixture, random_mask
-from _oracles import boundary_face_keys, crack_rows, face_ids, jump_faces
+from _oracles import (
+    boundary_face_keys,
+    boundary_outside_jump,
+    crack_rows,
+    face_ids,
+    interior_boundary,
+    jump_faces,
+    level_set,
+    perimeter,
+)
 from _oracles import kyfan_distance as oracle_kyfan_distance
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import (
@@ -12,7 +21,6 @@ from crackgrid.grid import (
     GeometryMismatchError,
     GridFunction,
     GridGeometry,
-    boundary_outside_jump,
     cell_set_from_dict,
     cell_set_to_dict,
     crack_masks_from_rows,
@@ -21,7 +29,6 @@ from crackgrid.grid import (
     grid_function_from_dict,
     grid_function_to_dict,
     kyfan_distance,
-    level_set,
 )
 
 
@@ -161,8 +168,8 @@ class TestCellSetMeasures:
             S = random_mask(rng, geom)
             vol = int(np.count_nonzero(S.mask)) * geom.cell_volume
             assert S.volume() == vol
-            assert S.perimeter() == brute_force_boundary_faces(S, True) * geom.face_area
-            interior = face_count(S.interior_boundary(k) for k in range(geom.dim))
+            assert perimeter(S) == brute_force_boundary_faces(S, True) * geom.face_area
+            interior = face_count(interior_boundary(S, k) for k in range(geom.dim))
             assert interior == brute_force_boundary_faces(S, False)
 
 

@@ -312,6 +312,7 @@ class TestLabelCodeReadersOracle:
             for axis in range(u.geom.dim):
                 assert np.array_equal(got.crack_mask(axis), want.crack_mask(axis))
             assert json.dumps(part.as_dict()) == json.dumps(partition_dict(part))
+            assert part.rest_volume() == np.count_nonzero(part.rest_mask()) * u.geom.cell_volume
             seen["three pieces"] += len(part.pieces) >= 3
             seen["datum piece"] += part.datum_piece is not None
             seen["empty piece"] += any(not part.mask(KIND_MAIN, j).any()

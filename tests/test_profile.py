@@ -5,16 +5,14 @@ import pytest
 
 import _oracles
 from _fixtures import jumpy_fixture, random_fixture, random_mask, random_profile
-from _oracles import value_at
+from _oracles import jump_boundary_measure, value_at
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import CellSet, GridFunction, GridGeometry, crack_masks_from_rows
 from crackgrid.profile import (
     ConcentrationProfile,
     concentration_profile,
-    jump_boundary_measure,
     levy_concentration,
     profile_to_csv,
-    window_mass,
 )
 
 
@@ -185,13 +183,13 @@ class TestProfileQueries:
         f = concentration_profile(u)
         lo, hi = f.support()
         c = 0.5 * (lo + hi)
-        assert window_mass(f, c, (hi - lo)) == pytest.approx(f.total_mass(), rel=1e-14)
+        assert f.integrate(c - (hi - lo), c + (hi - lo)) == pytest.approx(f.total_mass(), rel=1e-14)
 
     def test_window_mass_bounded_by_height(self):
         u = fixture_staircase(4)
         f = concentration_profile(u)
         for radius in (1e-6, 0.01, 0.5):
-            assert window_mass(f, 0.3, radius) <= 2 * radius * f.max_height() + 1e-15
+            assert f.integrate(0.3 - radius, 0.3 + radius) <= 2 * radius * f.max_height() + 1e-15
 
     def test_levy_single_plateau(self):
         f = ConcentrationProfile.from_intervals([(0.0, 4.0, 1.5)])
