@@ -178,28 +178,6 @@ def _labels_svg(part, cell: int = 8) -> str:
     return "".join(parts)
 
 
-def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
-    if "window" in names:
-        p.add_argument("--window", type=_POSITIVE, default=1.0,
-                       help="trace window half-width (default 1.0)")
-    if "eps" in names:
-        p.add_argument("--eps", type=_EPS, default=0.1,
-                       help="relative concentration tolerance in (0,1) (default 0.1)")
-    if "p" in names:
-        p.add_argument("--p", type=_P, default=2.0,
-                       help="bulk integrability exponent, > 1 (default 2.0)")
-    if "ref" in names:
-        p.add_argument("--ref-radius", type=_POSITIVE, default=1.0,
-                       help="window radius for concentration search (default 1.0)")
-    if "gap" in names:
-        p.add_argument("--gap-delta", type=_POSITIVE, default=2.0,
-                       help="annulus growth step (default 2.0)")
-    if "out" in names:
-        p.add_argument("--out", default=None, help="output path (default stdout)")
-    if "svg" in names:
-        p.add_argument("--svg", default=None, help="also write an SVG view here")
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="crackgrid",
@@ -207,8 +185,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "profiles, bubble decompositions, partitions and "
                     "compactness reports.")
     sub = ap.add_subparsers(dest="command", required=True)
+    # the shared flags, each declared once on a parent parser
+    out, svg, window, search = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    out.add_argument("--out", default=None, help="output path (default stdout)")
+    svg.add_argument("--svg", default=None, help="also write an SVG view here")
+    window.add_argument("--window", type=_POSITIVE, default=1.0,
+                        help="trace window half-width (default 1.0)")
+    search.add_argument("--eps", type=_EPS, default=0.1,
+                        help="relative concentration tolerance in (0,1) (default 0.1)")
+    search.add_argument("--ref-radius", type=_POSITIVE, default=1.0,
+                        help="window radius for concentration search (default 1.0)")
+    search.add_argument("--gap-delta", type=_POSITIVE, default=2.0,
+                        help="annulus growth step (default 2.0)")
 
-    fx = sub.add_parser("fixture", help="generate a built-in fixture")
+    fx = sub.add_parser("fixture", help="generate a built-in fixture", parents=[out])
     fx.add_argument("name", choices=["staircase", "runaway"])
     fx.add_argument("--n", type=float, default=4.0,
                     help="stair count / runaway height (default 4)")
@@ -216,59 +206,57 @@ def build_parser() -> argparse.ArgumentParser:
                     help="staircase grid refinement (default 1)")
     fx.add_argument("--resolution", type=int, default=16,
                     help="runaway cells along the long axis (default 16)")
-    _add_common(fx, "out")
 
-    en = sub.add_parser("energy", help="bulk and jump energy of a function")
+    en = sub.add_parser("energy", help="bulk and jump energy of a function", parents=[out])
     en.add_argument("input", nargs="?", default="-")
-    _add_common(en, "p", "out")
+    en.add_argument("--p", type=_P, default=2.0,
+                    help="bulk integrability exponent, > 1 (default 2.0)")
 
-    pr = sub.add_parser("profile", help="range concentration profile")
+    pr = sub.add_parser("profile", help="range concentration profile",
+                        parents=[window, out, svg])
     pr.add_argument("input", nargs="?", default="-")
     pr.add_argument("--domain", default=None, help="cell-set mask file")
     pr.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(pr, "window", "out", "svg")
 
-    de = sub.add_parser("decompose", help="bubble decomposition of the profile")
+    de = sub.add_parser("decompose", help="bubble decomposition of the profile",
+                        parents=[window, search, out])
     de.add_argument("input", nargs="?", default="-")
     de.add_argument("--domain", default=None, help="cell-set mask file")
     de.add_argument("--max-bubbles", type=int, default=64)
-    _add_common(de, "window", "eps", "ref", "gap", "out")
 
-    pa = sub.add_parser("partition", help="main/gap/vanishing domain partition")
+    pa = sub.add_parser("partition", help="main/gap/vanishing domain partition",
+                        parents=[window, search, out, svg])
     pa.add_argument("input", nargs="?", default="-")
     pa.add_argument("--omega", default=None, help="working-domain mask file")
     pa.add_argument("--format", choices=["json", "csv"], default="json",
                     help="csv emits the label raster")
-    _add_common(pa, "window", "eps", "ref", "gap", "out", "svg")
 
-    re = sub.add_parser("renormalize", help="piecewise-constant renormalization")
+    re = sub.add_parser("renormalize", help="piecewise-constant renormalization",
+                        parents=[window, search, out])
     re.add_argument("input", nargs="?", default="-")
     re.add_argument("--datum", default=None, help="datum function file")
     re.add_argument("--omega", default=None, help="working-domain mask file")
     re.add_argument("--perturb", action="store_true",
                     help="offset pieces so every partition boundary jumps")
-    _add_common(re, "window", "eps", "ref", "gap", "out")
 
     va = sub.add_parser("vanishing", help="volume certificate for a weakly "
-                                          "vanishing region")
+                                          "vanishing region", parents=[window, out])
     va.add_argument("input", nargs="?", default="-")
     va.add_argument("--region", required=True, help="cell-set mask file")
     va.add_argument("--radius", type=_POSITIVE, default=1.0,
                     help="window radius in the hypothesis (default 1.0)")
     va.add_argument("--eps", type=_POSITIVE, default=0.1,
                     help="largest window mass of the hypothesis, > 0 (default 0.1)")
-    _add_common(va, "window", "out")
 
     sl = sub.add_parser("slice-lsc", help="directional jump LSC report for a "
-                                          "manifest of functions")
+                                          "manifest of functions", parents=[out])
     sl.add_argument("manifest")
-    _add_common(sl, "out")
 
-    ve = sub.add_parser("verify", help="full compactness report for a manifest")
+    ve = sub.add_parser("verify", help="full compactness report for a manifest",
+                        parents=[out, svg])
     ve.add_argument("manifest")
     ve.add_argument("--format", choices=["json", "csv"], default="json",
                     help="csv emits the per-n trend series")
-    _add_common(ve, "out", "svg")
     return ap
 
 
@@ -283,9 +271,12 @@ def _load_manifest(path: str):
         return str(q if q.is_absolute() else base / q)
 
     def setting(key, value, parse):
+        # the flag's parser calls float(), which reads "2.0" and true as numbers
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise InputError(f"manifest {key} must be a JSON number, got {value!r}")
         try:
             return parse(value)
-        except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise InputError(f"manifest {key}: {exc}") from exc
 
     def side(key, what="grid function"):

@@ -292,8 +292,7 @@ def energy(u: GridFunction, p: float = 2.0) -> EnergyReport:
     bulk = 0.0
     for k in range(u.geom.dim):
         grad = u.face_delta(k)[~u.crack_mask(k)] / h
-        if grad.size:
-            bulk += float(np.sum(np.abs(grad) ** p)) * u.geom.cell_volume
+        bulk += float(np.sum(np.abs(grad) ** p)) * u.geom.cell_volume
     return EnergyReport(bulk=bulk, jump=u.jump_measure(), p=float(p))
 
 
@@ -301,25 +300,18 @@ def kyfan_distance(u: GridFunction, v: GridFunction) -> float:
     """Ky Fan metric inf{d > 0 : vol(|u - v| > d) <= d} for convergence in measure.
 
     Computed exactly from the sorted distinct values of |u - v| and the
-    cumulative cell volume: on the segment [prev, level) below each distinct
-    level the volume above is constant, and the first segment where it is
-    at most prev, or below level, gives the distance.
+    cumulative cell volume: from each distinct level up to the next one the
+    volume above is the constant ``above``, so the least admissible d there
+    is max(level, above); below the first level the volume above is
+    everything.  The distance is the least of these candidates: one that lies
+    past its own segment is never less than the next segment's.
     """
     require_same_geometry(u.geom, v.geom)
     diff = np.abs(u.values - v.values).ravel()
     cell_vol = u.geom.cell_volume
     levels, counts = np.unique(diff, return_counts=True)  # ascending
-    # Volume strictly above each level.
-    above = (diff.size - np.cumsum(counts)) * cell_vol
-    # Below the first level the volume above is everything, unless that level is 0.
-    prev = np.concatenate([[0.0], levels[:-1]])
-    vol = np.concatenate([[diff.size * cell_vol if levels[0] > 0 else above[0]], above[:-1]])
-    stop = (vol <= prev) | (vol < levels)
-    i = int(np.argmax(stop))
-    if not stop[i]:
-        # Beyond the largest value the volume above is 0.
-        return float(levels[-1])
-    return float(prev[i] if vol[i] <= prev[i] else vol[i])
+    above = (diff.size - np.cumsum(counts)) * cell_vol  # volume strictly above each level
+    return float(np.minimum(diff.size * cell_vol, np.maximum(levels, above)).min())
 
 
 # --- file format -----------------------------------------------------------

@@ -236,10 +236,8 @@ class DomainPartition:
 
     def to_csv(self) -> str:
         """Label raster, one row per leading index, cells comma-separated."""
-        names = self.label_names()
-        if self.geom.dim == 1:
-            return ",".join(names.tolist()) + "\n"
-        return "\n".join(",".join(row) for row in names.tolist()) + "\n"
+        rows = np.atleast_2d(self.label_names()).tolist()
+        return "\n".join(",".join(row) for row in rows) + "\n"
 
     def as_dict(self) -> dict:
         return {

@@ -80,8 +80,6 @@ class ConcentrationProfile:
             intervals = list(intervals)
         rows = np.asarray(intervals, dtype=float).reshape(-1, 3)
         rows = rows[(rows[:, 1] > rows[:, 0]) & (rows[:, 2] != 0.0)]
-        if not rows.size:
-            return cls.empty(window)
         ends, weights = rows[:, :2], rows[:, 2]
         # raveled first, the inverse is 1-D on every numpy version: lo, hi, lo, hi, ...
         # Adding 0.0 turns -0.0 into 0.0, so a zero breakpoint does not take
@@ -104,12 +102,10 @@ class ConcentrationProfile:
     # -- queries --------------------------------------------------------
 
     def total_mass(self) -> float:
-        if self.breakpoints.size < 2:
-            return 0.0
         return float(np.sum(self.plateau_values[1:-1] * np.diff(self.breakpoints)))
 
     def max_height(self) -> float:
-        return float(np.max(self.plateau_values)) if self.plateau_values.size else 0.0
+        return float(np.max(self.plateau_values))
 
     def support(self) -> tuple[float, float] | None:
         nz = np.nonzero(self.plateau_values)[0]
@@ -121,8 +117,7 @@ class ConcentrationProfile:
     def _cum0(self) -> np.ndarray:
         """Read-only mass below ``breakpoints[k-1]`` at k >= 1, and 0.0 at k = 0."""
         out = np.zeros(self.breakpoints.size + 1)
-        if self.breakpoints.size > 1:
-            np.cumsum(self.plateau_values[1:-1] * np.diff(self.breakpoints), out=out[2:])
+        np.cumsum(self.plateau_values[1:-1] * np.diff(self.breakpoints), out=out[2:])
         out.flags.writeable = False
         return out
 
@@ -363,8 +358,6 @@ def levy_concentration(f: ConcentrationProfile, radius: float) -> tuple[float, f
     center: the first ``best()`` of a Levy scan, before any zone is removed."""
     if not radius > 0:
         raise ValueError("radius must be positive")
-    if f.breakpoints.size == 0:
-        return 0.0, 0.0
     return _LevyScan(f, radius).best()
 
 

@@ -142,6 +142,11 @@ def test_malformed_crack_entries_exit_1(base, cracks):
     # 10002 x 5001 cells, over the cap: refused before any array is allocated
     ["fixture", "runaway", "--resolution", "10002"],
     ["fixture", "staircase", "--n", "5001"],
+    # a flag of another command
+    ["profile", "-", "--eps", "0.2"],
+    ["energy", "-", "--window", "2"],
+    ["decompose", "-", "--p", "3"],
+    ["fixture", "staircase", "--svg", "s.svg"],
 ])
 def test_parameter_errors_exit_1(argv):
     # a valid input on stdin, so that only the parameter can be at fault
@@ -319,6 +324,67 @@ def test_slice_lsc_manifest(tmp_path: Path):
     assert rep["lsc_holds"]
 
 
+# every command's parsed namespace with no option given
+PARSE_DEFAULTS = {
+    "fixture": {"n": 4.0, "cells_per_step": 1, "resolution": 16, "out": None},
+    "energy": {"input": "-", "p": 2.0, "out": None},
+    "profile": {"input": "-", "domain": None, "format": "json", "window": 1.0, "out": None,
+                "svg": None},
+    "decompose": {"input": "-", "domain": None, "max_bubbles": 64, "window": 1.0, "eps": 0.1,
+                  "ref_radius": 1.0, "gap_delta": 2.0, "out": None},
+    "partition": {"input": "-", "omega": None, "format": "json", "window": 1.0, "eps": 0.1,
+                  "ref_radius": 1.0, "gap_delta": 2.0, "out": None, "svg": None},
+    "renormalize": {"input": "-", "datum": None, "omega": None, "perturb": False, "window": 1.0,
+                    "eps": 0.1, "ref_radius": 1.0, "gap_delta": 2.0, "out": None},
+    "vanishing": {"input": "-", "radius": 1.0, "eps": 0.1, "window": 1.0, "out": None},
+    "slice-lsc": {"out": None},
+    "verify": {"format": "json", "out": None, "svg": None},
+}
+
+
+@pytest.mark.parametrize("argv,given", [
+    (["fixture", "staircase"], {"name": "staircase"}),
+    (["energy"], {}),
+    (["profile"], {}),
+    (["decompose"], {}),
+    (["partition"], {}),
+    (["renormalize"], {}),
+    (["vanishing", "--region", "r.json"], {"region": "r.json"}),
+    (["slice-lsc", "m.json"], {"manifest": "m.json"}),
+    (["verify", "m.json"], {"manifest": "m.json"}),
+    (["fixture", "runaway", "--n", "3", "--resolution", "8", "--cells-per-step", "2", "--out", "o"],
+     {"name": "runaway", "n": 3.0, "resolution": 8, "cells_per_step": 2, "out": "o"}),
+    (["energy", "u.json", "--p", "3.5", "--out", "o"], {"input": "u.json", "p": 3.5, "out": "o"}),
+    (["profile", "u.json", "--window", "0.5", "--domain", "d.json", "--format", "csv",
+      "--svg", "s.svg", "--out", "o"],
+     {"input": "u.json", "window": 0.5, "domain": "d.json", "format": "csv", "svg": "s.svg",
+      "out": "o"}),
+    (["decompose", "u.json", "--eps", "0.3", "--ref-radius", "2", "--gap-delta", "1",
+      "--window", "2", "--max-bubbles", "3", "--domain", "d.json"],
+     {"input": "u.json", "eps": 0.3, "ref_radius": 2.0, "gap_delta": 1.0, "window": 2.0,
+      "max_bubbles": 3, "domain": "d.json"}),
+    (["partition", "u.json", "--omega", "w.json", "--format", "csv", "--svg", "s.svg",
+      "--eps", "0.25"],
+     {"input": "u.json", "omega": "w.json", "format": "csv", "svg": "s.svg", "eps": 0.25}),
+    (["renormalize", "u.json", "--datum", "z.json", "--omega", "w.json", "--perturb",
+      "--gap-delta", "5"],
+     {"input": "u.json", "datum": "z.json", "omega": "w.json", "perturb": True,
+      "gap_delta": 5.0}),
+    (["vanishing", "u.json", "--region", "r.json", "--eps", "5", "--radius", "2", "--window", "3"],
+     {"input": "u.json", "region": "r.json", "eps": 5.0, "radius": 2.0, "window": 3.0}),
+    (["slice-lsc", "m.json", "--out", "o"], {"manifest": "m.json", "out": "o"}),
+    (["verify", "m.json", "--format", "csv", "--svg", "s.svg", "--out", "o"],
+     {"manifest": "m.json", "format": "csv", "svg": "s.svg", "out": "o"}),
+])
+def test_parsed_namespace_pinned(argv, given):
+    from crackgrid.cli import build_parser
+
+    got = vars(build_parser().parse_args(argv))
+    want = {"command": argv[0], **PARSE_DEFAULTS[argv[0]], **given}
+    # repr tells 4.0 from 4, which == does not
+    assert repr(sorted(got.items())) == repr(sorted(want.items()))
+
+
 def test_help_documents_flags():
     res = run_cli("decompose", "--help")
     assert res.returncode == 0
@@ -392,9 +458,17 @@ def test_json_write_read_write_is_byte_stable(tmp_path: Path):
     ("ref_radius", 0),
     ("gap_delta", float("inf")),
     ("functions", "u0.json"),
+    # JSON strings and bools, which float() would read as numbers
+    ("window", True),
+    ("ref_radius", True),
+    ("gap_delta", "2.0"),
+    ("p", "3"),
+    ("eps_ladder", ["0.2", "0.1"]),
+    ("eps_ladder", [0.2, False]),
 ], ids=["ladder-range", "ladder-zero", "ladder-scalar", "ladder-object", "p-range", "p-null",
         "p-text", "window-range", "window-text", "window-list", "ref-radius-zero",
-        "gap-delta-inf", "functions-string"])
+        "gap-delta-inf", "functions-string", "window-bool", "ref-radius-bool",
+        "gap-delta-string", "p-string", "ladder-strings", "ladder-bool"])
 def test_bad_manifest_settings_exit_1(tmp_path: Path, command, key, value):
     from crackgrid.fixtures import fixture_runaway
     from crackgrid.grid import grid_function_to_dict

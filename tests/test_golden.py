@@ -22,6 +22,10 @@ SIDE = "SIDE"
 FIXTURES = {
     "staircase16": ["fixture", "staircase", "--n", "16"],
     "runaway1000": ["fixture", "runaway", "--n", "1000"],
+    # spacing 1/6, and a runaway height of 0.1: profiles and masses whose last
+    # bits are rounded, where every dyadic input above is exact
+    "staircase3": ["fixture", "staircase", "--n", "3", "--cells-per-step", "2"],
+    "runaway_tenth": ["fixture", "runaway", "--n", "0.1", "--resolution", "12"],
 }
 PER_FUNCTION = {
     "energy.json": ["energy"],
@@ -36,12 +40,12 @@ PER_FUNCTION = {
     "partition.svg": ["partition", "--svg", SIDE],
 }
 # (eps, exit code) of the certified and the violating vanishing report per
-# fixture, both on the fixture's committed region.json
+# fixture with a committed region.json, both on that region
 VANISHING = {
     "staircase16": {"vanishing.json": ("0.5", 0), "vanishing_violation.json": ("0.1", 2)},
     "runaway1000": {"vanishing.json": ("5", 0), "vanishing_violation.json": ("0.1", 2)},
 }
-MANIFESTS = ("stairs", "datum_omega")
+MANIFESTS = ("stairs", "datum_omega", "stairs12")
 PER_MANIFEST = {
     "verify.json": ["verify"],
     "verify.csv": ["verify", "--format", "csv"],
@@ -66,7 +70,7 @@ def _cases() -> list[tuple[str, list[str], int]]:
         for out, cmd in PER_FUNCTION.items():
             cases.append((f"{name}/{out}", [cmd[0], fixture, *cmd[1:]], 0))
         region = str(GOLDEN / name / "region.json")
-        for out, (eps, code) in VANISHING[name].items():
+        for out, (eps, code) in VANISHING.get(name, {}).items():
             cases.append((f"{name}/{out}",
                           ["vanishing", fixture, "--region", region, "--eps", eps], code))
     for name in MANIFESTS:
@@ -120,14 +124,16 @@ def _write_manifest_inputs() -> None:
         grid_function_to_dict,
     )
 
-    stairs = GOLDEN / "stairs"
-    stairs.mkdir(parents=True, exist_ok=True)
-    names = []
-    for n in (16, 8, 4):
-        names.append(f"u{n}.json")
-        write_json(grid_function_to_dict(fixture_staircase(n, cells_per_step=16 // n)),
-                   stairs / names[-1])
-    write_json({"functions": names, "eps_ladder": [0.2, 0.1]}, stairs / "manifest.json")
+    # staircases sharing the grid of the first; stairs12's spacing, 1/12, is not dyadic
+    for name, ns in (("stairs", (16, 8, 4)), ("stairs12", (12, 6))):
+        stairs = GOLDEN / name
+        stairs.mkdir(parents=True, exist_ok=True)
+        names = []
+        for n in ns:
+            names.append(f"u{n}.json")
+            write_json(grid_function_to_dict(fixture_staircase(n, cells_per_step=ns[0] // n)),
+                       stairs / names[-1])
+        write_json({"functions": names, "eps_ladder": [0.2, 0.1]}, stairs / "manifest.json")
 
     # displaced plates over a nonzero datum, working region without the
     # leftmost quarter of the plate

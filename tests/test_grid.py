@@ -61,6 +61,19 @@ class TestEnergy:
             assert rep.jump == 1.0
             assert rep.total == 1.0
 
+    def test_no_bulk_face(self):
+        # a one-cell grid, and grids cracked on every interior face: no bulk term
+        for geom in (GridGeometry((0.0,), 0.5, (1,)), GridGeometry((0.0, 0.0), 1 / 3, (1, 1))):
+            assert repr(energy(GridFunction(geom, np.ones(geom.shape)), p=3.0).bulk) == "0.0"
+        rng = np.random.default_rng(5)
+        for shape in ((5,), (3, 4), (1, 6)):
+            geom = GridGeometry((0.0,) * len(shape), 0.25, shape)
+            cracks = [np.ones(geom.face_shape(k), dtype=bool) for k in range(geom.dim)]
+            u = GridFunction(geom, rng.random(shape), cracks)
+            rep = energy(u, p=2.0)
+            assert repr(rep.bulk) == "0.0"
+            assert rep.jump == u.jump_measure()
+
     def test_runaway_healed_at_zero(self):
         rep = energy(fixture_runaway(0.0), p=2.0)
         assert rep.jump == 0.0
@@ -247,6 +260,21 @@ class TestKyFan:
             v = u.with_values(u.values + scale * rng.integers(-3, 4, size=u.geom.shape))
             self.assert_matches_level_walk(u, v)
             self.assert_matches_level_walk(u, u)
+        # integer levels, zero among them, at spacings 1/3, 0.1, 1/6 and 0.7
+        # (non-dyadic cell volumes), on grids down to one cell
+        seen = {"zero among others": 0, "one cell": 0, "volume": 0, "level": 0}
+        for _ in range(300):
+            dim = int(rng.integers(1, 3))
+            shape = tuple(int(n) for n in rng.integers(1, 7 if dim == 1 else 4, size=dim))
+            geom = GridGeometry((0.0,) * dim, float(rng.choice([1 / 3, 0.1, 1 / 6, 0.7])), shape)
+            u = GridFunction(geom, rng.integers(-2, 3, size=shape).astype(float))
+            v = u.with_values(u.values + rng.integers(-3, 4, size=shape))
+            d = self.assert_matches_level_walk(u, v)
+            levels = np.unique(np.abs(u.values - v.values))
+            seen["zero among others"] += levels[0] == 0.0 and levels.size > 1
+            seen["one cell"] += geom.num_cells == 1
+            seen["level" if d in levels else "volume"] += 1
+        assert min(seen.values()) >= 10, seen
 
 
 def coarea_sides(u: GridFunction):

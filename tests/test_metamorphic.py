@@ -1,0 +1,138 @@
+"""Metamorphic relations of the profile and the bubble decomposition.
+
+Each relation follows from the definitions, so it checks the package against
+itself, with no second implementation: translating the range by s shifts the
+profile and every bubble center by s; refining every cell into 2^d cells, the
+cracks on the matching fine faces, changes nothing; transposing a 2D grid
+changes nothing; negating the values mirrors the profile.  Bubbles mirror
+under negation only where no step of the center search ties, because ties
+break toward the smallest center, which is the other end of a mirrored tie.
+
+The inputs are ``test_exact.dyadic_input``'s, with dyadic shifts, radii and
+gap, so every relation holds with ``==``.
+"""
+
+from __future__ import annotations
+
+from collections import Counter
+
+import numpy as np
+
+from crackgrid import profile
+from crackgrid.bubbles import extract_bubbles
+from crackgrid.grid import CellSet, GridFunction, GridGeometry
+from crackgrid.profile import concentration_profile
+from test_exact import dyadic_input
+
+EPS = (0.25, 0.125)
+
+
+def _profile(u: GridFunction, inside, window: float):
+    return concentration_profile(u, None if inside is None else CellSet(u.geom, inside), window)
+
+
+def _bubbles(f, eps: float) -> list[tuple[float, float, float, float]]:
+    dec = extract_bubbles(f, eps=eps, gap_delta=1.0, ref_radius=0.5)
+    return sorted((b.center, b.inner_radius, b.outer_radius, b.mass) for b in dec.bubbles)
+
+
+def _refined(u: GridFunction, inside):
+    """Every cell split into 2^d cells of half the spacing; a coarse crack
+    cracks the fine faces on it, and no fine face inside a coarse cell."""
+    dim = u.geom.dim
+    geom = GridGeometry(u.geom.origin, u.geom.spacing / 2, tuple(2 * n for n in u.geom.shape))
+
+    def split(arr, axes):
+        for axis in axes:
+            arr = np.repeat(arr, 2, axis=axis)
+        return arr
+
+    masks = []
+    for k in range(dim):
+        fine = np.zeros(geom.face_shape(k), dtype=bool)
+        on_coarse = [slice(None)] * dim
+        on_coarse[k] = slice(1, None, 2)
+        fine[tuple(on_coarse)] = split(u.crack_mask(k), [a for a in range(dim) if a != k])
+        masks.append(fine)
+    values = split(u.values, range(dim))
+    return GridFunction(geom, values, masks), None if inside is None else split(inside, range(dim))
+
+
+def _inputs(seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    return [dyadic_input(rng) for _ in range(count)]
+
+
+def test_range_translation_shifts_profile_and_bubbles():
+    rng = np.random.default_rng(11)
+    several = 0
+    for u, inside, window in _inputs(1001, 80):
+        s = float(rng.choice([0.25, -1.5, 3.0, -0.125]))
+        f, g = _profile(u, inside, window), _profile(u.with_values(u.values + s), inside, window)
+        assert g.breakpoints.tolist() == (f.breakpoints + s).tolist()
+        assert g.plateau_values.tolist() == f.plateau_values.tolist()
+        for eps in EPS:
+            mine = _bubbles(f, eps)
+            assert _bubbles(g, eps) == [(c + s, i, o, m) for c, i, o, m in mine]
+            several += len(mine) > 1
+    assert several >= 5
+
+
+def test_refinement_changes_nothing():
+    several = 0
+    for u, inside, window in _inputs(1002, 60):
+        fine, fine_inside = _refined(u, inside)
+        f, g = _profile(u, inside, window), _profile(fine, fine_inside, window)
+        assert g.breakpoints.tolist() == f.breakpoints.tolist()
+        assert g.plateau_values.tolist() == f.plateau_values.tolist()
+        assert fine.jump_measure() == u.jump_measure()
+        for eps in EPS:
+            mine = _bubbles(f, eps)
+            assert _bubbles(g, eps) == mine
+            several += len(mine) > 1
+    assert several >= 5
+
+
+def test_transpose_changes_nothing():
+    seen = 0
+    for u, inside, window in _inputs(1003, 120):
+        if u.geom.dim != 2:
+            continue
+        seen += 1
+        geom = GridGeometry(u.geom.origin[::-1], u.geom.spacing, u.geom.shape[::-1])
+        t = GridFunction(geom, u.values.T, [u.crack_mask(1).T, u.crack_mask(0).T])
+        f = _profile(u, inside, window)
+        g = _profile(t, None if inside is None else inside.T, window)
+        assert g.breakpoints.tolist() == f.breakpoints.tolist()
+        assert g.plateau_values.tolist() == f.plateau_values.tolist()
+        assert t.jump_measure() == u.jump_measure()
+    assert seen >= 40
+
+
+def test_negation_mirrors_the_profile_and_untied_bubbles(monkeypatch):
+    ties = []
+    best = profile._LevyScan.best
+
+    def noting_ties(scan):
+        # (largest mass, whether more than one candidate has it): the tie rule picks one
+        mass, center = best(scan)
+        ties.append((mass, np.count_nonzero(scan.masses == mass) > 1))
+        return mass, center
+
+    monkeypatch.setattr(profile._LevyScan, "best", noting_ties)
+    seen = Counter()
+    for u, inside, window in _inputs(1004, 100):
+        f = _profile(u, inside, window)
+        g = _profile(u.with_values(-u.values), inside, window)
+        assert g.breakpoints.tolist() == (-f.breakpoints[::-1]).tolist()
+        assert g.plateau_values.tolist() == f.plateau_values[::-1].tolist()
+        for eps in EPS:
+            ties.clear()
+            mine, mirrored = _bubbles(f, eps), _bubbles(g, eps)
+            # a tie decides a step only where its mass passes the extraction threshold
+            if any(tied and mass > eps * f.total_mass() for mass, tied in ties):
+                seen["tied"] += 1
+                continue
+            seen["untied"] += 1
+            assert mirrored == sorted((-c, i, o, m) for c, i, o, m in mine)
+    assert min(seen.values()) >= 20, seen

@@ -234,6 +234,31 @@ class TestProfileQueries:
         with pytest.raises(ValueError, match="radius must be positive"):
             levy_concentration(cases[2], 0.0)
 
+    def test_empty_and_one_breakpoint_arrays(self):
+        # numpy's empty-array results are the values the queries returned
+        # from their own empty branches: a zero mass, height and Levy maximum
+        empty = ConcentrationProfile.empty(0.5)
+        for rows in (np.empty((0, 3)), [], [(2.0, 2.0, 1.0)], [(1.0, 0.0, 3.0)],
+                     [(0.0, 1.0, 0.0)], [(0.0, 1.0, 0.5), (0.0, 1.0, -0.5)]):
+            f = ConcentrationProfile.from_intervals(rows, window=0.5)
+            assert f.breakpoints.tobytes() == empty.breakpoints.tobytes() == b""
+            assert f.plateau_values.tobytes() == empty.plateau_values.tobytes()
+            assert f.window == 0.5
+        # one breakpoint between two zero plateaus, which the constructor would
+        # merge away, set directly as _cut sets its arrays
+        point = object.__new__(ConcentrationProfile)
+        for name, value in (("breakpoints", np.array([1.5])),
+                            ("plateau_values", np.zeros(2)), ("window", 1.0)):
+            object.__setattr__(point, name, value)
+        for f in (empty, point):
+            n = f.breakpoints.size
+            assert repr(f.total_mass()) == repr(f.max_height()) == "0.0"
+            assert f._cum0.tobytes() == np.zeros(n + 1).tobytes()
+            assert not f._cum0.flags.writeable
+        for radius in (0.25, 1.0):
+            assert repr(levy_concentration(empty, radius)) == "(0.0, 0.0)"
+            assert repr(levy_concentration(point, radius)) == repr((0.0, 1.5 - radius))
+
     def test_levy_staircase_prefers_the_edge_clusters(self):
         u = fixture_staircase(16)
         f = concentration_profile(u)
