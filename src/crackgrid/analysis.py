@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bubbles import extract_bubbles, track_sequence
+from .bubbles import _extract_ladder, extract_bubbles, track_sequence
 from .grid import (
     CellSet,
     GridFunction,
@@ -388,8 +388,9 @@ def compactness_report(functions: Sequence[GridFunction],
     """Run the whole decomposition pipeline on a sequence and report every
     conclusion-level diagnostic.
 
-    Per function, its profile once; per eps, its bubbles and, where their
-    centers differ from the previous eps's, the stage they fix: radius
+    Per function, its profile once and its bubbles at every eps from one
+    Lévy scan of that profile; per eps, where a function's bubble centers
+    differ from the previous eps's, the stage they fix: radius
     selection, partition, renormalization, vanishing region and certificate,
     contract checks (a repeated stage is reused, with the same result).  Across the
     sequence: Ky Fan distances (convergence in measure), gradient pairings
@@ -417,10 +418,15 @@ def compactness_report(functions: Sequence[GridFunction],
         require_same_geometry(limit.geom, geom)
 
     reduced = [u.subtract(datum) if datum is not None else u for u in functions]
-    # the eps-independent stage, once per function: profile, two bulk energies, jump measure
-    stage = [(v, concentration_profile(v, domain=omega, window=window), energy(v, p).bulk,
-              energy(v, 2.0).bulk, v.jump_measure()) for v in reduced]
-    bulk_norms = [bulk_p for _, _, bulk_p, _, _ in stage]
+    # function by function: profile, bulk energies at p and 2 (one where p is 2), jump measure
+    # and the bubbles of every eps from one Lévy scan, gone before the next function's is built
+    stage = []
+    for v in reduced:
+        prof = concentration_profile(v, domain=omega, window=window)
+        bulk_p = energy(v, p).bulk
+        stage.append((v, prof, bulk_p, bulk_p if p == 2 else energy(v, 2.0).bulk,
+                      v.jump_measure(), _extract_ladder(prof, eps_ladder, gap_delta, ref_radius)))
+    bulk_norms = [bulk_p for _, _, bulk_p, _, _, _ in stage]
     limit_pairings = gradient_pairings(limit) if limit is not None else None
     violations: list[str] = []
     per_eps: dict[str, dict] = {}
@@ -431,8 +437,8 @@ def compactness_report(functions: Sequence[GridFunction],
     prev_renorms, prev_lim = [None] * len(stage), None
     for k, eps in enumerate(eps_ladder):
         rows = []
-        for i, (v, prof, _, bulk_2, jump_v) in enumerate(stage):
-            dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
+        for i, (v, prof, _, bulk_2, jump_v, ladder) in enumerate(stage):
+            dec = ladder[k]
             centers = tuple(b.center for b in dec.bubbles)
             if last[i] is None or last[i][0] != centers:
                 last[i] = (centers, *_partition_stage(v, prof, dec.bubbles, bulk_2, jump_v,

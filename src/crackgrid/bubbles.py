@@ -20,6 +20,7 @@ previously removed zones.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -227,43 +228,51 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
     windows too tightly for a third), the squeezed mass is zeroed as that
     bubble's leakage and the bubble is flagged in ``capped``.
     """
-    params = ExtractionParams(eps, gap_delta, ref_radius)
+    return _extract_ladder(f, [eps], gap_delta, ref_radius, max_bubbles, mass_scale)[0]
+
+
+def _extract_ladder(f: ConcentrationProfile, eps_ladder: Sequence[float], gap_delta: float,
+                    ref_radius: float, max_bubbles: int = 64,
+                    mass_scale: float | None = None) -> list[BubbleDecomposition]:
+    """:func:`extract_bubbles` at every eps of the ladder, from one Lévy scan
+    of ``f``: each rung but the last extracts on a copy of it, whose removals
+    leave the scan as it is.  A rung that removes no window keeps ``f`` as
+    its remainder, whose vanishing score is then the scan's first ``best()``."""
+    params = [ExtractionParams(eps, gap_delta, ref_radius) for eps in eps_ladder]
     if max_bubbles < 0:
         raise ValueError(f"max_bubbles must be at least 0, got {max_bubbles}")
     total = f.total_mass()
     scale = total if mass_scale is None else float(mass_scale)
-    current = f
-    found: list[tuple[Bubble, float, bool]] = []  # (bubble, leakage, capped)
-    incomplete = False
-    if scale > 0:
-        threshold = eps * scale
-        scan = _LevyScan(f, ref_radius)
-        while True:
-            mass, center = scan.best()
-            if mass <= threshold:
-                break
-            if len(found) >= max_bubbles:
-                incomplete = True
-                break
-            found.append(_next_bubble(current, center, found, gap_delta, ref_radius, threshold))
+    initial = _LevyScan(f, ref_radius)
+    first = initial.best()
+    out = []
+    for j, rung in enumerate(params):
+        # the last rung extracts on the scan itself: nothing reads it afterwards
+        scan = initial if j == len(params) - 1 else copy.copy(initial)
+        (mass, center), found = first, []
+        threshold = rung.eps * scale
+        while scale > 0 and mass > threshold and len(found) < max_bubbles:
+            found.append(_next_bubble(scan.f, center, found, gap_delta, ref_radius, threshold))
             b = found[-1][0]
             reach = b.inner_radius + ref_radius + gap_delta
             scan.remove(center - b.outer_radius, center + b.outer_radius,
                         center - reach, center + reach)
-            current = scan.f
-    order = sorted(range(len(found)), key=lambda i: (-found[i][0].mass, found[i][0].center))
-    score = levy_concentration(current, ref_radius)[0]
-    return BubbleDecomposition(
-        bubbles=tuple(found[i][0] for i in order),
-        remainder=current,
-        vanishing_score=score,
-        params=params,
-        mass_scale=scale,
-        total_mass=total,
-        leakages=tuple(found[i][1] for i in order),
-        capped=tuple(found[i][2] for i in order),
-        incomplete=incomplete,
-    )
+            mass, center = scan.best()
+        current, scan = scan.f, None  # a copy goes before the remainder's scan is built
+        score = first[0] if current is f else levy_concentration(current, ref_radius)[0]
+        order = sorted(range(len(found)), key=lambda i: (-found[i][0].mass, found[i][0].center))
+        out.append(BubbleDecomposition(
+            bubbles=tuple(found[i][0] for i in order),
+            remainder=current,
+            vanishing_score=score,
+            params=rung,
+            mass_scale=scale,
+            total_mass=total,
+            leakages=tuple(found[i][1] for i in order),
+            capped=tuple(found[i][2] for i in order),
+            incomplete=scale > 0 and mass > threshold,  # stopped by max_bubbles
+        ))
+    return out
 
 
 @dataclass(frozen=True)

@@ -71,7 +71,8 @@ class ConcentrationProfile:
     @classmethod
     def from_intervals(cls, intervals: np.ndarray | Iterable[tuple[float, float, float]],
                        window: float = 1.0) -> "ConcentrationProfile":
-        """Sum of ``weight * indicator((lo, hi))`` terms, merged exactly.
+        """Sum of ``weight * indicator((lo, hi))`` terms, merged exactly by one
+        sort of the interval ends.
 
         ``intervals`` is an ``(n, 3)`` array of ``(lo, hi, weight)`` rows or an
         iterable of such tuples; rows with ``hi <= lo`` or zero weight add nothing.
@@ -79,15 +80,30 @@ class ConcentrationProfile:
         if not isinstance(intervals, np.ndarray):
             intervals = list(intervals)
         rows = np.asarray(intervals, dtype=float).reshape(-1, 3)
-        rows = rows[(rows[:, 1] > rows[:, 0]) & (rows[:, 2] != 0.0)]
-        ends, weights = rows[:, :2], rows[:, 2]
-        # raveled first, the inverse is 1-D on every numpy version: lo, hi, lo, hi, ...
+        rows = rows[rows[:, 2] != 0.0]
+        return cls._from_ends(rows[:, 0], rows[:, 1], rows[:, 2], window)
+
+    @classmethod
+    def _from_ends(cls, lo: np.ndarray, hi: np.ndarray, weight, window: float
+                   ) -> "ConcentrationProfile":
+        """``from_intervals`` on the rows ``(lo, hi)`` with ``hi > lo``, with one
+        weight per row or one for all.  One sort of the ends gives the
+        breakpoints and each end's slot, its rank among them; the lower ends add
+        their weights first, then the upper ones, each in row order."""
+        keep = hi > lo
+        weights = np.broadcast_to(weight, keep.shape)[keep]
         # Adding 0.0 turns -0.0 into 0.0, so a zero breakpoint does not take
         # the sign of whichever zero the sort happens to put first.
-        bp, slot = np.unique(ends.ravel() + 0.0, return_inverse=True)
+        ends = np.concatenate([lo[keep], hi[keep]]) + 0.0
+        order = ends.argsort()
+        ends = ends[order]
+        new = np.ones(ends.size, dtype=bool)  # the first of each value
+        new[1:] = ends[1:] != ends[:-1]
+        bp, slot = ends[new], np.empty(ends.size, dtype=np.intp)
+        slot[order] = np.cumsum(new)  # the slot + 1, the delta entry right of the end
         delta = np.zeros(bp.size + 2)
-        np.add.at(delta, slot[0::2] + 1, weights)
-        np.add.at(delta, slot[1::2] + 1, -weights)
+        np.add.at(delta, slot[:weights.size], weights)
+        np.add.at(delta, slot[weights.size:], -weights)
         values = np.cumsum(delta)[:-1]
         # The end plateaus are exactly zero in exact arithmetic; snap float
         # residue from the cumulative sum so the invariant holds for generic
@@ -236,18 +252,17 @@ def concentration_profile(u: GridFunction, domain: CellSet | None = None,
     With a domain the profile is determined by the values of u inside it:
     gradient intervals come from interior non-crack faces of the domain, and
     traces are counted from inside only, on jump faces, on the domain edge
-    and on the grid box.
+    and on the grid box.  Every interval carries the one face area as its
+    weight, so the profile is one sort of the interval ends.
     """
     if not window > 0:
         raise ValueError("window must be positive")
     faces = _profile_faces(u, domain)
-    grad = [np.stack([np.minimum(v_lo, v_hi), np.maximum(v_lo, v_hi)], axis=1)
-            for v_lo, v_hi, _ in faces]
-    windows = [np.stack([tr - window, tr + window], axis=1)
-               for _, _, traces in faces for tr in traces]
-    ends = np.concatenate(grad + windows)
-    intervals = np.column_stack([ends, np.full(len(ends), u.geom.face_area)])
-    return ConcentrationProfile.from_intervals(intervals, window)
+    traces = [tr for _, _, axis_traces in faces for tr in axis_traces]
+    lo = [np.minimum(a, b) for a, b, _ in faces] + [tr - window for tr in traces]
+    hi = [np.maximum(a, b) for a, b, _ in faces] + [tr + window for tr in traces]
+    return ConcentrationProfile._from_ends(np.concatenate(lo), np.concatenate(hi),
+                                           u.geom.face_area, window)
 
 
 class _LevyScan:
@@ -276,6 +291,11 @@ class _LevyScan:
     breakpoint count, only the leading run whose old slot is the plateau
     right of b gets a new term, and every mass is scored again on the new
     cumulative mass, from the zone on.
+
+    ``remove`` replaces the arrays and the edge list instead of writing into
+    them, so a shallow copy of a scan is a scan of its own: extraction along
+    an eps ladder scans the profile once and copies that scan for each rung
+    but the last.
     """
 
     def __init__(self, f: ConcentrationProfile, radius: float):
@@ -332,7 +352,7 @@ class _LevyScan:
         """Zero the profile on (a, b) and keep centers out of (lo, hi)."""
         old, r = self.f, self.radius
         self.f, i0, i1 = old._cut(a, b)
-        self.edges += [lo, hi]
+        self.edges = self.edges + [lo, hi]
         if self.f.breakpoints.size == 0:
             self._rebuild()
             return
@@ -344,10 +364,9 @@ class _LevyScan:
         c2 = c1 + int(self.k[1, c1:].searchsorted(i1, side="right"))
         block = np.concatenate([self._candidates(z_lo, z_hi), self.centers[c1:c2]])
         k, term = self._slots(block)
-        right = self.k[:, c2:]
-        right += self.f.breakpoints.size - old.breakpoints.size
         self.centers = np.concatenate([self.centers[:c0], block, self.centers[c2:]])
-        self.k = np.concatenate([self.k[:, :c0], k, right], axis=1)
+        self.k = np.concatenate([self.k[:, :c0], k, self.k[:, c2:]], axis=1)
+        self.k[:, c0 + block.size:] += self.f.breakpoints.size - old.breakpoints.size
         self.term = np.concatenate([self.term[:, :c0], term, self.term[:, c2:]], axis=1)
         self.masses = np.concatenate([self.masses[:c0],
                                       self._score(self.k[:, c0:], self.term[:, c0:])])

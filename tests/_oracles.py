@@ -156,7 +156,9 @@ def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: fl
 def concentration_profile(u: GridFunction, domain: CellSet | None = None,
                           window: float = 1.0) -> ConcentrationProfile:
     """The profile built from a Python list of ``(lo, hi, area)`` tuples, one
-    per gradient face and per trace, in the package's order."""
+    per gradient face and per trace, in the package's order, merged by the
+    two-search :func:`from_intervals` below, which shares no code with the
+    package's one sort of the ends."""
     area = u.geom.face_area
     faces = _profile_faces(u, domain)
     intervals: list[tuple[float, float, float]] = []
@@ -167,7 +169,7 @@ def concentration_profile(u: GridFunction, domain: CellSet | None = None,
     for _, _, traces in faces:
         for tr in traces:
             intervals.extend((t - window, t + window, area) for t in tr.tolist())
-    return ConcentrationProfile.from_intervals(intervals, window)
+    return from_intervals(intervals, window)
 
 
 def value_at(f: ConcentrationProfile, t: float) -> float:

@@ -487,6 +487,14 @@ class TestCompactnessReport:
         compactness_report(seq, p=3.0, eps_ladder=[0.2, 0.1, 0.05])
         # one bulk energy per function for the p-norm series and one for p = 2
         assert sorted(calls) == [2.0] * 3 + [3.0] * 3
+        calls.clear()
+        # at p = 2 the two are the same energy: one call per function
+        report = compactness_report(seq, eps_ladder=[0.2, 0.1, 0.05])
+        assert calls == [2.0] * 3
+        bulk = [energy(u, 2.0).bulk for u in seq]
+        for entry in report.per_eps.values():
+            assert entry["conclusion2_weak_gradient"]["bulk_pnorm"] == bulk
+            assert [e["bulk_original"] for e in entry["per_n"]] == bulk
 
     def test_each_profile_built_once(self, monkeypatch):
         calls = []

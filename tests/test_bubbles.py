@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
@@ -13,7 +14,9 @@ import pytest
 import _oracles
 from _fixtures import cluster_plate, random_profile
 
+from crackgrid import analysis
 from crackgrid.bubbles import (
+    _extract_ladder,
     classify,
     extract_bubbles,
     separation_trend,
@@ -346,6 +349,120 @@ class TestExtractOracle:
                   ConcentrationProfile.empty()):
             self.assert_same(extract_bubbles(f, 0.05, 2.0, 1.0),
                              _oracles.extract_bubbles(f, 0.05, 2.0, 1.0))
+
+
+class TestLadder:
+    """Extraction along an eps ladder from one Lévy scan of the profile."""
+
+    LADDER = [0.2, 0.1, 0.05]
+
+    @staticmethod
+    def scans_built(monkeypatch) -> list[_LevyScan]:
+        """Every scan built afresh from here on, in order (copies build none)."""
+        built, init = [], _LevyScan.__init__
+
+        def noting(scan, f, radius):
+            init(scan, f, radius)
+            built.append(scan)
+
+        monkeypatch.setattr(_LevyScan, "__init__", noting)
+        return built
+
+    @staticmethod
+    def state(scan: _LevyScan) -> tuple:
+        arrays = (scan.f.breakpoints, scan.f.plateau_values, scan.centers, scan.k,
+                  scan.term, scan.masses)
+        return scan.f, tuple(a.tobytes() for a in arrays), list(scan.edges)
+
+    def profiles(self):
+        rng = np.random.default_rng(2030)
+        yield from (random_profile(rng) for _ in range(60))
+        for spacing in (8.0, 5.0):
+            yield concentration_profile(cluster_plate(rng, spacing=spacing))
+
+    def test_every_rung_is_a_fresh_extraction(self, monkeypatch):
+        built, remove = self.scans_built(monkeypatch), _LevyScan.remove
+        watched = {}  # while a ladder runs: the state of a scan as built
+
+        def checked(scan, *args):
+            # the rungs but the last remove on copies, and the last on the scan
+            # itself: up to that scan's own first removal, it is as it was built
+            if watched and (scan is not built[0] or not scan.edges):
+                assert self.state(built[0]) == watched["state"]
+                seen["initial checked"] += 1
+            remove(scan, *args)
+
+        monkeypatch.setattr(_LevyScan, "remove", checked)
+        seen = Counter()
+        for f in self.profiles():
+            for gap, radius, max_bubbles in ((2.0, 1.0, 64), (0.5, 1 / 3, 2)):
+                watched["state"] = self.state(_LevyScan(f, radius))
+                built.clear()
+                ladder = _extract_ladder(f, self.LADDER, gap, radius, max_bubbles)
+                watched.clear()
+                for eps, got in zip(self.LADDER, ladder):
+                    want = extract_bubbles(f, eps, gap, radius, max_bubbles)
+                    TestExtractOracle.assert_same(got, want)
+                    assert got.params == want.params
+                    assert got.vanishing_score == want.vanishing_score
+                    seen["removed" if got.remainder is not f else "kept"] += 1
+                    seen["incomplete"] += got.incomplete
+        assert min(seen.values()) >= 10, seen
+
+    def test_rungs_match_the_rebuilding_oracle(self):
+        for f in self.profiles():
+            for eps, got in zip(self.LADDER, _extract_ladder(f, self.LADDER, 2.0, 1.0)):
+                TestExtractOracle.assert_same(got, _oracles.extract_bubbles(f, eps, 2.0, 1.0))
+
+    @pytest.mark.parametrize("max_bubbles", [64, 0])
+    def test_untouched_profile_scored_by_the_first_scan(self, monkeypatch, max_bubbles):
+        # a rung that removes no window keeps the profile, and its score is the
+        # scan's first best(): no second scan is built for it
+        built = self.scans_built(monkeypatch)
+        rng = np.random.default_rng(2031)
+        ladder = self.LADDER[:2]
+        seen = Counter()
+        for k in range(40):
+            if max_bubbles or k % 2:  # vanishing: 40 unit cells 10 apart, each <= 3/40 of the mass
+                f = ConcentrationProfile.from_intervals(
+                    [(10.0 * k, 10.0 * k + 1.0, float(rng.integers(1, 4))) for k in range(40)])
+            else:
+                f = random_profile(rng)
+            built.clear()
+            decs = _extract_ladder(f, ladder, 2.0, 1.0, max_bubbles)
+            assert len(built) == 1
+            for eps, dec in zip(ladder, decs):
+                assert dec.bubbles == () and dec.remainder is f
+                assert dec.vanishing_score == _oracles.levy_concentration(f, 1.0)[0]
+                assert dec.incomplete == (dec.vanishing_score > eps * f.total_mass())
+                seen[dec.incomplete] += 1
+        assert seen[True] >= (20 if max_bubbles == 0 else 0) and seen[False] >= 20, seen
+
+    def test_one_scan_per_function_alive_one_at_a_time(self, monkeypatch):
+        profiles, owners, refs, alive = [], [], [], []
+        init = _LevyScan.__init__
+
+        def noting(scan, f, radius):
+            init(scan, f, radius)
+            if any(f is g for g in profiles):  # not a remainder's or a region's profile
+                owners.append(next(i for i, g in enumerate(profiles) if f is g))
+                alive.append(sum(ref() is not None for ref in refs))
+                refs.append(weakref.ref(scan))
+
+        def kept(u, domain=None, window=1.0):
+            f = concentration_profile(u, domain=domain, window=window)
+            if domain is None:
+                profiles.append(f)
+            return f
+
+        monkeypatch.setattr(_LevyScan, "__init__", noting)
+        monkeypatch.setattr(analysis, "concentration_profile", kept)
+        seq = [fixture_staircase(n, cells_per_step=16 // n) for n in (4, 8, 16)]
+        analysis.compactness_report(seq, eps_ladder=self.LADDER)
+        # one scan of each function's profile for the whole ladder, and each
+        # gone before the next function's is built
+        assert owners == [0, 1, 2]
+        assert alive == [0, 0, 0]
 
 
 class TestTracks:

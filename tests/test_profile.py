@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -133,8 +135,38 @@ class TestProfileConstruction:
             for dom in (None, random_mask(rng, geom)):
                 f = concentration_profile(u, domain=dom, window=w)
                 g = _oracles.concentration_profile(u, domain=dom, window=w)
-                assert np.array_equal(f.breakpoints, g.breakpoints)
-                assert np.array_equal(f.plateau_values, g.plateau_values)
+                assert f.breakpoints.tobytes() == g.breakpoints.tobytes()
+                assert f.plateau_values.tobytes() == g.plateau_values.tobytes()
+
+    @pytest.mark.parametrize("spacing", [1 / 3, 0.1])
+    @pytest.mark.parametrize("w", [1 / 3, 0.1])
+    def test_one_sort_matches_two_search_oracle(self, spacing, w):
+        # bit for bit against the tuple list merged by the two-search oracle,
+        # on values with zero ends (0, -0 and +-w), values so large that
+        # t - w == t + w drops their windows, an empty domain and one cell
+        rng = np.random.default_rng(int(1000 * spacing) + int(1000 * w))
+        big = [1e17, -1e17, 3e17]
+        seen = Counter()
+        for k in range(40):
+            shape = [(1,), (1, 1), (int(rng.integers(2, 30)),),
+                     tuple(int(n) for n in rng.integers(2, 9, size=2))][k % 4]
+            geom = GridGeometry((0.0,) * len(shape), spacing, shape)
+            pool = np.array([0.0, -0.0, w, -w, 1.0, 2.5, w + 1.0] + big[:k % 4])
+            values = rng.choice(pool, size=shape)
+            rows = [[axis, *idx] for axis in range(len(shape))
+                    for idx in np.ndindex(*geom.face_shape(axis)) if rng.random() < 0.4]
+            u = GridFunction(geom, values, crack_masks_from_rows(geom, rows))
+            for dom in (None, CellSet(geom, np.zeros(shape, dtype=bool)), random_mask(rng, geom)):
+                f = concentration_profile(u, domain=dom, window=w)
+                g = _oracles.concentration_profile(u, domain=dom, window=w)
+                assert f.breakpoints.tobytes() == g.breakpoints.tobytes()
+                assert f.plateau_values.tobytes() == g.plateau_values.tobytes()
+                inside = u.values if dom is None else u.values[dom.mask]
+                seen["zero end"] += bool(np.any(f.breakpoints == 0.0))
+                seen["dropped window"] += bool(np.isin(big, inside).any())
+                seen["empty"] += f.breakpoints.size == 0
+                seen["one cell"] += u.geom.num_cells == 1 and inside.size == 1
+        assert min(seen.values()) >= 5, seen
 
     def test_from_intervals_takes_rows_or_tuples(self):
         rows = [(0.0, 1.0, 0.1), (0.5, 2.0, 1 / 3), (2.0, 2.0, 5.0), (1.0, 3.0, 0.0)]
