@@ -34,6 +34,7 @@ from .grid import (
     GeometryMismatchError,
     GridFunction,
     GridGeometry,
+    InvariantError,
     cell_set_from_dict,
     cell_set_to_dict,
     energy,
@@ -71,6 +72,7 @@ __all__ = [
     "GeometryMismatchError",
     "GridFunction",
     "GridGeometry",
+    "InvariantError",
     "RadiusChoice",
     "SequenceReport",
     "SliceLscReport",

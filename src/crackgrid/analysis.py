@@ -26,6 +26,7 @@ from .grid import (
     CellSet,
     GridFunction,
     GridGeometry,
+    InvariantError,
     Record,
     energy,
     face_count,
@@ -90,7 +91,7 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
 
     Requires the region-restricted profile to satisfy the weak vanishing
     hypothesis (no window of the given radius holds more than eps mass);
-    violating inputs raise with the offending window center.  ``eps=None``
+    violating inputs raise ``InvariantError`` with the offending window center.  ``eps=None``
     certifies at the region's own Lévy score, ``max(score, 1e-12)``.  The range is
     cut at alpha = ceil(1/eps) volume quantiles (capped at the number of
     distinct values, left-continuous), gap bands of half-width `radius`
@@ -121,7 +122,7 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
             iso_constant=grid_iso_constant(), slab_correction=0.0,
             chain_lhs=0.0, chain_rhs=0.0, trivial=True)
     if score > eps + 1e-12:
-        raise ValueError(
+        raise InvariantError(
             f"region profile is not weakly vanishing at eps={eps}: the window "
             f"of radius {radius} centered at {center} holds mass {score}")
 
@@ -485,7 +486,7 @@ def compactness_report(functions: Sequence[GridFunction],
             },
             "conclusion2_weak_gradient": {
                 "bulk_pnorm": list(bulk_norms),
-                "uniform_bulk_bound": max(bulk_norms) if bulk_norms else 0.0,
+                "uniform_bulk_bound": max(bulk_norms),
                 "pairings": pairing_report,
             },
             "conclusion3_jump_lsc": lsc.as_dict(),

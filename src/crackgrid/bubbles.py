@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .grid import Record
+from .grid import InvariantError, Record
 from .profile import ConcentrationProfile, _LevyScan, levy_concentration
 
 
@@ -55,9 +55,9 @@ class Bubble(Record):
 
     def __post_init__(self):
         if not (0 < self.inner_radius <= self.outer_radius):
-            raise ValueError("need 0 < inner_radius <= outer_radius")
+            raise InvariantError("need 0 < inner_radius <= outer_radius")
         if not self.mass > 0:
-            raise ValueError("bubble mass must be positive")
+            raise InvariantError("bubble mass must be positive")
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def classify(f: ConcentrationProfile, eps: float, ref_radius: float,
     ExtractionParams(eps, gap_delta, ref_radius)
     total = f.total_mass()
     m_star, center = levy_concentration(f, ref_radius)
-    if total == 0.0 or m_star <= eps * total:
+    if m_star <= eps * total:
         return TrichotomyVerdict("vanishing", None, None, total, eps, ref_radius)
     witness = _next_bubble(f, center, (), gap_delta, ref_radius, eps * total)[0]
     if m_star >= (1 - eps) * total:

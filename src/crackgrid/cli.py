@@ -1,11 +1,12 @@
 """Command-line surface: fixtures, pipelines, reports, plots.
 
-Exit codes: 0 on success with all asserted invariants passing, 1 on I/O or
-parse errors (bad files and bad command-line parameters alike), 2 on
-invariant violations (a machine-readable violation report is still
-emitted).  JSON output uses sorted keys and Python's shortest round-trip
-float formatting, so identical inputs and flags produce byte-identical
-reports.
+Exit codes: 0 on success with all asserted invariants passing; 2 on an
+invariant violation, an ``InvariantError`` from the package or a report whose
+checks fail (that report is still emitted); 1 on every other ``ValueError``,
+an unmet precondition such as a bad file, a bad parameter or an unwritable
+output, and on numbers out of the float range.  JSON output uses sorted keys
+and Python's shortest round-trip float formatting, so identical inputs and
+flags produce byte-identical reports.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .analysis import bubble_partition, compactness_report, lsc_report, vanishin
 from .bubbles import extract_bubbles
 from .fixtures import fixture_runaway, fixture_staircase
 from .grid import (
+    InvariantError,
     cell_set_from_dict,
     energy,
     grid_function_from_dict,
@@ -51,13 +53,9 @@ EXIT_IO = 1
 EXIT_VIOLATION = 2
 
 
-class InputError(Exception):
-    """I/O or parse failure (exit code 1)."""
-
-
 class _Parser(argparse.ArgumentParser):
-    """Argument parser whose usage errors exit 1, as parse errors, keeping
-    exit code 2 for invariant violations."""
+    """Argument parser whose usage errors exit 1, as every other unmet
+    precondition does; exit code 2 is left to invariant violations."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -85,7 +83,7 @@ def _check_steps(ref_radius: float, **steps: float) -> None:
     band is ``window`` wide."""
     for name, step in steps.items():
         if not ref_radius + step > ref_radius:
-            raise InputError(f"{name} {step!r} vanishes next to ref_radius {ref_radius!r}")
+            raise ValueError(f"{name} {step!r} vanishes next to ref_radius {ref_radius!r}")
 
 
 def _load_doc(path: str) -> dict:
@@ -93,9 +91,9 @@ def _load_doc(path: str) -> dict:
         text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
         doc = json.loads(text)
     except (OSError, json.JSONDecodeError) as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
-        raise InputError(f"bad document {path}: not a JSON object")
+        raise ValueError(f"bad document {path}: not a JSON object")
     return doc
 
 
@@ -103,13 +101,14 @@ def _load(path: str, what: str = "grid function", geom=None):
     """The grid function, or with ``what="cell set"`` the cell set, in a JSON
     file; with ``geom``, a side file that must lie on the main input's grid."""
     read = cell_set_from_dict if what == "cell set" else grid_function_from_dict
+    doc = _load_doc(path)
     try:
-        obj = read(_load_doc(path))
+        obj = read(doc)
         if geom is not None:
             require_same_geometry(geom, obj.geom)
         return obj
     except (KeyError, TypeError, ValueError) as exc:
-        raise InputError(f"bad {what} {path}: {exc}") from exc
+        raise ValueError(f"bad {what} {path}: {exc}") from exc
 
 
 def _emit(text: str, out: str | None, svg: tuple[str, str] | None = None) -> None:
@@ -133,7 +132,7 @@ def _emit(text: str, out: str | None, svg: tuple[str, str] | None = None) -> Non
             f.close()
         for p in made:
             Path(p).unlink(missing_ok=True)
-        raise InputError(f"cannot write {path}: {exc}") from exc
+        raise ValueError(f"cannot write {path}: {exc}") from exc
     if out in (None, "-"):
         sys.stdout.write(text)
 
@@ -144,7 +143,7 @@ def _emit_json(obj, out: str | None, svg: tuple[str, str] | None = None) -> None
 
 def _trend_svg(series_map: dict[str, list[float]], width=640, height=240) -> str:
     pad = 34
-    all_vals = [v for s in series_map.values() for v in s] or [0.0]
+    all_vals = [v for s in series_map.values() for v in s]
     top = max(max(all_vals), 1e-30) * 1.1
     length = max(len(s) for s in series_map.values())
     colors = ["black", "crimson", "steelblue", "seagreen", "darkorange"]
@@ -165,8 +164,8 @@ def _labels_svg(part, cell: int = 8) -> str:
                KIND_VANISHING: ["#dddddd"]}
     w, h = shape[0] * cell, shape[1] * cell
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">']
-    kinds = np.atleast_2d(part.label_kind.reshape(shape))
-    indices = np.atleast_2d(part.label_index.reshape(shape))
+    kinds = part.label_kind.reshape(shape)
+    indices = part.label_index.reshape(shape)
     for ix in range(shape[0]):
         for iy in range(shape[1]):
             kind, idx = int(kinds[ix, iy]), int(indices[ix, iy])
@@ -266,18 +265,18 @@ def _load_manifest(path: str):
 
     def resolve(p):
         if not isinstance(p, str):
-            raise InputError(f"manifest path {p!r} is not a string")
+            raise ValueError(f"manifest path {p!r} is not a string")
         q = Path(p)
         return str(q if q.is_absolute() else base / q)
 
     def setting(key, value, parse):
         # the flag's parser calls float(), which reads "2.0" and true as numbers
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise InputError(f"manifest {key} must be a JSON number, got {value!r}")
+            raise ValueError(f"manifest {key} must be a JSON number, got {value!r}")
         try:
             return parse(value)
         except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise InputError(f"manifest {key}: {exc}") from exc
+            raise ValueError(f"manifest {key}: {exc}") from exc
 
     def side(key, what="grid function"):
         # null is absent, as in the README's example; anything else must be a path
@@ -285,9 +284,9 @@ def _load_manifest(path: str):
 
     names, ladder = doc.get("functions"), doc.get("eps_ladder", [0.2, 0.1])
     if not (isinstance(names, list) and isinstance(ladder, list)):
-        raise InputError("manifest functions and eps_ladder must be lists")
+        raise ValueError("manifest functions and eps_ladder must be lists")
     if not names:
-        raise InputError("manifest lists no functions")
+        raise ValueError("manifest lists no functions")
     functions = [_load(resolve(names[0]))]
     geom = functions[0].geom
     functions += [_load(resolve(p), geom=geom) for p in names[1:]]
@@ -299,20 +298,17 @@ def _load_manifest(path: str):
                  window=settings["window"])
     ladder = settings["eps_ladder"] = [setting("eps_ladder", e, _EPS) for e in ladder]
     if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise InputError(f"eps ladder must be strictly decreasing, got {ladder}")
+        raise ValueError(f"eps ladder must be strictly decreasing, got {ladder}")
     return functions, datum, omega, limit, settings
 
 
 def _cmd_fixture(args) -> int:
-    try:
-        if args.name == "staircase":
-            if not args.n.is_integer():  # a stair count, not truncated
-                raise ValueError(f"stair count must be an integer, got {args.n}")
-            u = fixture_staircase(int(args.n), cells_per_step=args.cells_per_step)
-        else:
-            u = fixture_runaway(args.n, resolution=args.resolution)
-    except ValueError as exc:  # the fixtures reject only out-of-range parameters
-        raise InputError(f"bad fixture parameters: {exc}") from exc
+    if args.name == "staircase":
+        if not args.n.is_integer():  # a stair count, not truncated
+            raise ValueError(f"stair count must be an integer, got {args.n}")
+        u = fixture_staircase(int(args.n), cells_per_step=args.cells_per_step)
+    else:
+        u = fixture_runaway(args.n, resolution=args.resolution)
     _emit_json(grid_function_to_dict(u), args.out)
     return EXIT_OK
 
@@ -341,8 +337,6 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    if args.max_bubbles < 0:
-        raise InputError(f"--max-bubbles must be at least 0, got {args.max_bubbles}")
     _check_steps(args.ref_radius, gap_delta=args.gap_delta)
     u = _load(args.input)
     domain = _load(args.domain, "cell set", u.geom) if args.domain else None
@@ -389,12 +383,10 @@ def _cmd_renormalize(args) -> int:
 def _cmd_vanishing(args) -> int:
     u = _load(args.input)
     region = _load(args.region, "cell set", u.geom)
-    if u.geom.dim != 2:  # a precondition, not the hypothesis
-        raise InputError(f"vanishing needs a 2D grid, {args.input} is {u.geom.dim}D")
     try:
         cert = vanishing_certificate(u, region, eps=args.eps, radius=args.radius,
                                      window=args.window)
-    except ValueError as exc:
+    except InvariantError as exc:  # the hypothesis fails
         _emit_json({"violations": [str(exc)]}, args.out)
         return EXIT_VIOLATION
     doc = cert.as_dict()
@@ -456,15 +448,15 @@ def main(argv: list[str] | None = None) -> int:
         # an inf or nan made from the input must not reach a report
         with np.errstate(over="raise", invalid="raise"):
             return _COMMANDS[args.command](args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except InvariantError as exc:
+        print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
     except (FloatingPointError, OverflowError) as exc:
         print(f"error: input out of floating-point range: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ValueError as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_VIOLATION
+    except ValueError as exc:  # an unmet precondition
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

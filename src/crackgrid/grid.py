@@ -38,6 +38,13 @@ class GeometryMismatchError(ValueError):
     """Two objects that must share a grid geometry do not."""
 
 
+class InvariantError(ValueError):
+    """A conclusion the package promises failed on valid input.
+
+    Every other ``ValueError`` the package raises is an unmet precondition:
+    a bad argument or input file."""
+
+
 class Record:
     """Mixin for result dataclasses whose JSON form is their fields.
 

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .bubbles import Bubble
-from .grid import CellSet, GridFunction, Record, face_pairs, require_same_geometry
+from .grid import CellSet, GridFunction, InvariantError, Record, face_pairs, require_same_geometry
 from .profile import ConcentrationProfile
 
 KIND_MAIN = 0
@@ -147,7 +147,7 @@ class DomainPartition:
             edges += [blo - w, blo, bhi, bhi + w]
         # widened bands may touch (shared edge) but must not overlap
         if any(b < a for a, b in zip(edges, edges[1:])):
-            raise ValueError("bubble bands overlap; partition rejected")
+            raise InvariantError("bubble bands overlap; partition rejected")
         self._edges = np.asarray(edges)
         self._codes = np.searchsorted(self._edges, u.values, side="right")
         self.datum_piece: int | None = None
@@ -323,7 +323,7 @@ def perturbed_translation(v: GridFunction, part: DomainPartition) -> GridFunctio
             if cand not in forbidden:
                 break
         else:
-            raise RuntimeError("exhausted dyadic offsets; too many conflicting faces")
+            raise InvariantError("exhausted dyadic offsets; too many conflicting faces")
         alpha[pid], done[pid] = cand, True
     return w.with_values(w.values + alpha[ids])
 

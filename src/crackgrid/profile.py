@@ -48,9 +48,9 @@ class ConcentrationProfile:
         pv = np.array(self.plateau_values, dtype=float, copy=True)
         if bp.size + 1 != pv.size:
             raise ValueError("need exactly one more plateau than breakpoints")
-        if bp.size and not np.all(np.diff(bp) > 0):
+        if not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
-        if pv.size and (pv[0] != 0.0 or pv[-1] != 0.0):
+        if pv[0] != 0.0 or pv[-1] != 0.0:
             raise ValueError("profile must vanish on the unbounded plateaus")
         if np.any(pv < 0):
             raise ValueError("plateau values must be nonnegative")
@@ -146,18 +146,11 @@ class ConcentrationProfile:
 
     def mass_below(self, t) -> np.ndarray | float:
         """Exact integral of the profile over (-inf, t)."""
-        bp = self.breakpoints
-        if np.ndim(t) == 0:
-            t = float(t)
-            k = int(bp.searchsorted(t, side="right"))
-            if k == 0 or k == bp.size:
-                return float(self._cum0[k])
-            return float(self._cum0[k]) + float(self.plateau_values[k]) * (t - float(bp[k - 1]))
-        t_arr = np.asarray(t, dtype=float)
-        if bp.size == 0:
-            return np.zeros_like(t_arr)
-        k = bp.searchsorted(t_arr, side="right")
-        return self._cum0[k] + self._plateau_term(k, t_arr)
+        t = np.asarray(t, dtype=float)
+        k = self.breakpoints.searchsorted(t, side="right")
+        if self.breakpoints.size == 0:  # no plateau term to clip t into
+            return self._cum0[k]
+        return self._cum0[k] + self._plateau_term(k, t)
 
     def integrate(self, a: float, b: float) -> float:
         if not b > a:

@@ -433,6 +433,38 @@ def test_lsc_violation_exits_2(tmp_path: Path):
     assert not json.loads(res.stdout)["lsc_holds"]
 
 
+def _cluster_plate_file(tmp_path: Path, seed: int) -> Path:
+    """A 20-cluster plate with values 5 apart.  Extraction at eps 0.05 keeps its
+    bubble centers 4 apart, closer than the widened partition bands (up to 6)
+    fit, so the partition rejects them: a conclusion that fails on valid input."""
+    import numpy as np
+    from _fixtures import cluster_plate
+    from crackgrid.grid import grid_function_to_dict
+
+    path = tmp_path / f"plate{seed}.json"
+    path.write_text(json.dumps(grid_function_to_dict(
+        cluster_plate(np.random.default_rng(seed), spacing=5.0))))
+    return path
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_overlapping_bands_exit_2(tmp_path: Path, seed):
+    res = run_cli("partition", str(_cluster_plate_file(tmp_path, seed)), "--eps", "0.05")
+    assert res.returncode == 2
+    assert res.stderr.startswith("invariant violation: bubble bands overlap")
+    assert res.stdout == ""
+
+
+def test_verify_with_overlapping_bands_exits_2(tmp_path: Path):
+    names = [_cluster_plate_file(tmp_path, seed).name for seed in range(3)]
+    mp = tmp_path / "manifest.json"
+    mp.write_text(json.dumps({"functions": names, "eps_ladder": [0.05]}))
+    res = run_cli("verify", str(mp))
+    assert res.returncode == 2
+    assert res.stderr.startswith("invariant violation: bubble bands overlap")
+    assert res.stdout == ""
+
+
 def test_json_write_read_write_is_byte_stable(tmp_path: Path):
     fx = run_cli("fixture", "staircase", "--n", "4")
     doc = json.loads(fx.stdout)

@@ -36,6 +36,7 @@ from crackgrid.grid import (
     CellSet,
     GridFunction,
     GridGeometry,
+    InvariantError,
     energy,
     kyfan_distance,
 )
@@ -370,7 +371,7 @@ class TestBuildPartition:
     def test_overlapping_bands_rejected(self):
         u = fixture_runaway(2.0)  # values 0 and 2: bands at radius 1.5 overlap
         pieces = [RadiusChoice(0.0, 1.5, 1.5, 0.0, 0.0), RadiusChoice(2.0, 1.5, 1.5, 0.0, 0.0)]
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(InvariantError, match="overlap"):
             DomainPartition(u, pieces, window=1.0)
 
     def test_gap_boundary_chain(self):
