@@ -5,11 +5,11 @@ A profile with positive mass either concentrates in one window
 or splits (dichotomy).  Iterating the split yields a decomposition into
 finitely many bubbles plus a weakly vanishing remainder.
 
-All tolerances are relative: a threshold ``eps`` acts as the fraction
-``eps * mass_scale`` of the decomposed profile's total mass (``mass_scale``
-defaults to that total).  This keeps the classification invariant under
-rescaling the profile and matches the trichotomy contract, where both the
-compactness and vanishing tests compare against ``eps * total``.
+All tolerances are relative: a threshold ``eps`` stands for the mass
+``eps * total``, that fraction of the decomposed profile's total mass.  This
+keeps the classification invariant under rescaling the profile and matches
+the trichotomy contract, where both the compactness and vanishing tests
+compare against ``eps * total``.
 
 Extraction enforces the bubble separation guarantee
 ``|center_i - center_j| >= inner_i + inner_j + gap_delta`` by restricting
@@ -68,7 +68,6 @@ class BubbleDecomposition:
     remainder: ConcentrationProfile
     vanishing_score: float
     params: ExtractionParams
-    mass_scale: float
     total_mass: float
     leakages: tuple[float, ...]
     capped: tuple[bool, ...] = ()
@@ -80,14 +79,19 @@ class BubbleDecomposition:
     def leakage_total(self) -> float:
         return sum(self.leakages)
 
-    def validate(self, tol: float = 1e-12) -> list[str]:
+    @property
+    def mass_scale(self) -> float:
+        """The mass ``eps`` is a fraction of, the total; reported as ``params.mass_scale``."""
+        return self.total_mass
+
+    def validate(self) -> list[str]:
         """Check the structural invariants; returns human-readable violations."""
         out = []
-        scale = max(1.0, abs(self.total_mass))
-        if self.bubble_mass() > self.total_mass + tol * scale:
+        slack = 1e-12 * max(1.0, abs(self.total_mass))
+        if self.bubble_mass() > self.total_mass + slack:
             out.append("bubble masses exceed the total mass")
         masses = [b.mass for b in self.bubbles]
-        if any(m2 > m1 + tol * scale for m1, m2 in zip(masses, masses[1:])):
+        if any(m2 > m1 + slack for m1, m2 in zip(masses, masses[1:])):
             out.append("bubble masses are not nonincreasing")
         gap = self.params.gap_delta
         for i, a in enumerate(self.bubbles):
@@ -95,15 +99,14 @@ class BubbleDecomposition:
                 need = a.inner_radius + b.inner_radius + gap
                 if abs(a.center - b.center) < need - 1e-9:
                     out.append(f"bubbles at {a.center} and {b.center} violate separation")
-        if not self.incomplete:
-            if self.vanishing_score > self.params.eps * self.mass_scale + tol * scale:
-                out.append("remainder is not weakly vanishing at eps")
         threshold = self.params.eps * self.mass_scale
+        if not self.incomplete and self.vanishing_score > threshold + slack:
+            out.append("remainder is not weakly vanishing at eps")
         for leak, was_capped in zip(self.leakages, self.capped):
-            if not was_capped and leak > threshold + tol * scale:
+            if not was_capped and leak > threshold + slack:
                 out.append("uncapped bubble leaks more than eps * mass_scale")
         book = self.bubble_mass() + self.leakage_total() + self.remainder.total_mass()
-        if abs(book - self.total_mass) > tol * scale:
+        if abs(book - self.total_mass) > slack:
             out.append("mass bookkeeping identity fails")
         return out
 
@@ -212,28 +215,26 @@ def classify(f: ConcentrationProfile, eps: float, ref_radius: float,
 
 
 def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
-                    ref_radius: float, max_bubbles: int = 64,
-                    mass_scale: float | None = None) -> BubbleDecomposition:
+                    ref_radius: float, max_bubbles: int = 64) -> BubbleDecomposition:
     """Greedy multi-bubble decomposition of a profile.
 
     Repeatedly take the largest admissible window at ref_radius, grow it
-    until the surrounding annulus leaks at most eps * mass_scale, record the
+    until the surrounding annulus leaks at most eps * total, record the
     bubble, zero the enlarged window, and stop once no window exceeds
-    eps * mass_scale (weak vanishing).  Deterministic given the parameters;
+    eps * total (weak vanishing).  Deterministic given the parameters;
     ties in the center search break toward the smallest center.  Bubbles are
     reported in descending mass order.
 
-    Every uncapped bubble leaks at most eps * mass_scale.  When the
+    Every uncapped bubble leaks at most eps * total.  When the
     separation cap stops growth early (a cluster squeezed between two
     windows too tightly for a third), the squeezed mass is zeroed as that
     bubble's leakage and the bubble is flagged in ``capped``.
     """
-    return _extract_ladder(f, [eps], gap_delta, ref_radius, max_bubbles, mass_scale)[0]
+    return _extract_ladder(f, [eps], gap_delta, ref_radius, max_bubbles)[0]
 
 
 def _extract_ladder(f: ConcentrationProfile, eps_ladder: Sequence[float], gap_delta: float,
-                    ref_radius: float, max_bubbles: int = 64,
-                    mass_scale: float | None = None) -> list[BubbleDecomposition]:
+                    ref_radius: float, max_bubbles: int = 64) -> list[BubbleDecomposition]:
     """:func:`extract_bubbles` at every eps of the ladder, from one Lévy scan
     of ``f``: each rung but the last extracts on a copy of it, whose removals
     leave the scan as it is.  A rung that removes no window keeps ``f`` as
@@ -242,7 +243,6 @@ def _extract_ladder(f: ConcentrationProfile, eps_ladder: Sequence[float], gap_de
     if max_bubbles < 0:
         raise ValueError(f"max_bubbles must be at least 0, got {max_bubbles}")
     total = f.total_mass()
-    scale = total if mass_scale is None else float(mass_scale)
     initial = _LevyScan(f, ref_radius)
     first = initial.best()
     out = []
@@ -250,8 +250,8 @@ def _extract_ladder(f: ConcentrationProfile, eps_ladder: Sequence[float], gap_de
         # the last rung extracts on the scan itself: nothing reads it afterwards
         scan = initial if j == len(params) - 1 else copy.copy(initial)
         (mass, center), found = first, []
-        threshold = rung.eps * scale
-        while scale > 0 and mass > threshold and len(found) < max_bubbles:
+        threshold = rung.eps * total
+        while total > 0 and mass > threshold and len(found) < max_bubbles:
             found.append(_next_bubble(scan.f, center, found, gap_delta, ref_radius, threshold))
             b = found[-1][0]
             reach = b.inner_radius + ref_radius + gap_delta
@@ -266,11 +266,10 @@ def _extract_ladder(f: ConcentrationProfile, eps_ladder: Sequence[float], gap_de
             remainder=current,
             vanishing_score=score,
             params=rung,
-            mass_scale=scale,
             total_mass=total,
             leakages=tuple(found[i][1] for i in order),
             capped=tuple(found[i][2] for i in order),
-            incomplete=scale > 0 and mass > threshold,  # stopped by max_bubbles
+            incomplete=total > 0 and mass > threshold,  # stopped by max_bubbles
         ))
     return out
 

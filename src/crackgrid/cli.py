@@ -141,21 +141,18 @@ def _emit_json(obj, out: str | None, svg: tuple[str, str] | None = None) -> None
     _emit(json.dumps(obj, sort_keys=True) + "\n", out, svg)
 
 
-def _trend_svg(series_map: dict[str, list[float]], width=640, height=240) -> str:
-    pad = 34
+def _trend_svg(series_map: dict[str, list[float]]) -> str:
     all_vals = [v for s in series_map.values() for v in s]
     top = max(max(all_vals), 1e-30) * 1.1
     length = max(len(s) for s in series_map.values())
     colors = ["black", "crimson", "steelblue", "seagreen", "darkorange"]
-    lines = []
-    for k, (name, series) in enumerate(sorted(series_map.items())):
-        pts = [(pad + (i / max(1, length - 1)) * (width - 2 * pad),
-                height - pad - (v / top) * (height - 2 * pad)) for i, v in enumerate(series)]
-        lines.append((pts, colors[k % len(colors)], name))
-    return polyline_svg(lines, width, height, pad)
+    lines = [(list(enumerate(series)), colors[k % len(colors)], name)
+             for k, (name, series) in enumerate(sorted(series_map.items()))]
+    return polyline_svg(lines, (0, max(1, length - 1), top), pad=34)
 
 
-def _labels_svg(part, cell: int = 8) -> str:
+def _labels_svg(part) -> str:
+    cell = 8  # pixels per grid cell
     shape = part.label_kind.shape
     if len(shape) == 1:
         shape = (shape[0], 1)
@@ -184,8 +181,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "profiles, bubble decompositions, partitions and "
                     "compactness reports.")
     sub = ap.add_subparsers(dest="command", required=True)
-    # the shared flags, each declared once on a parent parser
-    out, svg, window, search = (argparse.ArgumentParser(add_help=False) for _ in range(4))
+    # the shared arguments, each declared once on a parent parser
+    inp, out, svg, window, search = (argparse.ArgumentParser(add_help=False) for _ in range(5))
+    inp.add_argument("input", nargs="?", default="-", help="input file (default stdin)")
     out.add_argument("--out", default=None, help="output path (default stdout)")
     svg.add_argument("--svg", default=None, help="also write an SVG view here")
     window.add_argument("--window", type=_POSITIVE, default=1.0,
@@ -206,41 +204,35 @@ def build_parser() -> argparse.ArgumentParser:
     fx.add_argument("--resolution", type=int, default=16,
                     help="runaway cells along the long axis (default 16)")
 
-    en = sub.add_parser("energy", help="bulk and jump energy of a function", parents=[out])
-    en.add_argument("input", nargs="?", default="-")
+    en = sub.add_parser("energy", help="bulk and jump energy of a function", parents=[inp, out])
     en.add_argument("--p", type=_P, default=2.0,
                     help="bulk integrability exponent, > 1 (default 2.0)")
 
     pr = sub.add_parser("profile", help="range concentration profile",
-                        parents=[window, out, svg])
-    pr.add_argument("input", nargs="?", default="-")
+                        parents=[inp, window, out, svg])
     pr.add_argument("--domain", default=None, help="cell-set mask file")
     pr.add_argument("--format", choices=["json", "csv"], default="json")
 
     de = sub.add_parser("decompose", help="bubble decomposition of the profile",
-                        parents=[window, search, out])
-    de.add_argument("input", nargs="?", default="-")
+                        parents=[inp, window, search, out])
     de.add_argument("--domain", default=None, help="cell-set mask file")
     de.add_argument("--max-bubbles", type=int, default=64)
 
     pa = sub.add_parser("partition", help="main/gap/vanishing domain partition",
-                        parents=[window, search, out, svg])
-    pa.add_argument("input", nargs="?", default="-")
+                        parents=[inp, window, search, out, svg])
     pa.add_argument("--omega", default=None, help="working-domain mask file")
     pa.add_argument("--format", choices=["json", "csv"], default="json",
                     help="csv emits the label raster")
 
     re = sub.add_parser("renormalize", help="piecewise-constant renormalization",
-                        parents=[window, search, out])
-    re.add_argument("input", nargs="?", default="-")
+                        parents=[inp, window, search, out])
     re.add_argument("--datum", default=None, help="datum function file")
     re.add_argument("--omega", default=None, help="working-domain mask file")
     re.add_argument("--perturb", action="store_true",
                     help="offset pieces so every partition boundary jumps")
 
     va = sub.add_parser("vanishing", help="volume certificate for a weakly "
-                                          "vanishing region", parents=[window, out])
-    va.add_argument("input", nargs="?", default="-")
+                                          "vanishing region", parents=[inp, window, out])
     va.add_argument("--region", required=True, help="cell-set mask file")
     va.add_argument("--radius", type=_POSITIVE, default=1.0,
                     help="window radius in the hypothesis (default 1.0)")

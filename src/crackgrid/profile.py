@@ -384,9 +384,8 @@ def profile_to_csv(f: ConcentrationProfile) -> str:
     return "\n".join(lines) + "\n"
 
 
-def profile_to_svg(f: ConcentrationProfile, width: int = 640, height: int = 240) -> str:
+def profile_to_svg(f: ConcentrationProfile) -> str:
     """Minimal standalone SVG step plot of the profile."""
-    pad = 30
     sup = f.support()
     if sup is None:
         lo, hi, top = 0.0, 1.0, 1.0
@@ -395,26 +394,27 @@ def profile_to_svg(f: ConcentrationProfile, width: int = 640, height: int = 240)
         span = hi - lo
         lo, hi = lo - 0.05 * span, hi + 0.05 * span
         top = f.max_height() * 1.1
-    def sx(t):
-        return pad + (t - lo) / (hi - lo) * (width - 2 * pad)
-    def sy(v):
-        return height - pad - v / top * (height - 2 * pad)
-    pts = [(sx(lo), sy(0.0))]
+    pts = [(lo, 0.0)]
     for k, t in enumerate(f.breakpoints):
-        pts.append((sx(t), sy(float(f.plateau_values[k]))))
-        pts.append((sx(t), sy(float(f.plateau_values[k + 1]))))
-    pts.append((sx(hi), sy(0.0)))
-    return polyline_svg([(pts, "black", None)], width, height, pad)
+        pts.append((t, float(f.plateau_values[k])))
+        pts.append((t, float(f.plateau_values[k + 1])))
+    pts.append((hi, 0.0))
+    return polyline_svg([(pts, "black", None)], (lo, hi, top), pad=30)
 
 
-def polyline_svg(lines, width: int, height: int, pad: int) -> str:
-    """Standalone SVG of ``(points, colour, label)`` polylines on white over a
-    gray baseline ``pad`` above the bottom; a label (None for none) is written
-    in its line's colour, one row per line from the top left."""
+def polyline_svg(lines, box: tuple[float, float, float], pad: int) -> str:
+    """Standalone 640 x 240 SVG of ``(points, colour, label)`` polylines on white
+    over a gray baseline ``pad`` above the bottom.  ``box = (lo, hi, top)``: the
+    points' x from lo to hi and y from 0 to top span the plot inside ``pad``.  A
+    label (None for none) is written in its line's colour, one row per line from
+    the top left."""
+    width, height = 640, 240
+    lo, hi, top = box
     parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
              '<rect width="100%" height="100%" fill="white"/>']
     for k, (points, color, label) in enumerate(lines):
-        path = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
+        path = " ".join(f"{pad + (x - lo) / (hi - lo) * (width - 2 * pad):.2f},"
+                        f"{height - pad - y / top * (height - 2 * pad):.2f}" for x, y in points)
         parts.append(f'<polyline points="{path}" fill="none" '
                      f'stroke="{color}" stroke-width="1.5"/>')
         if label is not None:

@@ -329,8 +329,7 @@ class _MaskedIntegrals:
 
 
 def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
-                    ref_radius: float, max_bubbles: int = 64,
-                    mass_scale: float | None = None, events=None):
+                    ref_radius: float, max_bubbles: int = 64, events=None):
     """The greedy decomposition rebuilding and rescoring every candidate after
     each bubble, through ``constrained_levy``, ``zero_on`` and
     ``masked_mass_below``.  ``events`` (a ``collections.Counter``) counts the
@@ -342,13 +341,12 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
     events = Counter() if events is None else events
     params = ExtractionParams(eps, gap_delta, ref_radius)
     total = f.total_mass()
-    scale = total if mass_scale is None else float(mass_scale)
     current = f
     found = []
     zones_removed = []  # per bubble, the span its zeroing and keep-out can touch
     incomplete = False
-    if scale > 0:
-        threshold = eps * scale
+    if total > 0:
+        threshold = eps * total
         while True:
             keep_out = [
                 (b.center - (b.inner_radius + ref_radius + gap_delta),
@@ -394,7 +392,6 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
         remainder=current,
         vanishing_score=levy_concentration(current, ref_radius)[0],
         params=params,
-        mass_scale=scale,
         total_mass=total,
         leakages=tuple(found[i][1] for i in order),
         capped=tuple(found[i][2] for i in order),

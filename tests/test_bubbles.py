@@ -207,9 +207,8 @@ class TestExtract:
             book = dec.bubble_mass() + dec.leakage_total() + dec.remainder.total_mass()
             assert abs(book - total) <= 1e-12 * max(1.0, total)
             assert dec.leakage_total() <= len(dec.bubbles) * eps * dec.mass_scale + 1e-12
-            again = extract_bubbles(dec.remainder, eps=eps, gap_delta=2.0,
-                                    ref_radius=1.0, mass_scale=dec.mass_scale)
-            assert len(again.bubbles) == 0
+            # extraction's own stop: no window of the remainder passes eps * total
+            assert levy_concentration(dec.remainder, 1.0)[0] <= eps * dec.total_mass
 
     def test_max_bubbles_flags_incomplete(self):
         f = ConcentrationProfile.from_intervals(
@@ -267,17 +266,13 @@ class TestExtractOracle:
             gap = float(rng.choice([0.25, 0.5, 1.0, 2.0]))
             radius = float(rng.choice([0.25, 0.5, 1.0, 1 / 3]))
             max_bubbles = 64 if rng.random() < 0.8 else int(rng.integers(1, 4))
-            scale = None
-            if rng.random() < 0.2:
-                scale = f.total_mass() * float(rng.choice([0.5, 2.0]))
-                events["mass_scale set"] += 1
-            want = _oracles.extract_bubbles(f, eps, gap, radius, max_bubbles, scale, events)
-            self.assert_same(extract_bubbles(f, eps, gap, radius, max_bubbles, scale), want)
+            want = _oracles.extract_bubbles(f, eps, gap, radius, max_bubbles, events)
+            self.assert_same(extract_bubbles(f, eps, gap, radius, max_bubbles), want)
             events["remainder emptied"] += want.remainder.breakpoints.size == 0
         assert set(events) == {
             "tied maximum", "keep-out edge on a breakpoint +- r",
             "cut on a breakpoint", "cut outside the support", "max_bubbles reached",
-            "mass_scale set", "remainder emptied", "overlapping zones"}, events
+            "remainder emptied", "overlapping zones"}, events
 
     def test_many_zone_plates_match(self):
         # multi-bubble plates with clusters close enough that the zones of

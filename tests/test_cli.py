@@ -125,6 +125,7 @@ def test_malformed_crack_entries_exit_1(base, cracks):
         grid_function_from_dict(doc)
     res = run_cli("energy", "-", stdin=json.dumps(doc))
     assert res.returncode == 1
+    assert res.stdout == ""
     assert "error: bad grid function" in res.stderr
     assert "Traceback" not in res.stderr
     if base != "oversized":
@@ -497,10 +498,11 @@ def test_json_write_read_write_is_byte_stable(tmp_path: Path):
     ("p", "3"),
     ("eps_ladder", ["0.2", "0.1"]),
     ("eps_ladder", [0.2, False]),
+    ("window", "2"),
 ], ids=["ladder-range", "ladder-zero", "ladder-scalar", "ladder-object", "p-range", "p-null",
         "p-text", "window-range", "window-text", "window-list", "ref-radius-zero",
         "gap-delta-inf", "functions-string", "window-bool", "ref-radius-bool",
-        "gap-delta-string", "p-string", "ladder-strings", "ladder-bool"])
+        "gap-delta-string", "p-string", "ladder-strings", "ladder-bool", "window-string"])
 def test_bad_manifest_settings_exit_1(tmp_path: Path, command, key, value):
     from crackgrid.fixtures import fixture_runaway
     from crackgrid.grid import grid_function_to_dict
@@ -693,7 +695,9 @@ def test_float_overflow_exits_1(argv, doc):
     ["profile", "{u}", "--svg", "{tmp}/missing/p.svg"],
     ["partition", "{u}", "--svg", "{tmp}/missing/p.svg"],
     ["verify", "{manifest}", "--svg", "{tmp}/missing/t.svg"],
-], ids=["out-missing-dir", "out-is-a-directory", "profile-svg", "partition-svg", "verify-svg"])
+    ["energy", "{u}", "--out", "{tmp}/missing/e.json"],
+], ids=["out-missing-dir", "out-is-a-directory", "profile-svg", "partition-svg", "verify-svg",
+        "energy-out"])
 def test_unwritable_output_exits_1(tmp_path: Path, argv):
     golden = Path(__file__).resolve().parent / "golden" / "stairs"
     names = {"u": golden / "u4.json", "manifest": golden / "manifest.json", "tmp": tmp_path}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from crackgrid.bubbles import extract_bubbles
-from crackgrid.profile import ConcentrationProfile
+from crackgrid.profile import ConcentrationProfile, levy_concentration
 
 
 def random_cluster_profile(rng: np.random.Generator) -> ConcentrationProfile:
@@ -34,9 +34,8 @@ def test_extraction_invariants_under_stress():
         book = dec.bubble_mass() + dec.leakage_total() + dec.remainder.total_mass()
         assert abs(book - total) <= 1e-12 * max(1.0, total)
         if not dec.incomplete:
-            again = extract_bubbles(dec.remainder, eps=eps, gap_delta=gap,
-                                    ref_radius=ref, mass_scale=dec.mass_scale)
-            assert len(again.bubbles) == 0
+            # extraction's own stop: no window of the remainder passes eps * total
+            assert levy_concentration(dec.remainder, ref)[0] <= eps * dec.total_mass
 
 
 def test_per_bubble_leak_bound_unless_capped():
