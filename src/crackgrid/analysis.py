@@ -30,8 +30,8 @@ from .grid import (
     Record,
     energy,
     face_count,
+    face_pairs,
     kyfan_distance,
-    pad_axis,
     require_same_geometry,
 )
 from .partition import build_partition, renormalize, select_radii, vanishing_region
@@ -136,30 +136,34 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     alpha_eff = len(cuts) + 1
 
     edges = [-math.inf] + cuts + [math.inf]
-    slab_sets = [CellSet(u.geom, region.mask & (u.values >= lo + radius) & (u.values < hi - radius))
-                 for lo, hi in zip(edges, edges[1:])]
-    gap_sets = [CellSet(u.geom, region.mask & (u.values > t - radius) & (u.values < t + radius))
-                for t in cuts]
+    slabs = [region.mask & (u.values >= lo + radius) & (u.values < hi - radius)
+             for lo, hi in zip(edges, edges[1:])]
+    gaps = [region.mask & (u.values > t - radius) & (u.values < t + radius) for t in cuts]
 
-    # every face mask below spans the box faces too (n + 1 faces along its axis)
-    area = u.geom.face_area
-    gap_faces = [[G.boundary_faces(k) for k in range(2)] for G in gap_sets]
-    slab_vols = tuple(S.volume() for S in slab_sets)
-    gap_vols = tuple(G.volume() for G in gap_sets)
-    gap_perims = tuple(face_count(faces) * area for faces in gap_faces)
+    def inner(mask):  # per axis, the interior faces between the mask and its complement
+        return [np.not_equal(*face_pairs(mask, k)) for k in range(2)]
+
+    def count(faces, mask):  # a boundary's interior faces, then the mask's cells on the box
+        return face_count(faces) + face_count(mask.take([0, -1], axis=k) for k in range(2))
+
+    area, cell_vol = u.geom.face_area, u.geom.cell_volume
+    gap_faces = [inner(G) for G in gaps]
+    slab_vols = tuple(int(np.count_nonzero(S)) * cell_vol for S in slabs)
+    gap_vols = tuple(int(np.count_nonzero(G)) * cell_vol for G in gaps)
+    gap_perims = tuple(count(f, G) * area for f, G in zip(gap_faces, gaps))
     gamma = float(sum(gap_perims))
 
-    jump = [pad_axis(u.jump_mask(axis), axis) for axis in range(2)]
-    region_faces = [region.boundary_faces(k) for k in range(2)]
-    D = face_count(j | f for j, f in zip(jump, region_faces)) * area
-    region_perim = face_count(region_faces) * area
+    region_faces = inner(region.mask)
+    D = count([u.jump_mask(k) | f for k, f in enumerate(region_faces)], region.mask) * area
+    region_perim = count(region_faces, region.mask) * area
 
+    # slabs and gaps are disjoint: no box face of a slab lies on a gap
     chain_rhs = 0.0
-    for i, S in enumerate(slab_sets):
-        faces = [S.boundary_faces(k) for k in range(2)]
+    for i, S in enumerate(slabs):
+        faces = inner(S)
         for gap in gap_faces[max(i - 1, 0):i + 1]:  # the gaps on either side of slab i
             faces = [f & ~g for f, g in zip(faces, gap)]
-        chain_rhs += 0.5 * face_count(faces) * area
+        chain_rhs += 0.5 * count(faces, S) * area
     c_iso = grid_iso_constant()
     slab_correction = max(0.0, max(m / alpha_eff - v for v in slab_vols))
     bound = 4.0 * c_iso * (D + gamma) ** 2 / alpha_eff + alpha_eff * slab_correction
@@ -236,29 +240,23 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction) -> SliceLscRepo
         require_same_geometry(g.geom, limit.geom)
     geom = limit.geom
     axes = tuple(range(geom.dim))
-    lim_dir = tuple(directional_jump_measure(limit, k) for k in axes)
-    seq_dir = tuple(tuple(directional_jump_measure(g, k) for g in seq) for k in axes)
-    margins = tuple(min(s) - l for s, l in zip(seq_dir, lim_dir))
-    total_margin = min(sum(col) for col in zip(*seq_dir)) - sum(lim_dir)
-
-    etas: list[float | None] = []
-    limited: list[bool] = []
-    ok: list[bool] = []
-    lim_counts: list[tuple[int, ...]] = []
-    seq_counts: list[tuple[tuple[int, ...], ...]] = []
-    h = geom.spacing
+    # per axis: directional measures (one (row, index) pair per jump face), slice counts, eta
+    lim_dir, seq_dir, lim_counts, seq_counts, etas, limited, ok = ([] for _ in range(7))
+    h, area = geom.spacing, geom.face_area
     for axis in axes:
         n = geom.shape[axis]
         n_rows = geom.num_cells // n
         origin = geom.origin[axis]
         lim_row, lim_index = _row_jumps(limit, axis)
         x = origin + (lim_index + 1) * h
+        lim_dir.append(lim_row.size * area)
         lim_counts.append(tuple(np.bincount(lim_row, minlength=n_rows).tolist()))
-        per_g = []
+        per_g, dirs = [], []
         required = 0.0
         missing = False
         for g in seq:
             row, index = _row_jumps(g, axis)
+            dirs.append(row.size * area)
             counts = np.bincount(row, minlength=n_rows)
             per_g.append(tuple(counts.tolist()))
             covered = counts[lim_row] > 0
@@ -271,20 +269,18 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction) -> SliceLscRepo
             for side in (np.maximum(j - 1, 0), np.minimum(j, row.size - 1)):
                 near = np.minimum(near, np.where(row[side] == r, np.abs(xc - y[side]), np.inf))
             required = max(required, float(np.max(near, initial=0.0)))
+        seq_dir.append(tuple(dirs))
         seq_counts.append(tuple(per_g))
-        if missing:
-            etas.append(None)
-            limited.append(False)
-            ok.append(False)
-            continue
         eta = 2 * h
         while eta < required:
             eta *= 2
-        etas.append(eta)
-        limited.append(required <= 2 * h)
-        ok.append(True)
+        etas.append(None if missing else eta)
+        limited.append(not missing and required <= 2 * h)
+        ok.append(not missing)
+    margins = tuple(min(s) - l for s, l in zip(seq_dir, lim_dir))
+    total_margin = min(sum(col) for col in zip(*seq_dir)) - sum(lim_dir)
     return SliceLscReport(
-        axes=axes, limit_directional=lim_dir, seq_directional=seq_dir,
+        axes=axes, limit_directional=tuple(lim_dir), seq_directional=tuple(seq_dir),
         margins=margins, total_margin=total_margin,
         limit_slice_counts=tuple(lim_counts), seq_slice_counts=tuple(seq_counts),
         eta=tuple(etas), eta_resolution_limited=tuple(limited), eta_ok=tuple(ok))

@@ -269,7 +269,7 @@ def _extract_ladder(f: ConcentrationProfile, eps_ladder: Sequence[float], gap_de
             total_mass=total,
             leakages=tuple(found[i][1] for i in order),
             capped=tuple(found[i][2] for i in order),
-            incomplete=total > 0 and mass > threshold,  # stopped by max_bubbles
+            incomplete=len(found) >= max_bubbles and mass > threshold,  # stopped by max_bubbles
         ))
     return out
 

@@ -124,14 +124,6 @@ def face_pairs(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return arr[tuple(lower)], arr[tuple(upper)]
 
 
-def pad_axis(arr: np.ndarray, axis: int) -> np.ndarray:
-    """Copy of ``arr`` with one layer of zeros (False) added at both ends of
-    ``axis``: padding a cell mask adds the outside beyond the box, padding
-    an interior-face mask adds the two box faces."""
-    zeros = np.zeros(arr.shape[:axis] + (1,) + arr.shape[axis + 1:], dtype=arr.dtype)
-    return np.concatenate([zeros, arr, zeros], axis=axis)
-
-
 def face_count(masks) -> int:
     """Number of True entries over an iterable of face masks."""
     return sum(int(np.count_nonzero(m)) for m in masks)
@@ -258,13 +250,6 @@ class CellSet:
     def volume(self) -> float:
         return int(np.count_nonzero(self.mask)) * self.geom.cell_volume
 
-    def boundary_faces(self, axis: int) -> np.ndarray:
-        """Mask over all faces of ``axis``, box faces included, separating the
-        set from its complement or from beyond the box: entry i lies between
-        cells i-1 and i, so entries 0 and n are the two box faces."""
-        lower, upper = face_pairs(pad_axis(self.mask, axis), axis)
-        return lower ^ upper
-
 
 def require_same_geometry(a: GridGeometry, b: GridGeometry) -> None:
     if a != b:
@@ -358,13 +343,14 @@ def _geometry_from_header(doc: dict) -> GridGeometry:
 
 def grid_function_from_dict(doc: dict) -> GridFunction:
     geom = _geometry_from_header(doc)
-    values = np.asarray(doc["values"])
-    # the inferred dtype, not a loop over the entries: strings, bools or nulls are not numbers
-    if values.dtype.kind not in "iuf":
-        raise ValueError(f"values must all be JSON numbers, got an array of {values.dtype}")
+    values = doc["values"]
+    # by entry type, as for crack rows: np.asarray would read a bool among numbers as 0 or 1
+    if not isinstance(values, list) or not all(
+            issubclass(t, (int, float)) and t is not bool for t in set(map(type, values))):
+        raise ValueError("values must be a list of JSON numbers")
     # before the masks, which take the header's shape on trust
-    if values.size != geom.num_cells:
-        raise ValueError(f"expected {geom.num_cells} values, got {values.size}")
+    if len(values) != geom.num_cells:
+        raise ValueError(f"expected {geom.num_cells} values, got {len(values)}")
     masks = crack_masks_from_rows(geom, doc.get("cracks", []))
     return GridFunction(geom, values, masks)
 

@@ -1,6 +1,12 @@
-"""Shared random-fixture builders for the test suite (seeded, deterministic)."""
+"""Shared random-fixture builders for the test suite (seeded, deterministic)
+and the in-process CLI runner."""
 
 from __future__ import annotations
+
+import contextlib
+import io
+import subprocess
+import sys
 
 import numpy as np
 
@@ -155,3 +161,22 @@ def staircase_pipeline(n, eps=0.1, ref=1.0, gap=2.0, w=1.0):
     f = concentration_profile(u, window=w)
     dec, radii, part = bubble_partition(u, f, eps, ref, gap)
     return u, f, dec, radii, part
+
+
+def run_cli(*argv: str, stdin: str | None = None) -> subprocess.CompletedProcess:
+    """``crackgrid.cli.main(argv)`` in this process with stdin, stdout and
+    stderr redirected: its exit code (argparse's ``SystemExit`` read as one)
+    and its output text, as a child process would report them."""
+    from crackgrid.cli import main
+
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return subprocess.CompletedProcess(list(argv), code, out.getvalue(), err.getvalue())

@@ -108,7 +108,7 @@ def interior_boundary(S: CellSet, axis: int) -> np.ndarray:
 
 def perimeter(S: CellSet) -> float:
     """Ambient perimeter: faces separating inside from outside or from beyond the box."""
-    return face_count(map(S.boundary_faces, range(S.geom.dim))) * S.geom.face_area
+    return len(boundary_face_keys(S)) * S.geom.face_area
 
 
 def boundary_outside_jump(S: CellSet, u: GridFunction) -> float:
@@ -132,7 +132,8 @@ def jump_boundary_measure(u: GridFunction, domain: CellSet | None = None) -> flo
 
 
 def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: float):
-    """(boundary_measure, chain_rhs) of a vanishing certificate with the given cuts."""
+    """(boundary_measure, chain_rhs, region_perimeter, gap_perimeters) of a
+    vanishing certificate with the given cuts."""
     area = u.geom.face_area
     jump = {("i", f[0], f[1:]) for f in jump_faces(u)}
     measure = len(jump | boundary_face_keys(region)) * area
@@ -150,7 +151,7 @@ def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: fl
         if i < len(gaps):
             keys -= gaps[i]
         chain_rhs += 0.5 * len(keys) * area
-    return measure, chain_rhs
+    return measure, chain_rhs, perimeter(region), tuple(len(g) * area for g in gaps)
 
 
 def concentration_profile(u: GridFunction, domain: CellSet | None = None,

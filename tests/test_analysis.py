@@ -141,10 +141,11 @@ class TestVanishingCertificate:
             score = levy_concentration(concentration_profile(u, region, 0.25), 1.0)[0]
             cert = vanishing_certificate(u, region, eps=max(score, 1e-12), radius=1.0,
                                          window=0.25)
-            measure, chain_rhs = certificate_face_measures(
+            measure, chain_rhs, region_perim, gap_perims = certificate_face_measures(
                 u, region, cert.cut_points, cert.radius)
             assert cert.boundary_measure == measure
             assert cert.chain_rhs == chain_rhs
+            assert (cert.region_perimeter, cert.gap_perimeters) == (region_perim, gap_perims)
             cut += cert.alpha > 1
         assert cut >= 4
 

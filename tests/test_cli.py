@@ -9,12 +9,15 @@ from pathlib import Path
 
 import pytest
 
+from _fixtures import run_cli
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def run_cli(*argv: str, stdin: str | None = None, timeout: float | None = None):
-    """The CLI in a child process; past ``timeout`` seconds the child is
-    killed and ``subprocess.TimeoutExpired`` fails the test."""
+def run_process(*argv: str, stdin: str | None = None, timeout: float = 60):
+    """``python -m crackgrid.cli`` in a child process, for the cases whose
+    subject is the process: past ``timeout`` seconds the child is killed and
+    ``subprocess.TimeoutExpired`` fails the test."""
     env = os.environ.copy()
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH", "")]))
     return subprocess.run(
@@ -132,6 +135,14 @@ def test_malformed_crack_entries_exit_1(base, cracks):
         assert "crack" in res.stderr
 
 
+def test_bool_among_values_exits_1():
+    # np.asarray would read [0, true, 2.5] as [0.0, 1.0, 2.5]
+    doc = {**ONE_D, "shape": [3], "values": [0, True, 2.5]}
+    res = run_cli("energy", "-", stdin=json.dumps(doc))
+    assert (res.returncode, res.stdout) == (1, "")
+    assert "values must" in res.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ["decompose", "-", "--eps", "1.5"],
     ["energy", "-", "--p", "0.5"],
@@ -167,7 +178,7 @@ def test_parameter_errors_exit_1(argv):
     ["partition", "-", "--ref-radius", "1e16", "--window", "1"],
 ])
 def test_steps_lost_next_to_ref_radius_exit_1(argv):
-    res = run_cli(*argv, stdin=run_cli("fixture", "staircase", "--n", "4").stdout, timeout=60)
+    res = run_process(*argv, stdin=run_cli("fixture", "staircase", "--n", "4").stdout)
     assert res.returncode == 1
     assert res.stderr.startswith("error:") and "vanishes next to ref_radius" in res.stderr
     assert res.stdout == ""
@@ -183,7 +194,7 @@ def test_manifest_steps_lost_next_to_ref_radius_exit_1(tmp_path: Path, command, 
     (tmp_path / "u.json").write_text(run_cli("fixture", "staircase", "--n", "4").stdout)
     mp = tmp_path / "manifest.json"
     mp.write_text(json.dumps({"functions": ["u.json"], "eps_ladder": [0.1], **entries}))
-    res = run_cli(command, str(mp), timeout=60)
+    res = run_process(command, str(mp))
     assert res.returncode == 1
     assert res.stderr.startswith(f"error: {key} ")
     assert res.stdout == ""
@@ -750,16 +761,16 @@ def test_outputs_to_devices_and_pipes(tmp_path: Path, argv):
     names = {"u": golden / "u4.json", "manifest": golden / "manifest.json"}
     argv = [a.format(**names) for a in argv]
     report = run_cli(*argv).stdout
-    res = run_cli(*argv, "--svg", os.devnull, "--out", os.devnull, timeout=60)
+    res = run_process(*argv, "--svg", os.devnull, "--out", os.devnull)
     assert (res.returncode, res.stdout, res.stderr) == (0, "", "")
-    res = run_cli(*argv, "--svg", os.devnull, "--out", "/dev/stdout", timeout=60)
+    res = run_process(*argv, "--svg", os.devnull, "--out", "/dev/stdout")
     assert (res.returncode, res.stdout) == (0, report)
     fifo = tmp_path / "fifo"
     os.mkfifo(fifo)
     got = []
     reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
     reader.start()
-    res = run_cli(*argv, "--svg", str(fifo), timeout=60)
+    res = run_process(*argv, "--svg", str(fifo))
     reader.join(60)
     assert (res.returncode, res.stdout) == (0, report)
     assert got and got[0].startswith("<svg")

@@ -8,12 +8,12 @@ to change, and say so in the change log.
 
 from __future__ import annotations
 
-import io
-import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+from _fixtures import run_cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # argv placeholder for a side output path: the golden is the file written there
@@ -89,15 +89,8 @@ def _cases() -> list[tuple[str, list[str], int]]:
 def _run(argv: list[str], side: Path) -> tuple[int, bytes]:
     """Exit code and output bytes: the file written at ``side`` when argv
     names ``SIDE``, else stdout."""
-    from crackgrid.cli import main
-
-    saved, sys.stdout = sys.stdout, io.StringIO()
-    try:
-        code = main([str(side) if a == SIDE else a for a in argv])
-        text = sys.stdout.getvalue()
-    finally:
-        sys.stdout = saved
-    return code, side.read_bytes() if SIDE in argv else text.encode("utf-8")
+    res = run_cli(*(str(side) if a == SIDE else a for a in argv))
+    return res.returncode, side.read_bytes() if SIDE in argv else res.stdout.encode("utf-8")
 
 
 @pytest.mark.parametrize("rel,argv,expected_code", _cases(),

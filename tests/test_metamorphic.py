@@ -7,6 +7,7 @@ cracks on the matching fine faces, changes nothing; transposing a 2D grid
 changes nothing; negating the values mirrors the profile.  Bubbles mirror
 under negation only where no step of the center search ties, because ties
 break toward the smallest center, which is the other end of a mirrored tie.
+At report level, translating the range moves only bubble centers and cut points.
 
 The inputs are ``test_exact.dyadic_input``'s, with dyadic shifts, radii and
 gap, so every relation holds with ``==``.
@@ -14,12 +15,16 @@ gap, so every relation holds with ``==``.
 
 from __future__ import annotations
 
+import copy
+import json
 from collections import Counter
 
 import numpy as np
 
 from crackgrid import profile
+from crackgrid.analysis import compactness_report
 from crackgrid.bubbles import extract_bubbles
+from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import CellSet, GridFunction, GridGeometry
 from crackgrid.profile import concentration_profile
 from test_exact import dyadic_input
@@ -76,6 +81,40 @@ def test_range_translation_shifts_profile_and_bubbles():
             assert _bubbles(g, eps) == [(c + s, i, o, m) for c, i, o, m in mine]
             several += len(mine) > 1
     assert several >= 5
+
+
+def _moved(report: dict, c: float) -> dict:
+    """``report`` with every bubble center, track center and cut point moved by c."""
+    report = copy.deepcopy(report)
+    for entry in report["per_eps"].values():
+        for row in entry["per_n"]:
+            for b in row["bubbles"]:
+                b["center"] += c
+            if row["certificate"] is not None:
+                row["certificate"]["cut_points"] = [t + c for t in row["certificate"]["cut_points"]]
+        tracks = entry["conclusion5_bubble_tracks"]
+        if tracks is not None:
+            tracks["centers"] = [[x + c for x in rank] for rank in tracks["centers"]]
+    return report
+
+
+def test_range_translation_moves_only_centers_and_cuts_in_the_report():
+    # integer-valued fixtures and dyadic shifts: every sum is exact (on noisy
+    # plates u + c rounds, and the relation need not hold)
+    sequences = [[fixture_staircase(n, cells_per_step=16 // n) for n in (16, 8, 4)],
+                 [fixture_runaway(n) for n in (10.0, 100.0, 1000.0)]]
+    # the defaults, and radii small enough that vanishing regions get cut
+    settings = [{}, {"gap_delta": 0.5, "ref_radius": 0.5, "window": 0.25}]
+    cuts = 0
+    for seq in sequences:
+        for kw in settings:
+            want = compactness_report(seq, **kw).as_dict()
+            cuts += sum(len(row["certificate"]["cut_points"])
+                        for entry in want["per_eps"].values() for row in entry["per_n"])
+            for c in (0.5, 8.0, -3.25):
+                got = compactness_report([u.with_values(u.values + c) for u in seq], **kw)
+                assert json.dumps(got.as_dict()) == json.dumps(_moved(want, c))
+    assert cuts > 0
 
 
 def test_refinement_changes_nothing():
