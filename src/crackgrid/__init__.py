@@ -12,7 +12,6 @@ from .analysis import (
     VanishingCertificate,
     bubble_partition,
     compactness_report,
-    directional_jump_measure,
     grid_iso_constant,
     lsc_report,
     slice_line,
@@ -85,7 +84,6 @@ __all__ = [
     "classify",
     "compactness_report",
     "concentration_profile",
-    "directional_jump_measure",
     "energy",
     "extract_bubbles",
     "fixture_runaway",

@@ -193,11 +193,6 @@ def slice_line(u: GridFunction, axis: int, index: int) -> GridFunction:
                         [u.crack_mask(axis).take(index, axis=other)])
 
 
-def directional_jump_measure(u: GridFunction, axis: int) -> float:
-    """Measure of jump faces with normal along ``axis``."""
-    return int(np.count_nonzero(u.jump_mask(axis))) * u.geom.face_area
-
-
 @dataclass(frozen=True)
 class SliceLscReport(Record):
     """Directional jump comparison between a sequence and its limit."""

@@ -150,7 +150,10 @@ class ConcentrationProfile:
         k = self.breakpoints.searchsorted(t, side="right")
         if self.breakpoints.size == 0:  # no plateau term to clip t into
             return self._cum0[k]
-        return self._cum0[k] + self._plateau_term(k, t)
+        # the term first, so that its temporaries are freed before cum0[k] is taken
+        below = self._plateau_term(k, t)
+        below += self._cum0[k]
+        return below
 
     def integrate(self, a: float, b: float) -> float:
         if not b > a:
@@ -162,13 +165,7 @@ class ConcentrationProfile:
     def zero_on(self, a: float, b: float) -> "ConcentrationProfile":
         """Profile with values replaced by zero on the open interval (a, b):
         the breakpoints in [a, b] are cut out, and a (b) stays a breakpoint
-        where the plateau left of a (right of b) is not zero."""
-        return self._cut(a, b)[0]
-
-    def _cut(self, a: float, b: float) -> tuple["ConcentrationProfile", int, int]:
-        """``zero_on(a, b)`` with the slots ``i0``, ``i1`` of a and b: the old
-        breakpoints cut out are ``breakpoints[i0:i1]`` (none where nothing is
-        cut, and the profile is returned as it is).
+        where the plateau left of a (right of b) is not zero.
 
         The new arrays are spliced from the old ones at the two junctions and
         need none of the constructor's checks: bp[i0-1] < a < b < bp[i1], so
@@ -183,7 +180,7 @@ class ConcentrationProfile:
         has the bits a fresh one would."""
         bp, pv = self.breakpoints, self.plateau_values
         if not b > a or bp.size == 0:
-            return self, 0, 0
+            return self
         i0 = int(bp.searchsorted(a, side="left"))
         i1 = int(bp.searchsorted(b, side="right"))
         left, right = bool(pv[i0]), bool(pv[i1])  # the plateaus next to (a, b)
@@ -206,7 +203,7 @@ class ConcentrationProfile:
             arr.flags.writeable = False
             object.__setattr__(new, name, arr)
         object.__setattr__(new, "window", self.window)
-        return new, i0, i1
+        return new
 
 
 def _profile_faces(u: GridFunction, domain: CellSet | None):
@@ -265,30 +262,46 @@ class _LevyScan:
     Window mass is piecewise linear in the center, so the maximum over the
     allowed closed set sits at a breakpoint +- radius or on a keep-out edge.
     These candidates, minus those inside an open keep-out, form one sorted
-    array ``centers``.  Each stores the right-``searchsorted`` slots ``k`` of
-    its query points ``c + r`` and ``c - r``, their plateau terms, and its
-    mass ``(cum0[k+] + term+) - (cum0[k-] + term-)``, which is
-    ``mass_below(c + r) - mass_below(c - r)`` bit for bit; ``best()`` is one
-    ``argmax`` over the stored masses.
+    array ``centers``, and ``masses`` holds a score of each:
+    ``mass_below(c + r) - mass_below(c - r)``, evaluated on the profile of
+    the removal that last built the candidate.
 
     Zeroing (a, b) on a profile, canonical by construction, removes
     breakpoints only inside [a, b] and may add a and b, so every candidate
     it adds or removes, and the keep-out (lo, hi), lies in the zone
-    [min(lo, a - r), max(hi, b + r)] (rounding is monotone).  The zone's
-    candidates are built again from the new profile's breakpoints near it.
-    Left of the zone both query points lie below a (rounding can put one on
-    a, where the mass below is unchanged too), and below a the zeroing
-    changes no breakpoint, plateau or cumulative mass (``zero_on`` carries
-    ``cum0`` there unchanged), so slots, terms and masses stay as they are.
-    Right of it both lie above b: every slot moves by the change in
-    breakpoint count, only the leading run whose old slot is the plateau
-    right of b gets a new term, and every mass is scored again on the new
-    cumulative mass, from the zone on.
+    [z_lo, z_hi] = [min(lo, fl(a - r)), max(hi, fl(b + r))] (rounding is
+    monotone).  ``remove`` builds and scores the zone's candidates again and
+    keeps every other mass as it is, because the real mass of its window,
+    the exact integral between its two rounded query points, has not moved.
+    A center c < z_lo has both query points at or below a, as
+    fl(c + r) <= a (else c + r > a, so c >= fl(a - r)); a center c > z_hi
+    has both at or above b, as fl(c - r) >= b (else c - r < b, so
+    c <= fl(b + r)); and zeroing (a, b) changes the mass below a point by
+    nothing at or below a and by the same amount at or above b.
+
+    A stored mass keeps its rounding from an older profile, though, so it
+    can differ from a fresh score by a few ulps of the total.  Each float
+    score ``(cum0[k+] + term+) - (cum0[k-] + term-)`` is within
+    (2n + 10) * eps * T of the real window mass: each ``cum0`` is a recursive
+    sum of at most n nonnegative rounded products whose sum is at most T
+    (Higham, Accuracy and Stability, section 4.2), each term a rounded
+    product of at most T, and three more roundings join them, which gives
+    (2n + 9) * u * T to first order, with u = eps / 2 the unit roundoff.
+    Here T is the first total mass, which zeroing only lowers, and n bounds
+    every breakpoint count the scan has held: the first count plus the
+    number of edges, as a removal adds at most two breakpoints and exactly
+    two edges.  A stored and a fresh score of one window are thus at most
+    twice that apart, and ``slack`` is twice that again, a factor of 2 to
+    spare.  ``best()`` scores afresh every candidate whose stored mass is
+    within ``2 * slack`` of the stored maximum M: the fresh maximum F is at
+    least M - slack, so every candidate scoring F afresh is stored at
+    F - slack >= M - 2 * slack or more, and the fresh argmax over that set
+    is the fresh argmax over all.
 
     ``remove`` replaces the arrays and the edge list instead of writing into
-    them, so a shallow copy of a scan is a scan of its own: extraction along
-    an eps ladder scans the profile once and copies that scan for each rung
-    but the last.
+    them, and ``best()`` writes nothing, so a shallow copy of a scan is a
+    scan of its own: extraction along an eps ladder scans the profile once
+    and copies that scan for each rung but the last.
     """
 
     def __init__(self, f: ConcentrationProfile, radius: float):
@@ -296,13 +309,16 @@ class _LevyScan:
         self.radius = radius
         self.edges: list[float] = []  # keep-out (lo, hi) pairs, flattened
         self._pm = np.array([[radius], [-radius]])  # c + _pm: the query points
-        self._rebuild()
-
-    def _rebuild(self) -> None:
-        """Every candidate built and scored afresh."""
+        self._first = f.breakpoints.size, float(f._cum0[-1])  # n and T before any removal
         self.centers = self._candidates(-np.inf, np.inf)
-        self.k, self.term = self._slots(self.centers)
-        self.masses = self._score(self.k, self.term)
+        self.masses = self._score(self.centers)
+
+    @property
+    def slack(self) -> float:
+        """Twice the bound on the gap between a stored and a fresh mass (see above)."""
+        n, total = self._first
+        n += len(self.edges)
+        return 4 * (2 * n + 10) * float(np.finfo(float).eps) * total
 
     def _candidates(self, z_lo: float, z_hi: float) -> np.ndarray:
         """The sorted candidates in [z_lo, z_hi]."""
@@ -324,45 +340,32 @@ class _LevyScan:
         np.not_equal(c[1:], c[:-1], out=first[1:])
         return c[first]
 
-    def _slots(self, centers: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The slots and plateau terms of the query points of ``centers``."""
-        q = centers + self._pm
-        k = self.f.breakpoints.searchsorted(q, side="right")
-        return k, self.f._plateau_term(k, q) if self.f.breakpoints.size else np.zeros_like(q)
-
-    def _score(self, k: np.ndarray, term: np.ndarray) -> np.ndarray:
-        below = self.f._cum0[k] + term
+    def _score(self, centers: np.ndarray) -> np.ndarray:
+        """Window masses of ``centers`` on the current profile."""
+        below = self.f.mass_below(centers + self._pm)
         return below[0] - below[1]
 
     def best(self) -> tuple[float, float]:
-        """Largest allowed window mass and its smallest maximizing center."""
+        """Largest allowed window mass and its smallest maximizing center, with
+        the bits of an argmax over masses scored afresh."""
         if self.f.breakpoints.size == 0:
             return 0.0, 0.0
-        j = int(self.masses.argmax())  # centers ascend: the first maximum is the smallest
-        return float(self.masses[j]), float(self.centers[j])
+        near = np.flatnonzero(self.masses >= self.masses.max() - 2 * self.slack)
+        fresh = self._score(self.centers[near])
+        j = int(fresh.argmax())  # centers ascend: the first maximum is the smallest
+        return float(fresh[j]), float(self.centers[near[j]])
 
     def remove(self, a: float, b: float, lo: float, hi: float) -> None:
         """Zero the profile on (a, b) and keep centers out of (lo, hi)."""
-        old, r = self.f, self.radius
-        self.f, i0, i1 = old._cut(a, b)
+        r = self.radius
+        self.f = self.f.zero_on(a, b)
         self.edges = self.edges + [lo, hi]
-        if self.f.breakpoints.size == 0:
-            self._rebuild()
-            return
         z_lo, z_hi = min(lo, a - r), max(hi, b + r)
         c0 = int(self.centers.searchsorted(z_lo, side="left"))
         c1 = int(self.centers.searchsorted(z_hi, side="right"))
-        # [c0, c2) is slotted again: the zone's candidates, built again, and
-        # the run right of it whose lower query point has the old slot i1
-        c2 = c1 + int(self.k[1, c1:].searchsorted(i1, side="right"))
-        block = np.concatenate([self._candidates(z_lo, z_hi), self.centers[c1:c2]])
-        k, term = self._slots(block)
-        self.centers = np.concatenate([self.centers[:c0], block, self.centers[c2:]])
-        self.k = np.concatenate([self.k[:, :c0], k, self.k[:, c2:]], axis=1)
-        self.k[:, c0 + block.size:] += self.f.breakpoints.size - old.breakpoints.size
-        self.term = np.concatenate([self.term[:, :c0], term, self.term[:, c2:]], axis=1)
-        self.masses = np.concatenate([self.masses[:c0],
-                                      self._score(self.k[:, c0:], self.term[:, c0:])])
+        zone = self._candidates(z_lo, z_hi)
+        self.centers = np.concatenate([self.centers[:c0], zone, self.centers[c1:]])
+        self.masses = np.concatenate([self.masses[:c0], self._score(zone), self.masses[c1:]])
 
 
 def levy_concentration(f: ConcentrationProfile, radius: float) -> tuple[float, float]:

@@ -8,8 +8,9 @@ the array arithmetic it checks; the tests require the package to agree with
 it exactly.  ``compactness_report`` instead builds afresh, at every eps, the
 stages the package's report reuses along the eps ladder.  ``level_set``,
 ``interior_boundary``, ``perimeter``, ``boundary_outside_jump``,
-``jump_boundary_measure`` and ``classify`` are the bodies the package shipped
-before it dropped or merged them, kept as references for the tests.
+``jump_boundary_measure``, ``classify`` and ``directional_jump_measure`` are
+the bodies the package shipped before it dropped or merged them, kept as
+references for the tests.
 """
 
 from __future__ import annotations
@@ -293,12 +294,13 @@ def iso_constant(side: int = 4) -> float:
     return float(np.max(masks.sum(axis=1) / perim.astype(float) ** 2))
 
 
-def scan_state(f: ConcentrationProfile, radius: float, edges) -> tuple[np.ndarray, ...]:
-    """The ``(centers, k, term, masses)`` of a Levy scan built afresh: every
-    breakpoint +- radius and every keep-out edge, sorted, minus those inside an
-    open keep-out ``(edges[2i], edges[2i+1])``; per center the right slots ``k``
-    of ``(c + radius, c - radius)``, the mass on each slot's plateau below its
-    query point, and the window mass scored on a cumulative mass summed afresh."""
+def scan_state(f: ConcentrationProfile, radius: float, edges) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(centers, masses)`` of a Levy scan built afresh: every breakpoint
+    +- radius and every keep-out edge, sorted, minus those inside an open
+    keep-out ``(edges[2i], edges[2i+1])``; per center the window mass between
+    ``c - radius`` and ``c + radius``, from the right slots of both, the mass
+    on each slot's plateau below its query point and a cumulative mass summed
+    afresh."""
     bp, pv = f.breakpoints, f.plateau_values
     edges = np.array(edges, dtype=float)
     c = np.unique(np.concatenate([bp - radius, bp + radius, edges]))
@@ -314,7 +316,7 @@ def scan_state(f: ConcentrationProfile, radius: float, edges) -> tuple[np.ndarra
     if bp.size > 1:
         np.cumsum(pv[1:-1] * np.diff(bp), out=cum[2:])
     below = cum[k] + term
-    return c, k, term, below[0] - below[1]
+    return c, below[0] - below[1]
 
 
 class _MaskedIntegrals:
@@ -640,10 +642,15 @@ def perturbed_translation(v: GridFunction, part) -> tuple[GridFunction, dict[int
     return w.with_values(w.values + lookup[ids]), alphas
 
 
+def directional_jump_measure(u: GridFunction, axis: int) -> float:
+    """Measure of jump faces with normal along ``axis``."""
+    return int(np.count_nonzero(u.jump_mask(axis))) * u.geom.face_area
+
+
 def lsc_report(seq, limit: GridFunction):
     """Slicing LSC report from one ``slice_line`` per (function, row) and a
     pairwise search over the limit and sequence jumps of every row."""
-    from crackgrid.analysis import SliceLscReport, directional_jump_measure, slice_line
+    from crackgrid.analysis import SliceLscReport, slice_line
 
     def positions(u, axis, row):
         line = slice_line(u, axis, row) if u.geom.dim == 2 else u

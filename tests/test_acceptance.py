@@ -14,6 +14,7 @@ import pytest
 from _fixtures import all_interior_faces, jumpy_fixture, random_fixture
 from _oracles import (
     boundary_outside_jump,
+    directional_jump_measure,
     jump_boundary_measure,
     level_set,
     perimeter,
@@ -218,7 +219,7 @@ def test_criterion_08_mass_bookkeeping():
 
 
 def test_criterion_09_slicing_exactness():
-    from crackgrid.analysis import directional_jump_measure, slice_line
+    from crackgrid.analysis import slice_line
 
     rng = np.random.default_rng(909)
     ok = True

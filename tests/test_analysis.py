@@ -9,6 +9,7 @@ import pytest
 from _fixtures import cluster_plate, jumpy_fixture, random_fixture, random_mask
 from _oracles import certificate_face_measures
 from _oracles import compactness_report as oracle_compactness_report
+from _oracles import directional_jump_measure
 from _oracles import gradient_pairings as oracle_gradient_pairings
 from _oracles import iso_constant as oracle_iso_constant
 from _oracles import lsc_report as oracle_lsc_report
@@ -17,7 +18,6 @@ from _oracles import slice_line as oracle_slice_line
 from crackgrid import analysis
 from crackgrid.analysis import (
     compactness_report,
-    directional_jump_measure,
     grid_iso_constant,
     lsc_report,
     slice_line,

@@ -277,7 +277,7 @@ class TestProfileQueries:
             assert f.plateau_values.tobytes() == empty.plateau_values.tobytes()
             assert f.window == 0.5
         # one breakpoint between two zero plateaus, which the constructor would
-        # merge away, set directly as _cut sets its arrays
+        # merge away, set directly as zero_on sets its arrays
         point = object.__new__(ConcentrationProfile)
         for name, value in (("breakpoints", np.array([1.5])),
                             ("plateau_values", np.zeros(2)), ("window", 1.0)):
