@@ -340,7 +340,7 @@ def _partition_stage(v: GridFunction, prof: ConcentrationProfile, bubbles, bulk_
     rest mask, renormalized function, violations)``, at its profile's window."""
     window = prof.window
     radii, part = _partition_of(v, prof, bubbles, ref_radius, omega)
-    w = renormalize(v, part)
+    w = renormalize(part)
     region = vanishing_region(v, bubbles, radius=ref_radius, omega=omega)
     # 2D only, certified at the region's own Lévy score
     cert = (vanishing_certificate(v, region, eps=None, radius=ref_radius, window=window)
@@ -400,14 +400,9 @@ def compactness_report(functions: Sequence[GridFunction],
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
     geom = functions[0].geom
-    for g in functions[1:]:
-        require_same_geometry(g.geom, geom)
-    if datum is not None:
-        require_same_geometry(datum.geom, geom)
-    if omega is not None:
-        require_same_geometry(omega.geom, geom)
-    if limit is not None:
-        require_same_geometry(limit.geom, geom)
+    for other in (*functions[1:], datum, omega, limit):
+        if other is not None:
+            require_same_geometry(other.geom, geom)
 
     reduced = [u.subtract(datum) if datum is not None else u for u in functions]
     # function by function: profile, bulk energies at p and 2 (one where p is 2), jump measure

@@ -68,7 +68,7 @@ class BubbleDecomposition:
     remainder: ConcentrationProfile
     vanishing_score: float
     params: ExtractionParams
-    total_mass: float
+    total_mass: float  # the mass eps is a fraction of; reported as params.mass_scale
     leakages: tuple[float, ...]
     capped: tuple[bool, ...] = ()
     incomplete: bool = False
@@ -78,11 +78,6 @@ class BubbleDecomposition:
 
     def leakage_total(self) -> float:
         return sum(self.leakages)
-
-    @property
-    def mass_scale(self) -> float:
-        """The mass ``eps`` is a fraction of, the total; reported as ``params.mass_scale``."""
-        return self.total_mass
 
     def validate(self) -> list[str]:
         """Check the structural invariants; returns human-readable violations."""
@@ -99,7 +94,7 @@ class BubbleDecomposition:
                 need = a.inner_radius + b.inner_radius + gap
                 if abs(a.center - b.center) < need - 1e-9:
                     out.append(f"bubbles at {a.center} and {b.center} violate separation")
-        threshold = self.params.eps * self.mass_scale
+        threshold = self.params.eps * self.total_mass
         if not self.incomplete and self.vanishing_score > threshold + slack:
             out.append("remainder is not weakly vanishing at eps")
         for leak, was_capped in zip(self.leakages, self.capped):
@@ -122,7 +117,7 @@ class BubbleDecomposition:
                 "eps": self.params.eps,
                 "gap_delta": self.params.gap_delta,
                 "ref_radius": self.params.ref_radius,
-                "mass_scale": self.mass_scale,
+                "mass_scale": self.total_mass,
             },
         }
 

@@ -12,6 +12,7 @@ flags produce byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from .grid import (
     energy,
     grid_function_from_dict,
     grid_function_to_dict,
+    json_numbers,
     require_same_geometry,
 )
 from .partition import (
@@ -174,6 +176,7 @@ def _labels_svg(part) -> str:
     return "".join(parts)
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="crackgrid",
@@ -262,8 +265,7 @@ def _load_manifest(path: str):
         return str(q if q.is_absolute() else base / q)
 
     def setting(key, value, parse):
-        # the flag's parser calls float(), which reads "2.0" and true as numbers
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if not json_numbers((value,)):
             raise ValueError(f"manifest {key} must be a JSON number, got {value!r}")
         try:
             return parse(value)
@@ -367,7 +369,7 @@ def _cmd_renormalize(args) -> int:
     v = u.subtract(datum) if datum is not None else u
     f = concentration_profile(v, domain=omega, window=args.window)
     _, _, part = bubble_partition(v, f, args.eps, args.ref_radius, args.gap_delta, omega)
-    w = perturbed_translation(v, part) if args.perturb else renormalize(v, part)
+    w = perturbed_translation(part) if args.perturb else renormalize(part)
     _emit_json(grid_function_to_dict(w), args.out)
     return EXIT_OK
 

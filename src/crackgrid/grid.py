@@ -129,6 +129,12 @@ def face_count(masks) -> int:
     return sum(int(np.count_nonzero(m)) for m in masks)
 
 
+def json_numbers(entries, kinds=(int, float)) -> bool:
+    """Whether every entry is of ``kinds`` and none a bool, by distinct entry type:
+    float() and np.asarray would read ``"1"`` or ``True`` among numbers as numbers."""
+    return all(issubclass(t, kinds) and t is not bool for t in set(map(type, entries)))
+
+
 def crack_masks_from_rows(geom: GridGeometry, rows) -> tuple[np.ndarray, ...]:
     """Per-axis crack masks from ``[axis, i]`` (1D) or ``[axis, i, j]`` (2D)
     rows, each naming an interior face by its lower cell.
@@ -140,10 +146,9 @@ def crack_masks_from_rows(geom: GridGeometry, rows) -> tuple[np.ndarray, ...]:
     rows = list(rows)
     if rows:
         width = geom.dim + 1
-        try:  # by entry type: np.array would read a bool among ints as 0 or 1
+        try:
             flat = list(chain.from_iterable(rows))
-            ok = set(map(len, rows)) == {width} and all(
-                issubclass(t, (int, np.integer)) and t is not bool for t in set(map(type, flat)))
+            ok = set(map(len, rows)) == {width} and json_numbers(flat, (int, np.integer))
         except TypeError:  # a row that is not a list
             ok = False
         if not ok:
@@ -329,11 +334,9 @@ def _geometry_from_header(doc: dict) -> GridGeometry:
     if doc.get("version") != FORMAT_VERSION:
         raise ValueError(f"unsupported format version {doc.get('version')!r}")
     origin, spacing, shape = tuple(doc["origin"]), doc["spacing"], tuple(doc["shape"])
-    # float() would read "1" and True as numbers, and operator.index() True:
-    # a header number must be a JSON number
     for key, entries in (("origin", origin), ("spacing", (spacing,)), ("shape", shape),
                          ("dim", (doc["dim"],))):
-        if not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entries):
+        if not json_numbers(entries):
             raise ValueError(f"{key} must hold JSON numbers, got {doc[key]!r}")
     geom = GridGeometry(origin, float(spacing), shape)
     if doc["dim"] != geom.dim:
@@ -344,9 +347,7 @@ def _geometry_from_header(doc: dict) -> GridGeometry:
 def grid_function_from_dict(doc: dict) -> GridFunction:
     geom = _geometry_from_header(doc)
     values = doc["values"]
-    # by entry type, as for crack rows: np.asarray would read a bool among numbers as 0 or 1
-    if not isinstance(values, list) or not all(
-            issubclass(t, (int, float)) and t is not bool for t in set(map(type, values))):
+    if not isinstance(values, list) or not json_numbers(values):
         raise ValueError("values must be a list of JSON numbers")
     # before the masks, which take the header's shape on trust
     if len(values) != geom.num_cells:
@@ -362,6 +363,6 @@ def cell_set_to_dict(S: CellSet) -> dict:
 def cell_set_from_dict(doc: dict) -> CellSet:
     geom = _geometry_from_header(doc)
     mask = doc["mask"]
-    if any(type(x) is not int or x not in (0, 1) for x in mask):
+    if not json_numbers(mask, int) or any(x not in (0, 1) for x in mask):
         raise ValueError("mask entries must be the integers 0 or 1")
     return CellSet(geom, mask)

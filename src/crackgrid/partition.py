@@ -7,10 +7,10 @@ every cell as main/gap/vanishing, giving a discrete Caccioppoli partition
 whose inter-piece faces are either jump faces or get charged to the
 ``outside_jump`` statistic.
 
-Renormalization subtracts each bubble center on its main piece and assigns
-the datum value (zero after reduction) on gap and vanishing cells; the
-perturbed variant additionally offsets each piece by a distinct constant in
-[0,1] so that every partition boundary face genuinely jumps.
+Renormalization reads the partition alone: it subtracts each bubble center
+on its main piece and assigns the datum value (zero after reduction) on gap
+and vanishing cells; the perturbed variant also offsets each piece by a
+distinct constant in [0,1] so that every partition boundary face jumps.
 """
 
 from __future__ import annotations
@@ -133,10 +133,11 @@ class SetStats(Record):
 
 
 class DomainPartition:
-    """Cell labeling into main pieces, gap bands and vanishing slots."""
+    """Cell labeling of ``function`` into main pieces, gap bands and vanishing slots."""
 
     def __init__(self, u: GridFunction, radii: Sequence[RadiusChoice],
                  window: float, omega: CellSet | None = None):
+        self.function = u
         self.geom = u.geom
         self.window = float(window)
         self.pieces = tuple(sorted(radii, key=lambda p: p.center))
@@ -157,7 +158,7 @@ class DomainPartition:
                 if blo <= 0.0 < bhi:
                     self.datum_piece = j
                     break
-        self.stats, self.outside_jump, self.gap_boundary, self._kind_cells = self._compute_stats(u)
+        self.stats, self.outside_jump, self.gap_boundary, self._kind_cells = self._compute_stats()
 
     # -- labeling helpers -------------------------------------------------
 
@@ -173,8 +174,14 @@ class DomainPartition:
         index.flags.writeable = False
         return index
 
-    def mask(self, kind: int, index: int) -> np.ndarray:
-        return self._codes == 4 * index + _REM_OF_KIND[kind]
+    @cached_property
+    def piece_ids(self) -> np.ndarray:
+        """Per cell, the index of its main piece, or ``len(pieces)`` on gap and
+        vanishing cells (read-only)."""
+        main = self._codes % 4 == _REM_OF_KIND[KIND_MAIN]
+        ids = np.where(main, self._codes // 4, len(self.pieces))
+        ids.flags.writeable = False
+        return ids
 
     def _present_codes(self) -> np.ndarray:
         """Codes of the labels with at least one cell, ordered by (kind, index)."""
@@ -189,7 +196,7 @@ class DomainPartition:
         """Volume of the rest mask, from the cell count of each kind."""
         return (sum(self._kind_cells) - self._kind_cells[KIND_MAIN]) * self.geom.cell_volume
 
-    def _compute_stats(self, u: GridFunction) -> tuple[dict[str, SetStats], float, float, list]:
+    def _compute_stats(self) -> tuple[dict[str, SetStats], float, float, list]:
         """Per-label volume, ambient perimeter and box-relative outside-jump, by
         bincounts, with the partition's outside-jump (label-boundary faces off
         the jump set touching a main or vanishing cell), gap boundary
@@ -201,7 +208,7 @@ class DomainPartition:
         for axis in range(self.geom.dim):
             lo, hi = face_pairs(k, axis)
             cut = lo != hi
-            free = cut & ~u.jump_mask(axis)
+            free = cut & ~self.function.jump_mask(axis)
             lo_cut, hi_cut, box = lo[cut], hi[cut], k.take([0, -1], axis=axis).ravel()
             lo_free, hi_free = lo[free], hi[free]
             sides += [lo_cut, hi_cut, box]  # box faces too
@@ -264,22 +271,21 @@ def build_partition(u: GridFunction, radii: Sequence[RadiusChoice], window: floa
     return DomainPartition(u, radii, window, omega)
 
 
-def renormalize(v: GridFunction, part: DomainPartition) -> GridFunction:
-    """Subtract each piece's center on its main piece; zero elsewhere.
+def renormalize(part: DomainPartition) -> GridFunction:
+    """Subtract each piece's center from ``v = part.function`` on its main
+    piece; zero elsewhere.
 
-    With a datum h, pass the reduced function ``v = u.subtract(h)``: the
-    result then vanishes on gap and vanishing cells and, when a datum piece
-    exists, on the whole complement of the working domain (that piece's
-    translation constant is pinned to zero).  Faces between different
-    partition labels are added to the crack set, which keeps the jump
-    measure within ``jump(v) + outside_jump`` of the original.
+    With a datum h the partition is built on ``u.subtract(h)``: the result
+    then vanishes on gap and vanishing cells and, when a datum piece exists,
+    on the whole complement of the working domain (that piece's translation
+    constant is pinned to zero).  Faces between different partition labels
+    are added to the crack set, which keeps the jump measure within
+    ``jump(v) + outside_jump``.
     """
-    require_same_geometry(v.geom, part.geom)
-    values = np.zeros(v.geom.shape)
-    for j, p in enumerate(part.pieces):
-        m = part.mask(KIND_MAIN, j)
-        a = 0.0 if part.datum_piece == j else p.center
-        values[m] = v.values[m] - a
+    v, ids, n = part.function, part.piece_ids, len(part.pieces)
+    shift = np.array([0.0 if part.datum_piece == j else p.center
+                      for j, p in enumerate(part.pieces)] + [0.0])
+    values = np.where(ids < n, v.values - shift[ids], 0.0)
     cracks = [v.crack_mask(axis) | part.label_boundary(axis) for axis in range(v.geom.dim)]
     return GridFunction(v.geom, values, cracks)
 
@@ -290,7 +296,7 @@ def _dyadic_offsets():
     yield from (k / 2**d for d in range(1, 14) for k in range(1, 2**d, 2))
 
 
-def perturbed_translation(v: GridFunction, part: DomainPartition) -> GridFunction:
+def perturbed_translation(part: DomainPartition) -> GridFunction:
     """Renormalize with per-piece offsets in [0,1] making every partition
     boundary face a genuine jump.
 
@@ -301,10 +307,9 @@ def perturbed_translation(v: GridFunction, part: DomainPartition) -> GridFunctio
     pieces (jumps interior to the aggregate are overwritten by the constant
     datum value, so they heal).
     """
-    w = renormalize(v, part)
-    n = len(part.pieces)
+    w = renormalize(part)
     # main pieces keep their index; all gap/vanishing cells form piece n
-    ids = np.where(part._codes % 4 == _REM_OF_KIND[KIND_MAIN], part._codes // 4, n)
+    ids, n = part.piece_ids, len(part.pieces)
     # every cross-piece face once: the piece ids and base values of its two sides
     faces = []
     for axis in range(w.geom.dim):

@@ -604,14 +604,28 @@ for _depth in range(1, 14):
     _DYADIC_CANDIDATES.extend(k / _den for k in range(1, _den, 2))
 
 
-def perturbed_translation(v: GridFunction, part) -> tuple[GridFunction, dict[int, float]]:
+def renormalize(part) -> GridFunction:
+    """``partition.renormalize`` one main piece at a time, each piece's cells
+    picked by their kind and index: the loop the package replaced by one gather."""
+    from crackgrid.partition import KIND_MAIN
+
+    v = part.function
+    values = np.zeros(v.geom.shape)
+    for j, p in enumerate(part.pieces):
+        m = label_mask(part, KIND_MAIN, j)
+        a = 0.0 if part.datum_piece == j else p.center
+        values[m] = v.values[m] - a
+    cracks = [v.crack_mask(axis) | label_boundary(part, axis) for axis in range(v.geom.dim)]
+    return GridFunction(v.geom, values, cracks)
+
+
+def perturbed_translation(part) -> tuple[GridFunction, dict[int, float]]:
     """``partition.perturbed_translation`` over a list of cross-piece face
     tuples and a table of dyadic candidates, with the offset of every piece
     id (-1 the gap/vanishing aggregate)."""
-    from crackgrid.grid import face_pairs
-    from crackgrid.partition import KIND_MAIN, renormalize
+    from crackgrid.partition import KIND_MAIN
 
-    w = renormalize(v, part)
+    w = renormalize(part)
     # main pieces keep their index; all gap/vanishing cells share id -1
     ids = np.where(part.label_kind == KIND_MAIN, part.label_index.astype(np.int64), -1)
     piece_order = [-1] + list(range(len(part.pieces)))  # aggregate first, then by band
@@ -808,7 +822,7 @@ def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v: float, ju
     window = prof.window
     dec, radii, part = analysis.bubble_partition(v, prof, eps, ref_radius, gap_delta, omega)
     violations = [f"decomposition: {msg}" for msg in dec.validate()]
-    w = analysis.renormalize(v, part)
+    w = analysis.renormalize(part)
     region = analysis.vanishing_region(v, dec.bubbles, radius=ref_radius, omega=omega)
     cert = None
     if v.geom.dim == 2:

@@ -110,7 +110,7 @@ def test_criterion_04_runaway_pipeline():
         f = concentration_profile(u, window=1.0)
         dec, _, part = bubble_partition(u, f, 0.1, 1.0, 2.0)
         decs.append(dec)
-        renorms.append(renormalize(u, part))
+        renorms.append(renormalize(part))
     zero = seq[0].with_values(np.zeros(seq[0].geom.shape))
     ok &= all(kyfan_distance(w, zero) == 0.0 for w in renorms)
     lsc = lsc_report(seq, renorms[-1])
@@ -174,7 +174,7 @@ def test_criterion_07_renormalization_contracts():
     for u in _contract_fixtures():
         f = concentration_profile(u, window=1.0)
         _, radii, part = bubble_partition(u, f, 0.1, 1.0, 2.0)
-        w = renormalize(u, part)
+        w = renormalize(part)
         max_radius = max((max(c.r_minus, c.r_plus) for c in radii), default=0.0)
         ok &= float(np.max(np.abs(w.values))) <= max_radius + 1.0 + TOL
         ok &= w.jump_measure() <= u.jump_measure() + part.outside_jump + TOL

@@ -206,7 +206,7 @@ class TestExtract:
             total = f.total_mass()
             book = dec.bubble_mass() + dec.leakage_total() + dec.remainder.total_mass()
             assert abs(book - total) <= 1e-12 * max(1.0, total)
-            assert dec.leakage_total() <= len(dec.bubbles) * eps * dec.mass_scale + 1e-12
+            assert dec.leakage_total() <= len(dec.bubbles) * eps * dec.total_mass + 1e-12
             # extraction's own stop: no window of the remainder passes eps * total
             assert levy_concentration(dec.remainder, 1.0)[0] <= eps * dec.total_mass
 

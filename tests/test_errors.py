@@ -82,7 +82,7 @@ def test_exhausted_offsets_raise_invariant_error_and_exit_2(monkeypatch, tmp_pat
     monkeypatch.setattr(partition, "_dyadic_offsets", lambda: iter([0.0]))
     u, _, _, _, part = staircase_pipeline(8)
     with pytest.raises(InvariantError, match="exhausted dyadic offsets"):
-        partition.perturbed_translation(u, part)
+        partition.perturbed_translation(part)
     path = tmp_path / "u.json"
     path.write_text(json.dumps(grid_function_to_dict(u)))
     assert main(["renormalize", str(path), "--perturb"]) == 2

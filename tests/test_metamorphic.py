@@ -7,7 +7,8 @@ cracks on the matching fine faces, changes nothing; transposing a 2D grid
 changes nothing; negating the values mirrors the profile.  Bubbles mirror
 under negation only where no step of the center search ties, because ties
 break toward the smallest center, which is the other end of a mirrored tie.
-At report level, translating the range moves only bubble centers and cut points.
+At report level, translating the range moves only bubble centers and cut
+points, and transposing a 2D sequence swaps only the per-axis entries.
 
 The inputs are ``test_exact.dyadic_input``'s, with dyadic shifts, radii and
 gap, so every relation holds with ``==``.
@@ -62,6 +63,12 @@ def _refined(u: GridFunction, inside):
         masks.append(fine)
     values = split(u.values, range(dim))
     return GridFunction(geom, values, masks), None if inside is None else split(inside, range(dim))
+
+
+def _transposed(u: GridFunction) -> GridFunction:
+    """A 2D function with its two axes swapped, cracks and all."""
+    geom = GridGeometry(u.geom.origin[::-1], u.geom.spacing, u.geom.shape[::-1])
+    return GridFunction(geom, u.values.T, [u.crack_mask(1).T, u.crack_mask(0).T])
 
 
 def _inputs(seed: int, count: int):
@@ -139,14 +146,57 @@ def test_transpose_changes_nothing():
         if u.geom.dim != 2:
             continue
         seen += 1
-        geom = GridGeometry(u.geom.origin[::-1], u.geom.spacing, u.geom.shape[::-1])
-        t = GridFunction(geom, u.values.T, [u.crack_mask(1).T, u.crack_mask(0).T])
+        t = _transposed(u)
         f = _profile(u, inside, window)
         g = _profile(t, None if inside is None else inside.T, window)
         assert g.breakpoints.tolist() == f.breakpoints.tolist()
         assert g.plateau_values.tolist() == f.plateau_values.tolist()
         assert t.jump_measure() == u.jump_measure()
     assert seen >= 40
+
+
+def _axes_swapped(report: dict) -> dict:
+    """``report`` with its per-axis slicing lists reversed and its pairing keys
+    ``axis{a}:low_half_axis{k}`` renamed to the other axes."""
+    def swap(pairings: dict) -> dict:
+        return {key.translate(str.maketrans("01", "10")): x for key, x in pairings.items()}
+
+    report = copy.deepcopy(report)
+    for entry in report["per_eps"].values():
+        for row in entry["per_n"]:
+            row["pairings"] = swap(row["pairings"])
+        weak = entry["conclusion2_weak_gradient"]
+        weak["pairings"] = swap(weak["pairings"])
+        lsc = entry["conclusion3_jump_lsc"]
+        for key, x in lsc.items():
+            if isinstance(x, list) and key != "axes":
+                lsc[key] = x[::-1]
+    return report
+
+
+def _dyadic_plate(rng) -> GridFunction:
+    """A 6 x 10 plate of quarter values with random cracks: its bulk sums are exact."""
+    geom = GridGeometry((0.0, 0.0), 0.25, (6, 10))
+    cracks = [rng.random(geom.face_shape(axis)) < 0.4 for axis in range(2)]
+    return GridFunction(geom, rng.integers(-8, 9, size=geom.shape) / 4, cracks)
+
+
+def test_transpose_swaps_only_the_axes_in_the_report():
+    # staircases and runaways have no bulk, so their pairings are all zero; the
+    # dyadic plates pair nonzero gradients.  On noisy plates the bulk sums
+    # change their last bits with the summation order, and the relation fails.
+    rng = np.random.default_rng(24)
+    sequences = [[fixture_staircase(n, cells_per_step=16 // n) for n in (16, 8, 4)],
+                 [fixture_runaway(n) for n in (10.0, 100.0, 1000.0)],
+                 *([_dyadic_plate(rng) for _ in range(3)] for _ in range(4))]
+    paired = 0
+    for seq in sequences:
+        want = _axes_swapped(compactness_report(seq).as_dict())
+        got = compactness_report([_transposed(u) for u in seq]).as_dict()
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+        paired += any(x != 0.0 for entry in want["per_eps"].values()
+                      for row in entry["per_n"] for x in row["pairings"].values())
+    assert paired >= 4
 
 
 def test_negation_mirrors_the_profile_and_untied_bubbles(monkeypatch):

@@ -49,7 +49,7 @@ def test_per_bubble_leak_bound_unless_capped():
         eps = float(rng.choice([0.05, 0.1, 0.2]))
         gap = float(rng.choice([1.0, 2.0, 3.0]))
         dec = extract_bubbles(f, eps=eps, gap_delta=gap, ref_radius=1.0)
-        threshold = eps * dec.mass_scale
+        threshold = eps * dec.total_mass
         for leak, was_capped in zip(dec.leakages, dec.capped):
             if was_capped:
                 capped_seen += 1
