@@ -353,10 +353,11 @@ def _partition_stage(v: GridFunction, prof: ConcentrationProfile, bubbles, bulk_
         ("vanishing certificate failed", cert is not None and not cert.certified),
         ("renormalized sup-norm bound fails", sup_norm > max_radius + window + 1e-12),
         ("renormalized jump bound fails", jump_w > jump_v + outside + 1e-12)) if failed]
+    rest = part.rest_mask()
     fields = {
         "outside_jump": outside,
         "gap_boundary": part.gap_boundary,
-        "rest_volume": part.rest_volume(),
+        "rest_volume": int(np.count_nonzero(rest)) * v.geom.cell_volume,
         "vanishing_region_volume": region.volume(),
         "sup_norm": sup_norm,
         "max_radius": max_radius,
@@ -365,7 +366,7 @@ def _partition_stage(v: GridFunction, prof: ConcentrationProfile, bubbles, bulk_
         "bulk_original": bulk_v,
         "pairings": gradient_pairings(w),
     }
-    return fields, cert, part.rest_mask(), w, violations
+    return fields, cert, rest, w, violations
 
 
 def compactness_report(functions: Sequence[GridFunction],

@@ -158,7 +158,7 @@ class DomainPartition:
                 if blo <= 0.0 < bhi:
                     self.datum_piece = j
                     break
-        self.stats, self.outside_jump, self.gap_boundary, self._kind_cells = self._compute_stats()
+        self._count_labels()
 
     # -- labeling helpers -------------------------------------------------
 
@@ -183,31 +183,25 @@ class DomainPartition:
         ids.flags.writeable = False
         return ids
 
-    def _present_codes(self) -> np.ndarray:
-        """Codes of the labels with at least one cell, ordered by (kind, index)."""
-        codes = np.flatnonzero(np.bincount(self._codes.ravel()))
-        return codes[np.lexsort((codes // 4, _KIND_OF_REM[codes % 4]))]
-
     def rest_mask(self) -> np.ndarray:
         """Gap and vanishing cells together (the non-main aggregate)."""
-        return self.label_kind != KIND_MAIN
+        return self.piece_ids == len(self.pieces)
 
-    def rest_volume(self) -> float:
-        """Volume of the rest mask, from the cell count of each kind."""
-        return (sum(self._kind_cells) - self._kind_cells[KIND_MAIN]) * self.geom.cell_volume
-
-    def _compute_stats(self) -> tuple[dict[str, SetStats], float, float, list]:
-        """Per-label volume, ambient perimeter and box-relative outside-jump, by
-        bincounts, with the partition's outside-jump (label-boundary faces off
-        the jump set touching a main or vanishing cell), gap boundary
-        (label-boundary and box faces touching a gap cell), by code parity, and
-        the cell count of each kind."""
+    def _count_labels(self) -> None:
+        """The one pass over the label codes and faces: ``label_boundary`` (per axis,
+        the read-only mask of interior faces with distinct labels on their sides);
+        by bincounts, per-label volume, perimeter and box-relative outside-jump and
+        each kind's cell count; by code parity, the outside-jump (label-boundary faces
+        off the jump set touching a main or vanishing cell) and gap boundary
+        (label-boundary and box faces touching a gap cell)."""
         k = self._codes
-        sides, free_sides = [], []  # one code per label-boundary face side
+        boundary, sides, free_sides = [], [], []  # masks; one code per boundary face side
         outside_faces = gap_faces = 0
         for axis in range(self.geom.dim):
             lo, hi = face_pairs(k, axis)
             cut = lo != hi
+            cut.flags.writeable = False
+            boundary.append(cut)
             free = cut & ~self.function.jump_mask(axis)
             lo_cut, hi_cut, box = lo[cut], hi[cut], k.take([0, -1], axis=axis).ravel()
             lo_free, hi_free = lo[free], hi[free]
@@ -221,18 +215,16 @@ class DomainPartition:
         cells, perimeter, outside = (
             np.bincount(np.concatenate(c), minlength=self._edges.size + 1).tolist()
             for c in ([k.ravel()], sides, free_sides))
+        present = np.flatnonzero(cells)  # labels with a cell, ordered by (kind, index)
+        present = present[np.lexsort((present // 4, _KIND_OF_REM[present % 4]))].tolist()
         area = self.geom.face_area
-        stats = {_label_name(c): SetStats(volume=cells[c] * self.geom.cell_volume,
-                                          perimeter=perimeter[c] * area,
-                                          outside_jump=outside[c] * area)
-                 for c in self._present_codes().tolist()}
-        kind_cells = [sum(cells[r::4]) for r in _REM_OF_KIND.tolist()]
-        return stats, outside_faces * area, gap_faces * area, kind_cells
-
-    def label_boundary(self, axis: int) -> np.ndarray:
-        """Mask over the interior faces of ``axis`` with distinct labels on the two sides."""
-        lo, hi = face_pairs(self._codes, axis)
-        return lo != hi
+        self.label_boundary = tuple(boundary)
+        self.stats = {_label_name(c): SetStats(volume=cells[c] * self.geom.cell_volume,
+                                               perimeter=perimeter[c] * area,
+                                               outside_jump=outside[c] * area)
+                      for c in present}
+        self.outside_jump, self.gap_boundary = outside_faces * area, gap_faces * area
+        self._kind_cells = [sum(cells[r::4]) for r in _REM_OF_KIND.tolist()]
 
     def volume_by_kind(self, kind: int) -> float:
         return self._kind_cells[kind] * self.geom.cell_volume
@@ -286,7 +278,7 @@ def renormalize(part: DomainPartition) -> GridFunction:
     shift = np.array([0.0 if part.datum_piece == j else p.center
                       for j, p in enumerate(part.pieces)] + [0.0])
     values = np.where(ids < n, v.values - shift[ids], 0.0)
-    cracks = [v.crack_mask(axis) | part.label_boundary(axis) for axis in range(v.geom.dim)]
+    cracks = [v.crack_mask(axis) | part.label_boundary[axis] for axis in range(v.geom.dim)]
     return GridFunction(v.geom, values, cracks)
 
 
@@ -310,12 +302,11 @@ def perturbed_translation(part: DomainPartition) -> GridFunction:
     w = renormalize(part)
     # main pieces keep their index; all gap/vanishing cells form piece n
     ids, n = part.piece_ids, len(part.pieces)
-    # every cross-piece face once: the piece ids and base values of its two sides
-    faces = []
-    for axis in range(w.geom.dim):
-        id_lo, id_hi = face_pairs(ids, axis)
-        cut = id_lo != id_hi
-        faces.append([a[cut] for a in (id_lo, id_hi, *face_pairs(w.values, axis))])
+    # every label-boundary face once, which covers every cross-piece face: the
+    # piece ids and base values of its two sides (a face with piece n on both
+    # sides, such as gap+|gap-, never faces an offset piece, so it forbids nothing)
+    faces = [[a[cut] for a in (*face_pairs(ids, axis), *face_pairs(w.values, axis))]
+             for axis, cut in enumerate(part.label_boundary)]
     id_lo, id_hi, base_lo, base_hi = (np.concatenate(c) for c in zip(*faces))
     alpha, done = np.zeros(n + 1), np.zeros(n + 1, dtype=bool)
     for pid in [n, *range(n)]:  # aggregate first, then by band

@@ -189,3 +189,32 @@ def classify(F: Step, eps: float, gap_delta: float, ref_radius: float):
     if m_star >= (1 - e) * total:
         return "compactness", witness, None, total
     return "dichotomy", witness, (witness[3], total - witness[3]), total
+
+
+def select_radii(bp, pv, centers, base_radius: float, window: float) -> list[tuple]:
+    """``(center, radius, achieved, average, plateau values)`` per center, by the rule
+    ``partition.select_radii`` states: the objective ``g(r) = f(c - r) + f(c + r)
+    + f(c - r - w) + f(c + r + w)`` on ``[base, base + w)`` is constant between
+    consecutive cut radii, where one of its four levels meets a breakpoint; the
+    radius is the midpoint of the leftmost such plateau of least value (two
+    terms that change in opposite ways at one cut still leave two plateaus, so
+    no level sits on a breakpoint), and the average is that of g over the
+    interval.  The plateau values are listed left to right."""
+    w, lo = Fraction(window), Fraction(base_radius)
+    hi = lo + w
+
+    def f(t: Fraction) -> Fraction:
+        return pv[bisect.bisect_right(bp, t)]
+
+    out = []
+    for c in map(Fraction, centers):
+        levels = (lambda r: c - r, lambda r: c + r, lambda r: c - r - w, lambda r: c + r + w)
+        cuts = {lo, hi} | {r for b in bp for r in (c - b, b - c, c - w - b, b - c - w)
+                           if lo < r < hi}
+        points = sorted(cuts)
+        plateaus = [((a + b) / 2, b - a) for a, b in zip(points, points[1:])]
+        values = [sum(f(level(mid)) for level in levels) for mid, _ in plateaus]
+        k = values.index(min(values))
+        average = sum(v * length for v, (_, length) in zip(values, plateaus)) / w
+        out.append((c, plateaus[k][0], values[k], average, values))
+    return out

@@ -1,5 +1,5 @@
-"""The float profile, Levy maximum, window growth, bubble extraction and
-trichotomy verdict against the exact rational reference.
+"""The float profile, Levy maximum, window growth, bubble extraction,
+trichotomy verdict and radius choice against the exact rational reference.
 
 On dyadic inputs (spacing 2^-k, values in quarters, window, radii and
 gap_delta in {0.25, 0.5, 1}, eps a power of two) every float sum and product
@@ -18,6 +18,7 @@ import numpy as np
 import _exact
 from crackgrid.bubbles import Bubble, _grow_window, classify, extract_bubbles
 from crackgrid.grid import CellSet, GridFunction, GridGeometry
+from crackgrid.partition import RadiusChoice, select_radii
 from crackgrid.profile import concentration_profile, levy_concentration
 
 RADII = (0.25, 0.5, 1.0)
@@ -135,3 +136,34 @@ def test_classify_equals_the_exact_reference():
             assert v.split_masses == (None if split is None else tuple(map(float, split)))
             seen[kind] += 1
     assert min(seen[k] for k in ("compactness", "dichotomy", "vanishing")) >= 10, seen
+
+
+def test_select_radii_equals_the_exact_reference():
+    rng = np.random.default_rng(2501)
+    seen = Counter()
+    for _ in range(80):
+        u, inside, window = dyadic_input(rng)
+        domain = None if inside is None else CellSet(u.geom, inside)
+        f = concentration_profile(u, domain=domain, window=window)
+        F = exact_profile(u, inside, window)
+        if not F.bp:
+            continue
+        base = float(rng.choice(RADII))
+        dec = extract_bubbles(f, eps=0.125, gap_delta=1.0, ref_radius=base)
+        # the extracted centers, then dyadic ones on, beside and beyond the support
+        centers = [b.center for b in dec.bubbles] + [
+            float(F.bp[int(rng.integers(len(F.bp)))] + Fraction(int(k), 8))
+            for k in rng.integers(-24, 25, size=3)]
+        got = select_radii(f, [RadiusChoice(c, 1.0, 1.0, 0.0, 0.0) for c in centers], base)
+        want = _exact.select_radii(F.bp, F.pv, centers, base, window)
+        assert [(c.center, c.r_minus, c.r_plus, c.achieved, c.interval_average) for c in got] \
+            == [(float(c), float(r), float(r), float(v), float(a)) for c, r, v, a, _ in want]
+        seen["extracted"] += len(dec.bubbles)
+        seen[f"{u.geom.dim}D"] += 1
+        for *_, least, average, values in want:
+            seen["below average"] += least < average
+            seen["past the first plateau"] += values[0] != least
+            seen["tied least plateaus"] += values.count(least) > 1
+            # a cut where two terms change in opposite ways: equal neighbours stay apart
+            seen["equal neighbours"] += any(a == b for a, b in zip(values, values[1:]))
+    assert min(seen.values()) >= 5, seen

@@ -160,7 +160,26 @@ def _write_region_masks() -> None:
             mask[nx // 2, 3:14:2] = True
         else:
             mask[nx // 2 - 2:nx // 2 + 2, :ny // 2] = True
+        (GOLDEN / name).mkdir(parents=True, exist_ok=True)
         write_json(cell_set_to_dict(CellSet(u.geom, mask)), GOLDEN / name / "region.json")
+
+
+def test_regenerated_inputs_match_and_nothing_else_is_committed(tmp_path, monkeypatch):
+    """The regenerator's input files are byte-identical to the committed ones,
+    and ``tests/golden/`` holds exactly those inputs and the ``_cases()`` outputs."""
+    committed = GOLDEN
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    _write_manifest_inputs()
+    _write_region_masks()
+    inputs = {p.relative_to(tmp_path).as_posix(): p.read_bytes()
+              for p in tmp_path.rglob("*") if p.is_file()}
+    assert len(inputs) == 14
+    for rel, data in inputs.items():
+        assert (committed / rel).read_bytes() == data, rel
+    files = {p.relative_to(committed).as_posix() for p in committed.rglob("*") if p.is_file()}
+    outputs = {rel for rel, _, _ in _cases()}
+    assert len(outputs) == 62 and not outputs & inputs.keys()
+    assert files == outputs | inputs.keys()
 
 
 def regenerate() -> None:

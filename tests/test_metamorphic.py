@@ -8,7 +8,9 @@ changes nothing; negating the values mirrors the profile.  Bubbles mirror
 under negation only where no step of the center search ties, because ties
 break toward the smallest center, which is the other end of a mirrored tie.
 At report level, translating the range moves only bubble centers and cut
-points, and transposing a 2D sequence swaps only the per-axis entries.
+points, transposing a 2D sequence swaps only the per-axis entries, and
+refining a bulk-free sequence writes each slice count twice and moves only
+the spacing-dependent ``eta``.
 
 The inputs are ``test_exact.dyadic_input``'s, with dyadic shifts, radii and
 gap, so every relation holds with ``==``.
@@ -27,7 +29,7 @@ from crackgrid import profile
 from crackgrid.analysis import compactness_report
 from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
-from crackgrid.grid import CellSet, GridFunction, GridGeometry
+from crackgrid.grid import CellSet, GridFunction, GridGeometry, energy
 from crackgrid.profile import concentration_profile
 from test_exact import dyadic_input
 
@@ -197,6 +199,37 @@ def test_transpose_swaps_only_the_axes_in_the_report():
         paired += any(x != 0.0 for entry in want["per_eps"].values()
                       for row in entry["per_n"] for x in row["pairings"].values())
     assert paired >= 4
+
+
+def _slices_doubled(report: dict, refined: dict) -> dict:
+    """``report`` with every slice count of ``conclusion3_jump_lsc`` written twice
+    in a row, and its ``eta`` fields, which depend on the spacing, from ``refined``."""
+    report = copy.deepcopy(report)
+    for eps, entry in report["per_eps"].items():
+        lsc = entry["conclusion3_jump_lsc"]
+        lsc["limit_slice_counts"] = [np.repeat(c, 2).tolist() for c in lsc["limit_slice_counts"]]
+        lsc["seq_slice_counts"] = [[np.repeat(c, 2).tolist() for c in axis]
+                                   for axis in lsc["seq_slice_counts"]]
+        for key in ("eta", "eta_resolution_limited"):
+            lsc[key] = refined["per_eps"][eps]["conclusion3_jump_lsc"][key]
+    return report
+
+
+def test_refinement_doubles_only_the_slices_in_the_report():
+    # no value changes across a face that is not a crack, so there is no bulk:
+    # a refined face gradient doubles, and bulk energy is not refinement-invariant
+    sequences = {"staircases": [fixture_staircase(n, cells_per_step=16 // n) for n in (16, 8, 4)],
+                 "runaways": [fixture_runaway(n) for n in (10.0, 100.0, 1000.0)]}
+    for name, seq in sequences.items():
+        assert all(energy(u).bulk == 0.0 for u in seq)
+        want = compactness_report(seq).as_dict()
+        got = compactness_report([_refined(u, None)[0] for u in seq]).as_dict()
+        assert json.dumps(got) == json.dumps(_slices_doubled(want, got))
+        etas = [(entry["conclusion3_jump_lsc"]["eta"], got["per_eps"][eps]
+                 ["conclusion3_jump_lsc"]["eta"]) for eps, entry in want["per_eps"].items()]
+        # the runaways' eta is at its resolution floor, 2h, and halves with h
+        assert all(fine == (coarse if name == "staircases" else [e / 2 for e in coarse])
+                   for coarse, fine in etas), etas
 
 
 def test_negation_mirrors_the_profile_and_untied_bubbles(monkeypatch):

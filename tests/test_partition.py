@@ -39,6 +39,7 @@ from crackgrid.grid import (
     GridGeometry,
     InvariantError,
     energy,
+    face_pairs,
     kyfan_distance,
 )
 from crackgrid.partition import (
@@ -280,7 +281,7 @@ class TestPartitionStatsOracle:
                 and np.array_equal(part.label_index, index)
             assert list(part.stats.items()) == list(partition_stats(part, u).items())
             for axis in range(u.geom.dim):
-                assert np.array_equal(part.label_boundary(axis), label_boundary(part, axis))
+                assert np.array_equal(part.label_boundary[axis], label_boundary(part, axis))
             assert part.to_csv() == partition_csv(part)
             assert part.outside_jump == partition_outside_jump(part, u)
             assert part.gap_boundary == gap_boundary(part)
@@ -302,6 +303,13 @@ class TestPartitionStatsOracle:
             assert arr.dtype == dtype and arr.shape == u.geom.shape
             with pytest.raises(ValueError):
                 arr[...] = 0
+        boundary = part.label_boundary
+        assert isinstance(boundary, tuple) and boundary is part.label_boundary
+        assert len(boundary) == u.geom.dim
+        for axis, mask in enumerate(boundary):
+            assert mask.dtype == bool and mask.shape == u.geom.face_shape(axis)
+            with pytest.raises(ValueError):
+                mask[...] = False
 
 
 class TestLabelCodeReadersOracle:
@@ -311,7 +319,8 @@ class TestLabelCodeReadersOracle:
 
     def test_random_partitions_match(self):
         rng = np.random.default_rng(410)
-        seen = dict.fromkeys(("three pieces", "datum piece", "empty piece", "offset"), 0)
+        seen = dict.fromkeys(("three pieces", "datum piece", "empty piece", "offset",
+                              "same-piece boundary face"), 0)
         for _ in range(80):
             u, part = TestPartitionStatsOracle.random_partition(rng, omega=True)
             got = perturbed_translation(part)
@@ -320,12 +329,18 @@ class TestLabelCodeReadersOracle:
             for axis in range(u.geom.dim):
                 assert np.array_equal(got.crack_mask(axis), want.crack_mask(axis))
             assert json.dumps(part.as_dict()) == json.dumps(partition_dict(part))
-            assert part.rest_volume() == np.count_nonzero(part.rest_mask()) * u.geom.cell_volume
+            kind, _ = label_arrays(u, part)
+            assert np.array_equal(part.rest_mask(), kind != KIND_MAIN)
             seen["three pieces"] += len(part.pieces) >= 3
             seen["datum piece"] += part.datum_piece is not None
             seen["empty piece"] += any(not (part.piece_ids == j).any()
                                        for j in range(len(part.pieces)))
             seen["offset"] += any(a not in (0.0, 1.0) for a in offsets.values())
+            # gap+|gap-, gap|vanishing or vanishing|vanishing: piece n on both sides,
+            # a face the perturbed offsets read and must not let forbid an offset
+            seen["same-piece boundary face"] += any(
+                np.any(label_boundary(part, axis) & np.equal(*face_pairs(part.piece_ids, axis)))
+                for axis in range(u.geom.dim))
         assert all(seen.values()), seen
 
 
