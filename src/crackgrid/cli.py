@@ -34,10 +34,7 @@ from .grid import (
     require_same_geometry,
 )
 from .partition import (
-    KIND_GAP_MINUS,
-    KIND_GAP_PLUS,
     KIND_MAIN,
-    KIND_VANISHING,
     build_partition,  # not called here: perfbench/spans.py rebinds the name in this module
     perturbed_translation,
     renormalize,
@@ -114,10 +111,13 @@ def _load(path: str, what: str = "grid function", geom=None):
 
 
 def _emit(text: str, out: str | None, svg: tuple[str, str] | None = None) -> None:
-    """Write ``text`` to ``out`` (stdout for None or "-") and the ``(path, text)``
-    pair ``svg`` if given.  Every file opens before any is written, and stdout
-    comes last, so a command with an output that cannot be opened writes none;
-    only regular files are truncated (a device or a pipe cannot be)."""
+    """Write ``text`` to ``out`` (stdout for None or "-") and the ``(path, text)`` pair
+    ``svg`` if given, whose path must not be ``out``'s file unless that is a device or pipe.
+    Every file opens before any is written, and stdout comes last, so a command with an
+    output that cannot be opened writes none; only regular files are truncated."""
+    same = svg and out not in (None, "-") and os.path.realpath(svg[0]) == os.path.realpath(out)
+    if same and (os.path.isfile(out) or not os.path.exists(out)):  # a device or pipe takes both
+        raise ValueError(f"cannot write {svg[0]}: --out names the same file")
     jobs = ([svg] if svg else []) + ([(out, text)] if out not in (None, "-") else [])
     files, made = [], []
     try:
@@ -153,27 +153,20 @@ def _trend_svg(series_map: dict[str, list[float]]) -> str:
     return polyline_svg(lines, (0, max(1, length - 1), top), pad=34)
 
 
+# main labels cycle through fills 0-3 by index; gap+, gap- and vanishing (kinds 1-3) take 3 + kind
+_LABEL_FILLS = np.array(["#4477aa", "#66ccee", "#228833", "#ccbb44",
+                         "#ee6677", "#aa3377", "#dddddd"])
+
+
 def _labels_svg(part) -> str:
-    cell = 8  # pixels per grid cell
-    shape = part.label_kind.shape
-    if len(shape) == 1:
-        shape = (shape[0], 1)
-    palette = {KIND_MAIN: ["#4477aa", "#66ccee", "#228833", "#ccbb44"],
-               KIND_GAP_PLUS: ["#ee6677"], KIND_GAP_MINUS: ["#aa3377"],
-               KIND_VANISHING: ["#dddddd"]}
-    w, h = shape[0] * cell, shape[1] * cell
-    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">']
-    kinds = part.label_kind.reshape(shape)
-    indices = part.label_index.reshape(shape)
-    for ix in range(shape[0]):
-        for iy in range(shape[1]):
-            kind, idx = int(kinds[ix, iy]), int(indices[ix, iy])
-            color = palette[kind][idx % len(palette[kind])]
-            y = (shape[1] - 1 - iy) * cell
-            parts.append(f'<rect x="{ix * cell}" y="{y}" width="{cell}" '
-                         f'height="{cell}" fill="{color}"/>')
-    parts.append("</svg>\n")
-    return "".join(parts)
+    cell = 8  # pixels per grid cell; a 1D grid is one row of cells
+    kind, index = (a.reshape(len(a), -1) for a in (part.label_kind, part.label_index))
+    fill = _LABEL_FILLS[np.where(kind == KIND_MAIN, index % 4, 3 + kind)].tolist()
+    nx, ny = kind.shape
+    rects = [f'<rect x="{ix * cell}" y="{(ny - 1 - iy) * cell}" width="{cell}" height="{cell}" '
+             f'fill="{c}"/>' for ix, row in enumerate(fill) for iy, c in enumerate(row)]
+    return (f'<svg xmlns="http://www.w3.org/2000/svg" width="{nx * cell}" height="{ny * cell}">'
+            + "".join(rects) + "</svg>\n")
 
 
 @functools.cache  # built once per process; parse_args leaves it unchanged

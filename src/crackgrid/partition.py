@@ -30,22 +30,12 @@ KIND_GAP_PLUS = 1
 KIND_GAP_MINUS = 2
 KIND_VANISHING = 3
 
-_KIND_NAMES = {
-    KIND_MAIN: "main",
-    KIND_GAP_PLUS: "gap+",
-    KIND_GAP_MINUS: "gap-",
-    KIND_VANISHING: "vanishing",
-}
+_KIND_NAMES = ("main", "gap+", "gap-", "vanishing")  # by kind
 
 # A label code counts the band edges at or below a cell value: code // 4 is
 # the index, code % 4 the kind (vanishing, lower gap, main, upper gap).  So a
 # code is even on main and vanishing cells and odd on gap cells.
 _KIND_OF_REM = np.array([KIND_VANISHING, KIND_GAP_MINUS, KIND_MAIN, KIND_GAP_PLUS], np.uint8)
-_REM_OF_KIND = np.argsort(_KIND_OF_REM)
-
-
-def _label_name(code: int) -> str:
-    return f"{_KIND_NAMES[int(_KIND_OF_REM[code % 4])]}:{code // 4}"
 
 
 @dataclass(frozen=True)
@@ -151,37 +141,41 @@ class DomainPartition:
             raise InvariantError("bubble bands overlap; partition rejected")
         self._edges = np.asarray(edges)
         self._codes = np.searchsorted(self._edges, u.values, side="right")
+        # the per-label table, one row per code: every per-cell view gathers from it
+        code = np.arange(self._edges.size + 1, dtype=np.intp)
+        kind = _KIND_OF_REM[code % 4]
+        self._table = {"kind": kind, "index": (code // 4).astype(np.int32),
+                       "piece": np.where(kind == KIND_MAIN, code // 4, len(self.pieces)),
+                       "name": np.array([f"{_KIND_NAMES[k]}:{c // 4}"
+                                         for c, k in enumerate(kind.tolist())], object)}
         self.datum_piece: int | None = None
-        if omega is not None and not omega.mask.all():
+        if omega is not None:
             require_same_geometry(u.geom, omega.geom)
-            for j, (blo, bhi) in enumerate(bands):
-                if blo <= 0.0 < bhi:
-                    self.datum_piece = j
-                    break
+            if not omega.mask.all():
+                self.datum_piece = next((j for j, (blo, bhi) in enumerate(bands)
+                                         if blo <= 0.0 < bhi), None)
         self._count_labels()
 
     # -- labeling helpers -------------------------------------------------
 
+    def _gather(self, column: str) -> np.ndarray:
+        """Per cell, ``column`` of its label's row in the per-label table (read-only)."""
+        view = self._table[column][self._codes]
+        view.flags.writeable = False
+        return view
+
     @cached_property
     def label_kind(self) -> np.ndarray:
-        kind = _KIND_OF_REM[self._codes % 4]
-        kind.flags.writeable = False
-        return kind
+        return self._gather("kind")
 
     @cached_property
     def label_index(self) -> np.ndarray:
-        index = (self._codes // 4).astype(np.int32)
-        index.flags.writeable = False
-        return index
+        return self._gather("index")
 
     @cached_property
     def piece_ids(self) -> np.ndarray:
-        """Per cell, the index of its main piece, or ``len(pieces)`` on gap and
-        vanishing cells (read-only)."""
-        main = self._codes % 4 == _REM_OF_KIND[KIND_MAIN]
-        ids = np.where(main, self._codes // 4, len(self.pieces))
-        ids.flags.writeable = False
-        return ids
+        """Per cell, its main piece's index, or ``len(pieces)`` on gap and vanishing cells."""
+        return self._gather("piece")
 
     def rest_mask(self) -> np.ndarray:
         """Gap and vanishing cells together (the non-main aggregate)."""
@@ -215,27 +209,24 @@ class DomainPartition:
         cells, perimeter, outside = (
             np.bincount(np.concatenate(c), minlength=self._edges.size + 1).tolist()
             for c in ([k.ravel()], sides, free_sides))
+        kind, index, names = self._table["kind"], self._table["index"], self._table["name"]
         present = np.flatnonzero(cells)  # labels with a cell, ordered by (kind, index)
-        present = present[np.lexsort((present // 4, _KIND_OF_REM[present % 4]))].tolist()
+        present = present[np.lexsort((index[present], kind[present]))].tolist()
         area = self.geom.face_area
         self.label_boundary = tuple(boundary)
-        self.stats = {_label_name(c): SetStats(volume=cells[c] * self.geom.cell_volume,
-                                               perimeter=perimeter[c] * area,
-                                               outside_jump=outside[c] * area)
+        self.stats = {names[c]: SetStats(volume=cells[c] * self.geom.cell_volume,
+                                         perimeter=perimeter[c] * area,
+                                         outside_jump=outside[c] * area)
                       for c in present}
         self.outside_jump, self.gap_boundary = outside_faces * area, gap_faces * area
-        self._kind_cells = [sum(cells[r::4]) for r in _REM_OF_KIND.tolist()]
+        self._kind_cells = np.bincount(kind, cells).tolist()  # 4 long: code 0 is vanishing
 
     def volume_by_kind(self, kind: int) -> float:
         return self._kind_cells[kind] * self.geom.cell_volume
 
-    def label_names(self) -> np.ndarray:
-        names = np.array([_label_name(c) for c in range(self._edges.size + 1)], object)
-        return names[self._codes]
-
     def to_csv(self) -> str:
         """Label raster, one row per leading index, cells comma-separated."""
-        rows = np.atleast_2d(self.label_names()).tolist()
+        rows = np.atleast_2d(self._gather("name")).tolist()
         return "\n".join(",".join(row) for row in rows) + "\n"
 
     def as_dict(self) -> dict:

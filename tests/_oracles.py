@@ -8,9 +8,9 @@ the array arithmetic it checks; the tests require the package to agree with
 it exactly.  ``compactness_report`` instead builds afresh, at every eps, the
 stages the package's report reuses along the eps ladder.  ``level_set``,
 ``interior_boundary``, ``perimeter``, ``boundary_outside_jump``,
-``jump_boundary_measure``, ``classify`` and ``directional_jump_measure`` are
-the bodies the package shipped before it dropped or merged them, kept as
-references for the tests.
+``jump_boundary_measure``, ``classify``, ``directional_jump_measure`` and
+``labels_svg`` are the bodies the package shipped before it dropped, merged
+or replaced them, kept as references for the tests.
 """
 
 from __future__ import annotations
@@ -568,6 +568,32 @@ def partition_csv(part) -> str:
     if part.geom.dim == 1:
         return ",".join(names.tolist()) + "\n"
     return "\n".join(",".join(row) for row in names.tolist()) + "\n"
+
+
+def labels_svg(part) -> str:
+    """The label raster as SVG, one cell, one palette lookup and one ``<rect>`` at a time."""
+    from crackgrid.partition import KIND_GAP_MINUS, KIND_GAP_PLUS, KIND_MAIN, KIND_VANISHING
+
+    cell = 8  # pixels per grid cell
+    shape = part.label_kind.shape
+    if len(shape) == 1:
+        shape = (shape[0], 1)
+    palette = {KIND_MAIN: ["#4477aa", "#66ccee", "#228833", "#ccbb44"],
+               KIND_GAP_PLUS: ["#ee6677"], KIND_GAP_MINUS: ["#aa3377"],
+               KIND_VANISHING: ["#dddddd"]}
+    w, h = shape[0] * cell, shape[1] * cell
+    parts = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{w}" height="{h}">']
+    kinds = part.label_kind.reshape(shape)
+    indices = part.label_index.reshape(shape)
+    for ix in range(shape[0]):
+        for iy in range(shape[1]):
+            kind, idx = int(kinds[ix, iy]), int(indices[ix, iy])
+            color = palette[kind][idx % len(palette[kind])]
+            y = (shape[1] - 1 - iy) * cell
+            parts.append(f'<rect x="{ix * cell}" y="{y}" width="{cell}" '
+                         f'height="{cell}" fill="{color}"/>')
+    parts.append("</svg>\n")
+    return "".join(parts)
 
 
 def volume_by_kind(part, kind: int) -> float:

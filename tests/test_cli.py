@@ -7,9 +7,13 @@ import sys
 import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from _fixtures import run_cli
+from _fixtures import random_fixture, run_cli
+from _oracles import labels_svg
+from crackgrid.cli import _labels_svg
+from crackgrid.partition import KIND_MAIN, DomainPartition, RadiusChoice
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -707,8 +711,11 @@ def test_float_overflow_exits_1(argv, doc):
     ["partition", "{u}", "--svg", "{tmp}/missing/p.svg"],
     ["verify", "{manifest}", "--svg", "{tmp}/missing/t.svg"],
     ["energy", "{u}", "--out", "{tmp}/missing/e.json"],
+    ["profile", "{u}", "--svg", "{tmp}/same", "--out", "{tmp}/same"],
+    ["partition", "{u}", "--svg", "{tmp}/same", "--out", "{tmp}/./same"],
+    ["verify", "{manifest}", "--svg", "{tmp}/same", "--out", "{tmp}/same"],
 ], ids=["out-missing-dir", "out-is-a-directory", "profile-svg", "partition-svg", "verify-svg",
-        "energy-out"])
+        "energy-out", "profile-svg-is-out", "partition-svg-is-out", "verify-svg-is-out"])
 def test_unwritable_output_exits_1(tmp_path: Path, argv):
     golden = Path(__file__).resolve().parent / "golden" / "stairs"
     names = {"u": golden / "u4.json", "manifest": golden / "manifest.json", "tmp": tmp_path}
@@ -717,6 +724,7 @@ def test_unwritable_output_exits_1(tmp_path: Path, argv):
     assert res.stderr.startswith("error: cannot write ")
     assert "Traceback" not in res.stderr
     assert res.stdout == ""
+    assert not (tmp_path / "same").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -743,6 +751,15 @@ def test_no_output_written_when_another_cannot_be(tmp_path: Path, argv):
         assert (res.returncode, res.stdout) == (1, "")
         assert res.stderr.startswith(f"error: cannot write {missing / 'p.svg'}")
         assert not report.exists()
+    # --svg and --out naming one file, also through a symlink: nothing written
+    report.write_text("old")
+    (tmp_path / "link").symlink_to(report)
+    for same in (report, tmp_path / "link"):
+        res = run_cli(*argv, "--svg", str(same), "--out", str(report))
+        assert (res.returncode, res.stdout) == (1, "")
+        assert res.stderr == f"error: cannot write {same}: --out names the same file\n"
+        assert report.read_text() == "old"
+    report.unlink()
     # both writable: both written, the report in full
     res = run_cli(*argv, "--svg", str(svg), "--out", str(report))
     assert res.returncode == 0 and res.stdout == ""
@@ -784,3 +801,26 @@ def test_svg_dash_is_a_file_named_dash(tmp_path: Path, monkeypatch, capsys):
     assert main(["profile", str(u), "--svg", "-"]) == 0
     assert (tmp_path / "-").read_text().startswith("<svg")
     assert json.loads(capsys.readouterr().out)["window"] == 1.0
+
+
+def test_labels_svg_matches_the_per_cell_loop():
+    """The label SVG, whose fills are one lookup over the whole raster, against
+    the per-cell palette loop it replaced, on partitions drawn for this test:
+    1D and 2D, 0 to 7 pieces, so the four main fills wrap."""
+    rng = np.random.default_rng(426)
+    seen = dict.fromkeys(("1D", "2D", "no piece", "main fills wrap", "all four kinds"), 0)
+    for k in range(60):
+        u = random_fixture(rng, dim=1 + k % 2, max_1d=120, max_2d=16)
+        n, lo = int(rng.integers(0, 8)), float(u.values.min())
+        step = max(float(u.values.max()) - lo, 1.0) / max(n, 1)
+        # one value slot per piece: a main band step / 2 wide, gaps step / 8, vanishing between
+        pieces = [RadiusChoice(lo + (j + 0.5) * step, step / 4, step / 4, 0.0, 0.0)
+                  for j in range(n)]
+        part = DomainPartition(u, pieces, window=step / 8)
+        assert _labels_svg(part) == labels_svg(part)
+        seen["1D" if u.geom.dim == 1 else "2D"] += 1
+        seen["no piece"] += not n
+        seen["main fills wrap"] += bool(np.any((part.label_kind == KIND_MAIN)
+                                               & (part.label_index >= 4)))
+        seen["all four kinds"] += len(np.unique(part.label_kind)) == 4
+    assert all(seen.values()), seen

@@ -35,6 +35,7 @@ from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import (
     CellSet,
+    GeometryMismatchError,
     GridFunction,
     GridGeometry,
     InvariantError,
@@ -394,6 +395,15 @@ class TestBuildPartition:
                 expected += 1
         assert part.volume_by_kind(KIND_VANISHING) == expected * u.geom.cell_volume
         assert part.outside_jump == 0.0  # every piece boundary is crack here
+
+    def test_omega_on_another_grid_is_rejected_whatever_its_cells(self):
+        u = fixture_staircase(4)
+        other = GridGeometry(u.geom.origin, 2 * u.geom.spacing, u.geom.shape)
+        radii = [RadiusChoice(0.0, 0.25, 0.25, 0.0, 0.0)]
+        for mask in (np.ones(other.shape, dtype=bool), np.arange(other.num_cells) > 0):
+            omega = CellSet(other, mask.reshape(other.shape))
+            with pytest.raises(GeometryMismatchError):
+                build_partition(u, radii, 1.0, omega)
 
     def test_single_bubble_covers_constant_function(self):
         geom = GridGeometry((0.0, 0.0), 0.25, (4, 4))
