@@ -318,20 +318,14 @@ class SequenceReport(Record):
         return not self.violations
 
 
-def _partition_of(v: GridFunction, prof: ConcentrationProfile, bubbles, ref_radius: float,
-                  omega: CellSet | None):
-    """The radii of ``bubbles`` and the partition they induce, at the
-    profile's window: ``(radii, partition)``."""
-    radii = select_radii(prof, bubbles, base_radius=ref_radius)
-    return radii, build_partition(v, radii, window=prof.window, omega=omega)
-
-
-def bubble_partition(v: GridFunction, prof: ConcentrationProfile, eps: float,
-                     ref_radius: float, gap_delta: float, omega: CellSet | None = None):
-    """Bubbles of ``v``'s profile, their radii and the partition they induce,
-    all at the profile's window: ``(decomposition, radii, partition)``."""
+def bubble_partition(v: GridFunction, eps: float, ref_radius: float, gap_delta: float,
+                     window: float = 1.0, omega: CellSet | None = None):
+    """Bubbles of ``v``'s profile on ``omega`` at ``window``, their radii and the
+    partition they induce: ``(decomposition, radii, partition)``."""
+    prof = concentration_profile(v, domain=omega, window=window)
     dec = extract_bubbles(prof, eps=eps, gap_delta=gap_delta, ref_radius=ref_radius)
-    return (dec, *_partition_of(v, prof, dec.bubbles, ref_radius, omega))
+    radii = select_radii(prof, dec.bubbles, base_radius=ref_radius)
+    return dec, radii, build_partition(v, radii, window=window, omega=omega)
 
 
 def _partition_stage(v: GridFunction, prof: ConcentrationProfile, bubbles, bulk_v: float,
@@ -339,7 +333,8 @@ def _partition_stage(v: GridFunction, prof: ConcentrationProfile, bubbles, bulk_
     """What one function's bubble centers fix, at any eps: ``(entry fields, certificate,
     rest mask, renormalized function, violations)``, at its profile's window."""
     window = prof.window
-    radii, part = _partition_of(v, prof, bubbles, ref_radius, omega)
+    radii = select_radii(prof, bubbles, base_radius=ref_radius)
+    part = build_partition(v, radii, window=window, omega=omega)
     w = renormalize(part)
     region = vanishing_region(v, bubbles, radius=ref_radius, omega=omega)
     # 2D only, certified at the region's own Lévy score
@@ -390,14 +385,17 @@ def compactness_report(functions: Sequence[GridFunction],
     against a fixed indicator dictionary with uniform p-norm bounds
     (weak-convergence proxy), directional jump LSC via slicing,
     boundary-outside-jump and vanishing-volume trends, and bubble tracks.
-    The eps ladder must be strictly decreasing; rest-region nesting across
-    consecutive ladder entries is reported cell-wise per function.
+    The eps ladder must be nonempty and strictly decreasing; rest-region
+    nesting across consecutive ladder entries is reported cell-wise per
+    function.
     """
     if not functions:
         raise ValueError("need at least one function")
     if not p > 1:
         raise ValueError("p must exceed 1")
     eps_ladder = list(eps_ladder)
+    if not eps_ladder:
+        raise ValueError("eps ladder must not be empty")
     if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
         raise ValueError("eps ladder must be strictly decreasing")
     geom = functions[0].geom

@@ -341,8 +341,8 @@ def _cmd_partition(args) -> int:
     _check_steps(args.ref_radius, gap_delta=args.gap_delta, window=args.window)
     u = _load(args.input)
     omega = _load(args.omega, "cell set", u.geom) if args.omega else None
-    f = concentration_profile(u, domain=omega, window=args.window)
-    dec, radii, part = bubble_partition(u, f, args.eps, args.ref_radius, args.gap_delta, omega)
+    dec, radii, part = bubble_partition(u, args.eps, args.ref_radius, args.gap_delta,
+                                        args.window, omega)
     svg = (args.svg, _labels_svg(part)) if args.svg else None
     if args.format == "csv":
         _emit(part.to_csv(), args.out, svg)
@@ -360,8 +360,8 @@ def _cmd_renormalize(args) -> int:
     datum = _load(args.datum, geom=u.geom) if args.datum else None
     omega = _load(args.omega, "cell set", u.geom) if args.omega else None
     v = u.subtract(datum) if datum is not None else u
-    f = concentration_profile(v, domain=omega, window=args.window)
-    _, _, part = bubble_partition(v, f, args.eps, args.ref_radius, args.gap_delta, omega)
+    _, _, part = bubble_partition(v, args.eps, args.ref_radius, args.gap_delta, args.window,
+                                  omega)
     w = perturbed_translation(part) if args.perturb else renormalize(part)
     _emit_json(grid_function_to_dict(w), args.out)
     return EXIT_OK

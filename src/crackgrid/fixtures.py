@@ -49,9 +49,7 @@ def fixture_staircase(n: int, cells_per_step: int = 1) -> GridFunction:
     geom = _plate(1.0 / m, nx, ny)
     values = np.zeros((nx, ny))
     strip = slice(m, m + c)
-    for iy in range(ny):
-        stair = iy // c + 1
-        values[strip, iy] = float(stair)
+    values[strip, :] = np.arange(ny) // c + 1
     values[m + c :, :] = float(n + 1)
     masks = [np.zeros(geom.face_shape(k), dtype=bool) for k in range(2)]
     masks[0][m - 1, :] = True  # x = 0

@@ -65,10 +65,6 @@ class ConcentrationProfile:
         object.__setattr__(self, "plateau_values", pv)
 
     @classmethod
-    def empty(cls, window: float = 1.0) -> "ConcentrationProfile":
-        return cls(np.empty(0), np.zeros(1), window)
-
-    @classmethod
     def from_intervals(cls, intervals: np.ndarray | Iterable[tuple[float, float, float]],
                        window: float = 1.0) -> "ConcentrationProfile":
         """Sum of ``weight * indicator((lo, hi))`` terms, merged exactly by one
@@ -206,35 +202,6 @@ class ConcentrationProfile:
         return new
 
 
-def _profile_faces(u: GridFunction, domain: CellSet | None):
-    """Per axis, the faces the profile is built from: the two values across
-    every gradient face, and the traces carried by jump faces (both sides,
-    first the lower ones, then the upper ones), domain edges and box faces
-    (the inside value)."""
-    if domain is not None:
-        require_same_geometry(u.geom, domain.geom)
-        inside = domain.mask
-    else:
-        inside = np.ones(u.geom.shape, dtype=bool)
-    out = []
-    for axis in range(u.geom.dim):
-        v_lo, v_hi = face_pairs(u.values, axis)
-        in_lo, in_hi = face_pairs(inside, axis)
-        both = in_lo & in_hi
-        grad = both & ~u.crack_mask(axis) & (v_lo != v_hi)
-        jump = both & u.jump_mask(axis)
-        traces = [
-            v_lo[jump],
-            v_hi[jump],
-            v_lo[in_lo & ~in_hi],  # domain edge, trace from below
-            v_hi[in_hi & ~in_lo],  # domain edge, trace from above
-            u.values.take(0, axis=axis)[inside.take(0, axis=axis)],  # grid box faces
-            u.values.take(-1, axis=axis)[inside.take(-1, axis=axis)],
-        ]
-        out.append((v_lo[grad], v_hi[grad], traces))
-    return out
-
-
 def concentration_profile(u: GridFunction, domain: CellSet | None = None,
                           window: float = 1.0) -> ConcentrationProfile:
     """Exact concentration profile of u, optionally restricted to a domain.
@@ -247,10 +214,27 @@ def concentration_profile(u: GridFunction, domain: CellSet | None = None,
     """
     if not window > 0:
         raise ValueError("window must be positive")
-    faces = _profile_faces(u, domain)
-    traces = [tr for _, _, axis_traces in faces for tr in axis_traces]
-    lo = [np.minimum(a, b) for a, b, _ in faces] + [tr - window for tr in traces]
-    hi = [np.maximum(a, b) for a, b, _ in faces] + [tr + window for tr in traces]
+    if domain is not None:
+        require_same_geometry(u.geom, domain.geom)
+        inside = domain.mask
+    else:
+        inside = np.ones(u.geom.shape, dtype=bool)
+    lo, hi = [], []
+    for axis in range(u.geom.dim):
+        v_lo, v_hi = face_pairs(u.values, axis)
+        in_lo, in_hi = face_pairs(inside, axis)
+        both = in_lo & in_hi
+        grad = both & ~u.crack_mask(axis) & (v_lo != v_hi)
+        jump = both & u.jump_mask(axis)
+        a, b = v_lo[grad], v_hi[grad]  # the two values across each gradient face
+        lo.append(np.minimum(a, b))
+        hi.append(np.maximum(a, b))
+        for tr in (v_lo[jump], v_hi[jump],  # jump faces, the trace from below, then above
+                   v_lo[in_lo & ~in_hi], v_hi[in_hi & ~in_lo],  # domain edges
+                   u.values.take(0, axis=axis)[inside.take(0, axis=axis)],  # grid box faces
+                   u.values.take(-1, axis=axis)[inside.take(-1, axis=axis)]):
+            lo.append(tr - window)
+            hi.append(tr + window)
     return ConcentrationProfile._from_ends(np.concatenate(lo), np.concatenate(hi),
                                            u.geom.face_area, window)
 

@@ -154,13 +154,17 @@ def cluster_plate(rng: np.random.Generator, clusters: int = 20, blocks: int = 5,
     return GridFunction(geom, values, [np.diff(block_id, axis=axis) != 0 for axis in range(2)])
 
 
+def empty_profile(window: float = 1.0) -> ConcentrationProfile:
+    """The zero profile: no breakpoints, one zero plateau."""
+    return ConcentrationProfile(np.empty(0), np.zeros(1), window)
+
+
 def staircase_pipeline(n, eps=0.1, ref=1.0, gap=2.0, w=1.0):
     """The staircase fixture, its profile at window ``w``, and its
-    ``bubble_partition``: ``(u, f, decomposition, radii, partition)``."""
+    ``bubble_partition`` at ``w``: ``(u, f, decomposition, radii, partition)``."""
     u = fixture_staircase(n)
-    f = concentration_profile(u, window=w)
-    dec, radii, part = bubble_partition(u, f, eps, ref, gap)
-    return u, f, dec, radii, part
+    dec, radii, part = bubble_partition(u, eps, ref, gap, window=w)
+    return u, concentration_profile(u, window=w), dec, radii, part
 
 
 def run_cli(*argv: str, stdin: str | None = None) -> subprocess.CompletedProcess:

@@ -29,7 +29,9 @@ from crackgrid.grid import (
     face_pairs,
     require_same_geometry,
 )
-from crackgrid.profile import ConcentrationProfile, _profile_faces
+from crackgrid.profile import ConcentrationProfile
+
+from _fixtures import empty_profile
 
 
 def upper_cell(face: tuple[int, ...]) -> tuple[int, ...]:
@@ -123,12 +125,37 @@ def boundary_outside_jump(S: CellSet, u: GridFunction) -> float:
     return count * u.geom.face_area
 
 
+def profile_faces(u: GridFunction, domain: CellSet | None = None):
+    """Every face a profile is built from, walked one face at a time, as
+    ``(kind, values)``: ``"gradient"`` and the two values across a non-crack
+    face between different values, both cells in the domain; ``"jump"`` and
+    the two traces of such a crack face; ``"edge"`` and the inside value of a
+    face with one cell in the domain; ``"box"`` and the value of a domain cell
+    on the grid box."""
+    shape = u.geom.shape
+    inside = np.ones(shape, dtype=bool) if domain is None else domain.mask
+    for axis in range(u.geom.dim):
+        cracks = u.crack_mask(axis)
+        for cell in np.ndindex(*u.geom.face_shape(axis)):
+            upper = upper_cell((axis, *cell))
+            a, b = float(u.values[cell]), float(u.values[upper])
+            if inside[cell] and inside[upper]:
+                if a != b:
+                    yield ("jump" if cracks[cell] else "gradient"), (a, b)
+            elif inside[cell] or inside[upper]:
+                yield "edge", (a if inside[cell] else b,)
+        cross = tuple(1 if k == axis else n for k, n in enumerate(shape))
+        for end in (0, shape[axis] - 1):
+            for idx in np.ndindex(*cross):
+                cell = idx[:axis] + (end,) + idx[axis + 1:]
+                if inside[cell]:
+                    yield "box", (float(u.values[cell]),)
+
+
 def jump_boundary_measure(u: GridFunction, domain: CellSet | None = None) -> float:
     """Measure of the jump set together with the (domain or box) boundary,
     each face counted once."""
-    # the first trace list holds one entry per jump face, the others one per
-    # boundary face; dropping it counts each face once
-    count = sum(tr.size for _, _, traces in _profile_faces(u, domain) for tr in traces[1:])
+    count = sum(kind != "gradient" for kind, _ in profile_faces(u, domain))
     return count * u.geom.face_area
 
 
@@ -158,19 +185,16 @@ def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: fl
 def concentration_profile(u: GridFunction, domain: CellSet | None = None,
                           window: float = 1.0) -> ConcentrationProfile:
     """The profile built from a Python list of ``(lo, hi, area)`` tuples, one
-    per gradient face and per trace, in the package's order, merged by the
+    per gradient face and per trace of :func:`profile_faces`, merged by the
     two-search :func:`from_intervals` below, which shares no code with the
     package's one sort of the ends."""
     area = u.geom.face_area
-    faces = _profile_faces(u, domain)
     intervals: list[tuple[float, float, float]] = []
-    for v_lo, v_hi, _ in faces:
-        lo = np.minimum(v_lo, v_hi).tolist()
-        hi = np.maximum(v_lo, v_hi).tolist()
-        intervals.extend((a, b, area) for a, b in zip(lo, hi))
-    for _, _, traces in faces:
-        for tr in traces:
-            intervals.extend((t - window, t + window, area) for t in tr.tolist())
+    for kind, values in profile_faces(u, domain):
+        if kind == "gradient":
+            intervals.append((min(values), max(values), area))
+        else:
+            intervals.extend((t - window, t + window, area) for t in values)
     return from_intervals(intervals, window)
 
 
@@ -803,7 +827,7 @@ def from_intervals(intervals, window: float = 1.0) -> ConcentrationProfile:
     rows = np.asarray(intervals, dtype=float).reshape(-1, 3)
     rows = rows[(rows[:, 1] > rows[:, 0]) & (rows[:, 2] != 0.0)]
     if not rows.size:
-        return ConcentrationProfile.empty(window)
+        return empty_profile(window)
     ends, weights = rows[:, :2] + 0.0, rows[:, 2]
     bp = np.unique(ends.ravel())
     lo_idx = np.searchsorted(bp, ends[:, 0])
@@ -846,7 +870,7 @@ def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v: float, ju
     """One function at one eps, every stage built afresh: ``(entry,
     decomposition, rest mask, renormalized function, violations)``."""
     window = prof.window
-    dec, radii, part = analysis.bubble_partition(v, prof, eps, ref_radius, gap_delta, omega)
+    dec, radii, part = analysis.bubble_partition(v, eps, ref_radius, gap_delta, window, omega)
     violations = [f"decomposition: {msg}" for msg in dec.validate()]
     w = analysis.renormalize(part)
     region = analysis.vanishing_region(v, dec.bubbles, radius=ref_radius, omega=omega)

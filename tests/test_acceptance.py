@@ -107,8 +107,7 @@ def test_criterion_04_runaway_pipeline():
     for n in (10.0, 100.0, 1000.0):
         u = fixture_runaway(n)
         seq.append(u)
-        f = concentration_profile(u, window=1.0)
-        dec, _, part = bubble_partition(u, f, 0.1, 1.0, 2.0)
+        dec, _, part = bubble_partition(u, 0.1, 1.0, 2.0, window=1.0)
         decs.append(dec)
         renorms.append(renormalize(part))
     zero = seq[0].with_values(np.zeros(seq[0].geom.shape))
@@ -172,8 +171,7 @@ def _contract_fixtures():
 def test_criterion_07_renormalization_contracts():
     ok = True
     for u in _contract_fixtures():
-        f = concentration_profile(u, window=1.0)
-        _, radii, part = bubble_partition(u, f, 0.1, 1.0, 2.0)
+        _, radii, part = bubble_partition(u, 0.1, 1.0, 2.0, window=1.0)
         w = renormalize(part)
         max_radius = max((max(c.r_minus, c.r_plus) for c in radii), default=0.0)
         ok &= float(np.max(np.abs(w.values))) <= max_radius + 1.0 + TOL

@@ -608,8 +608,10 @@ class TestCompactnessReport:
 
     def test_eps_ladder_must_decrease(self):
         u = fixture_runaway(1.0, resolution=8)
-        with pytest.raises(ValueError):
-            compactness_report([u], eps_ladder=[0.1, 0.2])
+        for ladder, message in (([0.1, 0.2], "eps ladder must be strictly decreasing"),
+                                ([], "eps ladder must not be empty")):  # else ok, checking nothing
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                compactness_report([u], eps_ladder=ladder)
 
 
 def _containers(x):

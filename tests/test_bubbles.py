@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from _fixtures import cluster_plate, random_profile
+from _fixtures import cluster_plate, empty_profile, random_profile
 
 from crackgrid import analysis
 from crackgrid.bubbles import (
@@ -59,7 +60,7 @@ class TestClassify:
         assert v.witness.mass >= (1 - 0.1) * f.total_mass()
 
     def test_empty_profile_is_vanishing(self):
-        v = classify(ConcentrationProfile.empty(), eps=0.5, ref_radius=1.0)
+        v = classify(empty_profile(), eps=0.5, ref_radius=1.0)
         assert v.kind == "vanishing"
 
     @pytest.mark.parametrize("kwargs,message", [
@@ -70,7 +71,7 @@ class TestClassify:
     def test_arguments_checked_as_extraction_checks_them(self, kwargs, message):
         # even where the verdict needs no radius: the empty profile is vanishing
         with pytest.raises(ValueError, match=message):
-            classify(ConcentrationProfile.empty(), **kwargs)
+            classify(empty_profile(), **kwargs)
 
     def test_matches_oracle_and_first_extracted_bubble(self):
         # bit for bit (by repr) the verdict of the body classify had before it
@@ -114,7 +115,7 @@ class TestClassify:
             "kind": "compactness",
             "witness": {"center": 0.0, "inner_radius": 2.0, "outer_radius": 4.0, "mass": 2.0},
             "split_masses": None, "total": 2.0, "eps": 0.1, "ref_radius": 2.0}
-        empty = classify(ConcentrationProfile.empty(), eps=0.5, ref_radius=1.0)
+        empty = classify(empty_profile(), eps=0.5, ref_radius=1.0)
         assert empty.as_dict() == {"kind": "vanishing", "witness": None, "split_masses": None,
                                    "total": 0.0, "eps": 0.5, "ref_radius": 1.0}
         split = classify(concentration_profile(fixture_staircase(16)), eps=0.1, ref_radius=1.0)
@@ -237,6 +238,30 @@ class TestExtract:
         assert res.returncode == 1
         assert res.stderr.rstrip().endswith(
             f"ValueError: gap_delta {gap!r} vanishes next to radius {ref!r}")
+
+    @pytest.mark.parametrize("change,messages", [
+        (lambda d: {"total_mass": 16.0},
+         ["bubble masses exceed the total mass", "mass bookkeeping identity fails"]),
+        (lambda d: {"bubbles": d.bubbles[::-1]}, ["bubble masses are not nonincreasing"]),
+        (lambda d: {"bubbles": (d.bubbles[0], dataclasses.replace(d.bubbles[1], center=3.0))},
+         ["bubbles at 0.0 and 3.0 violate separation"]),
+        (lambda d: {"vanishing_score": 3.0}, ["remainder is not weakly vanishing at eps"]),
+        (lambda d: {"vanishing_score": 3.0, "incomplete": True}, []),
+        (lambda d: {"leakages": (3.0, 1.0)},
+         ["uncapped bubble leaks more than eps * mass_scale", "mass bookkeeping identity fails"]),
+        (lambda d: {"leakages": (3.0, 1.0), "capped": (True, False)},
+         ["mass bookkeeping identity fails"]),
+        (lambda d: {"leakages": (0.5, 1.0)}, ["mass bookkeeping identity fails"]),
+    ])
+    def test_validate_names_each_broken_invariant(self, change, messages):
+        # the staircase's real decomposition: masses 8.25 and 8.0 at 0 and 17,
+        # leaks 1.0 each, remainder 5.5 of 23.75, score 1.0 against eps * total 2.375
+        dec = extract_bubbles(concentration_profile(fixture_staircase(16)), eps=0.1,
+                              gap_delta=2.0, ref_radius=1.0)
+        assert [b.mass for b in dec.bubbles] == [8.25, 8.0]
+        assert (dec.leakages, dec.capped, dec.vanishing_score) == ((1.0, 1.0), (False, False), 1.0)
+        assert dec.validate() == []
+        assert dataclasses.replace(dec, **change(dec)).validate() == messages
 
     def test_masses_descending(self):
         rng = np.random.default_rng(3)
@@ -373,7 +398,7 @@ class TestExtractOracle:
         for f in (concentration_profile(fixture_staircase(64)),
                   concentration_profile(fixture_runaway(50.0)),
                   ConcentrationProfile.from_intervals([(0.0, 2.0, 1.0)]),
-                  ConcentrationProfile.empty()):
+                  empty_profile()):
             self.assert_same(extract_bubbles(f, 0.05, 2.0, 1.0),
                              _oracles.extract_bubbles(f, 0.05, 2.0, 1.0))
 

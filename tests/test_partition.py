@@ -8,6 +8,7 @@ import pytest
 from _fixtures import (
     cluster_plate,
     dyadic_profile,
+    empty_profile,
     jumpy_fixture,
     random_fixture,
     staircase_pipeline,
@@ -61,7 +62,7 @@ from crackgrid.profile import ConcentrationProfile, concentration_profile
 
 class TestSelectRadii:
     def test_flat_profile_picks_midpoint(self):
-        f = ConcentrationProfile.empty()
+        f = empty_profile()
         choices = select_radii(f, [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0)], 1.0)
         # zero profile: any radius works, midpoint chosen, achieved value 0
         [c] = choices
@@ -156,12 +157,12 @@ class TestSelectRadiiOracle:
 
     def test_empty_profile(self):
         bubbles = [RadiusChoice(0.0, 1.0, 1.0, 0.0, 0.0), RadiusChoice(5.0, 1.0, 1.0, 0.0, 0.0)]
-        got = self.assert_matches_loops(ConcentrationProfile.empty(), bubbles, 1.0, 1.0)
+        got = self.assert_matches_loops(empty_profile(), bubbles, 1.0, 1.0)
         assert [(c.r_plus, c.achieved) for c in got] == [(1.5, 0.0), (1.5, 0.0)]
 
     def test_empty_bubble_list(self):
         f = ConcentrationProfile.from_intervals([(0.0, 2.0, 1.0)])
-        for g in (f, ConcentrationProfile.empty()):
+        for g in (f, empty_profile()):
             assert self.assert_matches_loops(g, [], 1.0, 1.0) == []
 
     def test_no_breakpoint_inside_any_band(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import _oracles
-from _fixtures import jumpy_fixture, random_fixture, random_mask, random_profile
+from _fixtures import empty_profile, jumpy_fixture, random_fixture, random_mask, random_profile
 from _oracles import jump_boundary_measure, value_at
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import CellSet, GridFunction, GridGeometry, crack_masks_from_rows
@@ -122,6 +122,19 @@ class TestProfileConstruction:
         u = fixture_runaway(1.0, resolution=8)
         with pytest.raises(ValueError):
             concentration_profile(u, window=0.0)
+
+    @pytest.mark.parametrize("bp,pv,message", [
+        ([0.0, 1.0], [0.0, 1.0], "need exactly one more plateau than breakpoints"),
+        ([0.0, 1.0], [0.0, 1.0, 2.0, 0.0], "need exactly one more plateau than breakpoints"),
+        ([1.0, 1.0], [0.0, 1.0, 0.0], "breakpoints must be strictly increasing"),
+        ([2.0, 1.0], [0.0, 1.0, 0.0], "breakpoints must be strictly increasing"),
+        ([0.0, 1.0], [1.0, 1.0, 0.0], "profile must vanish on the unbounded plateaus"),
+        ([0.0, 1.0], [0.0, 1.0, 0.5], "profile must vanish on the unbounded plateaus"),
+        ([0.0, 1.0, 2.0], [0.0, 1.0, -1.0, 0.0], "plateau values must be nonnegative"),
+    ])
+    def test_constructor_rejects_malformed_arrays(self, bp, pv, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ConcentrationProfile(np.array(bp), np.array(pv))
 
     @pytest.mark.parametrize("spacing", [0.1, 1 / 3, 0.25, 0.7])
     def test_matches_tuple_list_oracle(self, spacing):
@@ -255,7 +268,7 @@ class TestProfileQueries:
         # the scan's first best() against the direct candidate scan it replaced
         rng = np.random.default_rng(2027)
         kinds = {"empty": 0, "nonempty": 0}
-        cases = [ConcentrationProfile.empty(), ConcentrationProfile.empty(0.25)]
+        cases = [empty_profile(), empty_profile(0.25)]
         cases += [random_profile(rng) for _ in range(300)]
         for f in cases:
             kinds["empty" if f.breakpoints.size == 0 else "nonempty"] += 1
@@ -269,7 +282,7 @@ class TestProfileQueries:
     def test_empty_and_one_breakpoint_arrays(self):
         # numpy's empty-array results are the values the queries returned
         # from their own empty branches: a zero mass, height and Levy maximum
-        empty = ConcentrationProfile.empty(0.5)
+        empty = empty_profile(0.5)
         for rows in (np.empty((0, 3)), [], [(2.0, 2.0, 1.0)], [(1.0, 0.0, 3.0)],
                      [(0.0, 1.0, 0.0)], [(0.0, 1.0, 0.5), (0.0, 1.0, -0.5)]):
             f = ConcentrationProfile.from_intervals(rows, window=0.5)
@@ -446,7 +459,7 @@ class TestSurgery:
     def test_mass_below_at_infinity(self):
         rng = np.random.default_rng(31)
         inf = np.inf
-        for f in [ConcentrationProfile.empty()] + [random_profile(rng) for _ in range(40)]:
+        for f in [empty_profile()] + [random_profile(rng) for _ in range(40)]:
             bp = f.breakpoints
             pts = [-inf, inf] + ([float(bp[0]), float(bp[-1]), float(bp.mean())] if bp.size else [])
             mixed = np.array(pts)
