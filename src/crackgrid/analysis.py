@@ -109,30 +109,38 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
                          "exponent degenerates in 1D)")
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
+    if not window > 0:
+        raise ValueError("window must be positive")
+    if not radius > 0:
+        raise ValueError("radius must be positive")
     m = region.volume()
+    if m == 0.0:  # the region's profile is empty, with score 0.0: nothing to build
+        return VanishingCertificate(
+            alpha=1, cut_points=(), slab_volumes=(0.0,), gap_volumes=(),
+            gap_perimeters=(), measured_volume=0.0, bound=0.0,
+            eps=1e-12 if eps is None else eps,
+            radius=radius, boundary_measure=0.0, region_perimeter=0.0,
+            iso_constant=grid_iso_constant(), slab_correction=0.0,
+            chain_lhs=0.0, chain_rhs=0.0, trivial=True)
     prof = concentration_profile(u, domain=region, window=window)
     score, center = levy_concentration(prof, radius)
     if eps is None:
         eps = max(score, 1e-12)
-    if m == 0.0:
-        return VanishingCertificate(
-            alpha=1, cut_points=(), slab_volumes=(0.0,), gap_volumes=(),
-            gap_perimeters=(), measured_volume=0.0, bound=0.0, eps=eps,
-            radius=radius, boundary_measure=0.0, region_perimeter=0.0,
-            iso_constant=grid_iso_constant(), slab_correction=0.0,
-            chain_lhs=0.0, chain_rhs=0.0, trivial=True)
     if score > eps + 1e-12:
         raise InvariantError(
             f"region profile is not weakly vanishing at eps={eps}: the window "
             f"of radius {radius} centered at {center} holds mass {score}")
 
     order = np.sort(u.values[region.mask])
-    alpha = max(1, min(math.ceil(1.0 / eps), np.unique(order).size))
+    alpha = max(1, min(math.ceil(1.0 / eps), 1 + np.count_nonzero(order[1:] != order[:-1])))
     # per target volume, the smallest value with at least that volume below it
     cum = np.arange(1, order.size + 1) * u.geom.cell_volume
     q = np.minimum(cum.searchsorted(np.arange(1, alpha) * m / alpha, side="left"), order.size - 1)
     above = order.searchsorted(order[q], side="right")
-    cuts = np.unique(order[np.minimum(above, order.size - 1)]).tolist()
+    cuts = order[np.minimum(above, order.size - 1)]  # ascending, as q is
+    first = np.ones(cuts.size, dtype=bool)  # the first of each run of equal cuts
+    np.not_equal(cuts[1:], cuts[:-1], out=first[1:])
+    cuts = cuts[first].tolist()
     alpha_eff = len(cuts) + 1
 
     edges = [-math.inf] + cuts + [math.inf]

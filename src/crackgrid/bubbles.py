@@ -148,6 +148,14 @@ def _heavy_adjacent_strip(f: ConcentrationProfile, lo: float, hi: float,
                for left, right in ((a, lo), (hi, b)))
 
 
+def _integrals(f: ConcentrationProfile, *windows: tuple[float, float]) -> list[float]:
+    """``f.integrate(a, b)`` over each window ``(a, b)`` with ``a <= b``, from one
+    ``mass_below`` call: the same subtractions, so the same bits, and 0.0 where
+    the two points round together, as ``integrate`` gives."""
+    below = f.mass_below([t for window in windows for t in window]).tolist()
+    return [above - under for under, above in zip(below[0::2], below[1::2])]
+
+
 def _grow_window(f: ConcentrationProfile, center: float, ref_radius: float,
                  gap_delta: float, leak_threshold: float,
                  radius_cap: float = math.inf,
@@ -166,7 +174,8 @@ def _grow_window(f: ConcentrationProfile, center: float, ref_radius: float,
         if not r + gap_delta > r:  # the window would never grow
             raise ValueError(f"gap_delta {gap_delta!r} vanishes next to radius {r!r}")
         lo, hi = center - r - gap_delta, center + r + gap_delta
-        annulus = f.integrate(lo, hi) - f.integrate(center - r, center + r)
+        outer, inner = _integrals(f, (lo, hi), (center - r, center + r))
+        annulus = outer - inner
         if annulus <= leak_threshold and not _heavy_adjacent_strip(
                 f, lo, hi, ref_radius, leak_threshold, zones):
             return r, r + gap_delta, False
@@ -184,8 +193,9 @@ def _next_bubble(f: ConcentrationProfile, center: float, found, gap_delta: float
     zones = [(b.center - b.outer_radius, b.center + b.outer_radius) for b, _, _ in found]
     inner, outer, capped = _grow_window(f, center, ref_radius, gap_delta, threshold,
                                         radius_cap=cap, zones=zones)
-    captured = f.integrate(center - inner, center + inner)
-    leakage = f.integrate(center - outer, center + outer) - captured
+    captured, removed = _integrals(f, (center - inner, center + inner),
+                                   (center - outer, center + outer))
+    leakage = removed - captured
     return Bubble(center, inner, outer, captured), leakage, capped
 
 
@@ -230,41 +240,56 @@ def extract_bubbles(f: ConcentrationProfile, eps: float, gap_delta: float,
 
 def _extract_ladder(f: ConcentrationProfile, eps_ladder: Sequence[float], gap_delta: float,
                     ref_radius: float, max_bubbles: int = 64) -> list[BubbleDecomposition]:
-    """:func:`extract_bubbles` at every eps of the ladder, from one Lévy scan
-    of ``f``: each rung but the last extracts on a copy of it, whose removals
-    leave the scan as it is.  A rung that removes no window keeps ``f`` as
-    its remainder, whose vanishing score is then the scan's first ``best()``."""
+    """:func:`extract_bubbles` at every eps of the ladder, in lockstep from one
+    Lévy scan of ``f``.  At each scan state every rung that still runs takes its
+    own greedy step; rungs whose steps are equal share one removal and one
+    ``best()``, since equal steps on one state leave equal states.  Each group
+    but the last steps on a copy of the scan, whose removals leave the scan as
+    it is.  A rung that stops keeps the scan's profile as its remainder; each
+    distinct remainder is scored once, and ``f`` itself by the first ``best()``."""
     params = [ExtractionParams(eps, gap_delta, ref_radius) for eps in eps_ladder]
     if max_bubbles < 0:
         raise ValueError(f"max_bubbles must be at least 0, got {max_bubbles}")
     total = f.total_mass()
-    initial = _LevyScan(f, ref_radius)
-    first = initial.best()
-    out = []
-    for j, rung in enumerate(params):
-        # the last rung extracts on the scan itself: nothing reads it afterwards
-        scan = initial if j == len(params) - 1 else copy.copy(initial)
-        (mass, center), found = first, []
-        threshold = rung.eps * total
-        while total > 0 and mass > threshold and len(found) < max_bubbles:
-            found.append(_next_bubble(scan.f, center, found, gap_delta, ref_radius, threshold))
-            b = found[-1][0]
+    scan = _LevyScan(f, ref_radius)
+    first = scan.best()
+    ends = [None] * len(params)  # per rung: (steps, remainder, last best mass)
+    states = [(scan, first, [], range(len(params)))]  # (scan, its best(), steps, rungs)
+    while states:
+        scan, (mass, center), found, rungs = states.pop()
+        groups: dict[tuple[Bubble, float, bool], list[int]] = {}  # step -> its rungs
+        for j in rungs:
+            threshold = params[j].eps * total
+            if total > 0 and mass > threshold and len(found) < max_bubbles:
+                step = _next_bubble(scan.f, center, found, gap_delta, ref_radius, threshold)
+                groups.setdefault(step, []).append(j)
+            else:
+                ends[j] = found, scan.f, mass
+        for k, (step, group) in enumerate(groups.items()):
+            # the last group steps on the scan itself: nothing reads it afterwards
+            moved = scan if k == len(groups) - 1 else copy.copy(scan)
+            b = step[0]
             reach = b.inner_radius + ref_radius + gap_delta
-            scan.remove(center - b.outer_radius, center + b.outer_radius,
-                        center - reach, center + reach)
-            mass, center = scan.best()
-        current, scan = scan.f, None  # a copy goes before the remainder's scan is built
-        score = first[0] if current is f else levy_concentration(current, ref_radius)[0]
+            moved.remove(center - b.outer_radius, center + b.outer_radius,
+                         center - reach, center + reach)
+            states.append((moved, moved.best(), found + [step], group))
+    scan = moved = None  # the scans go before the remainders' are built
+    scores = {id(f): first[0]}
+    out = []
+    for rung, (found, current, mass) in zip(params, ends):
+        if id(current) not in scores:
+            scores[id(current)] = levy_concentration(current, ref_radius)[0]
         order = sorted(range(len(found)), key=lambda i: (-found[i][0].mass, found[i][0].center))
         out.append(BubbleDecomposition(
             bubbles=tuple(found[i][0] for i in order),
             remainder=current,
-            vanishing_score=score,
+            vanishing_score=scores[id(current)],
             params=rung,
             total_mass=total,
             leakages=tuple(found[i][1] for i in order),
             capped=tuple(found[i][2] for i in order),
-            incomplete=len(found) >= max_bubbles and mass > threshold,  # stopped by max_bubbles
+            # stopped by max_bubbles
+            incomplete=len(found) >= max_bubbles and mass > rung.eps * total,
         ))
     return out
 

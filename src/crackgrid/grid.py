@@ -160,14 +160,16 @@ def crack_masks_from_rows(geom: GridGeometry, rows) -> tuple[np.ndarray, ...]:
         axis, cells = arr[:, 0], arr[:, 1:]
         if np.any((axis < 0) | (axis >= geom.dim)):
             raise ValueError(f"crack axis out of range for dim {geom.dim}")
-        # along its own axis the lower cell of an interior face stops one short
-        top = np.array(geom.shape) - 1 - (axis[:, None] == np.arange(geom.dim))
-        outside = np.any((cells < 0) | (cells > top), axis=1)
-        if np.any(outside):
+        try:  # each face's flat index in its axis's mask, which checks the range
+            for k, mask in enumerate(masks):
+                faces = np.ravel_multi_index(tuple(cells[axis == k].T), mask.shape)
+                mask.reshape(-1)[faces] = True  # a view: the mask is contiguous
+        except ValueError:
+            # along its own axis the lower cell of an interior face stops one short
+            top = np.array(geom.shape) - 1 - (axis[:, None] == np.arange(geom.dim))
+            outside = np.any((cells < 0) | (cells > top), axis=1)
             raise ValueError(f"crack {arr[np.argmax(outside)].tolist()} is not an "
-                             f"interior face of shape {geom.shape}")
-        for k, mask in enumerate(masks):
-            mask[tuple(cells[axis == k].T)] = True
+                             f"interior face of shape {geom.shape}") from None
         if face_count(masks) != len(rows):
             raise ValueError("duplicate crack entries")
     return masks

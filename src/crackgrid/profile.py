@@ -285,7 +285,7 @@ class _LevyScan:
     ``remove`` replaces the arrays and the edge list instead of writing into
     them, and ``best()`` writes nothing, so a shallow copy of a scan is a
     scan of its own: extraction along an eps ladder scans the profile once
-    and copies that scan for each rung but the last.
+    and copies that scan where the greedy steps of its rungs part.
     """
 
     def __init__(self, f: ConcentrationProfile, radius: float):

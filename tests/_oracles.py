@@ -182,6 +182,23 @@ def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: fl
     return measure, chain_rhs, perimeter(region), tuple(len(g) * area for g in gaps)
 
 
+def certificate_cuts(u: GridFunction, region: CellSet, eps: float) -> tuple[int, list[float]]:
+    """(alpha, cut points) of a vanishing certificate at eps, by loops over the
+    region's sorted values: alpha capped at the size of their set, and per
+    target volume ``j * m / alpha`` the value above the first one with at least
+    that volume at or below it (the largest value where none is above), the
+    cuts deduplicated through a set."""
+    order = sorted(u.values[region.mask].tolist())
+    m, cell = region.volume(), u.geom.cell_volume
+    alpha = max(1, min(math.ceil(1.0 / eps), len(set(order))))
+    cuts = set()
+    for j in range(1, alpha):
+        i = next((i for i in range(len(order)) if (i + 1) * cell >= j * m / alpha),
+                 len(order) - 1)
+        cuts.add(next((v for v in order if v > order[i]), order[-1]))
+    return alpha, sorted(cuts)
+
+
 def concentration_profile(u: GridFunction, domain: CellSet | None = None,
                           window: float = 1.0) -> ConcentrationProfile:
     """The profile built from a Python list of ``(lo, hi, area)`` tuples, one
@@ -348,6 +365,9 @@ class _MaskedIntegrals:
 
     def __init__(self, f: ConcentrationProfile):
         self.f = f
+
+    def mass_below(self, t) -> np.ndarray | float:
+        return masked_mass_below(self.f, t)
 
     def integrate(self, a: float, b: float) -> float:
         if not b > a:

@@ -2,12 +2,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from _fixtures import cluster_plate, jumpy_fixture, random_fixture, random_mask
-from _oracles import certificate_face_measures
+from _oracles import certificate_cuts, certificate_face_measures
 from _oracles import compactness_report as oracle_compactness_report
 from _oracles import directional_jump_measure
 from _oracles import gradient_pairings as oracle_gradient_pairings
@@ -65,12 +67,33 @@ class TestVanishingCertificate:
             assert cert.certified
             assert cert.chain_ok
 
-    def test_empty_region_trivially_certified(self):
+    def test_empty_region_trivially_certified(self, monkeypatch):
+        # the empty region's profile is empty, with score 0.0: none is built,
+        # and the argument errors its profile and scan would raise stay
+        def unused(*args, **kwargs):
+            raise AssertionError("an empty region needs no profile or scan")
+
+        monkeypatch.setattr(analysis, "concentration_profile", unused)
+        monkeypatch.setattr(analysis, "levy_concentration", unused)
         u = fixture_runaway(5.0)
         region = CellSet(u.geom, np.zeros(u.geom.shape, dtype=bool))
         cert = vanishing_certificate(u, region, eps=0.5)
         assert cert.trivial and cert.certified
         assert cert.measured_volume == 0.0
+        for eps in (None, 0.5):
+            got = vanishing_certificate(u, region, eps=eps, radius=0.75, window=0.5).as_dict()
+            assert got == {
+                "alpha": 1, "cut_points": [], "slab_volumes": [0.0], "gap_volumes": [],
+                "gap_perimeters": [], "measured_volume": 0.0, "bound": 0.0,
+                "eps": 1e-12 if eps is None else eps, "radius": 0.75, "boundary_measure": 0.0,
+                "region_perimeter": 0.0, "iso_constant": 0.0625, "slab_correction": 0.0,
+                "chain_lhs": 0.0, "chain_rhs": 0.0, "trivial": True, "certified": True,
+                "chain_ok": True}
+        for kwargs, message in ((dict(window=0.0), "window must be positive"),
+                                (dict(radius=0.0), "radius must be positive"),
+                                (dict(window=0.0, radius=0.0), "window must be positive")):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                vanishing_certificate(u, region, eps=0.5, **kwargs)
 
     def test_as_dict_is_fields_and_flags(self):
         u = fixture_staircase(16)
@@ -148,6 +171,29 @@ class TestVanishingCertificate:
             assert (cert.region_perimeter, cert.gap_perimeters) == (region_perim, gap_perims)
             cut += cert.alpha > 1
         assert cut >= 4
+
+    def test_cuts_match_the_sorted_loop(self):
+        # few levels with skewed volumes: the distinct-value cap on alpha binds,
+        # and several target volumes land on one level, so their cuts merge
+        rng = np.random.default_rng(59)
+        seen = Counter()
+        for _ in range(60):
+            levels = int(rng.integers(2, 9))
+            geom = GridGeometry((0.0, 0.0), float(rng.choice([1 / 4096, 1 / 512, 1 / 64])),
+                                (12, 12))
+            share = rng.dirichlet(np.full(levels, 0.3))
+            u = GridFunction(geom, 40.0 * rng.choice(levels, size=geom.shape, p=share))
+            region = random_mask(rng, geom, p=0.8)
+            if region.volume() == 0.0:
+                continue
+            cert = vanishing_certificate(u, region, eps=None, radius=1.0, window=0.25)
+            alpha, cuts = certificate_cuts(u, region, cert.eps)
+            assert list(cert.cut_points) == cuts
+            distinct = len(set(u.values[region.mask].tolist()))
+            seen["cap binds"] += alpha == distinct < math.ceil(1 / cert.eps)
+            seen["eps binds"] += alpha == math.ceil(1 / cert.eps) < distinct
+            seen["cuts merge"] += len(cuts) < alpha - 1
+        assert min(seen.values()) >= 5, seen
 
     def make_many_jumps_fixture(self, m: int):
         """Every cell holds its own far-separated value, every face cracked.

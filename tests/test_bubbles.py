@@ -15,7 +15,7 @@ import pytest
 import _oracles
 from _fixtures import cluster_plate, empty_profile, random_profile
 
-from crackgrid import analysis
+from crackgrid import analysis, bubbles
 from crackgrid.bubbles import (
     _extract_ladder,
     classify,
@@ -420,45 +420,76 @@ class TestLadder:
         monkeypatch.setattr(_LevyScan, "__init__", noting)
         return built
 
-    @staticmethod
-    def state(scan: _LevyScan) -> tuple:
-        arrays = (scan.f.breakpoints, scan.f.plateau_values, scan.centers, scan.masses)
-        return scan.f, tuple(a.tobytes() for a in arrays), list(scan.edges)
-
     def profiles(self):
         rng = np.random.default_rng(2030)
         yield from (random_profile(rng) for _ in range(60))
+        yield from (dyadic_cluster_profile(rng, int(rng.integers(2, 6)), 6.0)[0]
+                    for _ in range(30))
         for spacing in (8.0, 5.0):
             yield concentration_profile(cluster_plate(rng, spacing=spacing))
 
-    def test_every_rung_is_a_fresh_extraction(self, monkeypatch):
-        built, remove = self.scans_built(monkeypatch), _LevyScan.remove
-        watched = {}  # while a ladder runs: the state of a scan as built
+    @staticmethod
+    def sharing(seqs) -> str:
+        """How the rungs' step sequences share: all agree, part at the first
+        step, part after a shared prefix, or only stop at different points."""
+        parts = [next((d for d, (x, y) in enumerate(zip(a, b)) if x != y), None)
+                 for a, b in zip(seqs, seqs[1:])]
+        if any(d == 0 for d in parts):
+            return "part at the first step"
+        if any(d is not None for d in parts):
+            return "part after a shared prefix"
+        if len(set(seqs)) == 1:
+            return "all rungs agree" if seqs[0] else "all stop at once"
+        return "stop at different steps"
 
-        def checked(scan, *args):
-            # the rungs but the last remove on copies, and the last on the scan
-            # itself: up to that scan's own first removal, it is as it was built
-            if watched and (scan is not built[0] or not scan.edges):
-                assert self.state(built[0]) == watched["state"]
-                seen["initial checked"] += 1
+    def test_every_rung_is_a_fresh_extraction(self, monkeypatch):
+        # the rungs step in lockstep: one removal per distinct step of the rung
+        # tree (the distinct prefixes of their step sequences), and one remainder
+        # scan per distinct remainder, shared by the rungs that end on it
+        removals, scored, steps = [], [], []
+        remove, next_bubble = _LevyScan.remove, bubbles._next_bubble
+
+        def counted_remove(scan, *args):
+            removals.append(args)
             remove(scan, *args)
 
-        monkeypatch.setattr(_LevyScan, "remove", checked)
+        def noted_step(*args):
+            steps.append(next_bubble(*args))
+            return steps[-1]
+
+        def scored_remainder(f, radius):
+            scored.append(f)
+            return levy_concentration(f, radius)
+
+        monkeypatch.setattr(_LevyScan, "remove", counted_remove)
+        monkeypatch.setattr(bubbles, "_next_bubble", noted_step)
+        monkeypatch.setattr(bubbles, "levy_concentration", scored_remainder)
         seen = Counter()
         for f in self.profiles():
-            for gap, radius, max_bubbles in ((2.0, 1.0, 64), (0.5, 1 / 3, 2)):
-                watched["state"] = self.state(_LevyScan(f, radius))
-                built.clear()
+            for gap, radius, max_bubbles in ((2.0, 1.0, 64), (0.5, 1 / 3, 2), (1.0, 0.5, 64)):
+                seqs = []
+                for eps in self.LADDER:  # each rung's steps, taken one rung at a time
+                    steps.clear()
+                    extract_bubbles(f, eps, gap, radius, max_bubbles)
+                    seqs.append(tuple(steps))
+                removals.clear()
+                scored.clear()
                 ladder = _extract_ladder(f, self.LADDER, gap, radius, max_bubbles)
-                watched.clear()
-                for eps, got in zip(self.LADDER, ladder):
+                tree = {seq[:d] for seq in seqs for d in range(1, len(seq) + 1)}
+                assert len(removals) == len(tree)
+                assert len(scored) == len({seq for seq in seqs if seq})
+                for eps, seq, got in zip(self.LADDER, seqs, ladder):
                     want = extract_bubbles(f, eps, gap, radius, max_bubbles)
                     TestExtractOracle.assert_same(got, want)
                     assert got.params == want.params
                     assert got.vanishing_score == want.vanishing_score
-                    seen["removed" if got.remainder is not f else "kept"] += 1
+                    assert (got.remainder is f) == (not seq)
+                    assert all((got.remainder is other.remainder) == (seq == other_seq)
+                               for other_seq, other in zip(seqs, ladder))
                     seen["incomplete"] += got.incomplete
-        assert min(seen.values()) >= 10, seen
+                seen[self.sharing(seqs)] += 1
+        shared = ("all rungs agree", "part after a shared prefix", "part at the first step")
+        assert min(seen[kind] for kind in shared) >= 10 and len(seen) == 6, seen
 
     def test_rungs_match_the_rebuilding_oracle(self):
         for f in self.profiles():

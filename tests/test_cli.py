@@ -824,3 +824,29 @@ def test_labels_svg_matches_the_per_cell_loop():
                                                & (part.label_index >= 4)))
         seen["all four kinds"] += len(np.unique(part.label_kind)) == 4
     assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "stairs/manifest.json"],
+    ["vanishing", "staircase16/fixture.json", "--region", "staircase16/region.json",
+     "--eps", "0.5"],
+])
+def test_verify_and_vanishing_leave_numpy_ma_unloaded(argv):
+    # numpy 2's np.unique without return_counts imports numpy.ma, which every
+    # fresh process would pay for; the certificate dedupes its sorted values itself
+    golden = Path(__file__).resolve().parent / "golden"
+    argv = [str(golden / a) if a.endswith(".json") else a for a in argv]
+    code = ("import contextlib, io, sys\n"
+            "import numpy\n"
+            "print('numpy.ma' in sys.modules)\n"
+            "from crackgrid.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, 'numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=60)
+    with_numpy, after = res.stdout.splitlines()
+    if with_numpy == "True":
+        pytest.skip("import numpy loads numpy.ma here")
+    assert after == "0 False"

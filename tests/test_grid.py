@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -377,6 +379,19 @@ class TestValidation:
         geom = GridGeometry((0.0,), 1.0, (3,))
         with pytest.raises(ValueError):
             GridFunction(geom, [0.0, 1.0, 2.0], crack_masks_from_rows(geom, [[0, 2]]))
+
+    @pytest.mark.parametrize("shape,rows,named", [
+        ((3, 4), [[0, 0, 0], [1, 2, 3], [0, 2, 0], [1, -1, 0]], [1, 2, 3]),
+        ((3, 4), [[1, 0, 0], [0, 0, -1], [1, 0, 3]], [0, 0, -1]),
+        ((1, 4), [[1, 0, 2], [0, 0, 0]], [0, 0, 0]),  # no interior face along axis 0
+        ((5,), [[0, 3], [0, 4]], [0, 4]),
+    ])
+    def test_face_outside_names_the_first_such_row(self, shape, rows, named):
+        # the row named is the first outside in row order, whichever axis it is on
+        geom = GridGeometry((0.0,) * len(shape), 1.0, shape)
+        with pytest.raises(ValueError, match=rf"^crack {re.escape(str(named))} is not an "
+                                             rf"interior face of shape {re.escape(str(shape))}$"):
+            crack_masks_from_rows(geom, rows)
 
     def test_cell_count_does_not_overflow(self):
         geom = GridGeometry((0.0, 0.0), 1.0, (2**32, 2**32))
