@@ -132,30 +132,6 @@ class TrichotomyVerdict(Record):
     ref_radius: float
 
 
-def _heavy_adjacent_strip(f: ConcentrationProfile, lo: float, hi: float,
-                          ref_radius: float, threshold: float,
-                          zones: Sequence[tuple[float, float]]) -> bool:
-    """Is a heavy narrow strip trapped between (lo, hi) and an existing zone?
-
-    The strips are (a, lo) and (hi, b), from the nearest zone edge on each
-    side (or -inf and inf, where no zone lies there).  Strips at least one
-    window diameter wide still admit an allowed center, so only narrower
-    ones can be stranded by the separation constraint.
-    """
-    a = max((z_hi for _, z_hi in zones if z_hi <= lo), default=-math.inf)
-    b = min((z_lo for z_lo, _ in zones if z_lo >= hi), default=math.inf)
-    return any(0 < right - left < 2 * ref_radius and f.integrate(left, right) > threshold
-               for left, right in ((a, lo), (hi, b)))
-
-
-def _integrals(f: ConcentrationProfile, *windows: tuple[float, float]) -> list[float]:
-    """``f.integrate(a, b)`` over each window ``(a, b)`` with ``a <= b``, from one
-    ``mass_below`` call: the same subtractions, so the same bits, and 0.0 where
-    the two points round together, as ``integrate`` gives."""
-    below = f.mass_below([t for window in windows for t in window]).tolist()
-    return [above - under for under, above in zip(below[0::2], below[1::2])]
-
-
 def _grow_window(f: ConcentrationProfile, center: float, ref_radius: float,
                  gap_delta: float, leak_threshold: float,
                  radius_cap: float = math.inf,
@@ -163,6 +139,12 @@ def _grow_window(f: ConcentrationProfile, center: float, ref_radius: float,
     """Grow the window from ref_radius in gap_delta steps until the annulus
     (R, R+gap_delta] carries at most leak_threshold mass and no heavy narrow
     strip is trapped against a previously removed zone (or the cap binds).
+
+    The strips are (a, lo) and (hi, b) beside the grown window (lo, hi), from
+    the nearest zone edge on each side; one at least one window diameter wide
+    still admits an allowed center, so only narrower ones can be stranded by
+    the separation constraint.  Each growth step reads the annulus's two
+    windows and those strips in one ``window_masses`` call.
 
     Returns (inner, outer, capped).  A cap exit lands the window flush
     against the capping zone, so the strip on that side is gone, but mass
@@ -174,10 +156,12 @@ def _grow_window(f: ConcentrationProfile, center: float, ref_radius: float,
         if not r + gap_delta > r:  # the window would never grow
             raise ValueError(f"gap_delta {gap_delta!r} vanishes next to radius {r!r}")
         lo, hi = center - r - gap_delta, center + r + gap_delta
-        outer, inner = _integrals(f, (lo, hi), (center - r, center + r))
-        annulus = outer - inner
-        if annulus <= leak_threshold and not _heavy_adjacent_strip(
-                f, lo, hi, ref_radius, leak_threshold, zones):
+        a = max((z_hi for _, z_hi in zones if z_hi <= lo), default=-math.inf)
+        b = min((z_lo for z_lo, _ in zones if z_lo >= hi), default=math.inf)
+        windows = [(lo, hi), (center - r, center + r)]
+        windows += [(x, y) for x, y in ((a, lo), (hi, b)) if 0 < y - x < 2 * ref_radius]
+        outer, inner, *strips = f.window_masses(list(zip(*windows))).tolist()
+        if outer - inner <= leak_threshold and not any(m > leak_threshold for m in strips):
             return r, r + gap_delta, False
         r += gap_delta
     return r, r + gap_delta, True
@@ -193,8 +177,8 @@ def _next_bubble(f: ConcentrationProfile, center: float, found, gap_delta: float
     zones = [(b.center - b.outer_radius, b.center + b.outer_radius) for b, _, _ in found]
     inner, outer, capped = _grow_window(f, center, ref_radius, gap_delta, threshold,
                                         radius_cap=cap, zones=zones)
-    captured, removed = _integrals(f, (center - inner, center + inner),
-                                   (center - outer, center + outer))
+    captured, removed = f.window_masses([(center - inner, center - outer),
+                                         (center + inner, center + outer)]).tolist()
     leakage = removed - captured
     return Bubble(center, inner, outer, captured), leakage, capped
 

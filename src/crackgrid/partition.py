@@ -108,8 +108,7 @@ def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble],
     hits = (values == least.repeat(pieces)).nonzero()[0]
     best = hits[owner[hits].searchsorted(np.arange(n))]  # each bubble's first minimum
     # the interval average integrates each term over its swept levels
-    below = f.mass_below(ends)
-    swept = (below[1] - below[0]).reshape(4, n)
+    swept = f.window_masses(ends).reshape(4, n)
     average = (0.0 + swept[0] + swept[1] + swept[2] + swept[3]) / (hi - lo)
     return [RadiusChoice(b.center, r_best, r_best, val, avg) for b, r_best, val, avg in zip(
         bubbles, mid[best].tolist(), values[best].tolist(), average.tolist())]

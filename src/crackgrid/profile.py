@@ -48,14 +48,16 @@ class ConcentrationProfile:
         pv = np.array(self.plateau_values, dtype=float, copy=True)
         if bp.size + 1 != pv.size:
             raise ValueError("need exactly one more plateau than breakpoints")
+        if not (np.isfinite(bp).all() and np.isfinite(pv).all()):
+            raise ValueError("breakpoints and plateau values must be finite")
         if not np.all(np.diff(bp) > 0):
             raise ValueError("breakpoints must be strictly increasing")
         if pv[0] != 0.0 or pv[-1] != 0.0:
             raise ValueError("profile must vanish on the unbounded plateaus")
         if np.any(pv < 0):
             raise ValueError("plateau values must be nonnegative")
-        if not self.window > 0:
-            raise ValueError("window must be positive")
+        if not 0 < self.window < np.inf:
+            raise ValueError("window must be positive and finite")
         keep = pv[:-1] != pv[1:]
         if not keep.all():
             bp, pv = bp[keep], np.concatenate([pv[:1], pv[1:][keep]])
@@ -72,10 +74,13 @@ class ConcentrationProfile:
 
         ``intervals`` is an ``(n, 3)`` array of ``(lo, hi, weight)`` rows or an
         iterable of such tuples; rows with ``hi <= lo`` or zero weight add nothing.
+        Every end and weight must be finite.
         """
         if not isinstance(intervals, np.ndarray):
             intervals = list(intervals)
         rows = np.asarray(intervals, dtype=float).reshape(-1, 3)
+        if not np.isfinite(rows).all():
+            raise ValueError("interval ends and weights must be finite")
         rows = rows[rows[:, 2] != 0.0]
         return cls._from_ends(rows[:, 0], rows[:, 1], rows[:, 2], window)
 
@@ -133,28 +138,32 @@ class ConcentrationProfile:
         out.flags.writeable = False
         return out
 
-    def _plateau_term(self, k: np.ndarray, t: np.ndarray) -> np.ndarray:
-        """Mass on plateau ``k`` below ``t`` (its right-``searchsorted`` slot).
-        ``t`` is clipped into the breakpoint range, so that the zero end
-        plateaus give 0.0 and not ``0 * inf``; inner terms are unchanged."""
-        bp = self.breakpoints
-        return self.plateau_values[k] * (np.fmin(np.fmax(t, bp[0]), bp[-1]) - bp[k - 1])
-
     def mass_below(self, t) -> np.ndarray | float:
         """Exact integral of the profile over (-inf, t)."""
         t = np.asarray(t, dtype=float)
-        k = self.breakpoints.searchsorted(t, side="right")
-        if self.breakpoints.size == 0:  # no plateau term to clip t into
+        bp = self.breakpoints
+        k = bp.searchsorted(t, side="right")
+        if bp.size == 0:  # no plateau term to clip t into
             return self._cum0[k]
-        # the term first, so that its temporaries are freed before cum0[k] is taken
-        below = self._plateau_term(k, t)
+        # The mass on plateau k below t, taken first so that its temporaries
+        # are freed before cum0[k] is; t is clipped into the breakpoint range,
+        # so that the zero end plateaus give 0.0 and not 0 * inf.
+        below = self.plateau_values[k] * (np.fmin(np.fmax(t, bp[0]), bp[-1]) - bp[k - 1])
         below += self._cum0[k]
         return below
 
+    def window_masses(self, ends) -> np.ndarray | float:
+        """Mass of each window (ends[0], ends[1]): ``ends`` holds the lower ends
+        in row 0 and the upper ends in row 1, each lower end at or below its
+        upper end.  It is the one way a window is read: one ``mass_below`` call,
+        the upper row's mass minus the lower row's, so a window whose two ends
+        round to one float gets 0.0."""
+        below = self.mass_below(ends)
+        return below[1] - below[0]
+
     def integrate(self, a: float, b: float) -> float:
-        if not b > a:
-            return 0.0
-        return float(self.mass_below(b) - self.mass_below(a))
+        """Mass of the window (a, b), 0.0 unless a < b."""
+        return float(self.window_masses((a, b))) if b > a else 0.0
 
     # -- surgery ---------------------------------------------------------
 
@@ -212,8 +221,8 @@ def concentration_profile(u: GridFunction, domain: CellSet | None = None,
     and on the grid box.  Every interval carries the one face area as its
     weight, so the profile is one sort of the interval ends.
     """
-    if not window > 0:
-        raise ValueError("window must be positive")
+    if not 0 < window < np.inf:
+        raise ValueError("window must be positive and finite")
     if domain is not None:
         require_same_geometry(u.geom, domain.geom)
         inside = domain.mask
@@ -292,7 +301,7 @@ class _LevyScan:
         self.f = f
         self.radius = radius
         self.edges: list[float] = []  # keep-out (lo, hi) pairs, flattened
-        self._pm = np.array([[radius], [-radius]])  # c + _pm: the query points
+        self._pm = np.array([[-radius], [radius]])  # c + _pm: the window ends
         self._first = f.breakpoints.size, float(f._cum0[-1])  # n and T before any removal
         self.centers = self._candidates(-np.inf, np.inf)
         self.masses = self._score(self.centers)
@@ -326,8 +335,7 @@ class _LevyScan:
 
     def _score(self, centers: np.ndarray) -> np.ndarray:
         """Window masses of ``centers`` on the current profile."""
-        below = self.f.mass_below(centers + self._pm)
-        return below[0] - below[1]
+        return self.f.window_masses(centers + self._pm)
 
     def best(self) -> tuple[float, float]:
         """Largest allowed window mass and its smallest maximizing center, with

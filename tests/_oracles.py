@@ -361,13 +361,21 @@ def scan_state(f: ConcentrationProfile, radius: float, edges) -> tuple[np.ndarra
 
 
 class _MaskedIntegrals:
-    """A profile seen only through ``masked_mass_below``, for ``bubbles._grow_window``."""
+    """A profile seen only through ``masked_mass_below``, for ``bubbles._grow_window``:
+    its ``window_masses(ends)``, the one window read the growth makes, is the
+    mass below each upper end (row 1) minus the mass below its lower end
+    (row 0), both from ``masked_mass_below``; ``integrate(a, b)`` is one such
+    window, taken one end at a time, for the reference's own captured and
+    removed masses.  (The free function ``window_masses(f, centers, radius)``
+    above is another thing: the masses of the windows of one radius around
+    ``centers``.)"""
 
     def __init__(self, f: ConcentrationProfile):
         self.f = f
 
-    def mass_below(self, t) -> np.ndarray | float:
-        return masked_mass_below(self.f, t)
+    def window_masses(self, ends) -> np.ndarray:
+        below = masked_mass_below(self.f, np.asarray(ends, dtype=float))
+        return below[1] - below[0]
 
     def integrate(self, a: float, b: float) -> float:
         if not b > a:

@@ -272,6 +272,60 @@ class TestExtract:
             assert ms == sorted(ms, reverse=True)
 
 
+class TestWorkCount:
+    def test_one_profile_query_per_growth_step(self, monkeypatch):
+        # every growth step reads its annulus and its narrow strips in one
+        # mass_below call, and a greedy step reads its captured and removed
+        # masses in one more, over exits by the leak test, by the strip rule
+        # and by the cap
+        calls, seen = [], Counter()
+        mass_below, grow, next_bubble = (ConcentrationProfile.mass_below, bubbles._grow_window,
+                                         bubbles._next_bubble)
+
+        def counted_mass_below(f, t):
+            calls.append(t)
+            return mass_below(f, t)
+
+        def counted_grow(f, center, ref_radius, gap_delta, leak, radius_cap=np.inf, zones=()):
+            before = len(calls)
+            inner, outer, capped = grow(f, center, ref_radius, gap_delta, leak, radius_cap, zones)
+            made = len(calls) - before
+            r, steps = ref_radius, 0  # the growth steps, from the radius reached
+            while r < inner:
+                r += gap_delta
+                steps += 1
+            assert made == steps + (not capped)
+            # the strip rule binds where the uncapped growth beside the zones
+            # goes further than the growth without them; these reads are not counted
+            seen["strip exit"] += grow(f, center, ref_radius, gap_delta, leak, zones=zones) != \
+                grow(f, center, ref_radius, gap_delta, leak)
+            del calls[before + made:]
+            seen["cap exit"] += capped
+            seen["steps"] += made
+            return inner, outer, capped
+
+        def counted_step(f, center, found, *args):
+            before = len(calls)
+            grown = seen["steps"]
+            step = next_bubble(f, center, found, *args)
+            assert len(calls) - before == seen["steps"] - grown + 1
+            seen["greedy steps"] += 1
+            return step
+
+        monkeypatch.setattr(ConcentrationProfile, "mass_below", counted_mass_below)
+        monkeypatch.setattr(bubbles, "_grow_window", counted_grow)
+        monkeypatch.setattr(bubbles, "_next_bubble", counted_step)
+        rng = np.random.default_rng(29)
+        for spacing in (8.0, 5.0, 4.5):
+            extract_bubbles(concentration_profile(cluster_plate(rng, spacing=spacing)),
+                            0.02, 2.0, 1.0)
+        for _ in range(100):
+            extract_bubbles(random_profile(rng), float(rng.choice([0.01, 0.05])),
+                            float(rng.choice([0.25, 0.5, 1.0])), float(rng.choice([0.5, 1.0])))
+        assert min(seen["strip exit"], seen["cap exit"]) >= 5, seen
+        assert seen["steps"] > seen["greedy steps"] >= 100, seen
+
+
 class TestExtractOracle:
     """The one-scan extraction against the greedy loop that rebuilds and
     rescores every candidate after each bubble."""

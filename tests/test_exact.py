@@ -111,12 +111,17 @@ def test_window_growth_and_leakage_equal_the_exact_reference():
             assert got == tuple(float(x) if not isinstance(x, bool) else x for x in want)
             seen["capped growth"] += want[2]
             seen["grown past ref_radius"] += want[0] > Fraction(ref_radius)
+            # the strip rule binds: beside the zones, the uncapped growth goes further
+            beside, alone = (_exact.grow_window(F, center, Fraction(ref_radius),
+                                                Fraction(gap_delta), leak, None, z)
+                             for z in (zones, ()))
+            seen["strip grew the window"] += beside != alone
         seen["bubbles"] += len(found)
         seen["several bubbles"] += len(found) > 1
         seen["capped bubble"] += any(b[5] for b in found)
         seen["leak"] += any(b[4] > b[3] for b in found)
     assert min(seen[k] for k in ("capped growth", "grown past ref_radius", "several bubbles",
-                                 "capped bubble", "leak")) >= 2, seen
+                                 "capped bubble", "leak", "strip grew the window")) >= 2, seen
 
 
 def test_classify_equals_the_exact_reference():

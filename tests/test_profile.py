@@ -136,6 +136,46 @@ class TestProfileConstruction:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ConcentrationProfile(np.array(bp), np.array(pv))
 
+    @pytest.mark.parametrize("build,message", [
+        pytest.param(lambda: ConcentrationProfile([-np.inf, 1.0], [0.0, 1.0, 0.0]),
+                     "breakpoints and plateau", id="breakpoint -inf"),
+        pytest.param(lambda: ConcentrationProfile([0.0, np.inf], [0.0, 1.0, 0.0]),
+                     "breakpoints and plateau", id="breakpoint inf"),
+        pytest.param(lambda: ConcentrationProfile([0.0, 1.0], [0.0, np.nan, 0.0]),
+                     "breakpoints and plateau", id="plateau nan"),
+        pytest.param(lambda: ConcentrationProfile([0.0, 1.0], [0.0, np.inf, 0.0]),
+                     "breakpoints and plateau", id="plateau inf"),
+        pytest.param(lambda: ConcentrationProfile([0.0, 1.0], [0.0, 1.0, 0.0], np.inf),
+                     "window must be", id="window inf"),
+        pytest.param(lambda: ConcentrationProfile([0.0, 1.0], [0.0, 1.0, 0.0], np.nan),
+                     "window must be", id="window nan"),
+        pytest.param(lambda: ConcentrationProfile.from_intervals([(0.0, 1.0, np.nan)]),
+                     "interval ends", id="intervals weight nan"),
+        pytest.param(lambda: ConcentrationProfile.from_intervals([(0.0, 1.0, np.inf)]),
+                     "interval ends", id="intervals weight inf"),
+        pytest.param(lambda: ConcentrationProfile.from_intervals([(-np.inf, 1.0, 1.0)]),
+                     "interval ends", id="intervals lo -inf"),
+        pytest.param(lambda: ConcentrationProfile.from_intervals([(0.0, np.inf, 1.0)]),
+                     "interval ends", id="intervals hi inf"),
+        pytest.param(lambda: ConcentrationProfile.from_intervals([(np.nan, 1.0, 1.0)]),
+                     "interval ends", id="intervals lo nan"),
+        pytest.param(lambda: ConcentrationProfile.from_intervals(
+                         np.array([[0.0, 1.0, 1.0], [2.0, np.nan, 1.0]])),
+                     "interval ends", id="interval array hi nan"),
+        pytest.param(lambda: concentration_profile(fixture_runaway(1.0, resolution=8),
+                                                   window=np.inf),
+                     "window must be", id="concentration_profile window inf"),
+        pytest.param(lambda: concentration_profile(fixture_runaway(1.0, resolution=8),
+                                                   window=np.nan),
+                     "window must be", id="concentration_profile window nan"),
+    ])
+    def test_non_finite_profile_is_rejected(self, build, message):
+        # a NaN weight once passed the sign check as a NaN plateau, an inf weight
+        # gave the empty profile, an inf end an infinite total mass, a NaN end
+        # dropped its row, and an infinite window built infinite breakpoints
+        with pytest.raises(ValueError, match=message):
+            build()
+
     @pytest.mark.parametrize("spacing", [0.1, 1 / 3, 0.25, 0.7])
     def test_matches_tuple_list_oracle(self, spacing):
         rng = np.random.default_rng(int(spacing * 1000))
@@ -455,6 +495,19 @@ class TestSurgery:
             assert f.mass_below(ts).tobytes() == want.tobytes()
             assert np.array([f.mass_below(float(t)) for t in ts]).tobytes() == want.tobytes()
             assert np.array([f.mass_below(np.float64(t)) for t in ts]).tobytes() == want.tobytes()
+            # window_masses: each window's upper mass minus its lower one, as a
+            # (2, n) array and as scalar pairs, over windows of random widths,
+            # windows whose two ends round to one float, and infinite ends
+            tiny = np.abs(ts) * 2.0 ** -60  # below half an ulp of ts
+            lo = np.concatenate([ts, ts, ts - tiny, [-np.inf, -np.inf, bp[0], np.inf]])
+            hi = np.concatenate([ts + rng.uniform(0.0, 2.0, ts.size), ts, ts + tiny,
+                                 [np.inf, bp[-1], np.inf, np.inf]])
+            want = _oracles.masked_mass_below(f, hi) - _oracles.masked_mass_below(f, lo)
+            assert f.window_masses(np.stack([lo, hi])).tobytes() == want.tobytes()
+            assert f.window_masses([lo.tolist(), hi.tolist()]).tobytes() == want.tobytes()
+            assert np.array([f.window_masses((a, b)) for a, b in zip(lo, hi)]).tobytes() == \
+                want.tobytes()
+            assert not want[ts.size:3 * ts.size].any()  # ends that round together
 
     def test_mass_below_at_infinity(self):
         rng = np.random.default_rng(31)
