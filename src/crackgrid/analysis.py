@@ -109,8 +109,8 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
                          "exponent degenerates in 1D)")
     if eps is not None and not eps > 0:
         raise ValueError("eps must be positive")
-    if not window > 0:
-        raise ValueError("window must be positive")
+    if not 0 < window < math.inf:
+        raise ValueError("window must be positive and finite")
     if not radius > 0:
         raise ValueError("radius must be positive")
     m = region.volume()
@@ -450,13 +450,12 @@ def compactness_report(functions: Sequence[GridFunction],
         if k:  # each rest region against the one at the previous, larger eps
             nesting[f"{eps_ladder[k - 1]!r}->{eps!r}"] = [
                 bool(np.all(lo <= hi)) for hi, lo in zip(prev_rests, rests)]
-        # the last renormalized function: its pairings and distances are at hand
+        # without a supplied limit, the last renormalized function, whose pairings are at hand
         lim, lim_pairings = (renorms[-1], entries[-1]["pairings"]) if limit is None \
             else (limit, limit_pairings)
         if any(a is not b for a, b in zip(renorms, prev_renorms)):  # else the distances stand
             consecutive = [kyfan_distance(a, b) for a, b in zip(renorms, renorms[1:])]
-            to_limit = ([kyfan_distance(w, lim) for w in renorms[:-2]] + consecutive[-1:] + [0.0]
-                        if limit is None else [kyfan_distance(w, lim) for w in renorms])
+            to_limit = [kyfan_distance(w, lim) for w in renorms]
         if lim is not prev_lim:
             lsc = lsc_report(reduced, lim)
         prev_rests, prev_renorms, prev_lim = rests, renorms, lim

@@ -126,6 +126,8 @@ class DomainPartition:
 
     def __init__(self, u: GridFunction, radii: Sequence[RadiusChoice],
                  window: float, omega: CellSet | None = None):
+        if not 0 < window < np.inf:
+            raise ValueError("window must be positive and finite")
         self.function = u
         self.geom = u.geom
         self.window = float(window)
@@ -247,10 +249,7 @@ class DomainPartition:
         }
 
 
-def build_partition(u: GridFunction, radii: Sequence[RadiusChoice], window: float,
-                    omega: CellSet | None = None) -> DomainPartition:
-    """Label every cell by the value bands of ``radii``; rejects overlapping bands."""
-    return DomainPartition(u, radii, window, omega)
+build_partition = DomainPartition
 
 
 def renormalize(part: DomainPartition) -> GridFunction:

@@ -89,9 +89,10 @@ class TestVanishingCertificate:
                 "region_perimeter": 0.0, "iso_constant": 0.0625, "slab_correction": 0.0,
                 "chain_lhs": 0.0, "chain_rhs": 0.0, "trivial": True, "certified": True,
                 "chain_ok": True}
-        for kwargs, message in ((dict(window=0.0), "window must be positive"),
+        window = "window must be positive and finite"
+        for kwargs, message in ((dict(window=0.0), window),
                                 (dict(radius=0.0), "radius must be positive"),
-                                (dict(window=0.0, radius=0.0), "window must be positive")):
+                                (dict(window=0.0, radius=0.0), window)):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 vanishing_certificate(u, region, eps=0.5, **kwargs)
 
@@ -598,17 +599,23 @@ class TestCompactnessReport:
 
         monkeypatch.setattr(analysis, "kyfan_distance", recorded)
         seq = [fixture_staircase(k, cells_per_step=16 // k) for k in (2, 4, 8, 16)[:n]]
-        c1 = compactness_report(seq, eps_ladder=[0.1]).per_eps["0.1"][
-            "conclusion1_measure_convergence"]
-        # the consecutive distances, then one call per function before the last two
-        assert len(pairs) == (n - 1) + max(n - 2, 0)
-        if n == 1:
-            assert c1 == {"consecutive_kyfan": [], "kyfan_to_limit": [0.0]}
-            return
-        renorms = [pairs[0][0]] + [b for _, b in pairs[:n - 1]]
-        assert c1["consecutive_kyfan"] == [kyfan_distance(a, b)
-                                           for a, b in zip(renorms, renorms[1:])]
-        assert c1["kyfan_to_limit"] == [kyfan_distance(w, renorms[-1]) for w in renorms]
+        for limit in (None, fixture_staircase(16)):
+            pairs.clear()
+            c1 = compactness_report(seq, eps_ladder=[0.1], limit=limit).per_eps["0.1"][
+                "conclusion1_measure_convergence"]
+            # the consecutive distances, then one list of distances to the limit
+            assert len(pairs) == (n - 1) + n
+            renorms = [w for w, _ in pairs[n - 1:]]
+            lim = renorms[-1] if limit is None else limit
+            assert all(b is lim for _, b in pairs[n - 1:])
+            assert all(a is w and b is x for (a, b), w, x in zip(pairs, renorms, renorms[1:]))
+            assert c1["consecutive_kyfan"] == [kyfan_distance(a, b)
+                                               for a, b in zip(renorms, renorms[1:])]
+            assert c1["kyfan_to_limit"] == [kyfan_distance(w, lim) for w in renorms]
+            if limit is None:  # the last function is at distance exactly 0.0 from itself
+                assert c1["kyfan_to_limit"][-1] == 0.0
+                if n == 1:
+                    assert c1 == {"consecutive_kyfan": [], "kyfan_to_limit": [0.0]}
 
     def test_violations_pinned_in_order(self, monkeypatch):
         calls = []

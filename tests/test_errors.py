@@ -10,13 +10,14 @@ of what it reports.  Overlapping partition bands are checked in
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from _fixtures import staircase_pipeline
 from crackgrid import partition
-from crackgrid.analysis import vanishing_certificate
+from crackgrid.analysis import bubble_partition, compactness_report, vanishing_certificate
 from crackgrid.bubbles import Bubble, _grow_window, extract_bubbles
 from crackgrid.cli import main
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
@@ -27,7 +28,7 @@ from crackgrid.grid import (
     InvariantError,
     grid_function_to_dict,
 )
-from crackgrid.profile import concentration_profile
+from crackgrid.profile import ConcentrationProfile, concentration_profile
 
 
 def _not_weakly_vanishing():
@@ -62,6 +63,26 @@ PRECONDITIONS = {
 }
 
 
+def _certificate_on(cells: bool):
+    def call(u, _, window):
+        region = CellSet(u.geom, np.full(u.geom.shape, cells))
+        vanishing_certificate(u, region, eps=None, window=window)
+    return call
+
+
+# every public entry point that takes a window, called as (u, radii, window)
+WINDOW_ENTRY_POINTS = {
+    "concentration_profile": lambda u, _, w: concentration_profile(u, window=w),
+    "ConcentrationProfile": lambda u, _, w: ConcentrationProfile([0.0, 1.0], [0.0, 1.0, 0.0], w),
+    "from_intervals": lambda u, _, w: ConcentrationProfile.from_intervals([(0.0, 1.0, 1.0)], w),
+    "vanishing_certificate": _certificate_on(True),
+    "vanishing_certificate-empty-region": _certificate_on(False),
+    "bubble_partition": lambda u, _, w: bubble_partition(u, 0.1, 1.0, 2.0, window=w),
+    "build_partition": lambda u, radii, w: partition.build_partition(u, radii, window=w),
+    "compactness_report": lambda u, _, w: compactness_report([u], window=w),
+}
+
+
 @pytest.mark.parametrize("call,match", INVARIANTS.values(), ids=INVARIANTS)
 def test_failed_conclusion_raises_invariant_error(call, match):
     with pytest.raises(InvariantError, match=match):
@@ -73,6 +94,16 @@ def test_unmet_precondition_is_not_an_invariant_error(call, match):
     f = concentration_profile(fixture_staircase(4))
     with pytest.raises(ValueError, match=match) as info:
         call(f)
+    assert not isinstance(info.value, InvariantError)
+
+
+@pytest.mark.parametrize("window", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("call", WINDOW_ENTRY_POINTS.values(), ids=WINDOW_ENTRY_POINTS)
+def test_window_must_be_positive_and_finite(call, window):
+    # a bad window is a precondition: never labelled cells, nor overlapping bands
+    u, _, _, radii, _ = staircase_pipeline(4)
+    with pytest.raises(ValueError, match="window must be positive and finite") as info:
+        call(u, radii, window)
     assert not isinstance(info.value, InvariantError)
 
 
