@@ -28,6 +28,8 @@ from .grid import (
     GridGeometry,
     InvariantError,
     Record,
+    check_real,
+    check_report_settings,
     energy,
     face_count,
     face_pairs,
@@ -107,12 +109,10 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     if u.geom.dim != 2:
         raise ValueError("vanishing certificates need a 2D grid (the volume "
                          "exponent degenerates in 1D)")
-    if eps is not None and not eps > 0:
-        raise ValueError("eps must be positive")
-    if not 0 < window < math.inf:
-        raise ValueError("window must be positive and finite")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    if eps is not None:
+        check_real("eps", eps)
+    check_real("window", window)
+    check_real("radius", radius)
     m = region.volume()
     if m == 0.0:  # the region's profile is empty, with score 0.0: nothing to build
         return VanishingCertificate(
@@ -393,19 +393,13 @@ def compactness_report(functions: Sequence[GridFunction],
     against a fixed indicator dictionary with uniform p-norm bounds
     (weak-convergence proxy), directional jump LSC via slicing,
     boundary-outside-jump and vanishing-volume trends, and bubble tracks.
-    The eps ladder must be nonempty and strictly decreasing; rest-region
-    nesting across consecutive ladder entries is reported cell-wise per
-    function.
+    The settings are checked by :func:`check_report_settings`; rest-region nesting
+    across consecutive ladder entries is reported cell-wise per function.
     """
     if not functions:
         raise ValueError("need at least one function")
-    if not p > 1:
-        raise ValueError("p must exceed 1")
     eps_ladder = list(eps_ladder)
-    if not eps_ladder:
-        raise ValueError("eps ladder must not be empty")
-    if any(b >= a for a, b in zip(eps_ladder, eps_ladder[1:])):
-        raise ValueError("eps ladder must be strictly decreasing")
+    check_report_settings(p, eps_ladder, window, ref_radius, gap_delta)
     geom = functions[0].geom
     for other in (*functions[1:], datum, omega, limit):
         if other is not None:

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .grid import InvariantError, Record
+from .grid import InvariantError, Record, check_step
 from .profile import ConcentrationProfile, _LevyScan, levy_concentration
 
 
@@ -38,10 +38,7 @@ class ExtractionParams:
     def __post_init__(self):
         if not 0 < self.eps < 1:
             raise ValueError(f"eps must lie in (0,1), got {self.eps}")
-        if not self.gap_delta > 0:
-            raise ValueError(f"gap_delta must be positive, got {self.gap_delta}")
-        if not self.ref_radius > 0:
-            raise ValueError(f"ref_radius must be positive, got {self.ref_radius}")
+        check_step("gap_delta", self.gap_delta, "ref_radius", self.ref_radius)
 
 
 @dataclass(frozen=True)
@@ -153,8 +150,7 @@ def _grow_window(f: ConcentrationProfile, center: float, ref_radius: float,
     """
     r = ref_radius
     while r + gap_delta <= radius_cap:
-        if not r + gap_delta > r:  # the window would never grow
-            raise ValueError(f"gap_delta {gap_delta!r} vanishes next to radius {r!r}")
+        check_step("gap_delta", gap_delta, "radius", r)  # else the window never grows
         lo, hi = center - r - gap_delta, center + r + gap_delta
         a = max((z_hi for _, z_hi in zones if z_hi <= lo), default=-math.inf)
         b = min((z_lo for z_lo, _ in zones if z_lo >= hi), default=math.inf)

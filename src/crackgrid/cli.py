@@ -27,6 +27,7 @@ from .fixtures import fixture_runaway, fixture_staircase
 from .grid import (
     InvariantError,
     cell_set_from_dict,
+    check_report_settings,
     energy,
     grid_function_from_dict,
     grid_function_to_dict,
@@ -72,17 +73,8 @@ def _real_in(low: float, high: float = math.inf):
     return parse
 
 
-# the one range of each setting, for its command-line flag and its manifest key
+# each flag's range, the library's own: out of it is a usage error, before any input is read
 _POSITIVE, _EPS, _P = _real_in(0), _real_in(0, 1), _real_in(1)
-
-
-def _check_steps(ref_radius: float, **steps: float) -> None:
-    """The check, for flags and manifest keys alike, that each step added to
-    ``ref_radius`` moves it: the window grows by ``gap_delta`` and the radius
-    band is ``window`` wide."""
-    for name, step in steps.items():
-        if not ref_radius + step > ref_radius:
-            raise ValueError(f"{name} {step!r} vanishes next to ref_radius {ref_radius!r}")
 
 
 def _load_doc(path: str) -> dict:
@@ -257,13 +249,10 @@ def _load_manifest(path: str):
         q = Path(p)
         return str(q if q.is_absolute() else base / q)
 
-    def setting(key, value, parse):
+    def setting(key, value):  # the library checks its range
         if not json_numbers((value,)):
             raise ValueError(f"manifest {key} must be a JSON number, got {value!r}")
-        try:
-            return parse(value)
-        except (ValueError, argparse.ArgumentTypeError) as exc:
-            raise ValueError(f"manifest {key}: {exc}") from exc
+        return float(value)
 
     def side(key, what="grid function"):
         # null is absent, as in the README's example; anything else must be a path
@@ -278,14 +267,10 @@ def _load_manifest(path: str):
     geom = functions[0].geom
     functions += [_load(resolve(p), geom=geom) for p in names[1:]]
     datum, omega, limit = side("datum"), side("omega", "cell set"), side("limit")
-    settings = {key: setting(key, doc.get(key, default), parse) for key, default, parse in (
-        ("p", 2.0, _P), ("window", 1.0, _POSITIVE), ("ref_radius", 1.0, _POSITIVE),
-        ("gap_delta", 2.0, _POSITIVE))}
-    _check_steps(settings["ref_radius"], gap_delta=settings["gap_delta"],
-                 window=settings["window"])
-    ladder = settings["eps_ladder"] = [setting("eps_ladder", e, _EPS) for e in ladder]
-    if not ladder or any(b >= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError(f"eps ladder must be strictly decreasing, got {ladder}")
+    settings = {key: setting(key, doc.get(key, default)) for key, default in (
+        ("p", 2.0), ("window", 1.0), ("ref_radius", 1.0), ("gap_delta", 2.0))}
+    settings["eps_ladder"] = [setting("eps_ladder", e) for e in ladder]
+    check_report_settings(**settings)
     return functions, datum, omega, limit, settings
 
 
@@ -324,7 +309,6 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
-    _check_steps(args.ref_radius, gap_delta=args.gap_delta)
     u = _load(args.input)
     domain = _load(args.domain, "cell set", u.geom) if args.domain else None
     f = concentration_profile(u, domain=domain, window=args.window)
@@ -338,7 +322,6 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_partition(args) -> int:
-    _check_steps(args.ref_radius, gap_delta=args.gap_delta, window=args.window)
     u = _load(args.input)
     omega = _load(args.omega, "cell set", u.geom) if args.omega else None
     dec, radii, part = bubble_partition(u, args.eps, args.ref_radius, args.gap_delta,
@@ -355,7 +338,6 @@ def _cmd_partition(args) -> int:
 
 
 def _cmd_renormalize(args) -> int:
-    _check_steps(args.ref_radius, gap_delta=args.gap_delta, window=args.window)
     u = _load(args.input)
     datum = _load(args.datum, geom=u.geom) if args.datum else None
     omega = _load(args.omega, "cell set", u.geom) if args.omega else None

@@ -45,6 +45,34 @@ class InvariantError(ValueError):
     a bad argument or input file."""
 
 
+def check_real(name: str, x: float, low: float = 0) -> None:
+    """The one range check of a real parameter: ``low < x < inf``."""
+    if not low < x < math.inf:
+        bound = "positive" if low == 0 else f"above {low}"
+        raise ValueError(f"{name} must be {bound} and finite, got {x!r}")
+
+
+def check_step(step: str, value: float, base: str, base_value: float) -> None:
+    """The one check of a step: two lengths, and adding ``value`` moves ``base_value``."""
+    check_real(step, value)
+    check_real(base, base_value)
+    if not base_value + value > base_value:
+        raise ValueError(f"{step} {value!r} vanishes next to {base} {base_value!r}")
+
+
+def check_report_settings(p: float, eps_ladder: list[float], window: float,
+                          ref_radius: float, gap_delta: float) -> None:
+    """The checks of ``compactness_report``'s settings, before any work (and of a
+    manifest's, in the CLI)."""
+    check_real("p", p, low=1)
+    if not (eps_ladder and all(0 < eps < 1 for eps in eps_ladder)
+            and all(b < a for a, b in zip(eps_ladder, eps_ladder[1:]))):
+        raise ValueError("eps_ladder must be nonempty and strictly decreasing in (0, 1), "
+                         f"got {eps_ladder!r}")
+    check_step("gap_delta", gap_delta, "ref_radius", ref_radius)
+    check_step("window", window, "ref_radius", ref_radius)
+
+
 class Record:
     """Mixin for result dataclasses whose JSON form is their fields.
 
@@ -87,8 +115,7 @@ class GridGeometry:
             raise ValueError("origin and shape must have equal length")
         if not all(math.isfinite(x) for x in self.origin):
             raise ValueError(f"origin must be finite, got {self.origin}")
-        if not (self.spacing > 0) or not math.isfinite(self.spacing):
-            raise ValueError(f"spacing must be a positive finite real, got {self.spacing}")
+        check_real("spacing", self.spacing)
         object.__setattr__(self, "spacing", float(self.spacing))  # only a real got here
         if any(n < 1 for n in self.shape):
             raise ValueError(f"every axis needs at least one cell, got {self.shape}")
@@ -285,8 +312,7 @@ def energy(u: GridFunction, p: float = 2.0) -> EnergyReport:
     faces with differing traces count ``h**(dim-1)`` each; healed cracks and
     crack faces never contribute bulk.
     """
-    if not p > 1:
-        raise ValueError(f"p must exceed 1, got {p}")
+    check_real("p", p, low=1)
     h = u.geom.spacing
     bulk = 0.0
     for k in range(u.geom.dim):

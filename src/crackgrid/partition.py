@@ -22,7 +22,16 @@ from typing import Sequence
 import numpy as np
 
 from .bubbles import Bubble
-from .grid import CellSet, GridFunction, InvariantError, Record, face_pairs, require_same_geometry
+from .grid import (
+    CellSet,
+    GridFunction,
+    InvariantError,
+    Record,
+    check_real,
+    check_step,
+    face_pairs,
+    require_same_geometry,
+)
 from .profile import ConcentrationProfile
 
 KIND_MAIN = 0
@@ -69,12 +78,9 @@ def select_radii(f: ConcentrationProfile, bubbles: Sequence[Bubble],
     points r = (b - shift) / scale in (lo, hi) of the breakpoints b in one
     slice, and a ``lexsort`` on (bubble, r) orders each bubble's cuts.
     """
-    if not base_radius > 0:
-        raise ValueError("base_radius must be positive")
     w = f.window
+    check_step("window", w, "base_radius", base_radius)
     lo, hi = float(base_radius), float(base_radius + w)
-    if not hi > lo:
-        raise ValueError("window vanishes next to base_radius")
     bp, n = f.breakpoints, len(bubbles)
     c = np.array([b.center for b in bubbles], dtype=float)
     shift = np.concatenate([c, c + w, c, c - w])  # offset-major: row o * n + bubble
@@ -126,8 +132,7 @@ class DomainPartition:
 
     def __init__(self, u: GridFunction, radii: Sequence[RadiusChoice],
                  window: float, omega: CellSet | None = None):
-        if not 0 < window < np.inf:
-            raise ValueError("window must be positive and finite")
+        check_real("window", window)
         self.function = u
         self.geom = u.geom
         self.window = float(window)
@@ -320,8 +325,7 @@ def vanishing_region(u: GridFunction, bubbles: Sequence[Bubble], radius: float,
     This is the domain region responsible for the weakly vanishing part of
     the profile once the bubbles are excised.
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    check_real("radius", radius)
     inside_any = np.zeros(u.geom.shape, dtype=bool)
     for b in bubbles:
         inside_any |= (u.values > b.center - radius) & (u.values < b.center + radius)

@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import CellSet, GridFunction, face_pairs, require_same_geometry
+from .grid import CellSet, GridFunction, check_real, face_pairs, require_same_geometry
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,7 @@ class ConcentrationProfile:
     window: float = 1.0
 
     def __post_init__(self):
+        check_real("window", self.window)
         bp = np.array(self.breakpoints, dtype=float, copy=True)
         pv = np.array(self.plateau_values, dtype=float, copy=True)
         if bp.size + 1 != pv.size:
@@ -56,8 +57,6 @@ class ConcentrationProfile:
             raise ValueError("profile must vanish on the unbounded plateaus")
         if np.any(pv < 0):
             raise ValueError("plateau values must be nonnegative")
-        if not 0 < self.window < np.inf:
-            raise ValueError("window must be positive and finite")
         keep = pv[:-1] != pv[1:]
         if not keep.all():
             bp, pv = bp[keep], np.concatenate([pv[:1], pv[1:][keep]])
@@ -221,8 +220,7 @@ def concentration_profile(u: GridFunction, domain: CellSet | None = None,
     and on the grid box.  Every interval carries the one face area as its
     weight, so the profile is one sort of the interval ends.
     """
-    if not 0 < window < np.inf:
-        raise ValueError("window must be positive and finite")
+    check_real("window", window)
     if domain is not None:
         require_same_geometry(u.geom, domain.geom)
         inside = domain.mask
@@ -363,8 +361,7 @@ class _LevyScan:
 def levy_concentration(f: ConcentrationProfile, radius: float) -> tuple[float, float]:
     """Largest window mass at the given radius and its (smallest) maximizing
     center: the first ``best()`` of a Levy scan, before any zone is removed."""
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    check_real("radius", radius)
     return _LevyScan(f, radius).best()
 
 

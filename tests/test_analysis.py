@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -89,9 +90,9 @@ class TestVanishingCertificate:
                 "region_perimeter": 0.0, "iso_constant": 0.0625, "slab_correction": 0.0,
                 "chain_lhs": 0.0, "chain_rhs": 0.0, "trivial": True, "certified": True,
                 "chain_ok": True}
-        window = "window must be positive and finite"
+        window = "window must be positive and finite, got 0.0"
         for kwargs, message in ((dict(window=0.0), window),
-                                (dict(radius=0.0), "radius must be positive"),
+                                (dict(radius=0.0), "radius must be positive and finite, got 0.0"),
                                 (dict(window=0.0, radius=0.0), window)):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 vanishing_certificate(u, region, eps=0.5, **kwargs)
@@ -661,9 +662,9 @@ class TestCompactnessReport:
 
     def test_eps_ladder_must_decrease(self):
         u = fixture_runaway(1.0, resolution=8)
-        for ladder, message in (([0.1, 0.2], "eps ladder must be strictly decreasing"),
-                                ([], "eps ladder must not be empty")):  # else ok, checking nothing
-            with pytest.raises(ValueError, match=f"^{message}$"):
+        for ladder in ([0.1, 0.2], [], [0.2, 0.0]):  # the empty one would check nothing
+            message = f"eps_ladder must be nonempty and strictly decreasing in (0, 1), got {ladder}"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 compactness_report([u], eps_ladder=ladder)
 
 

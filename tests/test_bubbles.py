@@ -64,7 +64,7 @@ class TestClassify:
         assert v.kind == "vanishing"
 
     @pytest.mark.parametrize("kwargs,message", [
-        ({"eps": 0.5, "ref_radius": -1.0}, "ref_radius must be positive, got -1.0"),
+        ({"eps": 0.5, "ref_radius": -1.0}, "ref_radius must be positive and finite, got -1.0"),
         ({"eps": 0.5, "ref_radius": 1.0, "gap_delta": 0.0}, "gap_delta must be positive"),
         ({"eps": 1.0, "ref_radius": 1.0}, "eps must lie in"),
     ])
@@ -237,7 +237,7 @@ class TestExtract:
                              env=env, timeout=60)
         assert res.returncode == 1
         assert res.stderr.rstrip().endswith(
-            f"ValueError: gap_delta {gap!r} vanishes next to radius {ref!r}")
+            f"ValueError: gap_delta {gap!r} vanishes next to ref_radius {ref!r}")
 
     @pytest.mark.parametrize("change,messages", [
         (lambda d: {"total_mass": 16.0},

@@ -173,18 +173,27 @@ def test_parameter_errors_exit_1(argv):
     assert res.stdout == ""
 
 
-# each ran forever (gap_delta lost) or exited 2 (window lost) before the check
-@pytest.mark.parametrize("argv", [
-    ["partition", "-", "--ref-radius", "1e20"],
-    ["decompose", "-", "--ref-radius", "1e20"],
-    ["renormalize", "-", "--ref-radius", "1e20"],
-    ["decompose", "-", "--ref-radius", "1e17", "--gap-delta", "1"],
-    ["partition", "-", "--ref-radius", "1e16", "--window", "1"],
-])
-def test_steps_lost_next_to_ref_radius_exit_1(argv):
+# each ran forever (gap_delta lost) or exited 2 (window lost) before the check; the
+# library checks the window against the base radius of the radius band
+STEPS_LOST = [
+    (["partition", "-", "--ref-radius", "1e20"],
+     "gap_delta 2.0 vanishes next to ref_radius 1e+20"),
+    (["decompose", "-", "--ref-radius", "1e20"],
+     "gap_delta 2.0 vanishes next to ref_radius 1e+20"),
+    (["renormalize", "-", "--ref-radius", "1e20"],
+     "gap_delta 2.0 vanishes next to ref_radius 1e+20"),
+    (["decompose", "-", "--ref-radius", "1e17", "--gap-delta", "1"],
+     "gap_delta 1.0 vanishes next to ref_radius 1e+17"),
+    (["partition", "-", "--ref-radius", "1e16", "--window", "1"],
+     "window 1.0 vanishes next to base_radius 1e+16"),
+]
+
+
+@pytest.mark.parametrize("argv,message", STEPS_LOST, ids=[f"argv{i}" for i in range(5)])
+def test_steps_lost_next_to_ref_radius_exit_1(argv, message):
     res = run_process(*argv, stdin=run_cli("fixture", "staircase", "--n", "4").stdout)
     assert res.returncode == 1
-    assert res.stderr.startswith("error:") and "vanishes next to ref_radius" in res.stderr
+    assert res.stderr == f"error: {message}\n"
     assert res.stdout == ""
 
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import json
 import math
+import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ import pytest
 from _fixtures import staircase_pipeline
 from crackgrid import partition
 from crackgrid.analysis import bubble_partition, compactness_report, vanishing_certificate
-from crackgrid.bubbles import Bubble, _grow_window, extract_bubbles
+from crackgrid.bubbles import Bubble, ExtractionParams, _grow_window, classify, extract_bubbles
 from crackgrid.cli import main
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import (
@@ -26,9 +28,11 @@ from crackgrid.grid import (
     GridFunction,
     GridGeometry,
     InvariantError,
+    energy,
     grid_function_to_dict,
 )
-from crackgrid.profile import ConcentrationProfile, concentration_profile
+from crackgrid.partition import select_radii, vanishing_region
+from crackgrid.profile import ConcentrationProfile, concentration_profile, levy_concentration
 
 
 def _not_weakly_vanishing():
@@ -63,23 +67,54 @@ PRECONDITIONS = {
 }
 
 
-def _certificate_on(cells: bool):
-    def call(u, _, window):
-        region = CellSet(u.geom, np.full(u.geom.shape, cells))
-        vanishing_certificate(u, region, eps=None, window=window)
+def _certificate_on(cells: bool, param: str):
+    def call(c, x):
+        region = CellSet(c.u.geom, np.full(c.u.geom.shape, cells))
+        vanishing_certificate(c.u, region, **{"eps": None, param: x})
     return call
 
 
-# every public entry point that takes a window, called as (u, radii, window)
-WINDOW_ENTRY_POINTS = {
-    "concentration_profile": lambda u, _, w: concentration_profile(u, window=w),
-    "ConcentrationProfile": lambda u, _, w: ConcentrationProfile([0.0, 1.0], [0.0, 1.0, 0.0], w),
-    "from_intervals": lambda u, _, w: ConcentrationProfile.from_intervals([(0.0, 1.0, 1.0)], w),
-    "vanishing_certificate": _certificate_on(True),
-    "vanishing_certificate-empty-region": _certificate_on(False),
-    "bubble_partition": lambda u, _, w: bubble_partition(u, 0.1, 1.0, 2.0, window=w),
-    "build_partition": lambda u, radii, w: partition.build_partition(u, radii, window=w),
-    "compactness_report": lambda u, _, w: compactness_report([u], window=w),
+# every public entry point and every real parameter it takes, called as (case, value) on
+# the staircase pipeline; the window rows keep the entry point's bare name
+REAL_PARAMETERS = {
+    "concentration_profile": ("window", lambda c, x: concentration_profile(c.u, window=x)),
+    "ConcentrationProfile": (
+        "window", lambda c, x: ConcentrationProfile([0.0, 1.0], [0.0, 1.0, 0.0], x)),
+    "from_intervals": (
+        "window", lambda c, x: ConcentrationProfile.from_intervals([(0.0, 1.0, 1.0)], x)),
+    "vanishing_certificate": ("window", _certificate_on(True, "window")),
+    "vanishing_certificate-empty-region": ("window", _certificate_on(False, "window")),
+    "bubble_partition": ("window", lambda c, x: bubble_partition(c.u, 0.1, 1.0, 2.0, window=x)),
+    "build_partition": ("window", lambda c, x: partition.build_partition(c.u, c.radii, window=x)),
+    "DomainPartition": ("window", lambda c, x: partition.DomainPartition(c.u, c.radii, window=x)),
+    "compactness_report": ("window", lambda c, x: compactness_report([c.u], window=x)),
+    "GridGeometry.spacing": ("spacing", lambda c, x: GridGeometry((0.0,), x, (4,))),
+    "energy.p": ("p", lambda c, x: energy(c.u, p=x)),
+    "levy_concentration.radius": ("radius", lambda c, x: levy_concentration(c.f, x)),
+    "ExtractionParams.ref_radius": ("ref_radius", lambda c, x: ExtractionParams(0.1, 2.0, x)),
+    "ExtractionParams.gap_delta": ("gap_delta", lambda c, x: ExtractionParams(0.1, x, 1.0)),
+    "classify.ref_radius": ("ref_radius", lambda c, x: classify(c.f, 0.1, ref_radius=x)),
+    "classify.gap_delta": ("gap_delta", lambda c, x: classify(c.f, 0.1, 1.0, gap_delta=x)),
+    "extract_bubbles.ref_radius": (
+        "ref_radius", lambda c, x: extract_bubbles(c.f, 0.1, gap_delta=2.0, ref_radius=x)),
+    "extract_bubbles.gap_delta": (
+        "gap_delta", lambda c, x: extract_bubbles(c.f, 0.1, gap_delta=x, ref_radius=1.0)),
+    "select_radii.base_radius": (
+        "base_radius", lambda c, x: select_radii(c.f, c.dec.bubbles, base_radius=x)),
+    "vanishing_region.radius": (
+        "radius", lambda c, x: vanishing_region(c.u, c.dec.bubbles, radius=x)),
+    "vanishing_certificate.radius": ("radius", _certificate_on(True, "radius")),
+    "vanishing_certificate.eps": ("eps", _certificate_on(True, "eps")),
+    "vanishing_certificate-empty-region.radius": ("radius", _certificate_on(False, "radius")),
+    "vanishing_certificate-empty-region.eps": ("eps", _certificate_on(False, "eps")),
+    "bubble_partition.ref_radius": (
+        "ref_radius", lambda c, x: bubble_partition(c.u, 0.1, x, 2.0)),
+    "bubble_partition.gap_delta": ("gap_delta", lambda c, x: bubble_partition(c.u, 0.1, 1.0, x)),
+    "compactness_report.p": ("p", lambda c, x: compactness_report([c.u], p=x)),
+    "compactness_report.ref_radius": (
+        "ref_radius", lambda c, x: compactness_report([c.u], ref_radius=x)),
+    "compactness_report.gap_delta": (
+        "gap_delta", lambda c, x: compactness_report([c.u], gap_delta=x)),
 }
 
 
@@ -97,13 +132,19 @@ def test_unmet_precondition_is_not_an_invariant_error(call, match):
     assert not isinstance(info.value, InvariantError)
 
 
-@pytest.mark.parametrize("window", [math.nan, 0.0, -1.0, math.inf])
-@pytest.mark.parametrize("call", WINDOW_ENTRY_POINTS.values(), ids=WINDOW_ENTRY_POINTS)
-def test_window_must_be_positive_and_finite(call, window):
-    # a bad window is a precondition: never labelled cells, nor overlapping bands
-    u, _, _, radii, _ = staircase_pipeline(4)
-    with pytest.raises(ValueError, match="window must be positive and finite") as info:
-        call(u, radii, window)
+@pytest.mark.parametrize("value", [math.nan, 0.0, -1.0, math.inf])
+@pytest.mark.parametrize("name,call", REAL_PARAMETERS.values(), ids=REAL_PARAMETERS)
+def test_window_must_be_positive_and_finite(name, call, value):
+    # every length, p and the certificate's eps: a bad value is a precondition, named as the
+    # caller passed it, before any work that could warn (an inf radius once reached numpy's
+    # "invalid value" in the Levy scan) or fail as an invariant (overlapping bands)
+    u, f, dec, radii, _ = staircase_pipeline(4)
+    case = SimpleNamespace(u=u, f=f, dec=dec, radii=radii)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        message = f"^{name} must be (positive|above 1) and finite, got {value!r}$"
+        with pytest.raises(ValueError, match=message) as info:
+            call(case, value)
     assert not isinstance(info.value, InvariantError)
 
 

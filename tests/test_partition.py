@@ -75,7 +75,7 @@ class TestSelectRadii:
         with pytest.raises(ValueError, match="window must be positive"):
             ConcentrationProfile(f.breakpoints, f.plateau_values, window=0.0)
         for base, match in ((0.0, "base_radius must be positive"),
-                            (1e20, "window vanishes next to base_radius")):
+                            (1e20, "window 1.0 vanishes next to base_radius 1e\\+20")):
             with pytest.raises(ValueError, match=match):
                 select_radii(f, bubbles, base)
 
