@@ -132,7 +132,7 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
             f"of radius {radius} centered at {center} holds mass {score}")
 
     order = np.sort(u.values[region.mask])
-    alpha = max(1, min(math.ceil(1.0 / eps), 1 + np.count_nonzero(order[1:] != order[:-1])))
+    alpha = max(1, math.ceil(min(1.0 / float(eps), 1 + np.count_nonzero(order[1:] != order[:-1]))))
     # per target volume, the smallest value with at least that volume below it
     cum = np.arange(1, order.size + 1) * u.geom.cell_volume
     q = np.minimum(cum.searchsorted(np.arange(1, alpha) * m / alpha, side="left"), order.size - 1)

@@ -160,10 +160,6 @@ class ConcentrationProfile:
         below = self.mass_below(ends)
         return below[1] - below[0]
 
-    def integrate(self, a: float, b: float) -> float:
-        """Mass of the window (a, b), 0.0 unless a < b."""
-        return float(self.window_masses((a, b))) if b > a else 0.0
-
     # -- surgery ---------------------------------------------------------
 
     def zero_on(self, a: float, b: float) -> "ConcentrationProfile":
@@ -178,10 +174,7 @@ class ConcentrationProfile:
         (pv[0] is kept, and pv[n] is kept or the zero plateau is the last);
         a (b) is kept only next to a nonzero plateau, and the zero plateau is
         an entry of its own only between two nonzero ones, so no two
-        neighbouring plateaus are equal.  The cached cumulative mass is carried:
-        below slot max(i0, 1) nothing changed, and above it the same running
-        sum continues in the same order as a fresh ``cumsum``, so every entry
-        has the bits a fresh one would."""
+        neighbouring plateaus are equal."""
         bp, pv = self.breakpoints, self.plateau_values
         if not b > a or bp.size == 0:
             return self
@@ -194,16 +187,8 @@ class ConcentrationProfile:
         # both are, the zero plateau is pv[i0] and pv[i1] goes
         new_pv = np.concatenate([pv[:i0 + 1], [0.0] if left and right else [],
                                  pv[i1 if left or right else i1 + 1:]])
-        cum = np.zeros(new_bp.size + 1)
-        if new_bp.size:
-            s = max(i0, 1)
-            cum[:s + 1] = self._cum0[:s + 1]
-            tail = new_pv[s:-1] * np.diff(new_bp[s - 1:])
-            if tail.size:
-                tail[0] += cum[s]
-                np.cumsum(tail, out=cum[s + 1:])
         new = object.__new__(ConcentrationProfile)
-        for name, arr in (("breakpoints", new_bp), ("plateau_values", new_pv), ("_cum0", cum)):
+        for name, arr in (("breakpoints", new_bp), ("plateau_values", new_pv)):
             arr.flags.writeable = False
             object.__setattr__(new, name, arr)
         object.__setattr__(new, "window", self.window)
@@ -300,7 +285,8 @@ class _LevyScan:
         self.radius = radius
         self.edges: list[float] = []  # keep-out (lo, hi) pairs, flattened
         self._pm = np.array([[-radius], [radius]])  # c + _pm: the window ends
-        self._first = f.breakpoints.size, float(f._cum0[-1])  # n and T before any removal
+        # n and T before any removal
+        self._first = f.breakpoints.size, float(f.mass_below(np.inf))
         self.centers = self._candidates(-np.inf, np.inf)
         self.masses = self._score(self.centers)
 

@@ -471,7 +471,8 @@ def classify(f: ConcentrationProfile, eps: float, ref_radius: float,
     if m_star <= eps * total:
         return TrichotomyVerdict("vanishing", None, None, total, eps, ref_radius)
     inner, outer, _ = _grow_window(f, center, ref_radius, gap_delta, eps * total)
-    witness = Bubble(center, inner, outer, f.integrate(center - inner, center + inner))
+    witness = Bubble(center, inner, outer,
+                     float(f.window_masses((center - inner, center + inner))))
     if m_star >= (1 - eps) * total:
         return TrichotomyVerdict("compactness", witness, None, total, eps, ref_radius)
     lam1 = witness.mass
@@ -537,11 +538,11 @@ def array_best_radius(f: ConcentrationProfile, offsets, lo: float,
 
 def interval_average(f: ConcentrationProfile, offsets, lo: float, hi: float) -> float:
     """Mean over r in (lo, hi) of the sum of f(scale * r + shift), one
-    ``integrate`` per (scale, shift) offset."""
+    ``window_masses`` read per (scale, shift) offset."""
     total = 0.0
     for scale, shift in offsets:
         a, b = scale * lo + shift, scale * hi + shift
-        total += f.integrate(min(a, b), max(a, b))
+        total += float(f.window_masses((min(a, b), max(a, b))))
     return total / (hi - lo)
 
 

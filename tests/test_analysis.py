@@ -32,6 +32,7 @@ from crackgrid.grid import (
     CellSet,
     GridFunction,
     GridGeometry,
+    InvariantError,
     crack_masks_from_rows,
     energy,
     kyfan_distance,
@@ -67,6 +68,20 @@ class TestVanishingCertificate:
             assert cert.measured_volume == pytest.approx(1 / n, abs=1e-15)
             assert cert.certified
             assert cert.chain_ok
+
+    def test_eps_whose_reciprocal_overflows(self):
+        # 1/eps is inf below about 5.6e-309: alpha is capped by the distinct
+        # values, and the hypothesis check, not a float conversion, decides
+        geom = GridGeometry((0.0, 0.0), 1e-14, (4, 4))
+        u = GridFunction(geom, np.arange(16.0).reshape(4, 4))
+        region = CellSet(geom, np.ones(geom.shape, dtype=bool))
+        for eps in (5e-324, 1e-310, np.float64(5e-324)):
+            with np.errstate(all="raise"):
+                try:
+                    cert = vanishing_certificate(u, region, eps=eps)
+                except InvariantError:
+                    continue
+            assert cert.alpha == 16
 
     def test_empty_region_trivially_certified(self, monkeypatch):
         # the empty region's profile is empty, with score 0.0: none is built,

@@ -268,13 +268,15 @@ class TestProfileQueries:
         f = concentration_profile(u)
         lo, hi = f.support()
         c = 0.5 * (lo + hi)
-        assert f.integrate(c - (hi - lo), c + (hi - lo)) == pytest.approx(f.total_mass(), rel=1e-14)
+        mass = float(f.window_masses((c - (hi - lo), c + (hi - lo))))
+        assert mass == pytest.approx(f.total_mass(), rel=1e-14)
 
     def test_window_mass_bounded_by_height(self):
         u = fixture_staircase(4)
         f = concentration_profile(u)
         for radius in (1e-6, 0.01, 0.5):
-            assert f.integrate(0.3 - radius, 0.3 + radius) <= 2 * radius * f.max_height() + 1e-15
+            mass = float(f.window_masses((0.3 - radius, 0.3 + radius)))
+            assert mass <= 2 * radius * f.max_height() + 1e-15
 
     def test_levy_single_plateau(self):
         f = ConcentrationProfile.from_intervals([(0.0, 4.0, 1.5)])
@@ -300,9 +302,10 @@ class TestProfileQueries:
             grid = np.unique(np.concatenate(
                 [f.breakpoints - radius, f.breakpoints + radius,
                  np.linspace(f.breakpoints[0] - radius, f.breakpoints[-1] + radius, 2000)]))
-            brute = max(f.integrate(c - radius, c + radius) for c in grid)
+            brute = max(float(f.window_masses((c - radius, c + radius))) for c in grid)
             assert mass == pytest.approx(brute, abs=1e-12)
-            assert f.integrate(center - radius, center + radius) == pytest.approx(mass, abs=1e-14)
+            at_center = float(f.window_masses((center - radius, center + radius)))
+            assert at_center == pytest.approx(mass, abs=1e-14)
 
     def test_levy_is_the_old_candidate_scan_bit_for_bit(self):
         # the scan's first best() against the direct candidate scan it replaced
@@ -349,7 +352,8 @@ class TestProfileQueries:
         f = concentration_profile(u)
         mass, center = levy_concentration(f, 2.0)
         # the best window hugs a plate cluster, not the thin middle plateau
-        middle = max(f.integrate(a - 2.0, a + 2.0) for a in np.arange(4.0, 14.0, 0.25))
+        middle = max(float(f.window_masses((a - 2.0, a + 2.0)))
+                     for a in np.arange(4.0, 14.0, 0.25))
         assert mass > middle
         assert min(abs(center - 0.0), abs(center - 17.0)) <= 2.0
 
@@ -525,15 +529,31 @@ class TestSurgery:
                 assert got.tobytes() == want.tobytes()
             assert f.mass_below(-inf) == 0.0
             assert isinstance(f.mass_below(np.array(inf)), float)
-            total = f.integrate(-inf, inf)
+            total = float(f.window_masses((-inf, inf)))
             assert not np.isnan(total)
             assert total == (_oracles.masked_mass_below(f, inf)
                              - _oracles.masked_mass_below(f, -inf))
 
+    def test_mass_below_inf_is_the_cumulative_total(self):
+        # mass_below(inf) is the last entry of the sequential cumulative mass,
+        # the first total T a Levy scan reads; total_mass() is numpy's pairwise
+        # sum, within the scan's (2n + 10) * eps * T of it but not always equal
+        rng = np.random.default_rng(0)
+        eps, differ = float(np.finfo(float).eps), 0
+        with np.errstate(all="raise"):
+            for f in [empty_profile()] + [random_profile(rng) for _ in range(2000)]:
+                bottom, top = f.mass_below(-np.inf), f.mass_below(np.inf)
+                assert np.float64(bottom).tobytes() == np.float64(0.0).tobytes()
+                assert np.float64(top).tobytes() == f._cum0[-1].tobytes()
+                bound = (2 * f.breakpoints.size + 10) * eps * top
+                assert abs(f.total_mass() - top) <= bound
+                differ += f.total_mass() != top
+        assert differ > 0  # the two sums are distinct definitions
+
     def test_zero_on_matches_unique_and_canonical_oracle(self):
         # chains of up to three cuts: the spliced arrays equal the oracle's, and
-        # the cumulative mass carried from the parent equals a fresh cumsum,
-        # byte for byte
+        # the cumulative mass the cut builds on its first query equals a fresh
+        # profile's, byte for byte
         rng = np.random.default_rng(37)
         seen = dict.fromkeys(["a on a breakpoint", "b on a breakpoint", "a below the support",
                               "b above the support", "zero plateau left of a",
