@@ -30,7 +30,7 @@ from .profile import ConcentrationProfile, _LevyScan, levy_concentration
 
 
 @dataclass(frozen=True)
-class ExtractionParams:
+class ExtractionParams(Record):
     eps: float
     gap_delta: float
     ref_radius: float
@@ -51,8 +51,8 @@ class Bubble(Record):
     mass: float
 
     def __post_init__(self):
-        if not (0 < self.inner_radius <= self.outer_radius):
-            raise InvariantError("need 0 < inner_radius <= outer_radius")
+        if not (math.isfinite(self.center) and 0 < self.inner_radius <= self.outer_radius):
+            raise InvariantError("need a finite center and 0 < inner_radius <= outer_radius")
         if not self.mass > 0:
             raise InvariantError("bubble mass must be positive")
 
@@ -110,12 +110,7 @@ class BubbleDecomposition:
             "leakage": list(self.leakages),
             "capped": list(self.capped),
             "incomplete": self.incomplete,
-            "params": {
-                "eps": self.params.eps,
-                "gap_delta": self.params.gap_delta,
-                "ref_radius": self.params.ref_radius,
-                "mass_scale": self.total_mass,
-            },
+            "params": {**self.params.as_dict(), "mass_scale": self.total_mass},
         }
 
 
@@ -275,29 +270,14 @@ def _extract_ladder(f: ConcentrationProfile, eps_ladder: Sequence[float], gap_de
 
 
 @dataclass(frozen=True)
-class BubbleTracks:
-    """Cross-sequence bubble matching by mass rank."""
+class BubbleTracks(Record):
+    """Cross-sequence bubble matching by mass rank; pairs of ranks i < j are keyed "i-j"."""
 
     counts: tuple[int, ...]
     centers: tuple[tuple[float, ...], ...]  # [rank][n]
     mass_series: tuple[tuple[float, ...], ...]  # [rank][n]
-    separations: dict[tuple[int, int], tuple[float, ...]]
-    trends: dict[tuple[int, int], str]
-
-    def as_dict(self) -> dict:
-        return {
-            "counts": list(self.counts),
-            "centers": [list(c) for c in self.centers],
-            "mass_series": [list(m) for m in self.mass_series],
-            "separations": {f"{i}-{j}": list(s) for (i, j), s in self.separations.items()},
-            "trends": {f"{i}-{j}": t for (i, j), t in self.trends.items()},
-        }
-
-
-def separation_trend(series: Sequence[float]) -> str:
-    if all(b > a for a, b in zip(series, series[1:])):
-        return "increasing"
-    return "bounded"
+    separations: dict[str, list[float]]
+    trends: dict[str, str]
 
 
 def track_sequence(decomps: Sequence[BubbleDecomposition]) -> BubbleTracks:
@@ -316,11 +296,12 @@ def track_sequence(decomps: Sequence[BubbleDecomposition]) -> BubbleTracks:
     j = min(counts)
     centers = tuple(tuple(d.bubbles[r].center for d in decomps) for r in range(j))
     masses = tuple(tuple(d.bubbles[r].mass for d in decomps) for r in range(j))
-    seps: dict[tuple[int, int], tuple[float, ...]] = {}
-    trends: dict[tuple[int, int], str] = {}
+    seps: dict[str, list[float]] = {}
+    trends: dict[str, str] = {}
     for a in range(j):
         for b in range(a + 1, j):
-            series = tuple(abs(x - y) for x, y in zip(centers[a], centers[b]))
-            seps[(a, b)] = series
-            trends[(a, b)] = separation_trend(series)
+            series = [abs(x - y) for x, y in zip(centers[a], centers[b])]
+            seps[f"{a}-{b}"] = series
+            rising = all(t > s for s, t in zip(series, series[1:]))
+            trends[f"{a}-{b}"] = "increasing" if rising else "bounded"
     return BubbleTracks(counts, centers, masses, seps, trends)

@@ -137,6 +137,11 @@ class DomainPartition:
         self.geom = u.geom
         self.window = float(window)
         self.pieces = tuple(sorted(radii, key=lambda p: p.center))
+        for p in self.pieces:
+            if not np.isfinite(p.center):
+                raise ValueError(f"piece center must be finite, got {p.center!r}")
+            check_real("r_minus", p.r_minus)
+            check_real("r_plus", p.r_plus)
         bands = [(p.center - p.r_minus, p.center + p.r_plus) for p in self.pieces]
         w = self.window
         edges = []

@@ -116,9 +116,9 @@ def test_criterion_04_runaway_pipeline():
     ok &= lsc.limit_directional == (0.0, 0.0)
     ok &= lsc.total_margin == 1.0
     tracks = track_sequence(decs)
-    sep = tracks.separations[(0, 1)]
-    ok &= sep == (10.0, 100.0, 1000.0)
-    ok &= tracks.trends[(0, 1)] == "increasing"
+    sep = tracks.separations["0-1"]
+    ok &= sep == [10.0, 100.0, 1000.0]
+    ok &= tracks.trends["0-1"] == "increasing"
     elapsed = time.perf_counter() - t0
     ok &= elapsed < 1.0
     _report(4, f"runaway pipeline: zero renormalization, LSC margin, separations "

@@ -17,10 +17,12 @@ from _fixtures import cluster_plate, empty_profile, random_profile
 
 from crackgrid import analysis, bubbles
 from crackgrid.bubbles import (
+    Bubble,
+    BubbleDecomposition,
+    ExtractionParams,
     _extract_ladder,
     classify,
     extract_bubbles,
-    separation_trend,
     track_sequence,
 )
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
@@ -601,6 +603,14 @@ class TestLadder:
         assert alive == [0, 0, 0]
 
 
+def two_bubbles(distance: float) -> BubbleDecomposition:
+    """A hand-built decomposition whose second bubble sits ``distance`` from the first."""
+    return BubbleDecomposition(
+        bubbles=(Bubble(0.0, 1.0, 1.0, 2.0), Bubble(distance, 1.0, 1.0, 1.0)),
+        remainder=empty_profile(), vanishing_score=0.0,
+        params=ExtractionParams(0.1, 2.0, 1.0), total_mass=3.0, leakages=(0.0, 0.0))
+
+
 class TestTracks:
     def test_staircase_separations_strictly_increase(self):
         decs = []
@@ -609,8 +619,10 @@ class TestTracks:
             decs.append(extract_bubbles(f, eps=0.2, gap_delta=2.0, ref_radius=1.0))
         tracks = track_sequence(decs)
         assert tracks.counts == (2, 2, 2, 2)
-        assert tracks.separations[(0, 1)] == (5.0, 9.0, 17.0, 33.0)
-        assert tracks.trends[(0, 1)] == "increasing"
+        assert tracks.separations["0-1"] == [5.0, 9.0, 17.0, 33.0]
+        assert tracks.trends["0-1"] == "increasing"
+        # the record is its JSON form: string keys and lists, no tuple left
+        assert json.loads(json.dumps(tracks.as_dict())) == tracks.as_dict()
 
     def test_runaway_separations(self):
         decs = []
@@ -618,15 +630,15 @@ class TestTracks:
             f = concentration_profile(fixture_runaway(n))
             decs.append(extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0))
         tracks = track_sequence(decs)
-        assert tracks.separations[(0, 1)] == (10.0, 100.0, 1000.0)
-        assert tracks.trends[(0, 1)] == "increasing"
+        assert tracks.separations["0-1"] == [10.0, 100.0, 1000.0]
+        assert tracks.trends["0-1"] == "increasing"
 
     def test_constant_sequence_is_bounded(self):
         f = ConcentrationProfile.from_intervals([(0.0, 1.0, 1.0), (50.0, 51.0, 0.5)])
         decs = [extract_bubbles(f, eps=0.1, gap_delta=2.0, ref_radius=1.0) for _ in range(3)]
         tracks = track_sequence(decs)
-        assert tracks.trends[(0, 1)] == "bounded"
-        assert len(set(tracks.separations[(0, 1)])) == 1
+        assert tracks.trends["0-1"] == "bounded"
+        assert len(set(tracks.separations["0-1"])) == 1
 
     def test_mismatched_params_rejected(self):
         f = ConcentrationProfile.from_intervals([(0.0, 1.0, 1.0)])
@@ -636,6 +648,12 @@ class TestTracks:
             track_sequence([a, b])
 
     def test_trend_vocabulary(self):
-        assert separation_trend([1.0, 2.0, 3.0]) == "increasing"
-        assert separation_trend([2.0, 2.0, 2.0]) == "bounded"
-        assert separation_trend([3.0, 1.0, 2.0]) == "bounded"
+        # "increasing" only where the series strictly increases; the one-entry
+        # series of a one-function sequence is vacuously so
+        for distances, trend in (([1.0, 2.0, 3.0], "increasing"),
+                                 ([2.0, 2.0, 2.0], "bounded"),
+                                 ([3.0, 1.0, 2.0], "bounded"),
+                                 ([5.0], "increasing")):
+            tracks = track_sequence([two_bubbles(d) for d in distances])
+            assert tracks.separations == {"0-1": distances}
+            assert tracks.trends == {"0-1": trend}

@@ -46,10 +46,17 @@ def _certificate_in_1d(_):
                           CellSet(geom, np.ones(8, dtype=bool)), eps=0.5)
 
 
+def _partition_of(center, r_minus, r_plus):
+    """A one-piece partition of the staircase at window 1.0; the profile goes unused."""
+    return lambda _: partition.DomainPartition(
+        fixture_staircase(4), [partition.RadiusChoice(center, r_minus, r_plus, 0.0, 0.0)], 1.0)
+
+
 INVARIANTS = {
     "not-weakly-vanishing": (_not_weakly_vanishing, "not weakly vanishing"),
     "bubble-radii": (lambda: Bubble(0.0, 2.0, 1.0, 1.0), "inner_radius <= outer_radius"),
     "bubble-mass": (lambda: Bubble(0.0, 1.0, 2.0, 0.0), "mass must be positive"),
+    "bubble-center": (lambda: Bubble(math.nan, 1.0, 1.0, 1.0), "finite center"),
 }
 
 PRECONDITIONS = {
@@ -64,6 +71,12 @@ PRECONDITIONS = {
     "gap-delta-lost": (lambda f: _grow_window(f, 0.0, 1e20, 2.0, 0.0),
                        "gap_delta 2.0 vanishes next to radius"),
     "certificate-1d": (_certificate_in_1d, "2D"),
+    "piece-center-nan": (_partition_of(math.nan, 1.0, 1.0), "piece center must be finite"),
+    "piece-center-inf": (_partition_of(math.inf, 1.0, 1.0), "piece center must be finite"),
+    "piece-radii-inf": (_partition_of(2.0, math.inf, math.inf), "r_minus must be positive"),
+    "piece-r-plus-0": (_partition_of(2.0, 1.0, 0.0), "r_plus must be positive"),
+    # its bands would overlap, but a bad radius is a precondition, checked first
+    "piece-radii-negative": (_partition_of(2.0, -1.0, -1.0), "r_minus must be positive"),
 }
 
 
