@@ -219,7 +219,10 @@ class SliceLscReport(Record):
 
     @property
     def lsc_holds(self) -> bool:
-        return all(mg >= -1e-12 for mg in self.margins) and self.total_margin >= -1e-12
+        """Along every axis, every function's summed slice counts are at least
+        the limit's: exact at any spacing, and it implies a nonnegative total."""
+        return all(min(map(sum, seq)) >= sum(lim)
+                   for lim, seq in zip(self.limit_slice_counts, self.seq_slice_counts))
 
 
 def _row_jumps(u: GridFunction, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,8 +235,8 @@ def _row_jumps(u: GridFunction, axis: int) -> tuple[np.ndarray, np.ndarray]:
 def lsc_report(seq: Sequence[GridFunction], limit: GridFunction) -> SliceLscReport:
     """Check lower semicontinuity of the jump measure via directional slicing.
 
-    Per axis the directional jump measures are exact face counts; the margin
-    is min_n seq - limit and must be nonnegative for LSC.  The 1D locality
+    Per axis the directional jump measures are face counts times the face
+    area, and the margin is min_n seq - limit.  The 1D locality
     check searches the smallest dyadic multiple of 2h such that every limit
     jump on every slice has a sequence jump within that distance for all n.
     """
@@ -243,50 +246,44 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction) -> SliceLscRepo
         require_same_geometry(g.geom, limit.geom)
     geom = limit.geom
     axes = tuple(range(geom.dim))
-    # per axis: directional measures (one (row, index) pair per jump face), slice counts, eta
-    lim_dir, seq_dir, lim_counts, seq_counts, etas, limited, ok = ([] for _ in range(7))
+    # per axis: directional measures and slice counts, the limit's first, then eta
+    dirs, counts, etas = [], [], []
     h, area = geom.spacing, geom.face_area
     for axis in axes:
         n = geom.shape[axis]
-        n_rows = geom.num_cells // n
         origin = geom.origin[axis]
-        lim_row, lim_index = _row_jumps(limit, axis)
+        walks = [_row_jumps(g, axis) for g in (limit, *seq)]  # (row, index) per jump face
+        rows_hit = [np.bincount(row, minlength=geom.num_cells // n) for row, _ in walks]
+        dirs.append([row.size * area for row, _ in walks])
+        counts.append([tuple(c.tolist()) for c in rows_hit])
+        (lim_row, lim_index), *seq_walks = walks
         x = origin + (lim_index + 1) * h
-        lim_dir.append(lim_row.size * area)
-        lim_counts.append(tuple(np.bincount(lim_row, minlength=n_rows).tolist()))
-        per_g, dirs = [], []
-        required = 0.0
-        missing = False
-        for g in seq:
-            row, index = _row_jumps(g, axis)
-            dirs.append(row.size * area)
-            counts = np.bincount(row, minlength=n_rows)
-            per_g.append(tuple(counts.tolist()))
-            covered = counts[lim_row] > 0
-            missing |= not covered.all()
+        eta = 2 * h
+        for (row, index), c in zip(seq_walks, rows_hit[1:]):
+            if not c[lim_row].all():  # g has no jump on a slice where the limit has one
+                eta = None
+                break
             # positions grow with the index: a row's nearest jump is next to x's sort slot
             y = origin + (index + 1) * h
-            j = np.searchsorted(row * n + index, (lim_row * n + lim_index)[covered])
-            r, xc = lim_row[covered], x[covered]
-            near = np.full(xc.size, np.inf)
+            j = np.searchsorted(row * n + index, lim_row * n + lim_index)
+            near = np.full(x.size, np.inf)
             for side in (np.maximum(j - 1, 0), np.minimum(j, row.size - 1)):
-                near = np.minimum(near, np.where(row[side] == r, np.abs(xc - y[side]), np.inf))
-            required = max(required, float(np.max(near, initial=0.0)))
-        seq_dir.append(tuple(dirs))
-        seq_counts.append(tuple(per_g))
-        eta = 2 * h
-        while eta < required:
-            eta *= 2
-        etas.append(None if missing else eta)
-        limited.append(not missing and required <= 2 * h)
-        ok.append(not missing)
+                near = np.minimum(near, np.where(row[side] == lim_row,
+                                                 np.abs(x - y[side]), np.inf))
+            while eta < np.max(near, initial=0.0):
+                eta *= 2
+        etas.append(eta)
+    lim_dir = tuple(d[0] for d in dirs)
+    seq_dir = tuple(tuple(d[1:]) for d in dirs)
     margins = tuple(min(s) - l for s, l in zip(seq_dir, lim_dir))
     total_margin = min(sum(col) for col in zip(*seq_dir)) - sum(lim_dir)
     return SliceLscReport(
-        axes=axes, limit_directional=tuple(lim_dir), seq_directional=tuple(seq_dir),
+        axes=axes, limit_directional=lim_dir, seq_directional=seq_dir,
         margins=margins, total_margin=total_margin,
-        limit_slice_counts=tuple(lim_counts), seq_slice_counts=tuple(seq_counts),
-        eta=tuple(etas), eta_resolution_limited=tuple(limited), eta_ok=tuple(ok))
+        limit_slice_counts=tuple(c[0] for c in counts),
+        seq_slice_counts=tuple(tuple(c[1:]) for c in counts), eta=tuple(etas),
+        eta_resolution_limited=tuple(e == 2 * h for e in etas),
+        eta_ok=tuple(e is not None for e in etas))
 
 
 # -- gradient pairings (weak-convergence proxy) -------------------------------

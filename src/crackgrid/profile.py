@@ -146,8 +146,8 @@ class ConcentrationProfile:
             return self._cum0[k]
         # The mass on plateau k below t, taken first so that its temporaries
         # are freed before cum0[k] is; t is clipped into the breakpoint range,
-        # so that the zero end plateaus give 0.0 and not 0 * inf.
-        below = self.plateau_values[k] * (np.fmin(np.fmax(t, bp[0]), bp[-1]) - bp[k - 1])
+        # so that the zero end plateaus give 0.0 and not 0 * inf; a NaN t stays NaN.
+        below = self.plateau_values[k] * (np.minimum(np.maximum(t, bp[0]), bp[-1]) - bp[k - 1])
         below += self._cum0[k]
         return below
 

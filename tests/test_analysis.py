@@ -411,9 +411,14 @@ class TestLscOracle:
         assert fast == slow
         # the serialized report, types included, is the same too
         assert json.dumps(fast, sort_keys=True) == json.dumps(slow, sort_keys=True)
+        # the verdict is the count rule: per axis, no function has fewer jump faces
+        assert fast["lsc_holds"] == all(
+            min(sum(c) for c in seq) >= sum(lim)
+            for lim, seq in zip(fast["limit_slice_counts"], fast["seq_slice_counts"]))
         return fast
 
-    @pytest.mark.parametrize("spacing", [0.1, 1 / 3, 0.25, 0.7])
+    # the two small spacings put a one-face deficit far below any float slack
+    @pytest.mark.parametrize("spacing", [0.1, 1 / 3, 0.25, 0.7, 1e-13, 2.0 ** -45])
     def test_random_sequences(self, spacing):
         rng = np.random.default_rng(407)
         missing = found = 0
@@ -464,6 +469,29 @@ class TestLscOracle:
         line = GridFunction(geom, np.arange(10.0), crack_masks_from_rows(geom, [[0, 4]]))
         rep = self.assert_matches([GridFunction(geom, np.arange(10.0))], line)
         assert rep["eta"] == [None]
+
+    def test_early_miss_ends_the_search(self):
+        # the first function misses slice 2 where the limit jumps, the later ones
+        # cover it, one of them far off: eta is None, and every count is reported
+        geom = GridGeometry((0.5, 0.25), 0.1, (10, 4))
+        values = np.tile(np.arange(10.0), (4, 1)).T
+        uncracked = np.zeros(geom.face_shape(1), dtype=bool)
+        full = np.ones(geom.face_shape(0), dtype=bool)
+        holed, far = full.copy(), np.zeros_like(full)
+        holed[:, 2] = False
+        far[8, :] = True
+        limit = GridFunction(geom, values, [full, uncracked])
+        seq = [GridFunction(geom, values, [m, uncracked]) for m in (holed, far, full)]
+        for order in (seq, seq[::-1], seq[1:]):
+            rep = self.assert_matches(order, limit)
+            assert rep["seq_slice_counts"][0] == [m.sum(axis=0).tolist() for m in
+                                                  (g.crack_mask(0) for g in order)]
+            assert rep["eta"][1] == 0.2 and rep["eta_resolution_limited"][1]
+        assert rep["eta"][0] == 0.8 and rep["eta_ok"] == [True, True]  # faces 0 and 8
+        assert not rep["eta_resolution_limited"][0] and rep["lsc_holds"] is False
+        rep = self.assert_matches(seq, limit)
+        assert rep["eta"][0] is None and rep["eta_ok"] == [False, True]
+        assert rep["lsc_holds"] is False and not rep["eta_resolution_limited"][0]
 
     def test_equidistant_neighbours(self):
         # the limit jump at face 5 has sequence jumps exactly 0.75 away on both sides

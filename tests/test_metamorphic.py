@@ -10,7 +10,8 @@ break toward the smallest center, which is the other end of a mirrored tie.
 At report level, translating the range moves only bubble centers and cut
 points, transposing a 2D sequence swaps only the per-axis entries, and
 refining a bulk-free sequence writes each slice count twice and moves only
-the spacing-dependent ``eta``.
+the spacing-dependent ``eta``.  The jump LSC verdict is a count of faces, so
+no spacing, however small, turns a missing face into a pass.
 
 The inputs are ``test_exact.dyadic_input``'s, with dyadic shifts, radii and
 gap, so every relation holds with ``==``.
@@ -23,13 +24,15 @@ import json
 from collections import Counter
 
 import numpy as np
+import pytest
 
 import _oracles
+from _fixtures import run_cli
 from crackgrid import profile
-from crackgrid.analysis import compactness_report
+from crackgrid.analysis import compactness_report, lsc_report
 from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
-from crackgrid.grid import CellSet, GridFunction, GridGeometry, energy
+from crackgrid.grid import CellSet, GridFunction, GridGeometry, energy, grid_function_to_dict
 from crackgrid.profile import concentration_profile
 from test_exact import dyadic_input
 
@@ -230,6 +233,32 @@ def test_refinement_doubles_only_the_slices_in_the_report():
         # the runaways' eta is at its resolution floor, 2h, and halves with h
         assert all(fine == (coarse if name == "staircases" else [e / 2 for e in coarse])
                    for coarse, fine in etas), etas
+
+
+def _two_plateaus(spacing: float, cracked: list[int]) -> GridFunction:
+    """A 4 x 4 grid holding 0 on its first two rows along axis 0 and 1 on the
+    last two, cracked on the faces between them in the columns ``cracked``."""
+    geom = GridGeometry((0.0, 0.0), spacing, (4, 4))
+    masks = [np.zeros(geom.face_shape(axis), dtype=bool) for axis in range(2)]
+    masks[0][1, cracked] = True
+    return GridFunction(geom, np.repeat([0.0, 1.0], 8), masks)
+
+
+@pytest.mark.parametrize("spacing", [1.0, 1e-13, 2.0 ** -45])
+def test_a_missing_jump_face_fails_lsc_at_any_spacing(spacing, tmp_path):
+    # one face fewer than the limit's: a margin of -spacing, far below any
+    # float slack at the small spacings, and still a failed verdict
+    limit, g = _two_plateaus(spacing, [0, 1, 2, 3]), _two_plateaus(spacing, [0, 1, 2])
+    lsc = lsc_report([g], limit)
+    assert lsc.margins[0] < 0.0 and lsc.margins[1] == 0.0
+    assert not lsc.lsc_holds
+    for name, u in (("g.json", g), ("limit.json", limit)):
+        (tmp_path / name).write_text(json.dumps(grid_function_to_dict(u)))
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps({"functions": ["g.json"], "limit": "limit.json"}))
+    assert run_cli("slice-lsc", str(manifest)).returncode == 2
+    rep = compactness_report([g], limit=limit, eps_ladder=[0.1])
+    assert "eps=0.1: jump LSC margin negative" in rep.violations
 
 
 def test_negation_mirrors_the_profile_and_untied_bubbles(monkeypatch):

@@ -534,6 +534,19 @@ class TestSurgery:
             assert total == (_oracles.masked_mass_below(f, inf)
                              - _oracles.masked_mass_below(f, -inf))
 
+    def test_mass_below_nan_is_nan(self):
+        # a NaN end is not clipped to the last breakpoint, so it never reads
+        # as the total mass; the finite entries next to it are unchanged
+        f = concentration_profile(fixture_staircase(4))
+        ts = np.array([np.nan, 1.0, -np.inf, np.inf])
+        with np.errstate(all="raise"):
+            got = f.mass_below(ts)
+            assert np.isnan(f.mass_below(np.nan))
+            assert np.isnan(f.window_masses([[np.nan], [1.0]])).all()
+            assert np.isnan(f.window_masses([[0.0], [np.nan]])).all()
+        assert np.isnan(got[0])
+        assert got[1:].tobytes() == _oracles.masked_mass_below(f, ts[1:]).tobytes()
+
     def test_mass_below_inf_is_the_cumulative_total(self):
         # mass_below(inf) is the last entry of the sequential cumulative mass,
         # the first total T a Levy scan reads; total_mass() is numpy's pairwise
