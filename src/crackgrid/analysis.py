@@ -75,16 +75,9 @@ class VanishingCertificate(Record):
     slab_correction: float
     chain_lhs: float  # boundary measure, left side of the halving inequality
     chain_rhs: float  # half the summed slab boundaries outside the gaps
-    trivial: bool = False
-    _derived = ("certified", "chain_ok")
-
-    @property
-    def certified(self) -> bool:
-        return self.measured_volume <= self.bound + 1e-12
-
-    @property
-    def chain_ok(self) -> bool:
-        return self.chain_lhs >= self.chain_rhs - 1e-12
+    trivial: bool
+    certified: bool  # measured_volume <= bound, decided on whole cell and face counts
+    chain_ok: bool  # chain_lhs >= chain_rhs, decided on whole face counts
 
 
 def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
@@ -117,11 +110,10 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     if m == 0.0:  # the region's profile is empty, with score 0.0: nothing to build
         return VanishingCertificate(
             alpha=1, cut_points=(), slab_volumes=(0.0,), gap_volumes=(),
-            gap_perimeters=(), measured_volume=0.0, bound=0.0,
-            eps=1e-12 if eps is None else eps,
+            gap_perimeters=(), measured_volume=0.0, bound=0.0, eps=1e-12 if eps is None else eps,
             radius=radius, boundary_measure=0.0, region_perimeter=0.0,
             iso_constant=grid_iso_constant(), slab_correction=0.0,
-            chain_lhs=0.0, chain_rhs=0.0, trivial=True)
+            chain_lhs=0.0, chain_rhs=0.0, trivial=True, certified=True, chain_ok=True)
     prof = concentration_profile(u, domain=region, window=window)
     score, center = levy_concentration(prof, radius)
     if eps is None:
@@ -137,11 +129,9 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     cum = np.arange(1, order.size + 1) * u.geom.cell_volume
     q = np.minimum(cum.searchsorted(np.arange(1, alpha) * m / alpha, side="left"), order.size - 1)
     above = order.searchsorted(order[q], side="right")
-    cuts = order[np.minimum(above, order.size - 1)]  # ascending, as q is
-    first = np.ones(cuts.size, dtype=bool)  # the first of each run of equal cuts
-    np.not_equal(cuts[1:], cuts[:-1], out=first[1:])
-    cuts = cuts[first].tolist()
-    alpha_eff = len(cuts) + 1
+    # ascending, as q is; equal cuts merge into the first of them
+    cuts = list(dict.fromkeys(order[np.minimum(above, order.size - 1)].tolist()))
+    alpha = len(cuts) + 1  # the slabs the distinct cuts make
 
     edges = [-math.inf] + cuts + [math.inf]
     slabs = [region.mask & (u.values >= lo + radius) & (u.values < hi - radius)
@@ -156,31 +146,39 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
 
     area, cell_vol = u.geom.face_area, u.geom.cell_volume
     gap_faces = [inner(G) for G in gaps]
-    slab_vols = tuple(int(np.count_nonzero(S)) * cell_vol for S in slabs)
+    slab_cells = [int(np.count_nonzero(S)) for S in slabs]
+    gap_counts = [count(f, G) for f, G in zip(gap_faces, gaps)]
+    slab_vols = tuple(s * cell_vol for s in slab_cells)
     gap_vols = tuple(int(np.count_nonzero(G)) * cell_vol for G in gaps)
-    gap_perims = tuple(count(f, G) * area for f, G in zip(gap_faces, gaps))
-    gamma = float(sum(gap_perims))
+    gap_perims = tuple(g * area for g in gap_counts)
+    gamma = 0.0
+    for perim in gap_perims:  # left to right: builtin sum() compensates from Python 3.12 on
+        gamma += perim
 
     region_faces = inner(region.mask)
-    D = count([u.jump_mask(k) | f for k, f in enumerate(region_faces)], region.mask) * area
+    d = count([u.jump_mask(k) | f for k, f in enumerate(region_faces)], region.mask)
     region_perim = count(region_faces, region.mask) * area
 
     # slabs and gaps are disjoint: no box face of a slab lies on a gap
-    chain_rhs = 0.0
+    chain_rhs, chain = 0.0, []  # chain: per slab, its boundary's face count outside the gaps
     for i, S in enumerate(slabs):
         faces = inner(S)
         for gap in gap_faces[max(i - 1, 0):i + 1]:  # the gaps on either side of slab i
             faces = [f & ~g for f, g in zip(faces, gap)]
-        chain_rhs += 0.5 * count(faces, S) * area
-    c_iso = grid_iso_constant()
-    slab_correction = max(0.0, max(m / alpha_eff - v for v in slab_vols))
-    bound = 4.0 * c_iso * (D + gamma) ** 2 / alpha_eff + alpha_eff * slab_correction
+        chain.append(count(faces, S))
+        chain_rhs += 0.5 * chain[-1] * area
+    D, c_iso = d * area, grid_iso_constant()
+    slab_correction = max(0.0, max(m / alpha - v for v in slab_vols))
+    bound = 4.0 * c_iso * (D + gamma) ** 2 / alpha + alpha * slab_correction
+    # volume <= bound, over h^2 and times 4 alpha (4 c = 1/4): 4 alpha min(n, alpha s) <= (d + g)^2
+    certified = 4 * alpha * min(order.size, alpha * min(slab_cells)) <= (d + sum(gap_counts)) ** 2
     return VanishingCertificate(
-        alpha=alpha_eff, cut_points=tuple(cuts), slab_volumes=slab_vols,
+        alpha=alpha, cut_points=tuple(cuts), slab_volumes=slab_vols,
         gap_volumes=gap_vols, gap_perimeters=gap_perims, measured_volume=m,
         bound=bound, eps=eps, radius=radius, boundary_measure=D,
         region_perimeter=region_perim, iso_constant=c_iso,
-        slab_correction=slab_correction, chain_lhs=D, chain_rhs=chain_rhs)
+        slab_correction=slab_correction, chain_lhs=D, chain_rhs=chain_rhs, trivial=False,
+        certified=certified, chain_ok=2 * d >= sum(chain))
 
 
 # -- slicing ------------------------------------------------------------------
@@ -251,28 +249,25 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction) -> SliceLscRepo
     h, area = geom.spacing, geom.face_area
     for axis in axes:
         n = geom.shape[axis]
-        origin = geom.origin[axis]
         walks = [_row_jumps(g, axis) for g in (limit, *seq)]  # (row, index) per jump face
         rows_hit = [np.bincount(row, minlength=geom.num_cells // n) for row, _ in walks]
         dirs.append([row.size * area for row, _ in walks])
         counts.append([tuple(c.tolist()) for c in rows_hit])
         (lim_row, lim_index), *seq_walks = walks
-        x = origin + (lim_index + 1) * h
-        eta = 2 * h
+        budget = 2  # eta in whole faces, so eta = budget * h is 2h doubled
         for (row, index), c in zip(seq_walks, rows_hit[1:]):
             if not c[lim_row].all():  # g has no jump on a slice where the limit has one
-                eta = None
+                budget = None
                 break
-            # positions grow with the index: a row's nearest jump is next to x's sort slot
-            y = origin + (index + 1) * h
+            # a row's nearest jump is next to the limit jump's sort slot; other rows count n faces
             j = np.searchsorted(row * n + index, lim_row * n + lim_index)
-            near = np.full(x.size, np.inf)
+            near = np.full(lim_index.size, n)
             for side in (np.maximum(j - 1, 0), np.minimum(j, row.size - 1)):
                 near = np.minimum(near, np.where(row[side] == lim_row,
-                                                 np.abs(x - y[side]), np.inf))
-            while eta < np.max(near, initial=0.0):
-                eta *= 2
-        etas.append(eta)
+                                                 np.abs(lim_index - index[side]), n))
+            while budget < np.max(near, initial=0):
+                budget *= 2
+        etas.append(None if budget is None else budget * h)
     lim_dir = tuple(d[0] for d in dirs)
     seq_dir = tuple(tuple(d[1:]) for d in dirs)
     margins = tuple(min(s) - l for s, l in zip(seq_dir, lim_dir))

@@ -22,6 +22,7 @@ Trace counting rules (per face):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -73,7 +74,7 @@ class ConcentrationProfile:
 
         ``intervals`` is an ``(n, 3)`` array of ``(lo, hi, weight)`` rows or an
         iterable of such tuples; rows with ``hi <= lo`` or zero weight add nothing.
-        Every end and weight must be finite.
+        Every end and weight must be finite, and no plateau's weights may sum below zero.
         """
         if not isinstance(intervals, np.ndarray):
             intervals = list(intervals)
@@ -112,6 +113,9 @@ class ConcentrationProfile:
         values[np.abs(values) <= snap] = 0.0
         values[0] = 0.0
         values[-1] = 0.0
+        for k in np.flatnonzero(values < 0):  # residue, unless the rows covering k sum below -snap
+            if math.fsum(weights[(slot[:weights.size] <= k) & (k < slot[weights.size:])]) < -snap:
+                raise ValueError("plateau values must be nonnegative")
         np.maximum(values, 0.0, out=values)
         return cls(bp, values, window)
 

@@ -16,6 +16,7 @@ or replaced them, kept as references for the tests.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -159,27 +160,41 @@ def jump_boundary_measure(u: GridFunction, domain: CellSet | None = None) -> flo
     return count * u.geom.face_area
 
 
-def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: float):
-    """(boundary_measure, chain_rhs, region_perimeter, gap_perimeters) of a
-    vanishing certificate with the given cuts."""
-    area = u.geom.face_area
+def certificate_face_counts(u: GridFunction, region: CellSet, cuts, radius: float):
+    """(d, chain, region perimeter, gap perimeters, slab cells) of a vanishing
+    certificate with the given cuts, in whole faces and cells: d counts the jump
+    set united with the region boundary, and chain, per slab, the faces of its
+    boundary on neither neighbouring gap's boundary."""
     jump = {("i", f[0], f[1:]) for f in jump_faces(u)}
-    measure = len(jump | boundary_face_keys(region)) * area
     edges = [-math.inf, *cuts, math.inf]
     gaps = [boundary_face_keys(CellSet(u.geom, region.mask & (u.values > t - radius)
                                        & (u.values < t + radius))) for t in cuts]
-    chain_rhs = 0.0
+    chain, slab_cells = [], []
     for i in range(len(cuts) + 1):
         lo = edges[i] + radius if math.isfinite(edges[i]) else -math.inf
         hi = edges[i + 1] - radius if math.isfinite(edges[i + 1]) else math.inf
-        keys = boundary_face_keys(CellSet(u.geom, region.mask & (u.values >= lo)
-                                          & (u.values < hi)))
+        slab = CellSet(u.geom, region.mask & (u.values >= lo) & (u.values < hi))
+        keys = boundary_face_keys(slab)
         if i >= 1:
             keys -= gaps[i - 1]
         if i < len(gaps):
             keys -= gaps[i]
-        chain_rhs += 0.5 * len(keys) * area
-    return measure, chain_rhs, perimeter(region), tuple(len(g) * area for g in gaps)
+        chain.append(len(keys))
+        slab_cells.append(int(np.count_nonzero(slab.mask)))
+    return (len(jump | boundary_face_keys(region)), chain, len(boundary_face_keys(region)),
+            [len(g) for g in gaps], slab_cells)
+
+
+def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: float):
+    """(boundary_measure, chain_rhs, region_perimeter, gap_perimeters) of a
+    vanishing certificate with the given cuts: the face counts times the face
+    area, chain_rhs half of each slab's count, added slab by slab."""
+    d, chain, region_faces, gap_faces, _ = certificate_face_counts(u, region, cuts, radius)
+    area = u.geom.face_area
+    chain_rhs = 0.0
+    for c in chain:
+        chain_rhs += 0.5 * c * area
+    return d * area, chain_rhs, region_faces * area, tuple(g * area for g in gap_faces)
 
 
 def certificate_cuts(u: GridFunction, region: CellSet, eps: float) -> tuple[int, list[float]]:
@@ -742,13 +757,14 @@ def directional_jump_measure(u: GridFunction, axis: int) -> float:
 
 def lsc_report(seq, limit: GridFunction):
     """Slicing LSC report from one ``slice_line`` per (function, row) and a
-    pairwise search over the limit and sequence jumps of every row."""
+    pairwise search over the limit and sequence jumps of every row, at their
+    exact rational positions."""
     from crackgrid.analysis import SliceLscReport, slice_line
 
     def positions(u, axis, row):
         line = slice_line(u, axis, row) if u.geom.dim == 2 else u
-        g = line.geom
-        return (g.origin[0] + (np.flatnonzero(line.jump_mask(0)) + 1) * g.spacing).tolist()
+        origin, h = Fraction(line.geom.origin[0]), Fraction(line.geom.spacing)
+        return [origin + (int(i) + 1) * h for i in np.flatnonzero(line.jump_mask(0))]
 
     geom = limit.geom
     axes = tuple(range(geom.dim))
@@ -764,7 +780,7 @@ def lsc_report(seq, limit: GridFunction):
         seq_pos = [[positions(g, axis, row) for row in rows] for g in seq]
         lim_counts.append(tuple(len(p) for p in lim_pos))
         seq_counts.append(tuple(tuple(len(p) for p in per_g) for per_g in seq_pos))
-        required = 0.0
+        required = Fraction(0)
         missing = False
         for r, lim_row in enumerate(lim_pos):
             if not lim_row:

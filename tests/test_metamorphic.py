@@ -11,7 +11,9 @@ At report level, translating the range moves only bubble centers and cut
 points, transposing a 2D sequence swaps only the per-axis entries, and
 refining a bulk-free sequence writes each slice count twice and moves only
 the spacing-dependent ``eta``.  The jump LSC verdict is a count of faces, so
-no spacing, however small, turns a missing face into a pass.
+no spacing, however small, turns a missing face into a pass, and the vanishing
+certificate's verdicts count cells and faces, so a power-of-2 spacing scales
+the certificate's measures and leaves its verdicts as they are.
 
 The inputs are ``test_exact.dyadic_input``'s, with dyadic shifts, radii and
 gap, so every relation holds with ``==``.
@@ -29,7 +31,7 @@ import pytest
 import _oracles
 from _fixtures import run_cli
 from crackgrid import profile
-from crackgrid.analysis import compactness_report, lsc_report
+from crackgrid.analysis import compactness_report, lsc_report, vanishing_certificate
 from crackgrid.bubbles import extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
 from crackgrid.grid import CellSet, GridFunction, GridGeometry, energy, grid_function_to_dict
@@ -259,6 +261,33 @@ def test_a_missing_jump_face_fails_lsc_at_any_spacing(spacing, tmp_path):
     assert run_cli("slice-lsc", str(manifest)).returncode == 2
     rep = compactness_report([g], limit=limit, eps_ladder=[0.1])
     assert "eps=0.1: jump LSC margin negative" in rep.violations
+
+
+@pytest.mark.parametrize("spacing", [2.0 ** -20, 2.0 ** -45])
+def test_certificate_verdicts_do_not_depend_on_the_spacing(spacing):
+    # no cracks, one cut at 4.0: gradient faces such as 3 | 7 join the two slabs
+    # across the gap band, so the slabs' 25 chain faces outnumber twice the 12
+    # boundary faces; at 2**-45 the shortfall, half a face's area, is far below
+    # any float slack
+    def certificate(h):
+        geom = GridGeometry((0.0, 0.0), h, (2, 4))
+        u = GridFunction(geom, np.array([[3.0, 4.0, 3.0, 7.0], [7.0, 1.0, 7.0, 0.0]]))
+        region = CellSet(geom, np.ones(geom.shape, dtype=bool))
+        return vanishing_certificate(u, region, eps=0.5, radius=0.5, window=0.25)
+
+    ref, cert = certificate(2.0 ** -10), certificate(spacing)
+    assert (cert.alpha, cert.cut_points) == (2, (4.0,))
+    assert (cert.boundary_measure, cert.chain_rhs) == (12 * spacing, 12.5 * spacing)
+    assert cert.certified and not cert.chain_ok
+    r = spacing / 2.0 ** -10  # a power of 2: every measure scales exactly
+    lengths = ("gap_perimeters", "boundary_measure", "region_perimeter", "chain_lhs",
+               "chain_rhs")
+    volumes = ("slab_volumes", "gap_volumes", "measured_volume", "bound", "slab_correction")
+    want = ref.as_dict()
+    for names, scale in ((lengths, r), (volumes, r * r)):
+        for name in names:
+            want[name] = (np.asarray(want[name]) * scale).tolist()
+    assert cert.as_dict() == want
 
 
 def test_negation_mirrors_the_profile_and_untied_bubbles(monkeypatch):

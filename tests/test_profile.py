@@ -262,6 +262,18 @@ class TestProfileConstruction:
             assert not np.signbit(f.breakpoints[1])
 
 
+    def test_from_intervals_decides_a_negative_plateau_exactly(self):
+        # the weights sum to -1 on (0, 1): no residue, so no clamp may hide it
+        with pytest.raises(ValueError, match="^plateau values must be nonnegative$"):
+            ConcentrationProfile.from_intervals([(0.0, 2.0, 1.0), (0.0, 1.0, -2.0)])
+        # 0.1 + 0.7 - 0.8 leaves float residue on (0, 1), which still gives a zero plateau
+        assert 0.1 + 0.7 - 0.8 != 0.0
+        rows = [(0.0, 1.0, 0.1), (0.0, 1.0, 0.7), (0.0, 1.0, -0.8), (1.0, 2.0, 0.5)]
+        f = ConcentrationProfile.from_intervals(rows)
+        assert f.breakpoints.tolist() == [1.0, 2.0]
+        assert f.plateau_values.tolist() == [0.0, 0.5, 0.0]
+
+
 class TestProfileQueries:
     def test_window_mass_full_support_is_total(self):
         u = fixture_staircase(4)
