@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -37,7 +38,8 @@ from .grid import (
     require_same_geometry,
 )
 from .partition import build_partition, renormalize, select_radii, vanishing_region
-from .profile import ConcentrationProfile, concentration_profile, levy_concentration
+# levy_concentration is not called here: perfbench's stage tracer rebinds it by this name
+from .profile import ConcentrationProfile, _LevyScan, concentration_profile, levy_concentration
 
 
 # -- grid isoperimetric constant ---------------------------------------------
@@ -85,11 +87,14 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     """Certify that a weakly vanishing region has small volume (2D).
 
     Requires the region-restricted profile to satisfy the weak vanishing
-    hypothesis (no window of the given radius holds more than eps mass);
-    violating inputs raise ``InvariantError`` with the offending window center.  ``eps=None``
-    certifies at the region's own Lévy score, ``max(score, 1e-12)``.  The range is
-    cut at alpha = ceil(1/eps) volume quantiles (capped at the number of
-    distinct values, left-continuous), gap bands of half-width `radius`
+    hypothesis (no window of the given radius holds more than eps mass): a
+    largest window mass of its Lévy scan above eps by more than the scan's
+    rounding bound ``slack``, 4 (2n + 10) eps_mach T for n breakpoints and
+    total mass T, raises ``InvariantError`` with the offending window center.
+    ``eps=None`` certifies at that largest mass, the region's own Lévy score
+    (an empty region reports 1e-12).  The range is cut at alpha = ceil(1/eps)
+    volume quantiles (capped at the number of distinct values, all of alpha
+    at eps 0.0; left-continuous), gap bands of half-width `radius`
     shield the cuts, and the volume bound chains the grid isoperimetric
     inequality through the inbetween slabs:
 
@@ -114,17 +119,19 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
             radius=radius, boundary_measure=0.0, region_perimeter=0.0,
             iso_constant=grid_iso_constant(), slab_correction=0.0,
             chain_lhs=0.0, chain_rhs=0.0, trivial=True, certified=True, chain_ok=True)
-    prof = concentration_profile(u, domain=region, window=window)
-    score, center = levy_concentration(prof, radius)
+    scan = _LevyScan(concentration_profile(u, domain=region, window=window), radius)
+    score, center = scan.best()
     if eps is None:
-        eps = max(score, 1e-12)
-    if score > eps + 1e-12:
+        eps = score
+    if score > eps + scan.slack:
         raise InvariantError(
             f"region profile is not weakly vanishing at eps={eps}: the window "
             f"of radius {radius} centered at {center} holds mass {score}")
 
     order = np.sort(u.values[region.mask])
-    alpha = max(1, math.ceil(min(1.0 / float(eps), 1 + np.count_nonzero(order[1:] != order[:-1]))))
+    distinct = 1 + int(np.count_nonzero(order[1:] != order[:-1]))
+    # a score of 0.0 (every window narrower than the values' ulps) leaves only the cap
+    alpha = max(1, math.ceil(min(1.0 / float(eps), distinct))) if eps else distinct
     # per target volume, the smallest value with at least that volume below it
     cum = np.arange(1, order.size + 1) * u.geom.cell_volume
     q = np.minimum(cum.searchsorted(np.arange(1, alpha) * m / alpha, side="left"), order.size - 1)
@@ -170,8 +177,9 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     D, c_iso = d * area, grid_iso_constant()
     slab_correction = max(0.0, max(m / alpha - v for v in slab_vols))
     bound = 4.0 * c_iso * (D + gamma) ** 2 / alpha + alpha * slab_correction
-    # volume <= bound, over h^2 and times 4 alpha (4 c = 1/4): 4 alpha min(n, alpha s) <= (d + g)^2
-    certified = 4 * alpha * min(order.size, alpha * min(slab_cells)) <= (d + sum(gap_counts)) ** 2
+    # volume <= bound, over h^2 and times alpha, decided exactly on the cell and face counts
+    certified = (alpha * min(order.size, alpha * min(slab_cells))
+                 <= 4 * Fraction(c_iso) * (d + sum(gap_counts)) ** 2)
     return VanishingCertificate(
         alpha=alpha, cut_points=tuple(cuts), slab_volumes=slab_vols,
         gap_volumes=gap_vols, gap_perimeters=gap_perims, measured_volume=m,
@@ -213,14 +221,7 @@ class SliceLscReport(Record):
     eta: tuple[float | None, ...]  # smallest working dyadic locality radius
     eta_resolution_limited: tuple[bool, ...]
     eta_ok: tuple[bool, ...]
-    _derived = ("lsc_holds",)
-
-    @property
-    def lsc_holds(self) -> bool:
-        """Along every axis, every function's summed slice counts are at least
-        the limit's: exact at any spacing, and it implies a nonnegative total."""
-        return all(min(map(sum, seq)) >= sum(lim)
-                   for lim, seq in zip(self.limit_slice_counts, self.seq_slice_counts))
+    lsc_holds: bool  # every function's summed slice counts, per axis, at least the limit's
 
 
 def _row_jumps(u: GridFunction, axis: int) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +246,7 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction) -> SliceLscRepo
     geom = limit.geom
     axes = tuple(range(geom.dim))
     # per axis: directional measures and slice counts, the limit's first, then eta
-    dirs, counts, etas = [], [], []
+    dirs, counts, etas, holds = [], [], [], True
     h, area = geom.spacing, geom.face_area
     for axis in axes:
         n = geom.shape[axis]
@@ -253,6 +254,7 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction) -> SliceLscRepo
         rows_hit = [np.bincount(row, minlength=geom.num_cells // n) for row, _ in walks]
         dirs.append([row.size * area for row, _ in walks])
         counts.append([tuple(c.tolist()) for c in rows_hit])
+        holds &= min(row.size for row, _ in walks[1:]) >= walks[0][0].size  # summed slice counts
         (lim_row, lim_index), *seq_walks = walks
         budget = 2  # eta in whole faces, so eta = budget * h is 2h doubled
         for (row, index), c in zip(seq_walks, rows_hit[1:]):
@@ -278,7 +280,7 @@ def lsc_report(seq: Sequence[GridFunction], limit: GridFunction) -> SliceLscRepo
         limit_slice_counts=tuple(c[0] for c in counts),
         seq_slice_counts=tuple(tuple(c[1:]) for c in counts), eta=tuple(etas),
         eta_resolution_limited=tuple(e == 2 * h for e in etas),
-        eta_ok=tuple(e is not None for e in etas))
+        eta_ok=tuple(e is not None for e in etas), lsc_holds=holds)
 
 
 # -- gradient pairings (weak-convergence proxy) -------------------------------
@@ -311,11 +313,7 @@ class SequenceReport(Record):
     per_eps: dict
     nesting: dict
     violations: list
-    _derived = ("ok",)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
+    ok: bool  # no violations
 
 
 def bubble_partition(v: GridFunction, eps: float, ref_radius: float, gap_delta: float,
@@ -329,7 +327,7 @@ def bubble_partition(v: GridFunction, eps: float, ref_radius: float, gap_delta: 
 
 
 def _partition_stage(v: GridFunction, prof: ConcentrationProfile, bubbles, bulk_v: float,
-                     jump_v: float, omega: CellSet | None, ref_radius: float):
+                     omega: CellSet | None, ref_radius: float):
     """What one function's bubble centers fix, at any eps: ``(entry fields, certificate,
     rest mask, renormalized function, violations)``, at its profile's window."""
     window = prof.window
@@ -341,23 +339,25 @@ def _partition_stage(v: GridFunction, prof: ConcentrationProfile, bubbles, bulk_
     cert = (vanishing_certificate(v, region, eps=None, radius=ref_radius, window=window)
             if v.geom.dim == 2 else None)
     sup_norm = float(np.max(np.abs(w.values)))
-    max_radius = max((max(c.r_minus, c.r_plus) for c in radii), default=0.0)
-    jump_w = w.jump_measure()
-    outside = part.outside_jump
+    # a main cell's value lies in its piece's band, and rounded subtraction is monotone:
+    # its renormalized value is within the band's ends minus the piece's shift, exactly
+    sup_bound = max((abs(end - shift) for band, shift in zip(part.bands, part.shifts)
+                     for end in band), default=0.0)
     violations = [msg for msg, failed in (
         ("vanishing certificate failed", cert is not None and not cert.certified),
-        ("renormalized sup-norm bound fails", sup_norm > max_radius + window + 1e-12),
-        ("renormalized jump bound fails", jump_w > jump_v + outside + 1e-12)) if failed]
+        ("renormalized sup-norm bound fails", sup_norm > sup_bound),
+        ("renormalized jump bound fails",
+         w.jump_faces() > v.jump_faces() + part.outside_faces)) if failed]
     rest = part.rest_mask()
     fields = {
-        "outside_jump": outside,
+        "outside_jump": part.outside_jump,
         "gap_boundary": part.gap_boundary,
         "rest_volume": int(np.count_nonzero(rest)) * v.geom.cell_volume,
         "vanishing_region_volume": region.volume(),
         "sup_norm": sup_norm,
-        "max_radius": max_radius,
-        "jump_original": jump_v,
-        "jump_renormalized": jump_w,
+        "max_radius": max((max(c.r_minus, c.r_plus) for c in radii), default=0.0),
+        "jump_original": v.jump_measure(),
+        "jump_renormalized": w.jump_measure(),
         "bulk_original": bulk_v,
         "pairings": gradient_pairings(w),
     }
@@ -398,15 +398,15 @@ def compactness_report(functions: Sequence[GridFunction],
             require_same_geometry(other.geom, geom)
 
     reduced = [u.subtract(datum) if datum is not None else u for u in functions]
-    # function by function: profile, bulk energies at p and 2 (one where p is 2), jump measure
-    # and the bubbles of every eps from one Lévy scan, gone before the next function's is built
+    # function by function: profile, bulk energies at p and 2 (one where p is 2) and the
+    # bubbles of every eps from one Lévy scan, gone before the next function's is built
     stage = []
     for v in reduced:
         prof = concentration_profile(v, domain=omega, window=window)
         bulk_p = energy(v, p).bulk
         stage.append((v, prof, bulk_p, bulk_p if p == 2 else energy(v, 2.0).bulk,
-                      v.jump_measure(), _extract_ladder(prof, eps_ladder, gap_delta, ref_radius)))
-    bulk_norms = [bulk_p for _, _, bulk_p, _, _, _ in stage]
+                      _extract_ladder(prof, eps_ladder, gap_delta, ref_radius)))
+    bulk_norms = [bulk_p for _, _, bulk_p, _, _ in stage]
     limit_pairings = gradient_pairings(limit) if limit is not None else None
     violations: list[str] = []
     per_eps: dict[str, dict] = {}
@@ -417,12 +417,12 @@ def compactness_report(functions: Sequence[GridFunction],
     prev_renorms, prev_lim = [None] * len(stage), None
     for k, eps in enumerate(eps_ladder):
         rows = []
-        for i, (v, prof, _, bulk_2, jump_v, ladder) in enumerate(stage):
+        for i, (v, prof, _, bulk_2, ladder) in enumerate(stage):
             dec = ladder[k]
             centers = tuple(b.center for b in dec.bubbles)
             if last[i] is None or last[i][0] != centers:
-                last[i] = (centers, *_partition_stage(v, prof, dec.bubbles, bulk_2, jump_v,
-                                                      omega, ref_radius))
+                last[i] = (centers, *_partition_stage(v, prof, dec.bubbles, bulk_2, omega,
+                                                      ref_radius))
             _, fields, cert, rest, w, msgs = last[i]
             violations += [f"eps={eps} n_index={i}: {msg}" for msg in
                            [f"decomposition: {m}" for m in dec.validate()] + msgs]
@@ -487,4 +487,4 @@ def compactness_report(functions: Sequence[GridFunction],
         "limit_supplied": limit is not None,
     }
     return SequenceReport(settings=settings, per_eps=per_eps,
-                          nesting=nesting, violations=violations)
+                          nesting=nesting, violations=violations, ok=not violations)

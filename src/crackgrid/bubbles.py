@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import copy
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -79,17 +80,19 @@ class BubbleDecomposition:
     def validate(self) -> list[str]:
         """Check the structural invariants; returns human-readable violations."""
         out = []
-        slack = 1e-12 * max(1.0, abs(self.total_mass))
+        slack = 1e-12 * self.total_mass  # mass sums round relative to the total
         if self.bubble_mass() > self.total_mass + slack:
             out.append("bubble masses exceed the total mass")
         masses = [b.mass for b in self.bubbles]
-        if any(m2 > m1 + slack for m1, m2 in zip(masses, masses[1:])):
+        if any(m2 > m1 for m1, m2 in zip(masses, masses[1:])):  # sorted by extraction
             out.append("bubble masses are not nonincreasing")
         gap = self.params.gap_delta
         for i, a in enumerate(self.bubbles):
             for b in self.bubbles[i + 1 :]:
                 need = a.inner_radius + b.inner_radius + gap
-                if abs(a.center - b.center) < need - 1e-9:
+                # a few ulps of the compared quantities: centers and radii round apart
+                ulps = 8 * sys.float_info.epsilon * max(abs(a.center), abs(b.center), need)
+                if abs(a.center - b.center) < need - ulps:
                     out.append(f"bubbles at {a.center} and {b.center} violate separation")
         threshold = self.params.eps * self.total_mass
         if not self.incomplete and self.vanishing_score > threshold + slack:

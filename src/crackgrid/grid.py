@@ -27,7 +27,6 @@ import operator
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain
-from typing import ClassVar
 
 import numpy as np
 
@@ -76,17 +75,12 @@ def check_report_settings(p: float, eps_ladder: list[float], window: float,
 class Record:
     """Mixin for result dataclasses whose JSON form is their fields.
 
-    ``as_dict`` returns every dataclass field, then the derived properties
-    named in ``_derived``; tuples come out as lists and nested records as
-    dicts.
+    ``as_dict`` returns every dataclass field, in order; tuples come out as
+    lists and nested records as dicts.
     """
 
-    _derived: ClassVar[tuple[str, ...]] = ()
-
     def as_dict(self) -> dict:
-        out = {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
-        out.update((name, getattr(self, name)) for name in self._derived)
-        return out
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
 
 def _plain(x):
@@ -256,8 +250,11 @@ class GridFunction:
         the discrete jump set J_u, computed once per function."""
         return self._jump_masks[axis]
 
+    def jump_faces(self) -> int:
+        return face_count(self._jump_masks)
+
     def jump_measure(self) -> float:
-        return face_count(self._jump_masks) * self.geom.face_area
+        return self.jump_faces() * self.geom.face_area
 
     def with_values(self, values) -> GridFunction:
         return GridFunction(self.geom, values, self._masks)
@@ -297,11 +294,7 @@ class EnergyReport(Record):
     bulk: float
     jump: float
     p: float
-    _derived = ("total",)
-
-    @property
-    def total(self) -> float:
-        return self.bulk + self.jump
+    total: float  # bulk + jump
 
 
 def energy(u: GridFunction, p: float = 2.0) -> EnergyReport:
@@ -318,7 +311,8 @@ def energy(u: GridFunction, p: float = 2.0) -> EnergyReport:
     for k in range(u.geom.dim):
         grad = u.face_delta(k)[~u.crack_mask(k)] / h
         bulk += float(np.sum(np.abs(grad) ** p)) * u.geom.cell_volume
-    return EnergyReport(bulk=bulk, jump=u.jump_measure(), p=float(p))
+    jump = u.jump_measure()
+    return EnergyReport(bulk=bulk, jump=jump, p=float(p), total=bulk + jump)
 
 
 def kyfan_distance(u: GridFunction, v: GridFunction) -> float:

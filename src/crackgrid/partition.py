@@ -142,10 +142,11 @@ class DomainPartition:
                 raise ValueError(f"piece center must be finite, got {p.center!r}")
             check_real("r_minus", p.r_minus)
             check_real("r_plus", p.r_plus)
-        bands = [(p.center - p.r_minus, p.center + p.r_plus) for p in self.pieces]
+        # per piece, its main band [c - r_minus, c + r_plus), as the labels read it
+        self.bands = tuple((p.center - p.r_minus, p.center + p.r_plus) for p in self.pieces)
         w = self.window
         edges = []
-        for blo, bhi in bands:
+        for blo, bhi in self.bands:
             edges += [blo - w, blo, bhi, bhi + w]
         # widened bands may touch (shared edge) but must not overlap
         if any(b < a for a, b in zip(edges, edges[1:])):
@@ -163,8 +164,11 @@ class DomainPartition:
         if omega is not None:
             require_same_geometry(u.geom, omega.geom)
             if not omega.mask.all():
-                self.datum_piece = next((j for j, (blo, bhi) in enumerate(bands)
+                self.datum_piece = next((j for j, (blo, bhi) in enumerate(self.bands)
                                          if blo <= 0.0 < bhi), None)
+        # per piece, the constant renormalization subtracts: its center, 0.0 on the datum piece
+        self.shifts = tuple(0.0 if j == self.datum_piece else p.center
+                            for j, p in enumerate(self.pieces))
         self._count_labels()
 
     # -- labeling helpers -------------------------------------------------
@@ -196,9 +200,9 @@ class DomainPartition:
         """The one pass over the label codes and faces: ``label_boundary`` (per axis,
         the read-only mask of interior faces with distinct labels on their sides);
         by bincounts, per-label volume, perimeter and box-relative outside-jump and
-        each kind's cell count; by code parity, the outside-jump (label-boundary faces
-        off the jump set touching a main or vanishing cell) and gap boundary
-        (label-boundary and box faces touching a gap cell)."""
+        each kind's cell count; by code parity, the outside-jump (its ``outside_faces``
+        are the label-boundary faces off the jump set touching a main or vanishing
+        cell) and gap boundary (label-boundary and box faces touching a gap cell)."""
         k = self._codes
         boundary, sides, free_sides = [], [], []  # masks; one code per boundary face side
         outside_faces = gap_faces = 0
@@ -229,6 +233,7 @@ class DomainPartition:
                                          perimeter=perimeter[c] * area,
                                          outside_jump=outside[c] * area)
                       for c in present}
+        self.outside_faces = outside_faces
         self.outside_jump, self.gap_boundary = outside_faces * area, gap_faces * area
         self._kind_cells = np.bincount(kind, cells).tolist()  # 4 long: code 0 is vanishing
 
@@ -274,9 +279,7 @@ def renormalize(part: DomainPartition) -> GridFunction:
     ``jump(v) + outside_jump``.
     """
     v, ids, n = part.function, part.piece_ids, len(part.pieces)
-    shift = np.array([0.0 if part.datum_piece == j else p.center
-                      for j, p in enumerate(part.pieces)] + [0.0])
-    values = np.where(ids < n, v.values - shift[ids], 0.0)
+    values = np.where(ids < n, v.values - np.array([*part.shifts, 0.0])[ids], 0.0)
     cracks = [v.crack_mask(axis) | part.label_boundary[axis] for axis in range(v.geom.dim)]
     return GridFunction(v.geom, values, cracks)
 

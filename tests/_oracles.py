@@ -806,7 +806,9 @@ def lsc_report(seq, limit: GridFunction):
         axes=axes, limit_directional=lim_dir, seq_directional=seq_dir,
         margins=margins, total_margin=total_margin,
         limit_slice_counts=tuple(lim_counts), seq_slice_counts=tuple(seq_counts),
-        eta=tuple(etas), eta_resolution_limited=tuple(limited), eta_ok=tuple(ok))
+        eta=tuple(etas), eta_resolution_limited=tuple(limited), eta_ok=tuple(ok),
+        lsc_holds=all(min(map(sum, per_g)) >= sum(lim)
+                      for lim, per_g in zip(lim_counts, seq_counts)))
 
 
 def _touching(part, kinds, axis: int) -> np.ndarray:
@@ -929,9 +931,16 @@ def _pipeline_one(v: GridFunction, prof: ConcentrationProfile, bulk_v: float, ju
     max_radius = max((max(c.r_minus, c.r_plus) for c in radii), default=0.0)
     jump_w = w.jump_measure()
     outside = part.outside_jump
-    if sup_norm > max_radius + window + 1e-12:
+    # each piece's band ends minus the constant renormalization subtracts from it,
+    # the piece's center or, on the datum piece, 0.0
+    shifts = [0.0 if j == part.datum_piece else c.center for j, c in enumerate(part.pieces)]
+    if sup_norm > max((abs(end - s) for c, s in zip(part.pieces, shifts)
+                       for end in (c.center - c.r_minus, c.center + c.r_plus)), default=0.0):
         violations.append("renormalized sup-norm bound fails")
-    if jump_w > jump_v + outside + 1e-12:
+    # whole face counts: the face area scales all three measures alike
+    faces = [sum(int(np.count_nonzero(g.jump_mask(k))) for k in range(v.geom.dim))
+             for g in (w, v)]
+    if faces[0] > faces[1] + part.outside_faces:
         violations.append("renormalized jump bound fails")
     rest = part.rest_mask()
     entry = {
@@ -1030,4 +1039,4 @@ def compactness_report(functions, datum=None, omega=None, p: float = 2.0,
         "limit_supplied": limit is not None,
     }
     return analysis.SequenceReport(settings=settings, per_eps=per_eps,
-                                   nesting=nesting, violations=violations)
+                                   nesting=nesting, violations=violations, ok=not violations)

@@ -71,17 +71,17 @@ class TestVanishingCertificate:
 
     def test_eps_whose_reciprocal_overflows(self):
         # 1/eps is inf below about 5.6e-309: alpha is capped by the distinct
-        # values, and the hypothesis check, not a float conversion, decides
-        geom = GridGeometry((0.0, 0.0), 1e-14, (4, 4))
-        u = GridFunction(geom, np.arange(16.0).reshape(4, 4))
+        # values, with no float conversion error.  Windows of radius 1e-170 round
+        # to zero width at the values 10..25 and their trace ends 9..26, so the
+        # score is 0.0 and every eps meets the hypothesis; eps=None certifies at 0.0
+        geom = GridGeometry((0.0, 0.0), 1.0, (4, 4))
+        u = GridFunction(geom, np.arange(10.0, 26.0).reshape(4, 4))
         region = CellSet(geom, np.ones(geom.shape, dtype=bool))
-        for eps in (5e-324, 1e-310, np.float64(5e-324)):
+        for eps in (5e-324, 1e-310, np.float64(5e-324), None):
             with np.errstate(all="raise"):
-                try:
-                    cert = vanishing_certificate(u, region, eps=eps)
-                except InvariantError:
-                    continue
+                cert = vanishing_certificate(u, region, eps=eps, radius=1e-170)
             assert cert.alpha == 16
+        assert cert.eps == 0.0
 
     def test_empty_region_trivially_certified(self, monkeypatch):
         # the empty region's profile is empty, with score 0.0: none is built,

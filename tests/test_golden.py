@@ -49,7 +49,7 @@ VANISHING = {
     "runaway1000": {"vanishing.json": (["--eps", "5"], 0),
                     "vanishing_violation.json": (["--eps", "0.1"], 2)},
 }
-MANIFESTS = ("stairs", "datum_omega", "stairs12")
+MANIFESTS = ("stairs", "datum_omega", "stairs12", "datum_piece")
 PER_MANIFEST = {
     "verify.json": ["verify"],
     "verify.csv": ["verify", "--format", "csv"],
@@ -117,7 +117,9 @@ def _write_manifest_inputs() -> None:
     from crackgrid.grid import (
         CellSet,
         GridFunction,
+        GridGeometry,
         cell_set_to_dict,
+        crack_masks_from_rows,
         grid_function_to_dict,
     )
 
@@ -150,6 +152,23 @@ def _write_manifest_inputs() -> None:
     write_json({"functions": names, "datum": "datum.json", "omega": "omega.json",
                 "eps_ladder": [0.1]}, shifted / "manifest.json")
 
+    # a 4 x 4 function whose one bubble band holds 0.0 with two corner cells outside
+    # omega: that datum piece keeps the constant 0, so its renormalized values reach
+    # 3.5, beyond the largest radius; its own limit
+    piece = GOLDEN / "datum_piece"
+    piece.mkdir(parents=True, exist_ok=True)
+    geom = GridGeometry((0.0, 0.0), 1.0, (4, 4))
+    values = [0.25, 1.75, 1.75, 0.25, -1.25, 1.75, 0.25, 1.75,
+              1.75, -1.25, 0.25, 3.5, -1.25, 1.75, 1.75, -1.25]
+    cracks = [[0, 0, 1], [0, 0, 2], [0, 0, 3], [0, 1, 1], [0, 1, 3], [0, 2, 0], [0, 2, 1],
+              [1, 2, 0]]
+    u = GridFunction(geom, np.reshape(values, geom.shape), crack_masks_from_rows(geom, cracks))
+    write_json(grid_function_to_dict(u), piece / "u.json")
+    omega = np.reshape([0, 0, 1, 1, 0, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1], geom.shape)
+    write_json(cell_set_to_dict(CellSet(geom, omega == 1)), piece / "omega.json")
+    write_json({"functions": ["u.json"], "limit": "u.json", "omega": "omega.json",
+                "eps_ladder": [0.2]}, piece / "manifest.json")
+
 
 def _write_region_masks() -> None:
     """Vanishing-certificate regions: every other stair cell of the staircase
@@ -177,12 +196,12 @@ def test_regenerated_inputs_match_and_nothing_else_is_committed(tmp_path, monkey
     _write_region_masks()
     inputs = {p.relative_to(tmp_path).as_posix(): p.read_bytes()
               for p in tmp_path.rglob("*") if p.is_file()}
-    assert len(inputs) == 14
+    assert len(inputs) == 17
     for rel, data in inputs.items():
         assert (committed / rel).read_bytes() == data, rel
     files = {p.relative_to(committed).as_posix() for p in committed.rglob("*") if p.is_file()}
     outputs = {rel for rel, _, _ in _cases()}
-    assert len(outputs) == 63 and not outputs & inputs.keys()
+    assert len(outputs) == 67 and not outputs & inputs.keys()
     assert files == outputs | inputs.keys()
 
 

@@ -13,7 +13,13 @@ refining a bulk-free sequence writes each slice count twice and moves only
 the spacing-dependent ``eta``.  The jump LSC verdict is a count of faces, so
 no spacing, however small, turns a missing face into a pass, and the vanishing
 certificate's verdicts count cells and faces, so a power-of-2 spacing scales
-the certificate's measures and leaves its verdicts as they are.
+the certificate's measures and leaves its verdicts as they are.  No other
+verdict carries an absolute slack either: the renormalized jump bound counts
+faces, the weak-vanishing hypothesis allows the Lévy scan's rounding bound,
+which scales with the mass, and a decomposition's mass and separation checks
+scale with the total mass and with the quantities they compare.  So each of
+these verdicts reads the same at spacing (or range scale) 1 and at a tiny
+power of 2.
 
 The inputs are ``test_exact.dyadic_input``'s, with dyadic shifts, radii and
 gap, so every relation holds with ``==``.
@@ -29,13 +35,20 @@ import numpy as np
 import pytest
 
 import _oracles
-from _fixtures import run_cli
-from crackgrid import profile
+from _fixtures import empty_profile, run_cli
+from crackgrid import analysis, profile
 from crackgrid.analysis import compactness_report, lsc_report, vanishing_certificate
-from crackgrid.bubbles import extract_bubbles
+from crackgrid.bubbles import Bubble, BubbleDecomposition, ExtractionParams, extract_bubbles
 from crackgrid.fixtures import fixture_runaway, fixture_staircase
-from crackgrid.grid import CellSet, GridFunction, GridGeometry, energy, grid_function_to_dict
-from crackgrid.profile import concentration_profile
+from crackgrid.grid import (
+    CellSet,
+    GridFunction,
+    GridGeometry,
+    InvariantError,
+    energy,
+    grid_function_to_dict,
+)
+from crackgrid.profile import concentration_profile, levy_concentration
 from test_exact import dyadic_input
 
 EPS = (0.25, 0.125)
@@ -288,6 +301,67 @@ def test_certificate_verdicts_do_not_depend_on_the_spacing(spacing):
         for name in names:
             want[name] = (np.asarray(want[name]) * scale).tolist()
     assert cert.as_dict() == want
+
+
+@pytest.mark.parametrize("spacing", [1.0, 2.0 ** -45])
+def test_one_extra_jump_face_fails_the_jump_bound_at_any_spacing(spacing, monkeypatch):
+    # renormalization cracks one more face inside a main piece: one face over the
+    # bound, which at 2**-45 is far below any float slack of the measures
+    renormalize = analysis.renormalize
+
+    def one_more_jump(part):
+        w = renormalize(part)
+        masks = [w.crack_mask(axis).copy() for axis in range(2)]
+        free = np.flatnonzero(~masks[0] & (w.face_delta(0) != 0))
+        masks[0].flat[free[0]] = True
+        return GridFunction(w.geom, w.values, masks)
+
+    geom = GridGeometry((0.0, 0.0), spacing, (4, 4))
+    u = GridFunction(geom, np.repeat([0.0, 0.25], 8))
+    assert compactness_report([u], eps_ladder=[0.1], limit=u).ok
+    monkeypatch.setattr(analysis, "renormalize", one_more_jump)
+    assert compactness_report([u], eps_ladder=[0.1], limit=u).violations == [
+        "eps=0.1 n_index=0: renormalized jump bound fails"]
+
+
+@pytest.mark.parametrize("spacing", [1.0, 1e-14, 2.0 ** -45])
+def test_the_vanishing_hypothesis_reads_the_same_at_any_spacing(spacing):
+    # the fullest window of radius 1 holds 1.4e-13 at spacing 1e-14, far above
+    # eps = 1e-300 and far below an absolute slack of 1e-12
+    geom = GridGeometry((0.0, 0.0), spacing, (4, 4))
+    u = GridFunction(geom, np.arange(16.0).reshape(4, 4))
+    region = CellSet(geom, np.ones(geom.shape, dtype=bool))
+    with pytest.raises(InvariantError, match="not weakly vanishing at eps=1e-300"):
+        vanishing_certificate(u, region, eps=1e-300)
+    # eps=None certifies at the score itself
+    score = levy_concentration(concentration_profile(u, domain=region), 1.0)[0]
+    assert vanishing_certificate(u, region, eps=None).eps == score
+
+
+def _two_bubbles(scale: float, area: float, distance: float, total: float):
+    """A decomposition of total mass ``total * area`` whose bubbles, of inner radius
+    ``scale`` with a gap of ``2 * scale``, sit ``distance * scale`` apart."""
+    return BubbleDecomposition(
+        bubbles=(Bubble(0.0, scale, scale, 2 * area), Bubble(distance * scale, scale, scale, area)),
+        remainder=empty_profile(), vanishing_score=0.0,
+        params=ExtractionParams(0.1, 2 * scale, scale), total_mass=total * area,
+        leakages=(0.0, 0.0))
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** -40])
+def test_separation_reads_the_same_at_any_range_scale(scale):
+    # 2 apart with a need of 4: at 2**-40 the shortfall is far below 1e-9
+    assert _two_bubbles(scale, 1.0, 4.0, 3.0).validate() == []
+    assert _two_bubbles(scale, 1.0, 2.0, 3.0).validate() == [
+        f"bubbles at 0.0 and {2 * scale} violate separation"]
+
+
+@pytest.mark.parametrize("area", [1.0, 2.0 ** -45])
+def test_mass_checks_read_the_same_at_any_spacing(area):
+    # bubbles of 1.5 times the total mass: at 2**-45 the excess is far below 1e-12
+    assert _two_bubbles(1.0, area, 4.0, 3.0).validate() == []
+    assert _two_bubbles(1.0, area, 4.0, 2.0).validate() == [
+        "bubble masses exceed the total mass", "mass bookkeeping identity fails"]
 
 
 def test_negation_mirrors_the_profile_and_untied_bubbles(monkeypatch):

@@ -21,7 +21,7 @@ def test_python_api_block_runs():
     with contextlib.redirect_stdout(out):
         exec(compile(block, str(README), "exec"), {})
     assert out.getvalue().splitlines() == [
-        "EnergyReport(bulk=0.0, jump=2.9375, p=2.0)",  # bulk 0, jump 2.9375
+        "EnergyReport(bulk=0.0, jump=2.9375, p=2.0, total=2.9375)",  # bulk 0, jump 2.9375
         "[(0.0, 8.25), (17.0, 8.0)]",  # clusters at 0 and 17
         "[8.25, 8.0]",  # each bubble's mass
         "True",  # report.ok
