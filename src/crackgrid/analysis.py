@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -177,9 +176,10 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     D, c_iso = d * area, grid_iso_constant()
     slab_correction = max(0.0, max(m / alpha - v for v in slab_vols))
     bound = 4.0 * c_iso * (D + gamma) ** 2 / alpha + alpha * slab_correction
-    # volume <= bound, over h^2 and times alpha, decided exactly on the cell and face counts
-    certified = (alpha * min(order.size, alpha * min(slab_cells))
-                 <= 4 * Fraction(c_iso) * (d + sum(gap_counts)) ** 2)
+    # volume <= bound, over h^2 and times alpha * den, decided in integers on the counts
+    num, den = c_iso.as_integer_ratio()
+    certified = (den * alpha * min(order.size, alpha * min(slab_cells))
+                 <= 4 * num * (d + sum(gap_counts)) ** 2)
     return VanishingCertificate(
         alpha=alpha, cut_points=tuple(cuts), slab_volumes=slab_vols,
         gap_volumes=gap_vols, gap_perimeters=gap_perims, measured_volume=m,

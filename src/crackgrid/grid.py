@@ -145,6 +145,12 @@ def face_pairs(arr: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
     return arr[tuple(lower)], arr[tuple(upper)]
 
 
+def read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr``, made read-only: every array a result holds or hands out goes through here."""
+    arr.flags.writeable = False
+    return arr
+
+
 def face_count(masks) -> int:
     """Number of True entries over an iterable of face masks."""
     return sum(int(np.count_nonzero(m)) for m in masks)
@@ -164,35 +170,33 @@ def crack_masks_from_rows(geom: GridGeometry, rows) -> tuple[np.ndarray, ...]:
     the grid's interior, or repeat a face raise ValueError.
     """
     masks = tuple(np.zeros(geom.face_shape(k), dtype=bool) for k in range(geom.dim))
-    rows = list(rows)
-    if rows:
-        width = geom.dim + 1
-        try:
-            flat = list(chain.from_iterable(rows))
-            ok = set(map(len, rows)) == {width} and json_numbers(flat, (int, np.integer))
-        except TypeError:  # a row that is not a list
-            ok = False
-        if not ok:
-            raise ValueError(f"crack entries must be rows of {width} integers [axis, *cell]")
-        try:
-            arr = np.fromiter(flat, np.int64, len(flat)).reshape(len(rows), width)
-        except OverflowError as exc:
-            raise ValueError(f"crack entry out of range: {exc}") from exc
-        axis, cells = arr[:, 0], arr[:, 1:]
-        if np.any((axis < 0) | (axis >= geom.dim)):
-            raise ValueError(f"crack axis out of range for dim {geom.dim}")
-        try:  # each face's flat index in its axis's mask, which checks the range
-            for k, mask in enumerate(masks):
-                faces = np.ravel_multi_index(tuple(cells[axis == k].T), mask.shape)
-                mask.reshape(-1)[faces] = True  # a view: the mask is contiguous
-        except ValueError:
-            # along its own axis the lower cell of an interior face stops one short
-            top = np.array(geom.shape) - 1 - (axis[:, None] == np.arange(geom.dim))
-            outside = np.any((cells < 0) | (cells > top), axis=1)
-            raise ValueError(f"crack {arr[np.argmax(outside)].tolist()} is not an "
-                             f"interior face of shape {geom.shape}") from None
-        if face_count(masks) != len(rows):
-            raise ValueError("duplicate crack entries")
+    rows, width = list(rows), geom.dim + 1
+    try:
+        flat = list(chain.from_iterable(rows))
+        ok = set(map(len, rows)) <= {width} and json_numbers(flat, (int, np.integer))
+    except TypeError:  # a row that is not a list
+        ok = False
+    if not ok:
+        raise ValueError(f"crack entries must be rows of {width} integers [axis, *cell]")
+    try:
+        arr = np.fromiter(flat, np.int64, len(flat)).reshape(len(rows), width)
+    except OverflowError as exc:
+        raise ValueError(f"crack entry out of range: {exc}") from exc
+    axis, cells = arr[:, 0], arr[:, 1:]
+    if np.any((axis < 0) | (axis >= geom.dim)):
+        raise ValueError(f"crack axis out of range for dim {geom.dim}")
+    try:  # each face's flat index in its axis's mask, which checks the range
+        for k, mask in enumerate(masks):
+            faces = np.ravel_multi_index(tuple(cells[axis == k].T), mask.shape)
+            mask.reshape(-1)[faces] = True  # a view: the mask is contiguous
+    except ValueError:
+        # along its own axis the lower cell of an interior face stops one short
+        top = np.array(geom.shape) - 1 - (axis[:, None] == np.arange(geom.dim))
+        outside = np.any((cells < 0) | (cells > top), axis=1)
+        raise ValueError(f"crack {arr[np.argmax(outside)].tolist()} is not an "
+                         f"interior face of shape {geom.shape}") from None
+    if face_count(masks) != len(rows):
+        raise ValueError("duplicate crack entries")
     return masks
 
 
@@ -207,23 +211,19 @@ class GridFunction:
 
     def __init__(self, geom: GridGeometry, values, masks=None):
         self.geom = geom
-        arr = np.asarray(values, dtype=float)
+        arr = np.array(values, dtype=float, order="C")  # a copy of its own
         if arr.size != geom.num_cells:
             raise ValueError(f"expected {geom.num_cells} values, got {arr.size}")
-        arr = arr.reshape(geom.shape).copy()
         if not np.all(np.isfinite(arr)):
             raise ValueError("all values must be finite")
-        arr.flags.writeable = False
-        self.values = arr
+        self.values = read_only(arr.reshape(geom.shape))
         if masks is None:  # only now that the values fit the geometry
             masks = [np.zeros(geom.face_shape(k), dtype=bool) for k in range(geom.dim)]
         masks = tuple(np.asarray(m) for m in masks)
         if [(m.dtype, m.shape) for m in masks] != [(np.dtype(bool), geom.face_shape(k))
                                                    for k in range(geom.dim)]:
             raise ValueError("cracks must be one boolean mask per axis over its interior faces")
-        for m in masks:
-            m.flags.writeable = False
-        self._masks = masks
+        self._masks = tuple(map(read_only, masks))
 
     @cached_property
     def cracks(self) -> frozenset[tuple[int, ...]]:
@@ -240,10 +240,7 @@ class GridFunction:
 
     @cached_property
     def _jump_masks(self) -> tuple[np.ndarray, ...]:
-        masks = tuple(m & (self.face_delta(k) != 0) for k, m in enumerate(self._masks))
-        for m in masks:
-            m.flags.writeable = False
-        return masks
+        return tuple(read_only(m & (self.face_delta(k) != 0)) for k, m in enumerate(self._masks))
 
     def jump_mask(self, axis: int) -> np.ndarray:
         """Read-only mask of the crack faces of ``axis`` whose two traces differ:
@@ -274,9 +271,7 @@ class CellSet:
         arr = np.asarray(mask)
         if arr.size != geom.num_cells:
             raise ValueError(f"expected {geom.num_cells} mask entries, got {arr.size}")
-        arr = arr.reshape(geom.shape).astype(bool)
-        arr.flags.writeable = False
-        self.mask = arr
+        self.mask = read_only(arr.reshape(geom.shape).astype(bool))
 
     def volume(self) -> float:
         return int(np.count_nonzero(self.mask)) * self.geom.cell_volume

@@ -30,6 +30,7 @@ from .grid import (
     check_real,
     check_step,
     face_pairs,
+    read_only,
     require_same_geometry,
 )
 from .profile import ConcentrationProfile
@@ -175,9 +176,7 @@ class DomainPartition:
 
     def _gather(self, column: str) -> np.ndarray:
         """Per cell, ``column`` of its label's row in the per-label table (read-only)."""
-        view = self._table[column][self._codes]
-        view.flags.writeable = False
-        return view
+        return read_only(self._table[column][self._codes])
 
     @cached_property
     def label_kind(self) -> np.ndarray:
@@ -208,8 +207,7 @@ class DomainPartition:
         outside_faces = gap_faces = 0
         for axis in range(self.geom.dim):
             lo, hi = face_pairs(k, axis)
-            cut = lo != hi
-            cut.flags.writeable = False
+            cut = read_only(lo != hi)
             boundary.append(cut)
             free = cut & ~self.function.jump_mask(axis)
             lo_cut, hi_cut, box = lo[cut], hi[cut], k.take([0, -1], axis=axis).ravel()

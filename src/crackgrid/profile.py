@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .grid import CellSet, GridFunction, check_real, face_pairs, require_same_geometry
+from .grid import CellSet, GridFunction, check_real, face_pairs, read_only, require_same_geometry
 
 
 @dataclass(frozen=True)
@@ -61,10 +61,15 @@ class ConcentrationProfile:
         keep = pv[:-1] != pv[1:]
         if not keep.all():
             bp, pv = bp[keep], np.concatenate([pv[:1], pv[1:][keep]])
-        bp.flags.writeable = False
-        pv.flags.writeable = False
-        object.__setattr__(self, "breakpoints", bp)
-        object.__setattr__(self, "plateau_values", pv)
+        self._set(bp, pv, self.window)
+
+    def _set(self, bp: np.ndarray, pv: np.ndarray, window: float) -> "ConcentrationProfile":
+        """Freeze ``bp`` and ``pv`` and set the three fields: the last step of
+        every way a profile is made."""
+        for name, value in (("breakpoints", read_only(bp)), ("plateau_values", read_only(pv)),
+                            ("window", window)):
+            object.__setattr__(self, name, value)
+        return self
 
     @classmethod
     def from_intervals(cls, intervals: np.ndarray | Iterable[tuple[float, float, float]],
@@ -138,8 +143,7 @@ class ConcentrationProfile:
         """Read-only mass below ``breakpoints[k-1]`` at k >= 1, and 0.0 at k = 0."""
         out = np.zeros(self.breakpoints.size + 1)
         np.cumsum(self.plateau_values[1:-1] * np.diff(self.breakpoints), out=out[2:])
-        out.flags.writeable = False
-        return out
+        return read_only(out)
 
     def mass_below(self, t) -> np.ndarray | float:
         """Exact integral of the profile over (-inf, t)."""
@@ -191,12 +195,7 @@ class ConcentrationProfile:
         # both are, the zero plateau is pv[i0] and pv[i1] goes
         new_pv = np.concatenate([pv[:i0 + 1], [0.0] if left and right else [],
                                  pv[i1 if left or right else i1 + 1:]])
-        new = object.__new__(ConcentrationProfile)
-        for name, arr in (("breakpoints", new_bp), ("plateau_values", new_pv)):
-            arr.flags.writeable = False
-            object.__setattr__(new, name, arr)
-        object.__setattr__(new, "window", self.window)
-        return new
+        return object.__new__(ConcentrationProfile)._set(new_bp, new_pv, self.window)
 
 
 def concentration_profile(u: GridFunction, domain: CellSet | None = None,

@@ -393,6 +393,25 @@ class TestValidation:
                                              rf"interior face of shape {re.escape(str(shape))}$"):
             crack_masks_from_rows(geom, rows)
 
+    @pytest.mark.parametrize("shape", [(1,), (5,), (1, 4), (3, 4)])
+    def test_no_crack_rows_take_the_one_path(self, shape):
+        geom = GridGeometry((0.0,) * len(shape), 1.0, shape)
+        masks = crack_masks_from_rows(geom, [])
+        assert [(m.dtype, m.shape) for m in masks] == [(np.dtype(bool), geom.face_shape(k))
+                                                       for k in range(geom.dim)]
+        assert not any(m.any() for m in masks)
+        doc = grid_function_to_dict(GridFunction(geom, np.arange(float(geom.num_cells))))
+        assert doc.pop("cracks") == []
+        for cracks in ({"cracks": []}, {}):  # an empty list, and no cracks key
+            assert grid_function_from_dict({**doc, **cracks}).jump_faces() == 0
+
+    @pytest.mark.parametrize("rows", [[[]], [[0, 1]], [[0, 0, 0], [0, 1]]],
+                             ids=["empty-row", "short-row", "mixed-widths"])
+    def test_rows_of_another_width_rejected(self, rows):
+        geom = GridGeometry((0.0, 0.0), 1.0, (3, 4))
+        with pytest.raises(ValueError, match=r"^crack entries must be rows of 3 integers"):
+            crack_masks_from_rows(geom, rows)
+
     def test_cell_count_does_not_overflow(self):
         geom = GridGeometry((0.0, 0.0), 1.0, (2**32, 2**32))
         assert geom.num_cells == 2**64

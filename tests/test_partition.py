@@ -314,6 +314,43 @@ class TestPartitionStatsOracle:
                 mask[...] = False
 
 
+# every array a result holds or hands out, by where it comes from: each is
+# made read-only by crackgrid.grid.read_only
+EXPOSED_ARRAYS = {
+    "GridFunction.values": lambda u, f, part: [u.values],
+    "crack_mask": lambda u, f, part: [u.crack_mask(k) for k in range(u.geom.dim)],
+    "jump_mask": lambda u, f, part: [u.jump_mask(k) for k in range(u.geom.dim)],
+    "CellSet.mask": lambda u, f, part: [CellSet(u.geom, u.values > 2).mask],
+    "profile from the constructor": lambda u, f, part: _profile_arrays(
+        ConcentrationProfile(np.array(f.breakpoints), np.array(f.plateau_values))),
+    "from_intervals": lambda u, f, part: _profile_arrays(
+        ConcentrationProfile.from_intervals([(0.0, 2.0, 1.0), (1.0, 3.0, 0.5)])),
+    "concentration_profile": lambda u, f, part: _profile_arrays(f),
+    "zero_on": lambda u, f, part: _profile_arrays(
+        f.zero_on(float(f.breakpoints[1]), float(f.breakpoints[-2]))),
+    "_cum0": lambda u, f, part: [f._cum0, f.zero_on(0.5, 1.5)._cum0],
+    "label_kind": lambda u, f, part: [part.label_kind],
+    "label_index": lambda u, f, part: [part.label_index],
+    "piece_ids": lambda u, f, part: [part.piece_ids],
+    "label_boundary": lambda u, f, part: list(part.label_boundary),
+}
+
+
+def _profile_arrays(f: ConcentrationProfile) -> list[np.ndarray]:
+    return [f.breakpoints, f.plateau_values]
+
+
+@pytest.mark.parametrize("source", EXPOSED_ARRAYS)
+def test_every_exposed_array_is_read_only(source):
+    u, f, _, _, part = staircase_pipeline(8)
+    arrays = EXPOSED_ARRAYS[source](u, f, part)
+    assert arrays and all(arr.size for arr in arrays)
+    for arr in arrays:
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr[...] = arr.flat[0]
+
+
 class TestLabelCodeReadersOracle:
     """The perturbed offsets and the kind volumes, read from the label codes,
     against the per-face tuple list with its table of dyadic candidates and

@@ -346,10 +346,7 @@ class TestProfileQueries:
             assert f.window == 0.5
         # one breakpoint between two zero plateaus, which the constructor would
         # merge away, set directly as zero_on sets its arrays
-        point = object.__new__(ConcentrationProfile)
-        for name, value in (("breakpoints", np.array([1.5])),
-                            ("plateau_values", np.zeros(2)), ("window", 1.0)):
-            object.__setattr__(point, name, value)
+        point = object.__new__(ConcentrationProfile)._set(np.array([1.5]), np.zeros(2), 1.0)
         for f in (empty, point):
             n = f.breakpoints.size
             assert repr(f.total_mass()) == repr(f.max_height()) == "0.0"
