@@ -29,7 +29,7 @@ from .grid import (
     InvariantError,
     Record,
     check_real,
-    check_report_settings,
+    check_step,
     energy,
     face_count,
     face_pairs,
@@ -139,40 +139,43 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     cuts = list(dict.fromkeys(order[np.minimum(above, order.size - 1)].tolist()))
     alpha = len(cuts) + 1  # the slabs the distinct cuts make
 
-    edges = [-math.inf] + cuts + [math.inf]
-    slabs = [region.mask & (u.values >= lo + radius) & (u.values < hi - radius)
-             for lo, hi in zip(edges, edges[1:])]
-    gaps = [region.mask & (u.values > t - radius) & (u.values < t + radius) for t in cuts]
-
     def inner(mask):  # per axis, the interior faces between the mask and its complement
         return [np.not_equal(*face_pairs(mask, k)) for k in range(2)]
 
     def count(faces, mask):  # a boundary's interior faces, then the mask's cells on the box
         return face_count(faces) + face_count(mask.take([0, -1], axis=k) for k in range(2))
 
+    # one slab at a time, upward, with the gap at its upper cut; the gap below it left its
+    # faces in `below`.  chain: per slab, its boundary's face count outside both gaps, as
+    # slabs and gaps are disjoint and no box face of a slab lies on a gap
+    slab_cells, gap_cells, gap_counts, chain = [], [], [], []
+    below = no_gap = [np.False_] * 2
+    edges = [-math.inf] + cuts + [math.inf]
+    for lo, hi in zip(edges, edges[1:]):
+        S = region.mask & (u.values >= lo + radius) & (u.values < hi - radius)
+        slab_cells.append(int(np.count_nonzero(S)))
+        above = no_gap
+        if hi < math.inf:
+            G = region.mask & (u.values > hi - radius) & (u.values < hi + radius)
+            above = inner(G)
+            gap_cells.append(int(np.count_nonzero(G)))
+            gap_counts.append(count(above, G))
+        chain.append(count([f & ~(b | a) for f, b, a in zip(inner(S), below, above)], S))
+        below = above
+
     area, cell_vol = u.geom.face_area, u.geom.cell_volume
-    gap_faces = [inner(G) for G in gaps]
-    slab_cells = [int(np.count_nonzero(S)) for S in slabs]
-    gap_counts = [count(f, G) for f, G in zip(gap_faces, gaps)]
     slab_vols = tuple(s * cell_vol for s in slab_cells)
-    gap_vols = tuple(int(np.count_nonzero(G)) * cell_vol for G in gaps)
+    gap_vols = tuple(g * cell_vol for g in gap_cells)
     gap_perims = tuple(g * area for g in gap_counts)
-    gamma = 0.0
+    gamma = chain_rhs = 0.0
     for perim in gap_perims:  # left to right: builtin sum() compensates from Python 3.12 on
         gamma += perim
+    for c in chain:
+        chain_rhs += 0.5 * c * area
 
     region_faces = inner(region.mask)
     d = count([u.jump_mask(k) | f for k, f in enumerate(region_faces)], region.mask)
     region_perim = count(region_faces, region.mask) * area
-
-    # slabs and gaps are disjoint: no box face of a slab lies on a gap
-    chain_rhs, chain = 0.0, []  # chain: per slab, its boundary's face count outside the gaps
-    for i, S in enumerate(slabs):
-        faces = inner(S)
-        for gap in gap_faces[max(i - 1, 0):i + 1]:  # the gaps on either side of slab i
-            faces = [f & ~g for f, g in zip(faces, gap)]
-        chain.append(count(faces, S))
-        chain_rhs += 0.5 * chain[-1] * area
     D, c_iso = d * area, grid_iso_constant()
     slab_correction = max(0.0, max(m / alpha - v for v in slab_vols))
     bound = 4.0 * c_iso * (D + gamma) ** 2 / alpha + alpha * slab_correction
@@ -364,6 +367,19 @@ def _partition_stage(v: GridFunction, prof: ConcentrationProfile, bubbles, bulk_
     return fields, cert, rest, w, violations
 
 
+def check_report_settings(p: float, eps_ladder: list[float], window: float,
+                          ref_radius: float, gap_delta: float) -> None:
+    """The checks of ``compactness_report``'s settings, before any work (and of a
+    manifest's, in the CLI)."""
+    check_real("p", p, low=1)
+    if not (eps_ladder and all(0 < eps < 1 for eps in eps_ladder)
+            and all(b < a for a, b in zip(eps_ladder, eps_ladder[1:]))):
+        raise ValueError("eps_ladder must be nonempty and strictly decreasing in (0, 1), "
+                         f"got {eps_ladder!r}")
+    check_step("gap_delta", gap_delta, "ref_radius", ref_radius)
+    check_step("window", window, "ref_radius", ref_radius)
+
+
 def compactness_report(functions: Sequence[GridFunction],
                        datum: GridFunction | None = None,
                        omega: CellSet | None = None,
@@ -391,7 +407,9 @@ def compactness_report(functions: Sequence[GridFunction],
     if not functions:
         raise ValueError("need at least one function")
     eps_ladder = list(eps_ladder)
-    check_report_settings(p, eps_ladder, window, ref_radius, gap_delta)
+    settings = dict(p=p, eps_ladder=eps_ladder, window=window, ref_radius=ref_radius,
+                    gap_delta=gap_delta)
+    check_report_settings(**settings)
     geom = functions[0].geom
     for other in (*functions[1:], datum, omega, limit):
         if other is not None:
@@ -475,16 +493,7 @@ def compactness_report(functions: Sequence[GridFunction],
             },
             "conclusion5_bubble_tracks": tracks.as_dict() if tracks else None,
         }
-    settings = {
-        "p": p,
-        "eps_ladder": eps_ladder,
-        "window": window,
-        "ref_radius": ref_radius,
-        "gap_delta": gap_delta,
-        "n_functions": len(functions),
-        "datum": datum is not None,
-        "omega": omega is not None,
-        "limit_supplied": limit is not None,
-    }
+    settings.update(n_functions=len(functions), datum=datum is not None,
+                    omega=omega is not None, limit_supplied=limit is not None)
     return SequenceReport(settings=settings, per_eps=per_eps,
                           nesting=nesting, violations=violations, ok=not violations)

@@ -21,13 +21,18 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import bubble_partition, compactness_report, lsc_report, vanishing_certificate
+from .analysis import (
+    bubble_partition,
+    check_report_settings,
+    compactness_report,
+    lsc_report,
+    vanishing_certificate,
+)
 from .bubbles import extract_bubbles
 from .fixtures import fixture_runaway, fixture_staircase
 from .grid import (
     InvariantError,
     cell_set_from_dict,
-    check_report_settings,
     energy,
     grid_function_from_dict,
     grid_function_to_dict,
@@ -379,19 +384,13 @@ def _cmd_verify(args) -> int:
                              **settings)
     first = rep.per_eps[repr(settings["eps_ladder"][0])]
     trends = first["conclusion4_partition_trends"]
-    svg = (args.svg, _trend_svg({
-        "outside_jump": trends["outside_jump_series"],
-        "vanishing_volume": trends["vanishing_volume_series"],
-        "rest_volume": trends["rest_volume_series"],
-    })) if args.svg else None
+    table = {name: trends[f"{name}_series"]
+             for name in ("outside_jump", "vanishing_volume", "rest_volume")}
+    svg = (args.svg, _trend_svg(table)) if args.svg else None
     if args.format == "csv":
-        lines = ["n_index,outside_jump,vanishing_volume,rest_volume,kyfan_to_limit"]
-        kyfan = first["conclusion1_measure_convergence"]["kyfan_to_limit"]
-        for i in range(len(kyfan)):
-            lines.append(",".join(repr(x) for x in (
-                i, trends["outside_jump_series"][i],
-                trends["vanishing_volume_series"][i],
-                trends["rest_volume_series"][i], kyfan[i])))
+        table["kyfan_to_limit"] = first["conclusion1_measure_convergence"]["kyfan_to_limit"]
+        lines = [",".join(["n_index", *table])]
+        lines += [",".join(map(repr, (i, *row))) for i, row in enumerate(zip(*table.values()))]
         _emit("\n".join(lines) + "\n", args.out, svg)
     else:
         _emit_json(rep.as_dict(), args.out, svg)

@@ -59,19 +59,6 @@ def check_step(step: str, value: float, base: str, base_value: float) -> None:
         raise ValueError(f"{step} {value!r} vanishes next to {base} {base_value!r}")
 
 
-def check_report_settings(p: float, eps_ladder: list[float], window: float,
-                          ref_radius: float, gap_delta: float) -> None:
-    """The checks of ``compactness_report``'s settings, before any work (and of a
-    manifest's, in the CLI)."""
-    check_real("p", p, low=1)
-    if not (eps_ladder and all(0 < eps < 1 for eps in eps_ladder)
-            and all(b < a for a, b in zip(eps_ladder, eps_ladder[1:]))):
-        raise ValueError("eps_ladder must be nonempty and strictly decreasing in (0, 1), "
-                         f"got {eps_ladder!r}")
-    check_step("gap_delta", gap_delta, "ref_radius", ref_radius)
-    check_step("window", window, "ref_radius", ref_radius)
-
-
 class Record:
     """Mixin for result dataclasses whose JSON form is their fields.
 

@@ -226,8 +226,7 @@ def concentration_profile(u: GridFunction, domain: CellSet | None = None,
         hi.append(np.maximum(a, b))
         for tr in (v_lo[jump], v_hi[jump],  # jump faces, the trace from below, then above
                    v_lo[in_lo & ~in_hi], v_hi[in_hi & ~in_lo],  # domain edges
-                   u.values.take(0, axis=axis)[inside.take(0, axis=axis)],  # grid box faces
-                   u.values.take(-1, axis=axis)[inside.take(-1, axis=axis)]):
+                   u.values.take([0, -1], axis=axis)[inside.take([0, -1], axis=axis)]):  # grid box
             lo.append(tr - window)
             hi.append(tr + window)
     return ConcentrationProfile._from_ends(np.concatenate(lo), np.concatenate(hi),

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import inspect
 import json
 import os
 import subprocess
@@ -688,7 +689,24 @@ def test_manifest_side_entry_is_absent_only_when_null(tmp_path: Path, entries, c
         assert res.stderr.startswith("error: ") and "Traceback" not in res.stderr
 
 
-_HUGE_VALUES = {"version": 1, "dim": 1, "origin": [0.0], "spacing": 1.0, "shape": [3],
+def test_manifest_defaults_are_the_reports(tmp_path: Path):
+    # the CLI and compactness_report each write the settings defaults; they must agree
+    from crackgrid.analysis import compactness_report
+    from crackgrid.cli import _load_manifest
+    from crackgrid.fixtures import fixture_runaway
+    from crackgrid.grid import grid_function_to_dict
+
+    (tmp_path / "u.json").write_text(json.dumps(grid_function_to_dict(fixture_runaway(10.0))))
+    mp = tmp_path / "manifest.json"
+    mp.write_text(json.dumps({"functions": ["u.json"]}))
+    *_, settings = _load_manifest(str(mp))
+    params = inspect.signature(compactness_report).parameters
+    defaults = {key: params[key].default for key in settings}
+    defaults["eps_ladder"] = list(defaults["eps_ladder"])
+    assert settings == defaults
+
+
+_HUGE_VALUES ={"version": 1, "dim": 1, "origin": [0.0], "spacing": 1.0, "shape": [3],
                 "values": [0.0, 1e308, -1e308], "cracks": []}
 _HUGE_SPACING = {"version": 1, "dim": 2, "origin": [0.0, 0.0], "spacing": 1e300,
                  "shape": [2, 2], "values": [0.0, 1.0, 2.0, 3.0], "cracks": []}
