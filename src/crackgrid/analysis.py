@@ -91,9 +91,9 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     rounding bound ``slack``, 4 (2n + 10) eps_mach T for n breakpoints and
     total mass T, raises ``InvariantError`` with the offending window center.
     ``eps=None`` certifies at that largest mass, the region's own Lévy score
-    (an empty region reports 1e-12).  The range is cut at alpha = ceil(1/eps)
-    volume quantiles (capped at the number of distinct values, all of alpha
-    at eps 0.0; left-continuous), gap bands of half-width `radius`
+    (a region with no cells reports 1e-12).  The range is cut at alpha =
+    ceil(1/eps) whole-cell quantiles (capped at the number of distinct values,
+    all of alpha at eps 0.0; left-continuous), gap bands of half-width `radius`
     shield the cuts, and the volume bound chains the grid isoperimetric
     inequality through the inbetween slabs:
 
@@ -111,7 +111,7 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     check_real("window", window)
     check_real("radius", radius)
     m = region.volume()
-    if m == 0.0:  # the region's profile is empty, with score 0.0: nothing to build
+    if not region.mask.any():  # the region's profile is empty, with score 0.0: nothing to build
         return VanishingCertificate(
             alpha=1, cut_points=(), slab_volumes=(0.0,), gap_volumes=(),
             gap_perimeters=(), measured_volume=0.0, bound=0.0, eps=1e-12 if eps is None else eps,
@@ -130,10 +130,9 @@ def vanishing_certificate(u: GridFunction, region: CellSet, eps: float | None,
     order = np.sort(u.values[region.mask])
     distinct = 1 + int(np.count_nonzero(order[1:] != order[:-1]))
     # a score of 0.0 (every window narrower than the values' ulps) leaves only the cap
-    alpha = max(1, math.ceil(min(1.0 / float(eps), distinct))) if eps else distinct
-    # per target volume, the smallest value with at least that volume below it
-    cum = np.arange(1, order.size + 1) * u.geom.cell_volume
-    q = np.minimum(cum.searchsorted(np.arange(1, alpha) * m / alpha, side="left"), order.size - 1)
+    alpha = math.ceil(min(1.0 / float(eps), distinct)) if eps else distinct
+    # per target k * n / alpha cells, the first index with at least that many at or below it
+    q = (np.arange(1, alpha) * order.size - 1) // alpha
     above = order.searchsorted(order[q], side="right")
     # ascending, as q is; equal cuts merge into the first of them
     cuts = list(dict.fromkeys(order[np.minimum(above, order.size - 1)].tolist()))

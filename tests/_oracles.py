@@ -160,19 +160,23 @@ def jump_boundary_measure(u: GridFunction, domain: CellSet | None = None) -> flo
     return count * u.geom.face_area
 
 
+def slab_ranges(cuts, radius: float) -> list[tuple[float, float]]:
+    """The ``[lo, hi)`` value range of each slab of a vanishing certificate with
+    the given cuts: between consecutive cuts, each moved ``radius`` inward."""
+    edges = [-math.inf, *cuts, math.inf]
+    return [(lo + radius, hi - radius) for lo, hi in zip(edges, edges[1:])]
+
+
 def certificate_face_counts(u: GridFunction, region: CellSet, cuts, radius: float):
     """(d, chain, region perimeter, gap perimeters, slab cells) of a vanishing
     certificate with the given cuts, in whole faces and cells: d counts the jump
     set united with the region boundary, and chain, per slab, the faces of its
     boundary on neither neighbouring gap's boundary."""
     jump = {("i", f[0], f[1:]) for f in jump_faces(u)}
-    edges = [-math.inf, *cuts, math.inf]
     gaps = [boundary_face_keys(CellSet(u.geom, region.mask & (u.values > t - radius)
                                        & (u.values < t + radius))) for t in cuts]
     chain, slab_cells = [], []
-    for i in range(len(cuts) + 1):
-        lo = edges[i] + radius if math.isfinite(edges[i]) else -math.inf
-        hi = edges[i + 1] - radius if math.isfinite(edges[i + 1]) else math.inf
+    for i, (lo, hi) in enumerate(slab_ranges(cuts, radius)):
         slab = CellSet(u.geom, region.mask & (u.values >= lo) & (u.values < hi))
         keys = boundary_face_keys(slab)
         if i >= 1:
@@ -183,6 +187,28 @@ def certificate_face_counts(u: GridFunction, region: CellSet, cuts, radius: floa
         slab_cells.append(int(np.count_nonzero(slab.mask)))
     return (len(jump | boundary_face_keys(region)), chain, len(boundary_face_keys(region)),
             [len(g) for g in gaps], slab_cells)
+
+
+def certificate_skipping_faces(u: GridFunction, region: CellSet, cuts, radius: float):
+    """Per axis, the interior faces of a vanishing certificate with the given cuts
+    that are no jump faces and join cells of two different slabs: such a face lies
+    on no gap's boundary either, so neither side of the chain inequality counts it."""
+    ranges = slab_ranges(cuts, radius)
+
+    def slab(cell):  # the index of the slab holding the cell, or None
+        if not region.mask[cell]:
+            return None
+        return next((i for i, (lo, hi) in enumerate(ranges) if lo <= u.values[cell] < hi), None)
+
+    jump, counts = jump_faces(u), []
+    for axis in range(u.geom.dim):
+        count = 0
+        for idx in np.ndindex(*u.geom.face_shape(axis)):
+            below, above = slab(idx), slab(upper_cell((axis, *idx)))
+            count += ((axis, *idx) not in jump and None not in (below, above)
+                      and below != above)
+        counts.append(count)
+    return counts
 
 
 def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: float):
@@ -200,16 +226,15 @@ def certificate_face_measures(u: GridFunction, region: CellSet, cuts, radius: fl
 def certificate_cuts(u: GridFunction, region: CellSet, eps: float) -> tuple[int, list[float]]:
     """(alpha, cut points) of a vanishing certificate at eps, by loops over the
     region's sorted values: alpha capped at the size of their set, and per
-    target volume ``j * m / alpha`` the value above the first one with at least
-    that volume at or below it (the largest value where none is above), the
-    cuts deduplicated through a set."""
+    target ``j * n / alpha`` of the region's n cells the value above the first
+    one with at least that many cells at or below it (the largest value where
+    none is above), the cuts deduplicated through a set."""
     order = sorted(u.values[region.mask].tolist())
-    m, cell = region.volume(), u.geom.cell_volume
+    n = len(order)
     alpha = max(1, min(math.ceil(1.0 / eps), len(set(order))))
     cuts = set()
     for j in range(1, alpha):
-        i = next((i for i in range(len(order)) if (i + 1) * cell >= j * m / alpha),
-                 len(order) - 1)
+        i = next(i for i in range(n) if (i + 1) * alpha >= j * n)
         cuts.add(next((v for v in order if v > order[i]), order[-1]))
     return alpha, sorted(cuts)
 

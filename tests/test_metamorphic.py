@@ -13,7 +13,8 @@ refining a bulk-free sequence writes each slice count twice and moves only
 the spacing-dependent ``eta``.  The jump LSC verdict is a count of faces, so
 no spacing, however small, turns a missing face into a pass, and the vanishing
 certificate's verdicts count cells and faces, so a power-of-2 spacing scales
-the certificate's measures and leaves its verdicts as they are.  No other
+the certificate's measures and leaves its verdicts as they are; its cut points
+count region cells too, so they read the same at any spacing.  No other
 verdict carries an absolute slack either: the renormalized jump bound counts
 faces, the weak-vanishing hypothesis allows the Lévy scan's rounding bound,
 which scales with the mass, and a decomposition's mass and separation checks
@@ -286,10 +287,13 @@ def test_certificate_verdicts_do_not_depend_on_the_spacing(spacing):
         geom = GridGeometry((0.0, 0.0), h, (2, 4))
         u = GridFunction(geom, np.array([[3.0, 4.0, 3.0, 7.0], [7.0, 1.0, 7.0, 0.0]]))
         region = CellSet(geom, np.ones(geom.shape, dtype=bool))
-        return vanishing_certificate(u, region, eps=0.5, radius=0.5, window=0.25)
+        return u, region, vanishing_certificate(u, region, eps=0.5, radius=0.5, window=0.25)
 
-    ref, cert = certificate(2.0 ** -10), certificate(spacing)
+    (_, _, ref), (u, region, cert) = certificate(2.0 ** -10), certificate(spacing)
     assert (cert.alpha, cert.cut_points) == (2, (4.0,))
+    # the 7 faces that skip the gap: 3 | 7 twice and 7 | 0 across the rows, 3 | 7,
+    # 7 | 1, 1 | 7 and 7 | 0 along them
+    assert _oracles.certificate_skipping_faces(u, region, cert.cut_points, 0.5) == [3, 4]
     assert (cert.boundary_measure, cert.chain_rhs) == (12 * spacing, 12.5 * spacing)
     assert cert.certified and not cert.chain_ok
     r = spacing / 2.0 ** -10  # a power of 2: every measure scales exactly
@@ -301,6 +305,21 @@ def test_certificate_verdicts_do_not_depend_on_the_spacing(spacing):
         for name in names:
             want[name] = (np.asarray(want[name]) * scale).tolist()
     assert cert.as_dict() == want
+
+
+@pytest.mark.parametrize("spacing", [1.0, 0.1, 1 / 3, 0.7])
+def test_certificate_cuts_do_not_depend_on_the_spacing(spacing):
+    # the k-th target is k * 18 / 3 of the 18 region cells, 6 and 12: taken as
+    # k * m / 3 on float volumes, both round above the volume of that many cells
+    # at spacing 0.1, and both cuts then move one cell up the sorted values
+    geom = GridGeometry((0.0, 0.0), spacing, (4, 5))
+    u = GridFunction(geom, np.array([[2.0, 0, 37, 8, 7], [30, 33, 6, 21, 7],
+                                     [23, 11, 13, 24, 37], [33, 0, 8, 35, 23]]))
+    region = CellSet(geom, np.array([[1, 1, 1, 1, 1], [1, 1, 1, 0, 1], [1, 1, 1, 1, 1],
+                                     [1, 1, 0, 1, 1]], dtype=bool))
+    cert = vanishing_certificate(u, region, eps=1 / 3, radius=0.01, window=0.01)
+    assert (cert.alpha, cert.cut_points) == (3, (8.0, 30.0))
+    assert [round(v / geom.cell_volume) for v in cert.slab_volumes] == [6, 5, 5]
 
 
 @pytest.mark.parametrize("spacing", [1.0, 2.0 ** -45])
